@@ -280,7 +280,13 @@ class DtnMatrix:
                 raise ConfigError(f"not a dtn matrix file: {path}")
             payload = fh.read()
         rows, cols = header["rows"], header["cols"]
-        mat = np.frombuffer(payload, dtype=np.complex64, count=rows * cols)
+        expected = rows * cols * np.dtype(np.complex64).itemsize
+        if len(payload) != expected:
+            raise ConfigError(
+                f"dtn matrix payload has {len(payload)} bytes, "
+                f"a {rows}x{cols} complex64 matrix needs {expected}"
+            )
+        mat = np.frombuffer(payload, dtype=np.complex64)
         return cls(
             mat.reshape(rows, cols).astype(np.complex128),
             np.asarray(header["xi_sq_in"]),

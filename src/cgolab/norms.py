@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScalarField
 from .grid import Grid
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "hminus1_norm",
     "hminus1_distance",
     "boundary_sobolev_weights",
-    "holder_interpolation_check",
 ]
 
 MODULUS_FAMILIES = ("single_log", "double_log", "sup_log")
@@ -226,7 +224,7 @@ def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boundary weights and the interpolation check
+# Boundary weights
 
 
 def boundary_sobolev_weights(xi_sq, tau, r: float, s: float) -> np.ndarray:
@@ -244,45 +242,3 @@ def boundary_sobolev_weights(xi_sq, tau, r: float, s: float) -> np.ndarray:
     if r <= 0 and s <= 0:
         return 1.0 / ((1.0 + xi_sq) ** (-r / 2) + (1.0 + tau**2) ** (-s / 2))
     raise ConfigError(f"mixed-sign weight exponents are not supported: r={r}, s={s}")
-
-
-def _pairwise_holder(points: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    best = 0.0
-    chunk = max(1, 2_000_000 // max(points.shape[0], 1))
-    for start in range(0, points.shape[0], chunk):
-        block = slice(start, min(start + chunk, points.shape[0]))
-        d = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=-1)
-        dv = np.abs(values[block, None] - values[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot = np.where(d > 0, dv / d**alpha, 0.0)
-        best = max(best, float(quot.max()))
-    return best
-
-
-def holder_interpolation_check(u: ScalarField, alpha: float) -> dict:
-    """Sup-norm vs Holder/L2 interpolation: lhs, rhs, and their ratio.
-
-    lhs = max|u|; rhs = ||u||_{C^{0,alpha}}^{d/(d+2a)} * ||u||_{L2}^{2a/(d+2a)}
-    with d = n+1 and the Holder seminorm taken over all grid-point pairs of
-    the space-time cylinder (Euclidean distance).  Quadratic in the point
-    count; meant for small grids.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    grid = u.grid
-    mags = np.abs(u.values)
-    lhs = float(mags.max())
-    if lhs == 0.0:
-        return {"lhs": 0.0, "rhs": 0.0, "ratio": 0.0}
-    coords = grid.space_coordinates()
-    axes = [np.broadcast_to(c, grid.space_shape).ravel() for c in coords]
-    npts_space = axes[0].size
-    cols = [np.tile(ax, grid.nt) for ax in axes]
-    cols.append(np.repeat(grid.ts, npts_space))
-    points = np.column_stack(cols)
-    flat = np.abs(u.values).reshape(-1)
-    holder = lhs + _pairwise_holder(points, flat, alpha)
-    l2 = u.l2_norm()
-    d = grid.n + 1
-    rhs = holder ** (d / (d + 2 * alpha)) * l2 ** (2 * alpha / (d + 2 * alpha))
-    return {"lhs": lhs, "rhs": float(rhs), "ratio": float(lhs / rhs)}

@@ -206,6 +206,21 @@ def test_matrix_save_load_round_trip(tmp_path):
         DtnMatrix.load(bogus)
 
 
+@pytest.mark.parametrize("edit", ["truncated", "trailing"])
+def test_matrix_load_rejects_wrong_payload_length(tmp_path, edit):
+    g = build_grid(1, 9, 9, 1.0)
+    m = assemble_dtn_matrix(g, None, DtnBasis(g, k_max=1))
+    path = tmp_path / "map.dtn"
+    m.save(path)
+    data = path.read_bytes()
+    expected = m.matrix.size * 8
+    bad = data[:-3] if edit == "truncated" else data + b"\0" * 8
+    path.write_bytes(bad)
+    actual = expected - 3 if edit == "truncated" else expected + 8
+    with pytest.raises(ConfigError, match=f"has {actual} bytes.* needs {expected}"):
+        DtnMatrix.load(path)
+
+
 def test_field_save_load_round_trip(tmp_path):
     from cgolab import ScalarField
 

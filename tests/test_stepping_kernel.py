@@ -1,0 +1,305 @@
+"""The stepping kernel against a plain reference stepper.
+
+`_plain_solve` and `_plain_semilinear` are the straightforward theta-scheme
+loops: each step rebuilds the step matrix, factors it with splu and forms the
+right-hand side from the five-point (three-point in 1-d) stencil applied to
+the whole slice.  The kernel lifts the boundary data with one matrix product,
+reuses factors and marches real blocks; its results must agree with the
+plain loops to rounding.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
+
+from cgolab import BoundaryField, Nonlinearity, Potential, ScalarField, build_grid
+from cgolab import forward
+from cgolab.dtn import dtn_apply
+from cgolab.forward import solve_backward, solve_forward, solve_semilinear
+
+RTOL = 1e-13
+
+
+def _interior(values, n):
+    return values[1:-1] if n == 1 else values[1:-1, 1:-1]
+
+
+def _stencil(grid, u, convection):
+    """(Laplacian - convection . grad) of a full space slice, interior values."""
+    hx = grid.hx
+    if grid.n == 1:
+        out = (u[:-2] - 2 * u[1:-1] + u[2:]) / hx**2
+        if convection is not None:
+            out = out - convection[0] * (u[2:] - u[:-2]) / (2 * hx)
+        return out
+    out = (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
+           - 4 * u[1:-1, 1:-1]) / hx**2
+    if convection is not None:
+        out = out - convection[0] * (u[2:, 1:-1] - u[:-2, 1:-1]) / (2 * hx)
+        out = out - convection[1] * (u[1:-1, 2:] - u[1:-1, :-2]) / (2 * hx)
+    return out
+
+
+def _dense_operator(grid, convection):
+    """Interior block of the stencil, built column by column from unit vectors."""
+    shape = grid.space_shape
+    inner = np.zeros(shape, dtype=bool)
+    _interior(inner, grid.n)[...] = True
+    cols = []
+    for idx in zip(*np.nonzero(inner)):
+        e = np.zeros(shape)
+        e[idx] = 1.0
+        cols.append(_stencil(grid, e, convection).ravel())
+    return sp.csc_matrix(np.column_stack(cols))
+
+
+def _plain_solve(grid, q, bdata, u0=None, source=None, theta=0.5, convection=None):
+    ht, n = grid.ht, grid.n
+    qv = np.zeros(grid.field_shape) if q is None else q.values
+    op = _dense_operator(grid, convection)
+    eye = sp.identity(op.shape[0], format="csc")
+    u = np.zeros(grid.field_shape, dtype=np.complex128)
+    if u0 is not None:
+        u[0] = u0
+    u[0][grid.boundary_index] = bdata.values[0]
+    for k in range(grid.nt - 1):
+        uk = _interior(u[k], n).ravel()
+        rhs = uk + (1 - theta) * ht * (
+            _stencil(grid, u[k], convection).ravel() - _interior(qv[k], n).ravel() * uk
+        )
+        embed = np.zeros(grid.space_shape, dtype=np.complex128)
+        embed[grid.boundary_index] = bdata.values[k + 1]
+        rhs += theta * ht * _stencil(grid, embed, convection).ravel()
+        if source is not None:
+            rhs += ht * (theta * _interior(source.values[k + 1], n).ravel()
+                         + (1 - theta) * _interior(source.values[k], n).ravel())
+        mat = eye - theta * ht * op + theta * ht * sp.diags(_interior(qv[k + 1], n).ravel())
+        lu = splu(mat.tocsc())
+        x = lu.solve(rhs.real) + 1j * lu.solve(rhs.imag)
+        nxt = embed
+        _interior(nxt, n)[...] = x.reshape(_interior(nxt, n).shape)
+        u[k + 1] = nxt
+    return u
+
+
+def _plain_semilinear(grid, a, bdata, u0=None, theta=0.5, newton_tol=1e-10,
+                      max_iter=50, max_halvings=10):
+    ht, n = grid.ht, grid.n
+    bvals = bdata.values.real
+    op = _dense_operator(grid, None)
+    eye = sp.identity(op.shape[0], format="csc")
+    coords = [np.broadcast_to(c, grid.space_shape) for c in grid.space_coordinates()]
+    xint = tuple(_interior(c, n).ravel() for c in coords)
+    u = np.zeros(grid.field_shape)
+    if u0 is not None:
+        u[0] = u0
+    u[0][grid.boundary_index] = bvals[0]
+    iterations = []
+    for k in range(grid.nt - 1):
+        t0, t1 = grid.ts[k], grid.ts[k + 1]
+        uk = _interior(u[k], n).ravel()
+        embed = np.zeros(grid.space_shape)
+        embed[grid.boundary_index] = bvals[k + 1]
+        bc_term = _stencil(grid, embed, None).ravel()
+        explicit = _stencil(grid, u[k], None).ravel() - a.value(*xint, t0, uk)
+
+        def residual(v):
+            return (v - uk) / ht - theta * (op @ v + bc_term - a.value(*xint, t1, v)) - (
+                1 - theta) * explicit
+
+        v = uk.copy()
+        res = residual(v)
+        it = 0
+        while np.abs(res).max() > newton_tol:
+            assert it < max_iter
+            jac = eye / ht - theta * op + theta * sp.diags(a.du(*xint, t1, v))
+            step = splu(jac.tocsc()).solve(-res)
+            alpha, base = 1.0, np.linalg.norm(res)
+            for _ in range(max_halvings):
+                trial = residual(v + alpha * step)
+                if np.all(np.isfinite(trial)) and np.linalg.norm(trial) <= base:
+                    break
+                alpha *= 0.5
+            v = v + alpha * step
+            res = residual(v)
+            it += 1
+        iterations.append(it)
+        _interior(embed, n)[...] = v.reshape(_interior(embed, n).shape)
+        u[k + 1] = embed
+    return u, iterations
+
+
+def _rel_diff(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+def _random_case(rng, n, nx, nt, *, varying, convection, source, initial, complex_data):
+    g = build_grid(n, nx, nt, T=0.5)
+    shape = g.field_shape
+    qv = 0.5 + 0.3 * rng.standard_normal(g.space_shape)
+    qv = np.broadcast_to(qv, shape).copy()
+    if varying:
+        qv = qv * (1.0 + 0.5 * np.sin(3 * g.ts)).reshape((g.nt,) + (1,) * n)
+    q = Potential(g, qv)
+    dtype = np.complex128 if complex_data else np.float64
+
+    def draw(size):
+        vals = rng.standard_normal(size)
+        if complex_data:
+            vals = vals + 1j * rng.standard_normal(size)
+        return vals.astype(dtype)
+
+    bvals = draw((g.nt, g.n_boundary))
+    u0 = None
+    if initial:
+        u0 = draw(g.space_shape)
+        u0[g.boundary_index] = bvals[0]
+    src = ScalarField(g, draw(shape)) if source else None
+    conv = convection * rng.uniform(-1, 1, size=n) if convection else None
+    return g, q, BoundaryField(g, bvals), u0, src, conv
+
+
+# convection is the largest drift component; at 80 the step matrix is far
+# from diagonally dominant, so the factor has to pivot
+CASES = [
+    dict(varying=False, convection=0, source=False, initial=False, complex_data=False),
+    dict(varying=False, convection=3, source=True, initial=True, complex_data=True),
+    dict(varying=True, convection=0, source=True, initial=False, complex_data=True),
+    dict(varying=True, convection=3, source=False, initial=True, complex_data=False),
+    dict(varying=False, convection=0, source=False, initial=True, complex_data=True),
+    dict(varying=False, convection=80, source=True, initial=False, complex_data=True),
+]
+
+
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 23), (2, 9, 13)])
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
+    f"{k}{v}" if k == "convection" else k for k, v in c.items() if v) or "plain")
+@pytest.mark.parametrize("theta", [0.5, 0.8])
+def test_kernel_matches_plain_stepper(n, nx, nt, case, theta):
+    rng = np.random.default_rng(7 * n + nx)
+    g, q, bd, u0, src, conv = _random_case(rng, n, nx, nt, **case)
+    got = solve_forward(g, q, bd, u0=u0, source=src, theta=theta, convection=conv,
+                        warn_incompatible=False)
+    want = _plain_solve(g, q, bd, u0, src, theta, conv)
+    assert _rel_diff(got.values, want) <= RTOL
+
+
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 23), (2, 9, 13)])
+def test_cached_scheme_reused_across_solves_matches_plain(n, nx, nt):
+    rng = np.random.default_rng(3)
+    g, q, bd, u0, src, conv = _random_case(
+        rng, n, nx, nt, varying=True, convection=3, source=True, initial=False,
+        complex_data=True)
+    scheme = forward.ThetaScheme(g, q, 0.5, conv)
+    for scale in (1.0, -2.0):
+        data = BoundaryField(g, scale * bd.values)
+        got = solve_forward(g, q, data, source=src, scheme=scheme, warn_incompatible=False)
+        want = _plain_solve(g, q, data, None, src, 0.5, conv)
+        assert _rel_diff(got.values, want) <= RTOL
+
+
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 41), (2, 9, 13)])
+def test_time_invariant_march_factors_once(monkeypatch, n, nx, nt):
+    calls = []
+
+    def counting(factor):
+        def wrapped(*args, **kwargs):
+            calls.append(factor.__name__)
+            return factor(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(forward, "splu", counting(forward.splu))
+    monkeypatch.setattr(forward, "_Tridiagonal", counting(forward._Tridiagonal))
+    g = build_grid(n, nx, nt, T=0.5)
+    rng = np.random.default_rng(1)
+    q = Potential(g, np.broadcast_to(rng.uniform(0, 1, g.space_shape), g.field_shape).copy())
+    bd = BoundaryField(g, rng.standard_normal((g.nt, g.n_boundary)) + 0j)
+    solve_forward(g, q, bd, warn_incompatible=False)
+    assert calls == ["_Tridiagonal" if n == 1 else "splu"]
+    calls.clear()
+    solve_forward(g, None, bd, warn_incompatible=False)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 17), (2, 7, 9)])
+def test_semilinear_matches_plain_newton(n, nx, nt):
+    g = build_grid(n, nx, nt, T=1.0)
+    bd = BoundaryField.from_callable(
+        g, lambda p, t: 0.8 * np.sin(np.pi * t) * (1 + 0.3 * p[:, 0]))
+    a = Nonlinearity.from_u(lambda u: u + u**3, lambda u: 1 + 3 * u**2,
+                            monotone=True, du_bound=4.0, level_bound=1.0)
+    res = solve_semilinear(g, a, bd)
+    want, iterations = _plain_semilinear(g, a, bd)
+    assert res.newton_iterations == iterations
+    assert max(iterations) >= 2
+    assert _rel_diff(res.field.values, want) <= RTOL
+
+
+# ---------------------------------------------------------------------------
+# Properties over small random grids
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.sampled_from([1, 2]))
+    nx = draw(st.integers(5, 9 if n == 2 else 17))
+    nt = draw(st.integers(3, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    varying = draw(st.booleans())
+    return build_grid(n, nx, nt, T=draw(st.floats(0.1, 1.0))), np.random.default_rng(seed), varying
+
+
+def _random_potential(g, rng, varying):
+    qv = np.broadcast_to(rng.uniform(-0.5, 2.0, g.space_shape), g.field_shape).copy()
+    if varying:
+        qv = qv + rng.uniform(0, 0.5, (g.nt,) + (1,) * g.n)
+    return Potential(g, qv)
+
+
+def _random_boundary(g, rng):
+    return BoundaryField(g, rng.standard_normal((g.nt, g.n_boundary))
+                         + 1j * rng.standard_normal((g.nt, g.n_boundary)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems(), st.sampled_from([0.5, 0.75, 1.0]))
+def test_backward_is_reflected_forward(problem, theta):
+    g, rng, varying = problem
+    q = _random_potential(g, rng, varying)
+    bd = _random_boundary(g, rng)
+    src = ScalarField(g, rng.standard_normal(g.field_shape))
+    uT = rng.standard_normal(g.space_shape) + 1j * rng.standard_normal(g.space_shape)
+    uT[g.boundary_index] = bd.values[-1]
+    back = solve_backward(g, q, bd, uT=uT, source=src, theta=theta)
+    fwd = solve_forward(g, Potential(g, q.values[::-1].copy()),
+                        BoundaryField(g, bd.values[::-1]), u0=uT,
+                        source=ScalarField(g, src.values[::-1]), theta=theta)
+    assert np.array_equal(back.values, fwd.values[::-1])
+
+    # and it solves the backward theta scheme, checked with the plain stencil
+    v, n, ht = back.values, g.n, g.ht
+    for k in range(g.nt - 1):
+        def spatial(j):
+            return (_stencil(g, v[j], None)
+                    - _interior(q.values[j] * v[j] - src.values[j], n))
+        lhs = (_interior(v[k] - v[k + 1], n)) / ht
+        rhs = theta * spatial(k) + (1 - theta) * spatial(k + 1)
+        scale = 1.0 + np.abs(v).max() / g.hx**2
+        assert np.abs(lhs - rhs).max() <= 1e-11 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(_problems(), st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                       allow_infinity=False),
+       st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False))
+def test_dtn_apply_is_linear(problem, alpha, beta):
+    g, rng, varying = problem
+    q = _random_potential(g, rng, varying)
+    g1, g2 = _random_boundary(g, rng), _random_boundary(g, rng)
+    r1, r2 = dtn_apply(g, q, g1).values, dtn_apply(g, q, g2).values
+    combined = dtn_apply(g, q, BoundaryField(g, alpha * g1.values + beta * g2.values))
+    scale = (abs(alpha) + abs(beta) + 1.0) * max(np.abs(r1).max(), np.abs(r2).max())
+    assert np.abs(combined.values - (alpha * r1 + beta * r2)).max() <= 1e-12 * scale
