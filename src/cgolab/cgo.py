@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 from . import fd
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
-from .forward import solve_backward, solve_forward
+from .forward import ThetaScheme, _reversed_potential, solve_backward, solve_forward
 from .grid import DirectionMask, Grid, direction_mask, neighborhood_mask
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "exp_weight",
     "principal_part",
     "corrector_source",
+    "probe_scheme",
     "build_cgo",
     "remainder_decay_report",
     "envelope_fit",
@@ -224,16 +225,30 @@ class CgoSolution:
         return self.field.boundary_trace()
 
 
+def probe_scheme(grid: Grid, params: CgoParams, q: Potential | None = None,
+                 theta: float = 0.5) -> ThetaScheme:
+    """The scheme of the probe's corrector march, with the conjugated drift
+    -2 eps rho omega.  A backward probe marches the time-reflected problem, so
+    its scheme carries the time-reversed potential.  Probes that share
+    orientation, omega, rho and q can share one scheme and its factor."""
+    conv = -2.0 * params.epsilon * params.rho * params.omega
+    if params.epsilon == -1:
+        q = _reversed_potential(q)
+    return ThetaScheme(grid, q, theta, conv, cache=False)
+
+
 def build_cgo(grid: Grid, params: CgoParams, q: Potential | None = None,
               vanish_mask: DirectionMask | None = None, theta: float = 0.5,
-              compute_residual: bool = True) -> CgoSolution:
+              compute_residual: bool = True,
+              scheme: ThetaScheme | None = None) -> CgoSolution:
     """Solve the corrector problem and assemble the probe.
 
     The remainder solves the conjugated equation with the corrector source,
     zero data at the probe's quiet end (t=0 forward, t=T backward), Dirichlet
     value -(principal part) on the vanish mask (cosine-tapered one cell out)
     and zero on the rest of the lateral boundary.  The probe then vanishes on
-    the mask up to solver tolerance.
+    the mask up to solver tolerance.  The march runs on `scheme`, by default
+    a fresh `probe_scheme(grid, params, q, theta)`.
 
     Default mask: faces whose outward normal opposes (forward) or follows
     (backward) omega beyond the params.delta threshold.
@@ -251,13 +266,10 @@ def build_cgo(grid: Grid, params: CgoParams, q: Potential | None = None,
     bvals = -taper[None, :] * theta_field.boundary_trace().values
     bdata = BoundaryField(grid, bvals)
 
-    conv = -2.0 * params.epsilon * params.rho * params.omega
-    if params.epsilon == 1:
-        w = solve_forward(grid, q, bdata, None, source, theta, convection=conv,
-                          warn_incompatible=False)
-    else:
-        w = solve_backward(grid, q, bdata, None, source, theta, convection=conv,
-                           warn_incompatible=False)
+    if scheme is None:
+        scheme = probe_scheme(grid, params, q, theta)
+    solve = solve_forward if params.epsilon == 1 else solve_backward
+    w = solve(grid, q, bdata, None, source, theta, scheme=scheme, warn_incompatible=False)
 
     resid = math.nan
     if compute_residual:

@@ -1,12 +1,17 @@
 """Boundary measurement maps: full, partial, and initial-data-extended.
 
 The Dirichlet-to-Neumann action is a forward solve plus a normal-derivative
-trace.  For operator-level work (norm estimation, calibrated noise) the map
-is discretized in an orthonormal boundary basis: per-face sine profiles in
-space tensored with Fourier modes in time, which the trapezoid quadrature
-keeps exactly orthonormal and which diagonalize the anisotropic Sobolev
-weights.  Matrices serialize to a one-line JSON header followed by raw
-row-major complex64 bytes.
+trace.  One column engine, `DtnOracle.apply_many`, answers every question put
+to a map: k data columns march as one block through
+`ThetaScheme.neumann_traces`, and the noise and the observation mask apply
+once to the (k, nt, nb) block of traces.  Matrix assembly and pairings are
+thin callers of it.  For operator-level work (norm estimation, calibrated
+noise) the map is discretized in an orthonormal boundary basis: per-face sine
+profiles in space tensored with Fourier modes in time, which the trapezoid
+quadrature keeps exactly orthonormal and which diagonalize the anisotropic
+Sobolev weights.  A basis holds its lateral modes as the rows of one dense
+matrix, so projection and synthesis are one matrix product each.  Matrices
+serialize to a one-line JSON header followed by raw row-major complex64 bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import BoundaryField, Potential, ScalarField
-from .forward import ThetaScheme, neumann_trace, solve_backward, solve_forward
+from .forward import ThetaScheme, solve_backward, solve_forward
 from .grid import DirectionMask, Grid, build_grid
 from .norms import boundary_sobolev_weights
 
@@ -95,8 +100,6 @@ class DtnBasis:
             for k in range(-k_max, k_max + 1)
         ]
         self.init_modes = self._initial_mode_indices(self.initial_modes)
-        self._mode_cache = {}
-        self._init_cache = {}
 
         xi_sq, tau = [], []
         for fid, j, k in self.lateral_modes:
@@ -107,6 +110,31 @@ class DtnBasis:
             tau.append(0.0)
         self.xi_sq = np.asarray(xi_sq)
         self.tau = np.asarray(tau)
+
+        # every input mode as one column of a block: its lateral data and its
+        # initial slice, zero where the mode has none
+        self._lateral = np.zeros((self.size, grid.nt, grid.n_boundary), dtype=np.complex128)
+        self._initial = np.zeros((self.size,) + grid.space_shape)
+        for row, (fid, j, k) in zip(self._lateral, self.lateral_modes):
+            pts = np.flatnonzero(grid.boundary_face == fid)
+            if grid.n == 1:
+                profile = np.ones(pts.size)
+                norm = 1.0 / np.sqrt(grid.T)
+            else:
+                s = grid.xs[grid.boundary_index[1 - grid.faces[fid].axis][pts]]
+                profile = np.sin(j * np.pi * s)
+                norm = 1.0 / np.sqrt(grid.T / 2.0)
+            tfac = np.exp(2j * np.pi * k * grid.ts / grid.T)
+            row[:, pts] = norm * tfac[:, None] * profile[None, :]
+        coords = [np.broadcast_to(c, grid.space_shape) for c in grid.space_coordinates()]
+        for slice_, js_tuple in zip(self._initial[self.lateral_size:], self.init_modes):
+            slice_[...] = 1.0
+            for c, j in zip(coords, js_tuple):
+                slice_ *= np.sin(j * np.pi * c)
+            slice_ *= np.sqrt(2.0) ** grid.n
+        # the lateral modes as the rows of one dense (modes, nt*nb) matrix
+        self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
+        self._weights = (grid.time_weights[:, None] * grid.boundary_weights).ravel()
 
     def _initial_mode_indices(self, count: int):
         if count == 0:
@@ -131,70 +159,37 @@ class DtnBasis:
     def lateral_size(self) -> int:
         return len(self.lateral_modes)
 
-    def _lateral_values(self, mode) -> np.ndarray:
-        vals = self._mode_cache.get(mode)
-        if vals is not None:
-            return vals
-        grid = self.grid
-        fid, j, k = mode
-        face = grid.faces[fid]
-        pts = np.flatnonzero(grid.boundary_face == fid)
-        if grid.n == 1:
-            profile = np.ones(pts.size)
-            norm = 1.0 / np.sqrt(grid.T)
-        else:
-            other = 1 - face.axis
-            s = grid.xs[grid.boundary_index[other][pts]]
-            profile = np.sin(j * np.pi * s)
-            norm = 1.0 / np.sqrt(grid.T / 2.0)
-        tfac = np.exp(2j * np.pi * k * grid.ts / grid.T)
-        vals = np.zeros((grid.nt, grid.n_boundary), dtype=np.complex128)
-        vals[:, pts] = norm * tfac[:, None] * profile[None, :]
-        self._mode_cache[mode] = vals
-        return vals
-
-    def _initial_values(self, js_tuple) -> np.ndarray:
-        vals = self._init_cache.get(js_tuple)
-        if vals is not None:
-            return vals
-        grid = self.grid
-        coords = grid.space_coordinates()
-        out = np.ones(grid.space_shape)
-        for a, j in enumerate(js_tuple):
-            out = out * np.sin(j * np.pi * np.broadcast_to(coords[a], grid.space_shape))
-        out = out * np.sqrt(2.0) ** grid.n
-        self._init_cache[js_tuple] = out
-        return out
-
     def mode_data(self, i: int):
         """(lateral BoundaryField, initial slice or None) of input mode i."""
-        if i < len(self.lateral_modes):
-            return (
-                BoundaryField(self.grid, self._lateral_values(self.lateral_modes[i])),
-                None,
-            )
-        js_tuple = self.init_modes[i - len(self.lateral_modes)]
-        zero = BoundaryField.zeros(self.grid)
-        return zero, self._initial_values(js_tuple).astype(np.complex128)
+        initial = None
+        if i >= self.lateral_size:
+            initial = self._initial[i].astype(np.complex128)
+        return BoundaryField(self.grid, self._lateral[i]), initial
 
-    def project(self, f: BoundaryField) -> np.ndarray:
-        """Coefficients of the lateral modes (orthonormal, so inner products)."""
-        out = np.empty(len(self.lateral_modes), dtype=np.complex128)
-        for i, mode in enumerate(self.lateral_modes):
-            out[i] = self.grid.integrate_boundary(
-                f.values * np.conj(self._lateral_values(mode))
-            )
-        return out
+    def inputs(self):
+        """Every input mode as a column of one block: (lateral data
+        (size, nt, nb), initial slices (size, *space_shape) or None)."""
+        return self._lateral, (self._initial if self.init_modes else None)
 
-    def synthesize(self, coeffs) -> BoundaryField:
+    def project(self, f):
+        """Coefficients of the lateral modes (orthonormal, so inner products):
+        (modes,) of a BoundaryField, or (k, modes) of a (k, nt, nb) block."""
+        single = isinstance(f, BoundaryField)
+        values = np.asarray(f.values if single else f)
+        flat = values.reshape(-1, self._weights.size) * self._weights
+        # conj(conj(w f) M^T) is the conjugated product without a conjugated copy of M
+        coeffs = (np.conj(flat) @ self._modes.T).conj()
+        return coeffs[0] if single else coeffs
+
+    def synthesize(self, coeffs):
+        """Lateral data of mode coefficients: a BoundaryField of a (modes,)
+        vector, or a (k, nt, nb) block of a (k, modes) array."""
         coeffs = np.asarray(coeffs)
-        if coeffs.shape != (len(self.lateral_modes),):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != self.lateral_size:
             raise ValueError("coefficient vector does not match the lateral basis")
-        vals = np.zeros((self.grid.nt, self.grid.n_boundary), dtype=np.complex128)
-        for c, mode in zip(coeffs, self.lateral_modes):
-            if c != 0:
-                vals += c * self._lateral_values(mode)
-        return BoundaryField(self.grid, vals)
+        grid = self.grid
+        vals = (coeffs @ self._modes).reshape(coeffs.shape[:-1] + (grid.nt, -1))
+        return BoundaryField(grid, vals) if coeffs.ndim == 1 else vals
 
     def descriptor(self) -> dict:
         return {
@@ -331,21 +326,24 @@ def add_noise(m: DtnMatrix, delta: float, seed: int) -> DtnMatrix:
 def dtn_apply(grid: Grid, q: Potential | None, g: BoundaryField, u0=None,
               theta: float = 0.5, scheme: ThetaScheme | None = None) -> BoundaryField:
     """Neumann trace of the forward solution with Dirichlet data g (and u0)."""
-    u = solve_forward(grid, q, g, u0, None, theta, scheme=scheme,
-                      warn_incompatible=False)
-    return neumann_trace(u)
+    if scheme is None:
+        scheme = ThetaScheme(grid, q, theta, cache=False)
+    first = None if u0 is None else np.asarray(u0)[None]
+    return BoundaryField(grid, scheme.neumann_traces(g.values[None], first)[0])
 
 
-def _check_support(g: BoundaryField, support_mask: DirectionMask) -> None:
+def _check_support(values, support_mask: DirectionMask) -> None:
+    """Every (nt, nb) data column in values must vanish outside the mask."""
     outside = ~support_mask.values
     if not np.any(outside):
         return
-    peak = max(g.max_abs(), 1.0)
-    stray = np.abs(g.values[:, outside]).max()
-    if stray > 1e-12 * peak:
+    mag = np.abs(values)
+    peak = np.maximum(mag.max(axis=(-2, -1)), 1.0)
+    stray = mag[..., outside].max(axis=(-2, -1))
+    if np.any(stray > 1e-12 * peak):
         raise ConfigError(
             "input data does not vanish outside the support mask "
-            f"(max magnitude {stray:.3e})"
+            f"(max magnitude {float(np.max(stray)):.3e})"
         )
 
 
@@ -354,7 +352,7 @@ def partial_dtn_apply(grid: Grid, q: Potential | None, g: BoundaryField,
                       theta: float = 0.5) -> BoundaryField:
     """Masked map: inputs supported on one boundary part, outputs observed on
     another.  Violating the support constraint is an error, not a clip."""
-    _check_support(g, support_mask)
+    _check_support(g.values, support_mask)
     return dtn_apply(grid, q, g, None, theta).restricted(obs_mask)
 
 
@@ -363,12 +361,7 @@ def pairing(grid: Grid, q: Potential | None, q_ref: Potential | None,
             obs_mask: DirectionMask | None = None) -> complex:
     """Boundary-side pairing of the map difference against test data h:
     the lateral integral of [(map_q - map_ref) g] * h."""
-    diff = dtn_apply(grid, q, g, None, theta).values - dtn_apply(
-        grid, q_ref, g, None, theta
-    ).values
-    if obs_mask is not None:
-        diff = diff * obs_mask.values[None, :]
-    return complex(grid.integrate_boundary(diff * h.values))
+    return DtnOracle(grid, q, obs_mask=obs_mask, theta=theta).pair_against(q_ref, g, h)
 
 
 def pairing_volume(grid: Grid, q: Potential | None, q_ref: Potential | None,
@@ -384,35 +377,7 @@ def pairing_volume(grid: Grid, q: Potential | None, q_ref: Potential | None,
 
 
 # ---------------------------------------------------------------------------
-# Matrix assembly and the measurement oracle
-
-
-def assemble_dtn_matrix(grid: Grid, q: Potential | None, basis_in: DtnBasis,
-                        basis_out: DtnBasis | None = None, theta: float = 0.5,
-                        obs_mask: DirectionMask | None = None,
-                        weights=DEFAULT_WEIGHTS) -> DtnMatrix:
-    """Column-by-column probing of the map in the given bases."""
-    if basis_out is None:
-        basis_out = basis_in
-    if basis_out.initial_modes:
-        raise ConfigError("output basis cannot carry initial modes")
-    scheme = ThetaScheme(grid, q, theta)
-    cols = []
-    for i in range(basis_in.size):
-        g, u0 = basis_in.mode_data(i)
-        resp = dtn_apply(grid, q, g, u0, theta, scheme=scheme)
-        if obs_mask is not None:
-            resp = resp.restricted(obs_mask)
-        cols.append(basis_out.project(resp))
-    return DtnMatrix(
-        np.column_stack(cols),
-        basis_in.xi_sq,
-        basis_in.tau,
-        basis_out.xi_sq,
-        basis_out.tau,
-        weights,
-        {"basis_in": basis_in.descriptor(), "basis_out": basis_out.descriptor()},
-    )
+# The measurement oracle and the matrix assemblies built on it
 
 
 class DtnOracle:
@@ -421,6 +386,8 @@ class DtnOracle:
     Wraps the hidden truth potential behind an apply() action, with optional
     support/observation masks and an optional calibrated noise operator that
     perturbs responses consistently with the noisy matrix it reports.
+    `apply_many` answers a whole block of data columns at once and is the
+    engine under every other question.
     """
 
     def __init__(self, grid: Grid, q: Potential | None, *,
@@ -437,6 +404,7 @@ class DtnOracle:
         self.noise_delta = float(noise_delta)
         self.noise_seed = int(noise_seed)
         self._scheme = ThetaScheme(grid, q, theta)
+        self._references = {}
         self._noise_basis = None
         self._noise_matrix = None
         if self.noise_delta > 0:
@@ -454,30 +422,78 @@ class DtnOracle:
             self._noise_basis = noise_basis
             self._noise_matrix = e * (self.noise_delta / operator_norm(probe))
 
-    def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
+    def _observed(self, responses: np.ndarray) -> np.ndarray:
+        if self.obs_mask is not None:
+            responses *= self.obs_mask.values
+        return responses
+
+    def apply_many(self, g, u0=None) -> np.ndarray:
+        """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
+        initial slices u0 (k, *space_shape) or None."""
+        g = np.asarray(g)
         if self.support_mask is not None:
             _check_support(g, self.support_mask)
-        resp = dtn_apply(self.grid, self._q, g, u0, self.theta, scheme=self._scheme)
+        resp = self._scheme.neumann_traces(g, u0)
         if self._noise_matrix is not None:
-            coeffs = self._noise_matrix @ self._noise_basis.project(g)
-            resp = BoundaryField(
-                self.grid, resp.values + self._noise_basis.synthesize(coeffs).values
-            )
-        if self.obs_mask is not None:
-            resp = resp.restricted(self.obs_mask)
-        return resp
+            coeffs = self._noise_basis.project(g) @ self._noise_matrix.T
+            resp += self._noise_basis.synthesize(coeffs)
+        return self._observed(resp)
+
+    def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
+        u0 = None if u0 is None else np.asarray(u0)[None]
+        return BoundaryField(self.grid, self.apply_many(g.values[None], u0)[0])
+
+    def difference_many(self, q_ref: Potential | None, g, u0=None) -> np.ndarray:
+        """(measured map - simulated reference map) responses (k, nt, nb).  The
+        oracle keeps one reference scheme per q_ref, and q_ref with it, so
+        that its id stays unique."""
+        if id(q_ref) not in self._references:
+            self._references[id(q_ref)] = (q_ref, ThetaScheme(self.grid, q_ref, self.theta))
+        reference = self._references[id(q_ref)][1].neumann_traces(np.asarray(g), u0)
+        diff = self.apply_many(g, u0)
+        diff -= self._observed(reference)
+        return diff
+
+    def pair_many(self, q_ref: Potential | None, g, h) -> np.ndarray:
+        """Pairings (k, m) of (measured map - simulated reference map) g[i]
+        against h[j]: the lateral integral of [(map_q - map_ref) g[i]] * h[j],
+        for data blocks g (k, nt, nb) and h (m, nt, nb)."""
+        grid = self.grid
+        diff = self.difference_many(q_ref, g).reshape(len(g), -1)
+        diff *= (grid.time_weights[:, None] * grid.boundary_weights).ravel()
+        return diff @ np.asarray(h).reshape(len(h), -1).T
 
     def pair_against(self, q_ref: Potential | None, g: BoundaryField,
                      h: BoundaryField) -> complex:
         """Pairing of (measured map - simulated reference map) g against h."""
-        diff = self.apply(g).values - self._reference_response(q_ref, g).values
-        return complex(self.grid.integrate_boundary(diff * h.values))
+        return complex(self.pair_many(q_ref, g.values[None], h.values[None])[0, 0])
 
-    def _reference_response(self, q_ref, g: BoundaryField) -> BoundaryField:
-        resp = dtn_apply(self.grid, q_ref, g, None, self.theta)
-        if self.obs_mask is not None:
-            resp = resp.restricted(self.obs_mask)
-        return resp
+
+def _map_matrix(respond, basis_in: DtnBasis, basis_out: DtnBasis | None,
+                weights) -> DtnMatrix:
+    """Matrix of the responses to every input mode, as one block."""
+    if basis_out is None:
+        basis_out = basis_in
+    if basis_out.initial_modes:
+        raise ConfigError("output basis cannot carry initial modes")
+    return DtnMatrix(
+        basis_out.project(respond(*basis_in.inputs())).T,
+        basis_in.xi_sq,
+        basis_in.tau,
+        basis_out.xi_sq,
+        basis_out.tau,
+        weights,
+        {"basis_in": basis_in.descriptor(), "basis_out": basis_out.descriptor()},
+    )
+
+
+def assemble_dtn_matrix(grid: Grid, q: Potential | None, basis_in: DtnBasis,
+                        basis_out: DtnBasis | None = None, theta: float = 0.5,
+                        obs_mask: DirectionMask | None = None,
+                        weights=DEFAULT_WEIGHTS) -> DtnMatrix:
+    """The map in the given bases, probed with every input mode at once."""
+    oracle = DtnOracle(grid, q, obs_mask=obs_mask, theta=theta)
+    return _map_matrix(oracle.apply_many, basis_in, basis_out, weights)
 
 
 def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
@@ -488,29 +504,8 @@ def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
     The operator norm of this matrix is the measured data-distance fed to
     parameter selection.
     """
-    if basis_out is None:
-        basis_out = basis_in
-    if basis_out.initial_modes:
-        raise ConfigError("output basis cannot carry initial modes")
-    grid = oracle.grid
-    ref_scheme = ThetaScheme(grid, q_ref, oracle.theta)
-    cols = []
-    for i in range(basis_in.size):
-        g, u0 = basis_in.mode_data(i)
-        measured = oracle.apply(g, u0)
-        ref = dtn_apply(grid, q_ref, g, u0, oracle.theta, scheme=ref_scheme)
-        if oracle.obs_mask is not None:
-            ref = ref.restricted(oracle.obs_mask)
-        cols.append(basis_out.project(BoundaryField(grid, measured.values - ref.values)))
-    return DtnMatrix(
-        np.column_stack(cols),
-        basis_in.xi_sq,
-        basis_in.tau,
-        basis_out.xi_sq,
-        basis_out.tau,
-        weights,
-        {"basis_in": basis_in.descriptor(), "basis_out": basis_out.descriptor()},
-    )
+    return _map_matrix(lambda g, u0: oracle.difference_many(q_ref, g, u0),
+                       basis_in, basis_out, weights)
 
 
 def save_field(path, field: ScalarField) -> None:

@@ -4,12 +4,12 @@ All solvers discretize on the tensor grid of `Grid` with the standard
 second-order Laplacian, optional constant-coefficient convection (central
 differences), and a theta time step with theta in [1/2, 1].  Boundary data is
 imposed strongly: the operator is a sparse interior block A plus a matrix B
-that lifts the lateral values into the interior equations, so a march lifts
-every time level with one product and steps on interior vectors only.  One
-kernel, `ThetaScheme`, makes the linear marches and the Newton steps of the
-semilinear solver.  Where the lateral data at t=0 disagrees with the initial
-slice on the boundary, the lateral value wins and a warning is emitted (the
-discrepancy lives on the corner of the cylinder).
+that lifts the lateral values into the interior equations, so a march steps
+on interior vectors only.  One kernel, `ThetaScheme`, makes the linear
+marches (one solution, or the Neumann traces of a block of data columns) and
+the Newton steps of the semilinear solver.  Where the lateral data at t=0
+disagrees with the initial slice on the boundary, the lateral value wins and a
+warning is emitted (the discrepancy lives on the corner of the cylinder).
 """
 
 from __future__ import annotations
@@ -92,16 +92,67 @@ class _Tridiagonal:
         return dgttrs(*self._factors, rhs)[0]
 
 
+def _trace_stencil(grid: Grid):
+    """Flat space indices of every boundary point and of the two points after
+    it along the inward normal of its owning face: the one-sided three-point
+    stencil of the Neumann trace.  Needs nx >= 4 so it never reaches across."""
+    if grid.nx < 4:
+        raise ValueError(f"grid too small for the one-sided stencil (nx={grid.nx} < 4)")
+    axis = np.array([f.axis for f in grid.faces])[grid.boundary_face]
+    inward = np.array([1 - 2 * f.side for f in grid.faces])[grid.boundary_face]
+    points = np.array(grid.boundary_index)
+    owned = np.arange(grid.n_boundary)
+    stencil = []
+    for depth in range(3):
+        shifted = points.copy()
+        shifted[axis, owned] += depth * inward
+        stencil.append(np.ravel_multi_index(tuple(shifted), grid.space_shape))
+    return stencil
+
+
+def _boundary_part(matrix, grid: Grid):
+    """An operator between the interior and the boundary points.  In 1-d it
+    has two rows or two columns, and a dense product costs less than a
+    scipy.sparse dispatch."""
+    return matrix.toarray() if grid.n == 1 else matrix.tocsr()
+
+
+def _check_finite(values, level_axis: int, what: str) -> None:
+    """Raise at the first time level (along level_axis) holding a non-finite value."""
+    others = tuple(a for a in range(values.ndim) if a != level_axis)
+    finite = np.isfinite(values).all(axis=others)
+    if not finite.all():
+        raise SolverError(f"non-finite {what} at time level {int(np.argmin(finite))}")
+
+
+def _block_dtype(*arrays):
+    """float64 when every given array holds real values, complex128 otherwise."""
+    for a in arrays:
+        if a is not None and np.iscomplexobj(a) and a.imag.any():
+            return np.complex128
+    return np.float64
+
+
 class ThetaScheme:
     """Time stepper for (d_t - Laplacian + convection . grad + q) u = f.
 
-    Building the object assembles A and B once.  Each step solves with
-    I - theta*ht*(A - diag q), factored with LAPACK ?gttrf in 1-d and a sparse
-    LU in 2-d.  A time-invariant q is factored once and the factor serves every
-    step of every later solve, as in column-by-column boundary-map assembly.
-    A time-varying q is factored per time level, and those factors are kept
-    when `cache` is true (by default, at most _CACHE_DOF_LIMIT unknowns).
-    Complex data marches as one real block of two columns.
+    Building the object assembles A and B once.  Each step solves with the
+    step matrix M = I - theta*ht*(A - diag q), factored with LAPACK ?gttrf in
+    1-d and a sparse LU in 2-d.  A time-invariant q is factored once and the
+    factor serves every step of every later march.  A time-varying q is
+    factored per time level, and those factors are kept when `cache` is true
+    (by default, at most _CACHE_DOF_LIMIT unknowns).  The explicit half of a
+    step, I + (1-theta)*ht*(A - diag q), equals I/theta - ((1-theta)/theta)*M
+    plus a diagonal where q varies, so a step forms no product with A.
+
+    One loop marches a block of k data columns together: real data as a real
+    (ndof, k) block, complex data as its real view (ndof, 2k) of (re, im)
+    column pairs, every step one solve with the shared factor.  `solve` is the
+    k = 1 march and keeps the whole field.  `neumann_traces` keeps only the
+    traces: a sparse trace operator, split like the spatial operator into an
+    interior part and a boundary part, turns each level's state block and
+    lateral data into the (k, nb) traces, so the march holds one state block
+    and never k fields.
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
@@ -116,26 +167,23 @@ class ThetaScheme:
         self.grid = grid
         self.theta = theta
         self.convection = convection
-        self.q_values = np.zeros(grid.field_shape) if q is None else q.values
-        self.time_invariant = bool(np.all(self.q_values == self.q_values[0]))
+        q_values = np.zeros((1,) + grid.space_shape) if q is None else q.values
+        self.time_invariant = bool(np.all(q_values == q_values[0]))
 
-        inner = _interior(np.arange(grid.nx**grid.n).reshape(grid.space_shape), grid.n)
-        outer = np.ravel_multi_index(grid.boundary_index, grid.space_shape)
-        rows = _spatial_operator(grid, convection)[inner]
-        self._op = rows[:, inner].tocsc()
-        self._lift = rows[:, outer].tocsr()
-        self._ndof = inner.size
-        self._q_int = _interior(self.q_values, grid.n)
-
-        # a time-invariant q moves into the explicit matrix; a varying one is
-        # applied per level in the march
-        eye = sp.identity(self._ndof, format="csc")
+        self._inner = _interior(np.arange(grid.nx**grid.n).reshape(grid.space_shape), grid.n)
+        self._outer = np.ravel_multi_index(grid.boundary_index, grid.space_shape)
+        rows = _spatial_operator(grid, convection)[self._inner]
+        lift = rows[:, self._outer]
         ht = grid.ht
-        explicit = eye + (1 - theta) * ht * self._op
-        if self.time_invariant:
-            explicit = explicit - sp.diags((1 - theta) * ht * self._q_int[0])
-        self._explicit = explicit.tocsr()
-        self._implicit = (eye - theta * ht * self._op).tocsc()
+        self._op = rows[:, self._inner].tocsc()
+        self._lift = _boundary_part(lift, grid)
+        # the data of both levels of a step, stacked, enter through one product
+        self._lift_pair = _boundary_part(
+            sp.hstack([(1 - theta) * ht * lift, theta * ht * lift]), grid)
+        self._ndof = self._inner.size
+        # a time-invariant q keeps one level
+        self._q_int = _interior(q_values[:1] if self.time_invariant else q_values, grid.n)
+        self._implicit = (sp.identity(self._ndof, format="csc") - theta * ht * self._op).tocsc()
         if grid.n == 1:
             self._bands = tuple(self._implicit.diagonal(k) for k in (-1, 0, 1))
         if cache is None:
@@ -161,29 +209,43 @@ class ThetaScheme:
         key = -1 if self.time_invariant else level
         lu = self._lus.get(key)
         if lu is None:
-            lu = self._factor(self._q_int[level], level)
+            lu = self._factor(self._q_int[key], level)
             if self._cache or self.time_invariant:
                 self._lus[key] = lu
         return lu
 
+    @functools.cached_property
+    def _trace(self):
+        """(interior, boundary) parts of the sparse Neumann trace of a slice."""
+        grid = self.grid
+        nb = grid.n_boundary
+        coeffs = np.repeat(np.array([3.0, -4.0, 1.0]) / (2 * grid.hx), nb)
+        cols = np.concatenate(_trace_stencil(grid))
+        full = sp.csr_matrix((coeffs, (np.tile(np.arange(nb), 3), cols)),
+                             shape=(nb, grid.nx**grid.n))
+        return (_boundary_part(full[:, self._inner], grid),
+                _boundary_part(full[:, self._outer], grid))
+
     def _initial_interior(self, bvals, u0, warn_incompatible: bool):
-        """Interior values of the initial slice; the lateral data bvals[0]
+        """Interior values (k, ndof) of the initial slices u0 (k, *space) of k
+        marches with lateral data bvals (k, nt, nb); the lateral data at t=0
         wins on the boundary, with a warning when the two disagree."""
         grid = self.grid
-        first = np.zeros(grid.space_shape, dtype=np.complex128)
+        first = np.zeros((bvals.shape[0],) + grid.space_shape, dtype=np.complex128)
         if u0 is not None:
             u0 = np.asarray(u0)
-            if u0.shape != grid.space_shape:
+            if u0.shape != first.shape:
                 raise ValueError("initial slice has the wrong shape")
             first[...] = u0
-        clash = np.abs(first[grid.boundary_index] - bvals[0])
-        scale = max(np.abs(first).max(), np.abs(bvals).max(), 1.0)
-        if warn_incompatible and clash.max() > 1e-10 * scale:
-            warnings.warn(
-                "lateral data and initial slice disagree at t=0; "
-                "keeping the lateral value",
-                stacklevel=3,
-            )
+        if warn_incompatible:
+            clash = np.abs(first[(slice(None), *grid.boundary_index)] - bvals[:, 0])
+            scale = max(np.abs(first).max(), np.abs(bvals).max(), 1.0)
+            if clash.max() > 1e-10 * scale:
+                warnings.warn(
+                    "lateral data and initial slice disagree at t=0; "
+                    "keeping the lateral value",
+                    stacklevel=3,
+                )
         return _interior(first, grid.n)
 
     def _field(self, interior, bvals) -> ScalarField:
@@ -194,6 +256,59 @@ class ThetaScheme:
         u[(slice(None), *grid.boundary_index)] = bvals
         return ScalarField(grid, u)
 
+    def _march(self, bvals, x0, source, dtype, emit):
+        """March k data columns from t=0 to T as one block.
+
+        bvals holds the lateral data (k, nt, nb), x0 the initial interior
+        values (k, ndof) and source the interior source values (k, nt, ndof)
+        or None.  dtype float64 marches the real parts; complex128 marches the
+        (re, im) pairs.  emit(level, state, lateral) sees the real blocks of
+        every level, the state as (ndof, k) or (ndof, 2k) and the lateral data
+        as (nb, k) or (nb, 2k).
+        """
+        theta, ht = self.theta, self.grid.ht
+
+        def block(a):
+            a = a.real if dtype is np.float64 else a
+            return np.ascontiguousarray(a, dtype=dtype).view(np.float64)
+
+        # With M the step matrix of `level` and dq the change of
+        # (1-theta)*ht*q over the step, the explicit half of the step is
+        # I + (1-theta)*ht*(A - diag q) = I/theta - c*M + diag dq with
+        # c = (1-theta)/theta, so each step is one solve and no product with A:
+        #   x_next = M^-1 (x/theta + dq*x + lift + forcing) - c*x
+        c = (1 - theta) / theta
+        dq = None
+        if not self.time_invariant:
+            dq = np.diff(self._q_int, axis=0)[:, :, None]
+            dq *= (1 - theta) * ht
+        forcing = None
+        if source is not None:
+            f = block(np.moveaxis(source, 0, -1))
+            forcing = theta * f[1:]
+            forcing += (1 - theta) * f[:-1]
+            forcing *= ht
+        # The factors return F-ordered blocks, and the right-hand side inherits
+        # the state's order.  Through the 25x25 LU an 82-column block solved
+        # in 0.94 ms F-ordered against 1.76 ms C-ordered (2-core host, one
+        # BLAS thread), so the state starts F-ordered too.
+        x = np.asfortranarray(block(x0.T))
+        with np.errstate(invalid="ignore", over="ignore"):
+            emit(0, x, block(bvals[:, 0].T))
+            for level in range(1, self.grid.nt):
+                data = block(bvals[:, level - 1:level + 1].transpose(1, 2, 0))
+                rhs = x / theta
+                if dq is not None:
+                    rhs += dq[level - 1] * x
+                rhs += self._lift_pair @ data.reshape(-1, data.shape[-1])
+                if forcing is not None:
+                    rhs += forcing[level - 1]
+                step = self._lu(level).solve(rhs)
+                if c:
+                    step -= c * x
+                x = step
+                emit(level, x, data[1])
+
     def solve(self, bdata: BoundaryField, u0=None, source: ScalarField | None = None,
               warn_incompatible: bool = True) -> ScalarField:
         grid = self.grid
@@ -201,36 +316,43 @@ class ThetaScheme:
             raise ValueError("boundary data lives on a different grid")
         if source is not None and not grid.same_layout(source.grid):
             raise ValueError("source lives on a different grid")
-        theta, ht, nt = self.theta, grid.ht, grid.nt
-
-        bvals = bdata.values
-        lift = (self._lift @ bvals.T).T
-        drive = ht * ((1 - theta) * lift[:-1] + theta * lift[1:])
-        if source is not None:
-            f = _interior(source.values, grid.n)
-            drive += ht * (theta * f[1:] + (1 - theta) * f[:-1])
+        bvals = bdata.values[None]
+        if u0 is not None:
+            u0 = np.asarray(u0)[None]
         x0 = self._initial_interior(bvals, u0, warn_incompatible)
+        f = None if source is None else _interior(source.values, grid.n)[None]
+        dtype = _block_dtype(bvals, x0, f)
+        x = np.empty((grid.nt, self._ndof), dtype=dtype)
+        levels = x.view(np.float64).reshape(grid.nt, self._ndof, -1)
 
-        # real data marches as one column, complex data as a (re, im) block
-        if not (drive.imag.any() or x0.imag.any()):
-            drive, x0 = drive.real, x0.real
-        drive = np.ascontiguousarray(drive)
-        x = np.empty((nt, self._ndof), dtype=drive.dtype)
-        x[0] = x0
-        xb = x.view(np.float64).reshape(nt, self._ndof, -1)
-        db = drive.view(np.float64).reshape(nt - 1, self._ndof, -1)
-        q_step = None if self.time_invariant else (1 - theta) * ht * self._q_int[:, :, None]
-        with np.errstate(invalid="ignore", over="ignore"):
-            for k in range(nt - 1):
-                rhs = self._explicit @ xb[k]
-                if q_step is not None:
-                    rhs -= q_step[k] * xb[k]
-                rhs += db[k]
-                xb[k + 1] = self._lu(k + 1).solve(rhs)
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            raise SolverError(f"non-finite solution at time level {int(np.argmin(finite))}")
-        return self._field(x, bvals)
+        def keep(level, state, _):
+            levels[level] = state
+
+        self._march(bvals, x0, f, dtype, keep)
+        _check_finite(x, 0, "solution")
+        return self._field(x, bdata.values)
+
+    def neumann_traces(self, bvals, u0=None) -> np.ndarray:
+        """Neumann traces (k, nt, nb) of the k solutions with lateral data
+        bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None.
+
+        Where the lateral data at t=0 and an initial slice disagree on the
+        boundary, the lateral value wins silently."""
+        grid = self.grid
+        bvals = np.asarray(bvals)
+        if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
+            raise ValueError("lateral data block must have shape (k, nt, nb)")
+        x0 = self._initial_interior(bvals, u0, warn_incompatible=False)
+        dtype = _block_dtype(bvals, x0)
+        trace_int, trace_bnd = self._trace
+        out = np.empty(bvals.shape, dtype=np.complex128)
+
+        def trace(level, state, lateral):
+            out[:, level] = (trace_int @ state + trace_bnd @ lateral).view(dtype).T
+
+        self._march(bvals, x0, None, dtype, trace)
+        _check_finite(out, 1, "trace")
+        return out
 
 
 def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None,
@@ -251,11 +373,13 @@ def _reversed_potential(q: Potential | None):
 
 def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=None,
                    source: ScalarField | None = None, theta: float = 0.5,
-                   convection=None, warn_incompatible: bool = True) -> ScalarField:
+                   convection=None, warn_incompatible: bool = True,
+                   scheme: ThetaScheme | None = None) -> ScalarField:
     """Solve (-d_t - Laplacian + convection . grad + q) u = source, u(T) = uT.
 
     Realized by reflecting time, solving forward, and reflecting back, so the
-    scheme is the exact mirror of solve_forward.
+    scheme is the exact mirror of solve_forward.  A given scheme steps the
+    reflected problem: it is built on the time-reversed potential.
     """
     rev_b = BoundaryField(grid, bdata.values[::-1])
     rev_f = None if source is None else ScalarField(grid, source.values[::-1])
@@ -267,6 +391,7 @@ def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=Non
         rev_f,
         theta,
         convection,
+        scheme=scheme,
         warn_incompatible=warn_incompatible,
     )
     return ScalarField(grid, out.values[::-1])
@@ -279,26 +404,10 @@ def neumann_trace(u: ScalarField) -> BoundaryField:
     for quadratics.  Needs nx >= 4 so the stencil never reaches across.
     """
     grid = u.grid
-    if grid.nx < 4:
-        raise ValueError(f"grid too small for the one-sided stencil (nx={grid.nx} < 4)")
-    out = np.empty((grid.nt, grid.n_boundary), dtype=np.complex128)
-    for fid, face in enumerate(grid.faces):
-        pts = np.flatnonzero(grid.boundary_face == fid)
-        if pts.size == 0:
-            continue
-        idx0 = [grid.boundary_index[a][pts] for a in range(grid.n)]
-        inward = -1 if face.side == 1 else 1
-        idx1 = [arr.copy() for arr in idx0]
-        idx2 = [arr.copy() for arr in idx0]
-        idx1[face.axis] = idx0[face.axis] + inward
-        idx2[face.axis] = idx0[face.axis] + 2 * inward
-        vals = (
-            3 * u.values[(slice(None), *idx0)]
-            - 4 * u.values[(slice(None), *idx1)]
-            + u.values[(slice(None), *idx2)]
-        ) / (2 * grid.hx)
-        out[:, pts] = vals
-    return BoundaryField(grid, out)
+    at, inner, deeper = _trace_stencil(grid)
+    flat = u.values.reshape(grid.nt, -1)
+    return BoundaryField(grid, (3 * flat[:, at] - 4 * flat[:, inner] + flat[:, deeper])
+                         / (2 * grid.hx))
 
 
 @dataclass
@@ -336,7 +445,8 @@ def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float 
                  for c in grid.space_coordinates())
 
     x = np.empty((grid.nt, scheme._ndof))
-    x[0] = scheme._initial_interior(bvals, u0, warn_incompatible).real
+    first = None if u0 is None else np.asarray(u0)[None]
+    x[0] = scheme._initial_interior(bvals[None], first, warn_incompatible)[0].real
     iterations = []
     for k in range(grid.nt - 1):
         t0, t1 = grid.ts[k], grid.ts[k + 1]

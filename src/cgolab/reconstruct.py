@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cgo import CgoParams, build_cgo
+from .cgo import CgoParams, build_cgo, probe_scheme
 from .dtn import (
     DtnBasis,
     DtnOracle,
@@ -247,19 +247,38 @@ def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
     mode); the backward probe is always reference-built.  The value is
     (2 pi)^{-(n+1)/2} times the pairing of the map difference.
     """
+    values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho, probe_q=probe_q,
+                           probe_delta=probe_delta, vanish_plus=vanish_plus,
+                           vanish_minus=vanish_minus, theta=theta)
+    return complex(values[0])
+
+
+def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float, *,
+                  probe_q, probe_delta, vanish_plus, vanish_minus, theta) -> np.ndarray:
+    """fourier_slice at every (xi, tau, omega) node: the probes of all nodes
+    are built first and then paired against the map difference as one block.
+
+    rho is fixed, so the backward probe depends on omega alone and is built
+    once per direction; forward probes of one direction share one scheme."""
     grid = oracle.grid
-    xi = np.asarray(xi, dtype=float)
     plus_side = q_ref if probe_q is None else probe_q
-    par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
-    sol_plus = build_cgo(grid, par_plus, plus_side, vanish_mask=vanish_plus,
-                         theta=theta, compute_residual=False)
-    par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
-    sol_minus = build_cgo(grid, par_minus, q_ref, vanish_mask=vanish_minus,
-                          theta=theta, compute_residual=False)
-    g = sol_plus.boundary_trace()
-    h = sol_minus.boundary_trace()
-    val = oracle.pair_against(q_ref, g, h)
-    return (2 * math.pi) ** (-(grid.n + 1) / 2) * val
+    g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
+    schemes, backward, which = {}, [], []
+    for i, (xi, tau, omega) in enumerate(nodes):
+        key = np.asarray(omega, dtype=float).tobytes()
+        par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
+        if key not in schemes:
+            schemes[key] = (len(backward), probe_scheme(grid, par_plus, plus_side, theta))
+            par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
+            backward.append(build_cgo(grid, par_minus, q_ref, vanish_mask=vanish_minus,
+                                      theta=theta, compute_residual=False)
+                            .boundary_trace().values)
+        row, scheme = schemes[key]
+        g[i] = build_cgo(grid, par_plus, plus_side, vanish_mask=vanish_plus, theta=theta,
+                         compute_residual=False, scheme=scheme).boundary_trace().values
+        which.append(row)
+    pairs = oracle.pair_many(q_ref, g, np.stack(backward))
+    return (2 * math.pi) ** (-(grid.n + 1) / 2) * pairs[np.arange(len(nodes)), which]
 
 
 def exact_slice_values(grid: Grid, p_values: np.ndarray, freq: FrequencyGrid) -> None:
@@ -403,8 +422,7 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None,
 
     delta = None
     if cfg.measure_delta:
-        basis_in, basis_out = _measurement_bases(grid, oracle, cfg)
-        diff = assemble_difference_matrix(oracle, q_ref, basis_in, basis_out)
+        diff = assemble_difference_matrix(oracle, q_ref, *_measurement_bases(grid, oracle, cfg))
         delta = operator_norm(diff)
 
     cap = probe_rho_cap(grid)
@@ -447,17 +465,19 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None,
         vanish_plus = direction_mask(grid, base, cfg.mask_delta, sign=-1)
         vanish_minus = direction_mask(grid, base, cfg.mask_delta, sign=1)
 
+    feasible = [nd for nd in freq.canonical_nodes() if nd.feasible]
+    if feasible:
+        values = _slice_values(
+            oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
+            probe_q=probe_q, probe_delta=cfg.probe_delta,
+            vanish_plus=vanish_plus, vanish_minus=vanish_minus, theta=cfg.theta,
+        )
+        for nd, value in zip(feasible, values):
+            nd.value = complex(value)
     records = []
     for nd in freq.canonical_nodes():
         if not nd.feasible:
             nd.value = 0.0
-        else:
-            nd.value = fourier_slice(
-                oracle, q_ref, nd.xi, nd.tau, nd.omega, rho,
-                probe_q=probe_q, probe_delta=cfg.probe_delta,
-                vanish_plus=vanish_plus, vanish_minus=vanish_minus,
-                theta=cfg.theta,
-            )
         records.append(
             {
                 "index": nd.index,
@@ -517,10 +537,13 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
         levels = list(noise_levels)
         if len(levels) < 2 or min(levels) == max(levels):
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
+        # the noise draw depends on the seed and the basis size only, so one
+        # basis serves every level
+        noise_basis = DtnBasis(grid)
         for lvl in levels:
             oracle = DtnOracle(grid, noise_truth, support_mask=support, obs_mask=obs,
                                theta=theta, noise_delta=float(lvl),
-                               noise_seed=noise_seed)
+                               noise_seed=noise_seed, noise_basis=noise_basis)
             runs.append((oracle, noise_truth))
 
     records = []
