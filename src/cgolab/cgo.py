@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 from . import fd
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
-from .forward import ThetaScheme, _reversed_potential, solve_backward, solve_forward
+from .forward import solve_backward, solve_forward
 from .grid import DirectionMask, Grid, direction_mask, neighborhood_mask
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "exp_weight",
     "principal_part",
     "corrector_source",
-    "probe_scheme",
+    "probe_trace",
     "build_cgo",
     "remainder_decay_report",
     "envelope_fit",
@@ -225,51 +225,58 @@ class CgoSolution:
         return self.field.boundary_trace()
 
 
-def probe_scheme(grid: Grid, params: CgoParams, q: Potential | None = None,
-                 theta: float = 0.5) -> ThetaScheme:
-    """The scheme of the probe's corrector march, with the conjugated drift
-    -2 eps rho omega.  A backward probe marches the time-reflected problem, so
-    its scheme carries the time-reversed potential.  Probes that share
-    orientation, omega, rho and q can share one scheme and its factor."""
-    conv = -2.0 * params.epsilon * params.rho * params.omega
-    if params.epsilon == -1:
-        q = _reversed_potential(q)
-    return ThetaScheme(grid, q, theta, conv, cache=False)
+def _corrector_lateral(grid: Grid, params: CgoParams, vanish_mask: DirectionMask | None,
+                       principal: np.ndarray) -> np.ndarray:
+    """The corrector's lateral Dirichlet values: -(principal trace) on the
+    vanish mask, halved on the one-cell ring around it, zero elsewhere.
+
+    Default mask: faces whose outward normal opposes (forward) or follows
+    (backward) omega beyond the params.delta threshold."""
+    if vanish_mask is None:
+        vanish_mask = direction_mask(grid, params.omega, params.delta, sign=-params.epsilon)
+    return -_taper_weights(grid, vanish_mask)[None, :] * principal
+
+
+def probe_trace(grid: Grid, params: CgoParams,
+                vanish_mask: DirectionMask | None = None) -> BoundaryField:
+    """The probe's lateral Dirichlet trace, equal to build_cgo(...).boundary_trace().
+
+    The corrector's lateral values are prescribed, so on the lateral boundary
+    the probe is weight * principal * (1 - taper) whatever the potential and
+    the interior march.  The weight is evaluated on the whole cylinder, so
+    the overflow guard is the one the assembled probe would meet.
+    """
+    if params.n != grid.n:
+        raise ConfigError("params dimension does not match the grid")
+    principal = principal_part(grid, params).boundary_trace().values
+    lateral = principal + _corrector_lateral(grid, params, vanish_mask, principal)
+    weight = exp_weight(grid, -params.epsilon, params.omega, params.rho)
+    return BoundaryField(grid, weight.boundary_trace().values * lateral)
 
 
 def build_cgo(grid: Grid, params: CgoParams, q: Potential | None = None,
               vanish_mask: DirectionMask | None = None, theta: float = 0.5,
-              compute_residual: bool = True,
-              scheme: ThetaScheme | None = None) -> CgoSolution:
+              compute_residual: bool = True) -> CgoSolution:
     """Solve the corrector problem and assemble the probe.
 
-    The remainder solves the conjugated equation with the corrector source,
-    zero data at the probe's quiet end (t=0 forward, t=T backward), Dirichlet
-    value -(principal part) on the vanish mask (cosine-tapered one cell out)
-    and zero on the rest of the lateral boundary.  The probe then vanishes on
-    the mask up to solver tolerance.  The march runs on `scheme`, by default
-    a fresh `probe_scheme(grid, params, q, theta)`.
-
-    Default mask: faces whose outward normal opposes (forward) or follows
-    (backward) omega beyond the params.delta threshold.
+    The remainder solves the conjugated equation (drift -2 eps rho omega) with
+    the corrector source, zero data at the probe's quiet end (t=0 forward,
+    t=T backward) and the lateral values of `_corrector_lateral`: -(principal
+    part) on the vanish mask, tapered one cell out, zero on the rest.  The
+    probe then vanishes on the mask up to solver tolerance.
     """
     if params.n != grid.n:
         raise ConfigError("params dimension does not match the grid")
     if q is not None and not grid.same_layout(q.grid):
         raise ValueError("potential lives on a different grid")
-    if vanish_mask is None:
-        vanish_mask = direction_mask(grid, params.omega, params.delta, sign=-params.epsilon)
 
     theta_field = principal_part(grid, params)
     source = corrector_source(grid, params, q)
-    taper = _taper_weights(grid, vanish_mask)
-    bvals = -taper[None, :] * theta_field.boundary_trace().values
-    bdata = BoundaryField(grid, bvals)
-
-    if scheme is None:
-        scheme = probe_scheme(grid, params, q, theta)
+    bdata = BoundaryField(grid, _corrector_lateral(grid, params, vanish_mask,
+                                                   theta_field.boundary_trace().values))
+    conv = -2.0 * params.epsilon * params.rho * params.omega
     solve = solve_forward if params.epsilon == 1 else solve_backward
-    w = solve(grid, q, bdata, None, source, theta, scheme=scheme, warn_incompatible=False)
+    w = solve(grid, q, bdata, None, source, theta, conv, warn_incompatible=False)
 
     resid = math.nan
     if compute_residual:

@@ -25,7 +25,6 @@ from .carleman import carleman_report, sample_family
 from .cgo import remainder_decay_report
 from .dtn import (
     DtnBasis,
-    DtnOracle,
     assemble_dtn_matrix,
     operator_norm,
     pairing,
@@ -39,7 +38,7 @@ from .grid import Grid, build_grid
 from .norms import ModulusParams
 from .reconstruct import (
     ReconstructionConfig,
-    partial_masks,
+    measurement_oracle,
     reconstruct,
     stability_sweep,
 )
@@ -577,26 +576,18 @@ def _cmd_carleman_check(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     return {"max_ratio": report.max_ratio, "max_by_rho": maxima}
 
 
-def _oracle_from_config(cfg: ExperimentConfig, grid: Grid, truth: Potential):
-    rcfg = _recon_config(cfg)
-    support = obs = None
-    if rcfg.mode == "partial":
-        support, obs = partial_masks(grid, rcfg.direction(grid.n), rcfg.mask_delta)
-    noise_seed = cfg["noise"]["seed"]
-    if noise_seed is None:
-        noise_seed = cfg["seed"]
-    oracle = DtnOracle(
-        grid, truth, support_mask=support, obs_mask=obs, theta=rcfg.theta,
-        noise_delta=cfg["noise"]["delta"], noise_seed=noise_seed,
-    )
-    return oracle, rcfg
+def _noise_seed(cfg: ExperimentConfig) -> int:
+    """The noise seed, by default the config seed."""
+    seed = cfg["noise"]["seed"]
+    return cfg["seed"] if seed is None else seed
 
 
 def _cmd_reconstruct(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
     truth = _build_potential(grid, cfg["potential"])
     ref = _build_potential(grid, cfg["potential_ref"])
-    oracle, rcfg = _oracle_from_config(cfg, grid, truth)
+    rcfg = _recon_config(cfg)
+    oracle = measurement_oracle(grid, truth, rcfg, cfg["noise"]["delta"], _noise_seed(cfg))
     res = reconstruct(oracle, ref, rcfg, truth=truth)
     emit.field("estimate.field", res.estimate)
     emit.csv(
@@ -632,14 +623,11 @@ def _cmd_stability_sweep(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     rcfg = _recon_config(cfg)
     modulus = _modulus(cfg, grid)
     sec = cfg["sweep"]
-    noise_seed = cfg["noise"]["seed"]
-    if noise_seed is None:
-        noise_seed = cfg["seed"]
     if sec["kind"] == "noise":
         result = stability_sweep(
             grid, ref, rcfg, modulus,
             noise_levels=[float(v) for v in sec["noise_levels"]],
-            noise_truth=truth, noise_seed=noise_seed, theta=rcfg.theta,
+            noise_truth=truth, noise_seed=_noise_seed(cfg),
         )
     elif sec["kind"] == "pairs":
         scales = [float(v) for v in sec["pair_scales"]]
@@ -647,9 +635,7 @@ def _cmd_stability_sweep(cfg: ExperimentConfig, emit: _Emitter) -> dict:
         truths = [
             Potential(grid, ref.values + s * base, m=None) for s in scales
         ]
-        result = stability_sweep(
-            grid, ref, rcfg, modulus, pair_truths=truths, theta=rcfg.theta,
-        )
+        result = stability_sweep(grid, ref, rcfg, modulus, pair_truths=truths)
     else:
         raise ConfigError(f"unknown sweep kind {sec['kind']!r}")
     records = result["records"]
@@ -711,12 +697,9 @@ def _cmd_recover_nonlinearity(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     a_true = _build_nonlinearity(sec, "")
     a_ref = _build_nonlinearity(sec, "ref_")
     rcfg = _recon_config(cfg)
-    noise_seed = cfg["noise"]["seed"]
-    if noise_seed is None:
-        noise_seed = cfg["seed"]
     data = SemilinearOracle(grid, a_true, theta=rcfg.theta,
                             noise_delta=cfg["noise"]["delta"],
-                            noise_seed=noise_seed)
+                            noise_seed=_noise_seed(cfg))
     report = recover_nonlinearity(
         data, a_ref, [float(s) for s in sec["levels"]], rcfg,
         truth=a_true, window_layers=sec["window_layers"],

@@ -327,7 +327,7 @@ def dtn_apply(grid: Grid, q: Potential | None, g: BoundaryField, u0=None,
               theta: float = 0.5, scheme: ThetaScheme | None = None) -> BoundaryField:
     """Neumann trace of the forward solution with Dirichlet data g (and u0)."""
     if scheme is None:
-        scheme = ThetaScheme(grid, q, theta, cache=False)
+        scheme = ThetaScheme(grid, q, theta)
     first = None if u0 is None else np.asarray(u0)[None]
     return BoundaryField(grid, scheme.neumann_traces(g.values[None], first)[0])
 

@@ -135,18 +135,5 @@ class Potential:
     def zero(cls, grid: Grid) -> "Potential":
         return cls(grid, np.zeros(grid.field_shape), m=0.0)
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn, m: float | None = None) -> "Potential":
-        t = grid.ts.reshape((grid.nt,) + (1,) * grid.n)
-        coords = grid.space_coordinates()
-        if grid.n == 1:
-            values = fn(coords[0][None, :], t) + np.zeros(grid.field_shape)
-        else:
-            values = fn(coords[0][None], coords[1][None], t) + np.zeros(grid.field_shape)
-        return cls(grid, values, m=m)
-
     def __sub__(self, other: "Potential") -> "Potential":
         return Potential(self.grid, self.values - other.values)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())

@@ -140,8 +140,8 @@ class ThetaScheme:
     step matrix M = I - theta*ht*(A - diag q), factored with LAPACK ?gttrf in
     1-d and a sparse LU in 2-d.  A time-invariant q is factored once and the
     factor serves every step of every later march.  A time-varying q is
-    factored per time level, and those factors are kept when `cache` is true
-    (by default, at most _CACHE_DOF_LIMIT unknowns).  The explicit half of a
+    factored per time level, and those factors are kept while the problem has
+    at most _CACHE_DOF_LIMIT unknowns.  The explicit half of a
     step, I + (1-theta)*ht*(A - diag q), equals I/theta - ((1-theta)/theta)*M
     plus a diagonal where q varies, so a step forms no product with A.
 
@@ -156,7 +156,7 @@ class ThetaScheme:
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
-                 convection=None, cache: bool | None = None):
+                 convection=None):
         _check_theta(theta)
         if q is not None and not grid.same_layout(q.grid):
             raise ValueError("potential lives on a different grid")
@@ -186,16 +186,15 @@ class ThetaScheme:
         self._implicit = (sp.identity(self._ndof, format="csc") - theta * ht * self._op).tocsc()
         if grid.n == 1:
             self._bands = tuple(self._implicit.diagonal(k) for k in (-1, 0, 1))
-        if cache is None:
-            cache = self._ndof <= _CACHE_DOF_LIMIT
-        self._cache = cache
+        self._keep_factors = self.time_invariant or self._ndof <= _CACHE_DOF_LIMIT
         self._lus = {}
 
     def _factor(self, q_int, level):
         """Factor of I - theta*ht*(A - diag q_int), the step into `level`."""
         shift = self.theta * self.grid.ht * q_int
         try:
-            if self.grid.n == 1:
+            # scipy's ?gttrf wrapper rejects a system of two unknowns (nx = 4)
+            if self.grid.n == 1 and self._ndof > 2:
                 lower, diag, upper = self._bands
                 return _Tridiagonal(lower, diag + shift, upper)
             return splu((self._implicit + sp.diags(shift)).tocsc(), **_SPLU_OPTIONS)
@@ -210,7 +209,7 @@ class ThetaScheme:
         lu = self._lus.get(key)
         if lu is None:
             lu = self._factor(self._q_int[key], level)
-            if self._cache or self.time_invariant:
+            if self._keep_factors:
                 self._lus[key] = lu
         return lu
 
@@ -361,7 +360,7 @@ def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None
                   warn_incompatible: bool = True) -> ScalarField:
     """Solve (d_t - Laplacian + convection . grad + q) u = source, u(0) = u0."""
     if scheme is None:
-        scheme = ThetaScheme(grid, q, theta, convection, cache=False)
+        scheme = ThetaScheme(grid, q, theta, convection)
     return scheme.solve(bdata, u0, source, warn_incompatible)
 
 
@@ -373,13 +372,11 @@ def _reversed_potential(q: Potential | None):
 
 def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=None,
                    source: ScalarField | None = None, theta: float = 0.5,
-                   convection=None, warn_incompatible: bool = True,
-                   scheme: ThetaScheme | None = None) -> ScalarField:
+                   convection=None, warn_incompatible: bool = True) -> ScalarField:
     """Solve (-d_t - Laplacian + convection . grad + q) u = source, u(T) = uT.
 
     Realized by reflecting time, solving forward, and reflecting back, so the
-    scheme is the exact mirror of solve_forward.  A given scheme steps the
-    reflected problem: it is built on the time-reversed potential.
+    scheme is the exact mirror of solve_forward.
     """
     rev_b = BoundaryField(grid, bdata.values[::-1])
     rev_f = None if source is None else ScalarField(grid, source.values[::-1])
@@ -391,7 +388,6 @@ def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=Non
         rev_f,
         theta,
         convection,
-        scheme=scheme,
         warn_incompatible=warn_incompatible,
     )
     return ScalarField(grid, out.values[::-1])

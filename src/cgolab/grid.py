@@ -19,7 +19,7 @@ its owning face (the ambiguity lives on a measure-zero set).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class Face:
     normal: np.ndarray
     indices: tuple  # tuple of index arrays covering all points of the face
     weights: np.ndarray  # face trapezoid weights aligned with `indices`
-
-    @property
-    def point_count(self) -> int:
-        return self.indices[0].size
 
 
 class Grid:

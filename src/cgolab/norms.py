@@ -201,9 +201,7 @@ def sobolev_norm(field_like, order: float) -> float:
 
 def hminus1_norm(field_like) -> float:
     """The reconstruction-error norm: order -1 on the padded box."""
-    grid = field_like.grid
-    padded = zero_extend(grid, field_like.values)
-    return periodic_sobolev_norm(padded, box_lengths(grid), -1.0)
+    return sobolev_norm(field_like, -1.0)
 
 
 def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:

@@ -4,10 +4,11 @@ The potential difference p = (truth - reference) is recovered one frequency
 at a time.  For a lattice node zeta = (xi, tau) with an admissible direction
 omega orthogonal to xi, the pairing of the measured-minus-simulated map
 difference against a pair of opposite probes approximates the normalized
-transform of p at zeta.  Collecting slices over the ball |zeta| <= R on the
-padded-torus lattice and inverting the transform gives the low-pass estimate;
-everything outside the ball (and every infeasible node in partial mode) is
-zero-filled.
+transform of p at zeta.  The pairing reads only the probes' Dirichlet traces,
+which have a closed form (`cgo.probe_trace`), so no probe is marched.
+Collecting slices over the ball |zeta| <= R on the padded-torus lattice and
+inverting the transform gives the low-pass estimate; everything outside the
+ball (and every infeasible node in partial mode) is zero-filled.
 
 Frequencies live on the same lattice as the negative-order norm machinery,
 so with exact slices substituted the reconstruction error IS the Parseval
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cgo import CgoParams, build_cgo, probe_scheme
+from .cgo import CgoParams, probe_trace
 from .dtn import (
     DtnBasis,
     DtnOracle,
@@ -51,6 +52,7 @@ __all__ = [
     "choose_direction",
     "build_frequency_grid",
     "partial_masks",
+    "measurement_oracle",
     "probe_rho_cap",
     "fourier_slice",
     "exact_slice_values",
@@ -114,10 +116,6 @@ class FrequencyNode:
     canonical: bool
     mirror: tuple
     value: complex | None = None
-
-    @property
-    def zeta_norm(self) -> float:
-        return math.hypot(float(np.linalg.norm(self.xi)), self.tau)
 
 
 @dataclass
@@ -236,47 +234,53 @@ def probe_rho_cap(grid: Grid) -> float:
     return min(res, overflow)
 
 
+def measurement_oracle(grid: Grid, truth: Potential | None, cfg: ReconstructionConfig,
+                       noise_delta: float = 0.0, noise_seed: int = 0,
+                       noise_basis: DtnBasis | None = None) -> DtnOracle:
+    """The measurement oracle of cfg's data setting: the masks of partial
+    mode, cfg.theta and optional calibrated noise."""
+    support = obs = None
+    if cfg.mode == "partial":
+        support, obs = partial_masks(grid, cfg.direction(grid.n), cfg.mask_delta)
+    return DtnOracle(grid, truth, support_mask=support, obs_mask=obs, theta=cfg.theta,
+                     noise_delta=noise_delta, noise_seed=noise_seed,
+                     noise_basis=noise_basis)
+
+
 def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
-                  omega, rho: float, *, probe_q: Potential | None = None,
-                  probe_delta: float = 0.25, vanish_plus=None, vanish_minus=None,
-                  theta: float = 0.5) -> complex:
+                  omega, rho: float, *, probe_delta: float = 0.25,
+                  vanish_plus=None, vanish_minus=None) -> complex:
     """One normalized transform sample of (truth - reference) at (xi, tau).
 
-    The forward probe carries the oscillation and is built with the reference
-    potential (or probe_q when validating with the truth: the clairvoyant
-    mode); the backward probe is always reference-built.  The value is
-    (2 pi)^{-(n+1)/2} times the pairing of the map difference.
+    The forward probe carries the oscillation, the backward one does not.
+    The value is (2 pi)^{-(n+1)/2} times the pairing of the map difference,
+    which reads only the probes' Dirichlet traces: those do not depend on any
+    potential, so no probe is marched.
     """
-    values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho, probe_q=probe_q,
+    values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho,
                            probe_delta=probe_delta, vanish_plus=vanish_plus,
-                           vanish_minus=vanish_minus, theta=theta)
+                           vanish_minus=vanish_minus)
     return complex(values[0])
 
 
 def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float, *,
-                  probe_q, probe_delta, vanish_plus, vanish_minus, theta) -> np.ndarray:
-    """fourier_slice at every (xi, tau, omega) node: the probes of all nodes
-    are built first and then paired against the map difference as one block.
-
-    rho is fixed, so the backward probe depends on omega alone and is built
-    once per direction; forward probes of one direction share one scheme."""
+                  probe_delta, vanish_plus, vanish_minus) -> np.ndarray:
+    """fourier_slice at every (xi, tau, omega) node: the probe traces of all
+    nodes are formed first and then paired against the map difference as one
+    block.  rho is fixed, so the backward trace depends on omega alone and is
+    formed once per direction."""
     grid = oracle.grid
-    plus_side = q_ref if probe_q is None else probe_q
     g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
-    schemes, backward, which = {}, [], []
+    rows, backward, which = {}, [], []
     for i, (xi, tau, omega) in enumerate(nodes):
         key = np.asarray(omega, dtype=float).tobytes()
-        par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
-        if key not in schemes:
-            schemes[key] = (len(backward), probe_scheme(grid, par_plus, plus_side, theta))
+        if key not in rows:
+            rows[key] = len(backward)
             par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
-            backward.append(build_cgo(grid, par_minus, q_ref, vanish_mask=vanish_minus,
-                                      theta=theta, compute_residual=False)
-                            .boundary_trace().values)
-        row, scheme = schemes[key]
-        g[i] = build_cgo(grid, par_plus, plus_side, vanish_mask=vanish_plus, theta=theta,
-                         compute_residual=False, scheme=scheme).boundary_trace().values
-        which.append(row)
+            backward.append(probe_trace(grid, par_minus, vanish_minus).values)
+        par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
+        g[i] = probe_trace(grid, par_plus, vanish_plus).values
+        which.append(rows[key])
     pairs = oracle.pair_many(q_ref, g, np.stack(backward))
     return (2 * math.pi) ** (-(grid.n + 1) / 2) * pairs[np.arange(len(nodes)), which]
 
@@ -411,9 +415,8 @@ def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig)
     return basis_in, basis_out
 
 
-def reconstruct(oracle: DtnOracle, q_ref: Potential | None,
-                cfg: ReconstructionConfig, truth: Potential | None = None,
-                probe_q: Potential | None = None) -> ReconstructionResult:
+def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionConfig,
+                truth: Potential | None = None) -> ReconstructionResult:
     """Full pipeline: measure the data distance, pick (rho, R), sweep the
     admissible frequency ball, invert.  With truth given, reports the
     negative-order error of the estimate against (truth - reference)."""
@@ -469,8 +472,8 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None,
     if feasible:
         values = _slice_values(
             oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
-            probe_q=probe_q, probe_delta=cfg.probe_delta,
-            vanish_plus=vanish_plus, vanish_minus=vanish_minus, theta=cfg.theta,
+            probe_delta=cfg.probe_delta, vanish_plus=vanish_plus,
+            vanish_minus=vanish_minus,
         )
         for nd, value in zip(feasible, values):
             nd.value = complex(value)
@@ -510,8 +513,7 @@ class StabilityRecord:
 
 def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConfig,
                     modulus: ModulusParams, *, pair_truths=None, noise_levels=None,
-                    noise_truth: Potential | None = None, noise_seed: int = 7,
-                    theta: float = 0.5) -> dict:
+                    noise_truth: Potential | None = None, noise_seed: int = 7) -> dict:
     """(data distance, reconstruction error) records against a modulus fit.
 
     Two sweep axes: a list of truth potentials at zero noise (pair mode), or
@@ -521,18 +523,13 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
-    support = obs = None
-    if cfg.mode == "partial":
-        support, obs = partial_masks(grid, cfg.direction(grid.n), cfg.mask_delta)
 
     runs = []
     if pair_truths is not None:
         if len(pair_truths) < 2:
             raise ConfigError("degenerate sweep: need at least 2 levels")
         for q_true in pair_truths:
-            oracle = DtnOracle(grid, q_true, support_mask=support, obs_mask=obs,
-                               theta=theta)
-            runs.append((oracle, q_true))
+            runs.append((measurement_oracle(grid, q_true, cfg), q_true))
     else:
         levels = list(noise_levels)
         if len(levels) < 2 or min(levels) == max(levels):
@@ -541,9 +538,8 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
         # basis serves every level
         noise_basis = DtnBasis(grid)
         for lvl in levels:
-            oracle = DtnOracle(grid, noise_truth, support_mask=support, obs_mask=obs,
-                               theta=theta, noise_delta=float(lvl),
-                               noise_seed=noise_seed, noise_basis=noise_basis)
+            oracle = measurement_oracle(grid, noise_truth, cfg, float(lvl), noise_seed,
+                                        noise_basis)
             runs.append((oracle, noise_truth))
 
     records = []
@@ -578,13 +574,13 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
 
 
 def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
-                       xi, tau: float, rhos, *, clairvoyant: bool = True,
-                       probe_delta: float = 0.25, theta: float = 0.5) -> dict:
+                       xi, tau: float, rhos, *, probe_delta: float = 0.25,
+                       theta: float = 0.5) -> dict:
     """Gap between measured slices and the exact lattice transform across rho.
 
-    The frequency must sit on the padded lattice.  Clairvoyant mode builds
-    the forward probe with the truth, isolating the probe-estimate error the
-    slice bound describes; practical mode uses the reference-built probe.
+    The frequency must sit on the padded lattice.  The pairing reads only the
+    probes' Dirichlet traces, which no potential changes, so the gap is the
+    probe-estimate error the slice bound describes.
     """
     xi = np.asarray(xi, dtype=float)
     jt = round(tau * grid.T / math.pi)
@@ -606,11 +602,8 @@ def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
     oracle = DtnOracle(grid, q, theta=theta)
     gaps, values = [], []
     for rho in rhos:
-        val = fourier_slice(
-            oracle, q_ref, xi, tau, omega, float(rho),
-            probe_q=q if clairvoyant else None,
-            probe_delta=probe_delta, theta=theta,
-        )
+        val = fourier_slice(oracle, q_ref, xi, tau, omega, float(rho),
+                            probe_delta=probe_delta)
         values.append(val)
         gaps.append(abs(val - target))
     return {

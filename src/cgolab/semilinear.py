@@ -12,12 +12,9 @@ a(0) = 0 rebuilds a itself on the probed range.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, dtn_apply, operator_norm
+from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, operator_norm
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear

@@ -8,21 +8,18 @@ and projects with one matrix product; its results must agree with the loops
 to rounding.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgolab import BoundaryField, Potential, ScalarField, build_grid
-from cgolab import forward
+from cgolab import cgo, forward
 from cgolab.cgo import CgoParams, build_cgo
 from cgolab.dtn import DtnBasis, DtnOracle, assemble_difference_matrix, faces_within
 from cgolab.forward import ThetaScheme, neumann_trace, solve_forward
 from cgolab.reconstruct import (
     ReconstructionConfig,
-    build_frequency_grid,
     partial_masks,
     reconstruct,
 )
@@ -142,8 +139,9 @@ def test_single_column_apply_and_pairings_match_column_path(n, partial):
 
 
 def test_reconstruct_slices_match_column_path():
-    # several nodes share a direction, so the slices go through shared
-    # forward-probe schemes and one backward probe per direction
+    # the marched reference: every node's probes are built by build_cgo and
+    # its map difference taken one column at a time; several nodes share a
+    # direction, so reconstruct forms one backward trace for all of them
     grid = build_grid(2, 9, 17, 1.0)
     x, y = grid.space_coordinates()
     truth = Potential(grid, np.broadcast_to(0.2 * np.sin(np.pi * x) * np.cos(np.pi * y),
@@ -179,32 +177,32 @@ def test_shared_noise_basis_gives_the_private_basis_matrix():
 
 
 def test_reconstruct_factors_each_distinct_step_matrix_once(monkeypatch):
-    keys, backward = [], []
-    splu = forward.splu
+    # the pairing reads only the probes' closed-form traces, so a 2-d
+    # reconstruct factors the truth and the reference step matrix and
+    # nothing else: no probe is built or marched
+    keys, builds, marches = [], [], []
+    splu, solve = forward.splu, ThetaScheme.solve
 
     def counting_splu(matrix, *args, **kwargs):
         keys.append((matrix.data.tobytes(), matrix.indices.tobytes(), matrix.indptr.tobytes()))
         return splu(matrix, *args, **kwargs)
 
-    def counting_build(grid, params, *args, **kwargs):
-        if params.epsilon == -1:
-            backward.append(params.omega.tobytes())
-        return build_cgo(grid, params, *args, **kwargs)
+    def counting_solve(self, *args, **kwargs):
+        marches.append(self)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(forward, "splu", counting_splu)
-    monkeypatch.setattr(importlib.import_module("cgolab.reconstruct"), "build_cgo",
-                        counting_build)
+    monkeypatch.setattr(ThetaScheme, "solve", counting_solve)
+    monkeypatch.setattr(cgo, "build_cgo", lambda *args, **kwargs: builds.append(args))
     grid = build_grid(2, 9, 17, 1.0)
     x, _ = grid.space_coordinates()
     truth = Potential(grid, np.broadcast_to(0.2 * np.sin(np.pi * x), grid.field_shape).copy())
     cfg = ReconstructionConfig(rho=4.0, R=4.0, basis_j_max=1, basis_k_max=1)
-    reconstruct(DtnOracle(grid, truth), None, cfg, truth=truth)
-    freq = build_frequency_grid(grid, 4.0)
-    directions = {nd.omega.tobytes() for nd in freq.canonical_nodes() if nd.feasible}
-    assert len(directions) >= 2
-    assert sorted(backward) == sorted(directions)
-    # truth, reference, and a forward and a backward probe scheme per direction
-    assert len(keys) == len(set(keys)) == 2 + 2 * len(directions)
+    res = reconstruct(DtnOracle(grid, truth), None, cfg, truth=truth)
+    feasible = [nd for nd in res.frequencies.canonical_nodes() if nd.feasible]
+    assert len({nd.omega.tobytes() for nd in feasible}) >= 2
+    assert len(keys) == len(set(keys)) == 2
+    assert builds == [] and marches == []
 
 
 def test_block_march_hands_the_factor_fortran_ordered_blocks():

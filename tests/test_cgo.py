@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import (
     CgoParams,
+    DirectionMask,
     Potential,
     ScalarField,
     build_cgo,
@@ -13,6 +16,7 @@ from cgolab import (
     direction_mask,
     exp_weight,
     principal_part,
+    probe_trace,
     remainder_decay_report,
 )
 from cgolab.errors import ConfigError, SolverError
@@ -141,3 +145,40 @@ def test_field_assembly_guard():
     with pytest.raises(SolverError):
         _ = sol.field  # rho^2 T = 900 overflows the weight
     assert sol.remainder.l2_norm() < np.inf  # conjugated data stays usable
+    with pytest.raises(SolverError):
+        probe_trace(g, _params(rho=30.0))
+
+
+@st.composite
+def _probe_problems(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid = build_grid(n, draw(st.integers(4, 9 if n == 2 else 17)), draw(st.integers(3, 9)),
+                      draw(st.floats(0.2, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([1, -1]))
+    if n == 1:
+        omega, xi = np.array([draw(st.sampled_from([1.0, -1.0]))]), np.zeros(1)
+    else:
+        angle = draw(st.floats(0.0, 2 * np.pi))
+        omega = np.array([np.cos(angle), np.sin(angle)])
+        xi = draw(st.floats(-8.0, 8.0)) * np.array([-omega[1], omega[0]])
+    params = CgoParams(eps, omega, xi, draw(st.floats(-10.0, 10.0)),
+                       draw(st.floats(2.05, 8.0)), draw(st.floats(0.0, 0.6)))
+    q = None
+    if draw(st.booleans()):
+        q = Potential(grid, rng.uniform(-0.5, 1.0, grid.field_shape))
+    mask = None
+    if draw(st.booleans()):
+        mask = DirectionMask(grid, rng.random(grid.n_boundary) < 0.4)
+    return grid, params, q, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(_probe_problems())
+def test_probe_trace_is_the_marched_probe_trace(problem):
+    # the corrector's lateral values are prescribed, so the closed form must
+    # reproduce the marched probe's trace bit for bit, whatever q does inside
+    grid, params, q, mask = problem
+    marched = build_cgo(grid, params, q, vanish_mask=mask, compute_residual=False)
+    assert np.array_equal(probe_trace(grid, params, mask).values,
+                          marched.boundary_trace().values)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
 from cgolab.errors import ConfigError
@@ -67,6 +69,27 @@ def test_parseval_exact_on_lattice():
     lhs = (np.abs(coeffs) ** 2).sum() * lattice_measure(lengths)
     rhs = (np.abs(values) ** 2).sum() * cell
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=2, max_size=3),
+       st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_parseval_and_inversion_on_random_padded_lattices(halves, lengths, real, seed):
+    # padded shapes are even along every axis: 2(nt-1) in time, 2(nx-1) in space
+    shape = tuple(2 * h for h in halves)
+    lengths = tuple(lengths[:len(shape)])
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape)
+    if not real:
+        values = values + 1j * rng.normal(size=shape)
+    coeffs = torus_coefficients(values, lengths)
+    cell = np.prod([L / n for n, L in zip(shape, lengths)])
+    lhs = (np.abs(coeffs) ** 2).sum() * lattice_measure(lengths)
+    rhs = (np.abs(values) ** 2).sum() * cell
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+    back = coefficients_to_field(coeffs, lengths)
+    assert np.abs(back - values).max() <= 1e-12 * np.abs(values).max()
 
 
 def test_single_mode_sobolev_norm_closed_form():

@@ -174,7 +174,7 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("n,nx,nt", [(1, 17, 23), (2, 9, 13)])
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 23), (1, 4, 9), (2, 9, 13)])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
     f"{k}{v}" if k == "convection" else k for k, v in c.items() if v) or "plain")
 @pytest.mark.parametrize("theta", [0.5, 0.8])
