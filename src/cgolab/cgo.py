@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import fd
 from .errors import ConfigError, SolverError
@@ -343,8 +342,28 @@ def envelope_fit(grid: Grid, q: Potential | None, rhos, zetas, omega=None,
             rows.append([rho**-0.25, bracket / rho])
             rhs.append(wnorm)
             records.append({"rho": float(rho), "bracket_sq": bracket, "w_plus": wnorm})
-    coeffs, _ = nnls(np.asarray(rows), np.asarray(rhs))
+    coeffs = _nonnegative_fit(np.asarray(rows), np.asarray(rhs))
     return float(coeffs[0]), float(coeffs[1]), records
+
+
+def _nonnegative_fit(design, rhs) -> np.ndarray:
+    """Least-squares coefficients >= 0 of a two-column design.
+
+    The problem is convex, so when the unconstrained fit has a negative
+    coefficient the constrained one lies on an edge of the quadrant, where it
+    is a single-column fit clipped at 0; the edge with the smaller residual
+    wins.
+    """
+    coeffs = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    if np.all(coeffs >= 0):
+        return coeffs
+    edges = []
+    for j in range(2):
+        col = design[:, j]
+        edge = np.zeros(2)
+        edge[j] = max(col @ rhs / (col @ col), 0.0)
+        edges.append(edge)
+    return min(edges, key=lambda c: np.linalg.norm(design @ c - rhs))
 
 
 def _default_omega(n: int, xi) -> np.ndarray:

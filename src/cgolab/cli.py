@@ -25,9 +25,9 @@ from .carleman import carleman_report, sample_family
 from .cgo import remainder_decay_report
 from .dtn import (
     DtnBasis,
+    DtnOracle,
     assemble_dtn_matrix,
     operator_norm,
-    pairing,
     pairing_volume,
     save_field,
 )
@@ -489,7 +489,7 @@ def _cmd_pairing_check(cfg: ExperimentConfig, emit: _Emitter) -> dict:
 
     def evaluate(inputs):
         q, q_ref, g, h = inputs
-        lhs = pairing(grid, q, q_ref, g, h, theta)
+        lhs = DtnOracle(grid, q, theta=theta).pair_against(q_ref, g, h)
         rhs = pairing_volume(grid, q, q_ref, g, h, theta)
         return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
 

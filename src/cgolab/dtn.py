@@ -31,9 +31,6 @@ __all__ = [
     "DtnBasis",
     "DtnMatrix",
     "DtnOracle",
-    "dtn_apply",
-    "partial_dtn_apply",
-    "pairing",
     "pairing_volume",
     "assemble_dtn_matrix",
     "assemble_difference_matrix",
@@ -300,7 +297,7 @@ def operator_norm(m: DtnMatrix) -> float:
 
 def add_noise(m: DtnMatrix, delta: float, seed: int) -> DtnMatrix:
     """Additive complex Gaussian perturbation with weighted norm exactly delta."""
-    if delta < 0:
+    if not delta >= 0:
         raise ConfigError(f"noise level must be nonnegative, got {delta}")
     out = DtnMatrix(
         m.matrix.copy(), m.xi_sq_in, m.tau_in, m.xi_sq_out, m.tau_out,
@@ -323,15 +320,6 @@ def add_noise(m: DtnMatrix, delta: float, seed: int) -> DtnMatrix:
 # Map actions
 
 
-def dtn_apply(grid: Grid, q: Potential | None, g: BoundaryField, u0=None,
-              theta: float = 0.5, scheme: ThetaScheme | None = None) -> BoundaryField:
-    """Neumann trace of the forward solution with Dirichlet data g (and u0)."""
-    if scheme is None:
-        scheme = ThetaScheme(grid, q, theta)
-    first = None if u0 is None else np.asarray(u0)[None]
-    return BoundaryField(grid, scheme.neumann_traces(g.values[None], first)[0])
-
-
 def _check_support(values, support_mask: DirectionMask) -> None:
     """Every (nt, nb) data column in values must vanish outside the mask."""
     outside = ~support_mask.values
@@ -347,28 +335,12 @@ def _check_support(values, support_mask: DirectionMask) -> None:
         )
 
 
-def partial_dtn_apply(grid: Grid, q: Potential | None, g: BoundaryField,
-                      support_mask: DirectionMask, obs_mask: DirectionMask,
-                      theta: float = 0.5) -> BoundaryField:
-    """Masked map: inputs supported on one boundary part, outputs observed on
-    another.  Violating the support constraint is an error, not a clip."""
-    _check_support(g.values, support_mask)
-    return dtn_apply(grid, q, g, None, theta).restricted(obs_mask)
-
-
-def pairing(grid: Grid, q: Potential | None, q_ref: Potential | None,
-            g: BoundaryField, h: BoundaryField, theta: float = 0.5,
-            obs_mask: DirectionMask | None = None) -> complex:
-    """Boundary-side pairing of the map difference against test data h:
-    the lateral integral of [(map_q - map_ref) g] * h."""
-    return DtnOracle(grid, q, obs_mask=obs_mask, theta=theta).pair_against(q_ref, g, h)
-
-
 def pairing_volume(grid: Grid, q: Potential | None, q_ref: Potential | None,
                    g: BoundaryField, h: BoundaryField, theta: float = 0.5) -> complex:
-    """Volume side of the same pairing: integral of (q - q_ref) u+ u- with
-    u+ the forward solution for (q, g) and u- the backward one for (q_ref, h).
-    Independent code path used to verify the boundary identity."""
+    """Volume side of the pairing `DtnOracle.pair_against` forms on the
+    boundary: integral of (q - q_ref) u+ u- with u+ the forward solution for
+    (q, g) and u- the backward one for (q_ref, h).  Independent code path used
+    to verify the boundary identity."""
     qv = 0.0 if q is None else q.values
     rv = 0.0 if q_ref is None else q_ref.values
     u_fwd = solve_forward(grid, q, g, None, None, theta, warn_incompatible=False)
@@ -407,20 +379,16 @@ class DtnOracle:
         self._references = {}
         self._noise_basis = None
         self._noise_matrix = None
-        if self.noise_delta > 0:
+        if self.noise_delta != 0:
             if noise_basis is None:
                 noise_basis = DtnBasis(grid)
             if noise_basis.initial_modes:
                 raise ConfigError("noise basis must be lateral-only")
-            rng = np.random.default_rng(self.noise_seed)
-            shape = (noise_basis.lateral_size, noise_basis.lateral_size)
-            e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            probe = DtnMatrix(
-                e, noise_basis.xi_sq, noise_basis.tau,
-                noise_basis.xi_sq, noise_basis.tau, DEFAULT_WEIGHTS,
-            )
+            size = noise_basis.lateral_size
+            zero = DtnMatrix(np.zeros((size, size)), noise_basis.xi_sq, noise_basis.tau,
+                             noise_basis.xi_sq, noise_basis.tau)
             self._noise_basis = noise_basis
-            self._noise_matrix = e * (self.noise_delta / operator_norm(probe))
+            self._noise_matrix = add_noise(zero, self.noise_delta, self.noise_seed).matrix
 
     def _observed(self, responses: np.ndarray) -> np.ndarray:
         if self.obs_mask is not None:

@@ -36,10 +36,6 @@ __all__ = [
     "neumann_trace",
 ]
 
-# Interior problems stay modest at desk scale; keep the per-level factors of
-# a time-varying potential only while the total storage stays cheap.
-_CACHE_DOF_LIMIT = 1600
-
 # The 2-d step matrix has the symmetric pattern of the five-point stencil.
 # Minimum degree on A^T + A with diagonal pivots preferred leaves about two
 # thirds of COLAMD's fill (10,234 against 15,780 L+U nonzeros on a 25x25
@@ -140,10 +136,10 @@ class ThetaScheme:
     step matrix M = I - theta*ht*(A - diag q), factored with LAPACK ?gttrf in
     1-d and a sparse LU in 2-d.  A time-invariant q is factored once and the
     factor serves every step of every later march.  A time-varying q is
-    factored per time level, and those factors are kept while the problem has
-    at most _CACHE_DOF_LIMIT unknowns.  The explicit half of a
-    step, I + (1-theta)*ht*(A - diag q), equals I/theta - ((1-theta)/theta)*M
-    plus a diagonal where q varies, so a step forms no product with A.
+    factored level by level as a march reaches it, and no factor is kept.
+    The explicit half of a step, I + (1-theta)*ht*(A - diag q), equals
+    I/theta - ((1-theta)/theta)*M plus a diagonal where q varies, so a step
+    forms no product with A.
 
     One loop marches a block of k data columns together: real data as a real
     (ndof, k) block, complex data as its real view (ndof, 2k) of (re, im)
@@ -186,8 +182,7 @@ class ThetaScheme:
         self._implicit = (sp.identity(self._ndof, format="csc") - theta * ht * self._op).tocsc()
         if grid.n == 1:
             self._bands = tuple(self._implicit.diagonal(k) for k in (-1, 0, 1))
-        self._keep_factors = self.time_invariant or self._ndof <= _CACHE_DOF_LIMIT
-        self._lus = {}
+        self._invariant_lu = None
 
     def _factor(self, q_int, level):
         """Factor of I - theta*ht*(A - diag q_int), the step into `level`."""
@@ -205,13 +200,11 @@ class ThetaScheme:
             ) from exc
 
     def _lu(self, level):
-        key = -1 if self.time_invariant else level
-        lu = self._lus.get(key)
-        if lu is None:
-            lu = self._factor(self._q_int[key], level)
-            if self._keep_factors:
-                self._lus[key] = lu
-        return lu
+        if not self.time_invariant:
+            return self._factor(self._q_int[level], level)
+        if self._invariant_lu is None:
+            self._invariant_lu = self._factor(self._q_int[0], level)
+        return self._invariant_lu
 
     @functools.cached_property
     def _trace(self):
@@ -356,12 +349,9 @@ class ThetaScheme:
 
 def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None,
                   source: ScalarField | None = None, theta: float = 0.5,
-                  convection=None, scheme: ThetaScheme | None = None,
-                  warn_incompatible: bool = True) -> ScalarField:
+                  convection=None, warn_incompatible: bool = True) -> ScalarField:
     """Solve (d_t - Laplacian + convection . grad + q) u = source, u(0) = u0."""
-    if scheme is None:
-        scheme = ThetaScheme(grid, q, theta, convection)
-    return scheme.solve(bdata, u0, source, warn_incompatible)
+    return ThetaScheme(grid, q, theta, convection).solve(bdata, u0, source, warn_incompatible)
 
 
 def _reversed_potential(q: Potential | None):
@@ -440,23 +430,25 @@ def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float 
     xint = tuple(_interior(np.broadcast_to(c, grid.space_shape), grid.n)
                  for c in grid.space_coordinates())
 
+    def half(level, v):
+        """The spatial part op @ v + lift - a(v) of the equation at `level`."""
+        return op @ v + lift[level] - a.value(*xint, grid.ts[level], v)
+
     x = np.empty((grid.nt, scheme._ndof))
     first = None if u0 is None else np.asarray(u0)[None]
     x[0] = scheme._initial_interior(bvals[None], first, warn_incompatible)[0].real
+    # the implicit half of an accepted level is the explicit half of the next step
+    explicit = half(0, x[0])
     iterations = []
     for k in range(grid.nt - 1):
-        t0, t1 = grid.ts[k], grid.ts[k + 1]
         xk = x[k]
-        explicit = op @ xk + lift[k] - a.value(*xint, t0, xk)
 
         def residual(v):
-            lap = op @ v + lift[k + 1]
-            return (v - xk) / ht - theta * (lap - a.value(*xint, t1, v)) - (
-                1 - theta
-            ) * explicit
+            implicit = half(k + 1, v)
+            return (v - xk) / ht - theta * implicit - (1 - theta) * explicit, implicit
 
         v = xk.copy()
-        res = residual(v)
+        res, implicit = residual(v)
         it = 0
         while np.abs(res).max() > newton_tol:
             if it >= max_iter:
@@ -464,16 +456,20 @@ def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float 
                     f"Newton did not converge at time level {k + 1} "
                     f"(residual {np.abs(res).max():.3e})"
                 )
-            step = scheme._factor(a.du(*xint, t1, v), k + 1).solve(-ht * res)
+            step = scheme._factor(a.du(*xint, grid.ts[k + 1], v), k + 1).solve(-ht * res)
             alpha, base = 1.0, np.linalg.norm(res)
             for _ in range(max_halvings):
-                trial = residual(v + alpha * step)
-                if np.all(np.isfinite(trial)) and np.linalg.norm(trial) <= base:
+                trial = v + alpha * step
+                trial_res, trial_implicit = residual(trial)
+                if np.all(np.isfinite(trial_res)) and np.linalg.norm(trial_res) <= base:
                     break
                 alpha *= 0.5
-            v = v + alpha * step
-            res = residual(v)
+            else:
+                trial = v + alpha * step
+                trial_res, trial_implicit = residual(trial)
+            v, res, implicit = trial, trial_res, trial_implicit
             it += 1
         iterations.append(it)
         x[k + 1] = v
+        explicit = implicit
     return SemilinearResult(scheme._field(x, bvals), iterations)

@@ -218,19 +218,10 @@ def build_grid(n: int, nx: int, nt: int, T: float) -> Grid:
 
 @dataclass
 class DirectionMask:
-    """Indicator over the single-counted boundary points, constant in time.
-
-    Masks produced by direction_mask record their generating parameters
-    (omega, delta, sign); derived masks (complement, union, fattened) carry a
-    textual description instead.
-    """
+    """Indicator over the single-counted boundary points, constant in time."""
 
     grid: Grid
     values: np.ndarray
-    omega: np.ndarray | None = None
-    delta: float | None = None
-    sign: int | None = None
-    derivation: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=bool)
@@ -241,31 +232,13 @@ class DirectionMask:
     def count(self) -> int:
         return int(self.values.sum())
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.values)
-
     def complement(self) -> "DirectionMask":
-        return DirectionMask(
-            self.grid, ~self.values, derivation=f"complement({self._describe()})"
-        )
+        return DirectionMask(self.grid, ~self.values)
 
     def union(self, other: "DirectionMask") -> "DirectionMask":
         if other.grid is not self.grid and not self.grid.same_layout(other.grid):
             raise ValueError("masks live on different grids")
-        return DirectionMask(
-            self.grid,
-            self.values | other.values,
-            derivation=f"union({self._describe()}, {other._describe()})",
-        )
-
-    def contains(self, other: "DirectionMask") -> bool:
-        return bool(np.all(self.values >= other.values))
-
-    def _describe(self) -> str:
-        if self.omega is not None:
-            return f"sign={self.sign}, omega={np.array2string(self.omega)}, delta={self.delta}"
-        return self.derivation or "mask"
+        return DirectionMask(self.grid, self.values | other.values)
 
 
 def direction_mask(grid: Grid, omega, delta: float, sign: int = 1) -> DirectionMask:
@@ -284,7 +257,7 @@ def direction_mask(grid: Grid, omega, delta: float, sign: int = 1) -> DirectionM
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     values = sign * (grid.boundary_normals @ omega) > delta
-    return DirectionMask(grid, values, omega=omega, delta=delta, sign=sign)
+    return DirectionMask(grid, values)
 
 
 def neighborhood_mask(grid: Grid, base: DirectionMask, fatten: int) -> DirectionMask:
@@ -309,6 +282,4 @@ def neighborhood_mask(grid: Grid, base: DirectionMask, fatten: int) -> Direction
         frontier = new_frontier
         if not frontier:
             break
-    return DirectionMask(
-        grid, values, derivation=f"fatten({base._describe()}, {fatten})"
-    )
+    return DirectionMask(grid, values)

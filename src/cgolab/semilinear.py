@@ -368,12 +368,11 @@ def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
     basis_out = DtnBasis(grid, basis_j_max, basis_k_max)
     records = []
     for a in family:
-        data = SemilinearOracle(grid, a, theta=theta)
-        oracle = data.level_oracle(level)
+        p_true = SemilinearOracle(grid, a, theta=theta).level_potential(level)
+        oracle = DtnOracle(grid, p_true, theta=theta)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         delta = operator_norm(diff)
         res = reconstruct(oracle, p_ref, cfg)
-        p_true = data.level_potential(level)
         err = float(np.abs(res.estimate.values.real
                            - (p_true.values - p_ref.values)).max())
         records.append({"delta": delta, "err": err, "rho": res.rho, "R": res.R})

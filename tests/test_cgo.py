@@ -19,6 +19,7 @@ from cgolab import (
     probe_trace,
     remainder_decay_report,
 )
+from cgolab.cgo import _nonnegative_fit
 from cgolab.errors import ConfigError, SolverError
 from cgolab.fd import diff1, diff2
 
@@ -182,3 +183,17 @@ def test_probe_trace_is_the_marched_probe_trace(problem):
     marched = build_cgo(grid, params, q, vanish_mask=mask, compute_residual=False)
     assert np.array_equal(probe_trace(grid, params, mask).values,
                           marched.boundary_trace().values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_closed_form_nonnegative_fit_matches_nnls(rows, seed):
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((rows, 2))
+    rhs = rng.standard_normal(rows)
+    coeffs = _nonnegative_fit(design, rhs)
+    assert np.all(coeffs >= 0)
+    best = nnls(design, rhs)[1]
+    assert np.linalg.norm(design @ coeffs - rhs) <= best + 1e-12

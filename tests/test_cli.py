@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import cgolab
 from cgolab import ConfigError
 from cgolab.cli import ExperimentConfig, main, run
 from cgolab.dtn import DtnMatrix, load_field
@@ -191,6 +196,15 @@ def test_main_config_errors_exit_2(tmp_path, capsys):
     assert main(["forward", "--config", path, "--threads", "0"]) == 2
 
 
+def test_main_rejects_a_negative_noise_level(tmp_path, capsys):
+    path = _write_config(tmp_path, {**SMALL_GRID, "noise": {"delta": -0.5},
+                                    "reconstruct": {"rho": 4.0, "R": 4.0,
+                                                    "measure_delta": False}})
+    rc = main(["reconstruct", "--config", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 def test_main_numerical_failure_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, {**SMALL_GRID,
                                     "pairing": {"cases": 2, "threshold": 1e-12}})
@@ -202,3 +216,16 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
 def test_main_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["does-not-exist"])
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the nonnegative envelope fit is solved in closed form, so the CLI never
+    # pays for importing scipy.optimize
+    src = str(Path(cgolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cgolab.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

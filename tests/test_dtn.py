@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import BoundaryField, ConfigError, Potential, build_grid, direction_mask
 from cgolab.dtn import (
@@ -12,26 +14,26 @@ from cgolab.dtn import (
     add_noise,
     assemble_difference_matrix,
     assemble_dtn_matrix,
-    dtn_apply,
     faces_within,
     load_field,
     operator_norm,
-    pairing,
     pairing_volume,
-    partial_dtn_apply,
     save_field,
 )
 from cgolab.norms import boundary_sobolev_weights
 
 
-def _random_boundary_data(grid, rng):
-    a, b, c = rng.normal(size=3)
-
+def _family_data(grid, a, b, c):
+    """test_01's data family (a + ib) sin(pi (x + 0.3)) sin(pi (|c| mod 1.3 + 0.2) t/T)."""
     def fn(pts, t):
         return ((a + 1j * b) * np.sin(np.pi * (pts[:, 0] + 0.3))
                 * np.sin(np.pi * (abs(c) % 1.3 + 0.2) * t / grid.T))
 
     return BoundaryField.from_callable(grid, fn)
+
+
+def _random_boundary_data(grid, rng):
+    return _family_data(grid, *rng.normal(size=3))
 
 
 def _cosine_potential(grid, amp):
@@ -112,8 +114,9 @@ def test_dtn_apply_is_linear():
     f1 = _random_boundary_data(g, rng)
     f2 = _random_boundary_data(g, rng)
     both = BoundaryField(g, 2.0 * f1.values - 0.5j * f2.values)
-    combo = dtn_apply(g, q, both)
-    split = 2.0 * dtn_apply(g, q, f1).values - 0.5j * dtn_apply(g, q, f2).values
+    oracle = DtnOracle(g, q)
+    combo = oracle.apply(both)
+    split = 2.0 * oracle.apply(f1).values - 0.5j * oracle.apply(f2).values
     assert np.abs(combo.values - split).max() < 1e-10
 
 
@@ -125,9 +128,41 @@ def test_pairing_matches_volume_identity():
     rng = np.random.default_rng(11)
     gdat = _random_boundary_data(g, rng)
     hdat = _random_boundary_data(g, rng)
-    pb = pairing(g, q, None, gdat, hdat)
+    pb = DtnOracle(g, q).pair_against(None, gdat, hdat)
     pv = pairing_volume(g, q, None, gdat, hdat)
     assert abs(pb - pv) / abs(pv) < 0.05
+
+
+_unit = st.floats(-1.0, 1.0)
+_coefficient = st.floats(-3.0, 3.0)
+
+
+def _family_potential(grid, coeffs):
+    """test_01's potential family: sin(j pi x) cos(k pi t/T) for (j, k) in
+    (1, 0), (2, 1), (3, 2), scaled to unit sup norm."""
+    xs = grid.space_coordinates()[0]
+    vals = np.zeros(grid.field_shape)
+    for (j, k), c in zip(((1, 0), (2, 1), (3, 2)), coeffs):
+        vals = vals + (c * np.sin(j * np.pi * xs)[None, :]
+                       * np.cos(k * np.pi * grid.ts / grid.T)[:, None])
+    return Potential(grid, vals / max(np.abs(vals).max(), 1e-12), m=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit),
+       st.tuples(_coefficient, _coefficient, _coefficient),
+       st.tuples(_coefficient, _coefficient, _coefficient))
+def test_boundary_pairing_equals_volume_pairing(q_coeffs, ref_coeffs, g_coeffs, h_coeffs):
+    # the gap is a discretization error, so it is bounded against the scale of
+    # the pairing's factors, not against the volume side, which can nearly vanish
+    g = build_grid(1, 33, 33, 1.0)
+    q, q_ref = _family_potential(g, q_coeffs), _family_potential(g, ref_coeffs)
+    gdat, hdat = _family_data(g, *g_coeffs), _family_data(g, *h_coeffs)
+    boundary = DtnOracle(g, q).pair_against(q_ref, gdat, hdat)
+    volume = pairing_volume(g, q, q_ref, gdat, hdat)
+    scale = (np.abs(q.values - q_ref.values).max() * np.abs(gdat.values).max()
+             * np.abs(hdat.values).max())
+    assert abs(boundary - volume) <= 1e-2 * scale
 
 
 def test_matrix_shape_and_validation():
@@ -247,10 +282,11 @@ def test_partial_apply_enforces_support():
     obs = direction_mask(g, [1.0, 0.0], 0.25, sign=-1)
     rng = np.random.default_rng(1)
     gdat = _random_boundary_data(g, rng)
+    oracle = DtnOracle(g, None, support_mask=support, obs_mask=obs)
     with pytest.raises(ConfigError, match="support"):
-        partial_dtn_apply(g, None, gdat, support, obs)
+        oracle.apply(gdat)
     inside = gdat.restricted(support)
-    resp = partial_dtn_apply(g, None, inside, support, obs)
+    resp = oracle.apply(inside)
     assert np.all(resp.values[:, ~obs.values] == 0)
 
 
@@ -266,6 +302,13 @@ def test_oracle_noise_closed_loop():
     clean = DtnOracle(g, None)
     diff0 = assemble_difference_matrix(clean, None, basis)
     assert operator_norm(diff0) < 1e-12
+
+
+@pytest.mark.parametrize("delta", [-0.5, float("nan")])
+def test_oracle_rejects_a_negative_noise_level(delta):
+    g = build_grid(1, 17, 17, 1.0)
+    with pytest.raises(ConfigError, match="nonnegative"):
+        DtnOracle(g, None, noise_delta=delta)
 
 
 def test_oracle_enforces_support_mask():

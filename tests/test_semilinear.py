@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
-from cgolab.forward import neumann_trace, solve_forward
+from cgolab import semilinear
+from cgolab.dtn import DtnBasis, assemble_difference_matrix, operator_norm
+from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
 from cgolab.norms import ModulusParams
-from cgolab.reconstruct import ReconstructionConfig
+from cgolab.reconstruct import ReconstructionConfig, reconstruct
 from cgolab.semilinear import (
     Nonlinearity,
     SemilinearOracle,
@@ -193,3 +195,60 @@ def test_semilinear_sweep_fits_within_the_modulus_domain():
     assert deltas[0] > deltas[1] and errs[0] > errs[1]
     with pytest.raises(ConfigError, match="degenerate"):
         semilinear_stability_sweep(g, [ref], ref, 0.4, cfg, mod, basis_k_max=2)
+
+
+def test_newton_reuses_the_accepted_residual():
+    # a linear a converges in one Newton iteration per step; the step then
+    # evaluates a at the start value and at the accepted trial only, and the
+    # accepted level's implicit half serves as the next step's explicit half
+    g = build_grid(1, 17, 17, 1.0)
+    calls = []
+
+    def value(u):
+        calls.append(1)
+        return 0.7 * u
+
+    a = Nonlinearity.from_u(value, lambda u: 0.7 * np.ones_like(u))
+    res = solve_semilinear(g, a, _sine_data(g))
+    assert res.newton_iterations == [1] * (g.nt - 1)
+    assert len(calls) == 1 + 2 * (g.nt - 1)
+
+
+def test_semilinear_sweep_solves_each_level_once(monkeypatch):
+    g = build_grid(1, 17, 17, 1.0)
+    family = [_linear(0.9), _linear(0.95), _linear(0.98)]
+    ref = _linear(1.0)
+    cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
+    mod = ModulusParams("double_log", 0.25, 1)
+    level = 0.4
+
+    # the records against the sweep's parts composed one by one
+    bdata = BoundaryField.constant(g, level)
+    p_ref = linearized_potential(g, ref, bdata, np.full(g.space_shape, level))
+    basis_in = DtnBasis(g, None, 2, initial_modes=2)
+    basis_out = DtnBasis(g, None, 2)
+    want = []
+    for a in family:
+        data = SemilinearOracle(g, a)
+        oracle = data.level_oracle(level)
+        diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
+        res = reconstruct(oracle, p_ref, cfg)
+        p_true = data.level_potential(level)
+        want.append({
+            "delta": operator_norm(diff),
+            "err": float(np.abs(res.estimate.values.real
+                                - (p_true.values - p_ref.values)).max()),
+            "rho": res.rho, "R": res.R,
+        })
+
+    calls = []
+    solve = semilinear.semilinear_solution
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "semilinear_solution", counting)
+    out = semilinear_stability_sweep(g, family, ref, level, cfg, mod, basis_k_max=2)
+    assert len(calls) == 1 + len(family)
+    assert out["records"] == want

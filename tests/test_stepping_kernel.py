@@ -17,7 +17,7 @@ from scipy.sparse.linalg import splu
 
 from cgolab import BoundaryField, Nonlinearity, Potential, ScalarField, build_grid
 from cgolab import forward
-from cgolab.dtn import dtn_apply
+from cgolab.dtn import DtnOracle
 from cgolab.forward import solve_backward, solve_forward, solve_semilinear
 
 RTOL = 1e-13
@@ -196,7 +196,7 @@ def test_cached_scheme_reused_across_solves_matches_plain(n, nx, nt):
     scheme = forward.ThetaScheme(g, q, 0.5, conv)
     for scale in (1.0, -2.0):
         data = BoundaryField(g, scale * bd.values)
-        got = solve_forward(g, q, data, source=src, scheme=scheme, warn_incompatible=False)
+        got = scheme.solve(data, source=src, warn_incompatible=False)
         want = _plain_solve(g, q, data, None, src, 0.5, conv)
         assert _rel_diff(got.values, want) <= RTOL
 
@@ -222,6 +222,28 @@ def test_time_invariant_march_factors_once(monkeypatch, n, nx, nt):
     calls.clear()
     solve_forward(g, None, bd, warn_incompatible=False)
     assert len(calls) == 1
+
+
+def test_time_varying_march_keeps_no_factor(monkeypatch):
+    # a time-varying q is factored level by level as each march reaches it:
+    # two marches of one scheme factor every step matrix twice
+    calls = []
+    splu = forward.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "splu", counting)
+    g = build_grid(2, 9, 11, T=0.5)
+    rng = np.random.default_rng(2)
+    q = Potential(g, rng.uniform(0, 1, g.field_shape))
+    scheme = forward.ThetaScheme(g, q)
+    bd = BoundaryField(g, rng.standard_normal((g.nt, g.n_boundary)) + 0j)
+    first = scheme.solve(bd, warn_incompatible=False)
+    second = scheme.solve(bd, warn_incompatible=False)
+    assert len(calls) == 2 * (g.nt - 1)
+    assert np.array_equal(first.values, second.values)
 
 
 @pytest.mark.parametrize("n,nx,nt", [(1, 17, 17), (2, 7, 9)])
@@ -299,7 +321,8 @@ def test_dtn_apply_is_linear(problem, alpha, beta):
     g, rng, varying = problem
     q = _random_potential(g, rng, varying)
     g1, g2 = _random_boundary(g, rng), _random_boundary(g, rng)
-    r1, r2 = dtn_apply(g, q, g1).values, dtn_apply(g, q, g2).values
-    combined = dtn_apply(g, q, BoundaryField(g, alpha * g1.values + beta * g2.values))
+    oracle = DtnOracle(g, q)
+    r1, r2 = oracle.apply(g1).values, oracle.apply(g2).values
+    combined = oracle.apply(BoundaryField(g, alpha * g1.values + beta * g2.values))
     scale = (abs(alpha) + abs(beta) + 1.0) * max(np.abs(r1).max(), np.abs(r2).max())
     assert np.abs(combined.values - (alpha * r1 + beta * r2)).max() <= 1e-12 * scale
