@@ -90,11 +90,33 @@ class CgoParams:
         return 1.0 + float(self.xi @ self.xi) + self.tau**2
 
 
-def _weight_exponent(grid: Grid, epsilon: int, omega, rho: float) -> np.ndarray:
+def _points(grid: Grid, on_boundary: bool):
+    """Coordinate arrays of every space point (space-shaped) or of the
+    single-counted boundary points (nb,)."""
+    coords = [np.broadcast_to(c, grid.space_shape) for c in grid.space_coordinates()]
+    return [c[grid.boundary_index] for c in coords] if on_boundary else coords
+
+
+def _time_column(grid: Grid, space_ndim: int) -> np.ndarray:
+    return grid.ts.reshape((-1,) + (1,) * space_ndim)
+
+
+def _weight_exponent(grid: Grid, epsilon: int, omega, rho: float,
+                     on_boundary: bool = False) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
-    coords = grid.space_coordinates()
-    wx = sum(omega[a] * np.broadcast_to(coords[a], grid.space_shape) for a in range(grid.n))
-    return -epsilon * (rho * wx[None, ...] + rho**2 * grid.ts.reshape((-1,) + (1,) * grid.n))
+    coords = _points(grid, on_boundary)
+    wx = sum(omega[a] * coords[a] for a in range(grid.n))
+    return -epsilon * (rho * wx[None, ...] + rho**2 * _time_column(grid, wx.ndim))
+
+
+def _guarded_exp(expo: np.ndarray) -> np.ndarray:
+    peak = float(np.abs(expo).max())
+    if peak > _EXP_GUARD:
+        raise SolverError(
+            f"weight exponent reaches {peak:.1f} (limit {_EXP_GUARD:.0f}); "
+            "evaluate in conjugated variables instead"
+        )
+    return np.exp(expo)
 
 
 def exp_weight(grid: Grid, epsilon: int, omega, rho: float, squared: bool = False) -> ScalarField:
@@ -106,13 +128,7 @@ def exp_weight(grid: Grid, epsilon: int, omega, rho: float, squared: bool = Fals
     expo = _weight_exponent(grid, epsilon, omega, rho)
     if squared:
         expo = 2.0 * expo
-    peak = float(np.abs(expo).max())
-    if peak > _EXP_GUARD:
-        raise SolverError(
-            f"weight exponent reaches {peak:.1f} (limit {_EXP_GUARD:.0f}); "
-            "evaluate in conjugated variables instead"
-        )
-    return ScalarField(grid, np.exp(expo).astype(np.complex128))
+    return ScalarField(grid, _guarded_exp(expo).astype(np.complex128))
 
 
 def _switch_on(grid: Grid, epsilon: int, rho: float) -> np.ndarray:
@@ -121,25 +137,28 @@ def _switch_on(grid: Grid, epsilon: int, rho: float) -> np.ndarray:
     return -np.expm1(-rho**0.75 * t)
 
 
-def _oscillation(grid: Grid, xi, tau: float) -> np.ndarray:
-    coords = grid.space_coordinates()
+def _oscillation(grid: Grid, xi, tau: float, on_boundary: bool = False) -> np.ndarray:
+    coords = _points(grid, on_boundary)
     xi = np.asarray(xi, dtype=float)
-    phase = sum(xi[a] * np.broadcast_to(coords[a], grid.space_shape) for a in range(grid.n))
-    phase = phase[None, ...] + tau * grid.ts.reshape((-1,) + (1,) * grid.n)
+    phase = sum(xi[a] * coords[a] for a in range(grid.n))
+    phase = phase[None, ...] + tau * _time_column(grid, phase.ndim)
     return np.exp(-1j * phase)
+
+
+def _principal_values(grid: Grid, params: CgoParams, on_boundary: bool = False) -> np.ndarray:
+    """Values of the principal part on the whole cylinder, or (nt, nb) at
+    the lateral boundary points."""
+    space_ndim = 1 if on_boundary else grid.n
+    ramp = _switch_on(grid, params.epsilon, params.rho).reshape((-1,) + (1,) * space_ndim)
+    if params.epsilon == 1:
+        return ramp * _oscillation(grid, params.xi, params.tau, on_boundary)
+    shape = (grid.nt, grid.n_boundary) if on_boundary else grid.field_shape
+    return np.broadcast_to(ramp.astype(np.complex128), shape).copy()
 
 
 def principal_part(grid: Grid, params: CgoParams) -> ScalarField:
     """Smoothly switched-on probe profile; the forward one oscillates."""
-    ramp = _switch_on(grid, params.epsilon, params.rho)
-    shape = (-1,) + (1,) * grid.n
-    if params.epsilon == 1:
-        vals = ramp.reshape(shape) * _oscillation(grid, params.xi, params.tau)
-    else:
-        vals = np.broadcast_to(
-            ramp.reshape(shape).astype(np.complex128), grid.field_shape
-        ).copy()
-    return ScalarField(grid, vals)
+    return ScalarField(grid, _principal_values(grid, params))
 
 
 def corrector_source(grid: Grid, params: CgoParams, q: Potential | None = None) -> ScalarField:
@@ -242,15 +261,18 @@ def probe_trace(grid: Grid, params: CgoParams,
 
     The corrector's lateral values are prescribed, so on the lateral boundary
     the probe is weight * principal * (1 - taper) whatever the potential and
-    the interior march.  The weight is evaluated on the whole cylinder, so
-    the overflow guard is the one the assembled probe would meet.
+    the interior march.  Phase, ramp and weight are evaluated at the boundary
+    points alone.  The weight exponent is linear in x and t, so its largest
+    magnitude sits at a corner of the cylinder, a boundary point: the
+    overflow guard is the one the assembled probe would meet.
     """
     if params.n != grid.n:
         raise ConfigError("params dimension does not match the grid")
-    principal = principal_part(grid, params).boundary_trace().values
+    principal = _principal_values(grid, params, on_boundary=True)
     lateral = principal + _corrector_lateral(grid, params, vanish_mask, principal)
-    weight = exp_weight(grid, -params.epsilon, params.omega, params.rho)
-    return BoundaryField(grid, weight.boundary_trace().values * lateral)
+    weight = _guarded_exp(_weight_exponent(grid, -params.epsilon, params.omega, params.rho,
+                                           on_boundary=True))
+    return BoundaryField(grid, weight * lateral)
 
 
 def build_cgo(grid: Grid, params: CgoParams, q: Potential | None = None,

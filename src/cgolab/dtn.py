@@ -1,11 +1,14 @@
 """Boundary measurement maps: full, partial, and initial-data-extended.
 
 The Dirichlet-to-Neumann action is a forward solve plus a normal-derivative
-trace.  One column engine, `DtnOracle.apply_many`, answers every question put
-to a map: k data columns march as one block through
-`ThetaScheme.neumann_traces`, and the noise and the observation mask apply
-once to the (k, nt, nb) block of traces.  Matrix assembly and pairings are
-thin callers of it.  For operator-level work (norm estimation, calibrated
+trace.  Two layers answer every question put to a map.  A `DtnMap` is the
+noiseless map of one potential: k data columns march as one block through
+its `ThetaScheme.neumann_traces`.  A `DtnOracle` holds the masks and the
+calibrated noise and asks maps: `DtnOracle.differences` is the column engine
+under every matrix assembly and pairing, and the noise and the observation
+mask apply once to each (k, nt, nb) block of traces.  A sweep shares one map
+per distinct potential among its oracles, so each distinct question marches
+once.  For operator-level work (norm estimation, calibrated
 noise) the map is discretized in an orthonormal boundary basis: per-face sine
 profiles in space tensored with Fourier modes in time, which the trapezoid
 quadrature keeps exactly orthonormal and which diagonalize the anisotropic
@@ -16,6 +19,7 @@ serialize to a one-line JSON header followed by raw row-major complex64 bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -30,8 +34,12 @@ from .norms import boundary_sobolev_weights
 __all__ = [
     "DtnBasis",
     "DtnMatrix",
+    "DtnMap",
     "DtnOracle",
+    "shared_maps",
+    "pairings",
     "pairing_volume",
+    "map_matrix",
     "assemble_dtn_matrix",
     "assemble_difference_matrix",
     "operator_norm",
@@ -349,7 +357,80 @@ def pairing_volume(grid: Grid, q: Potential | None, q_ref: Potential | None,
 
 
 # ---------------------------------------------------------------------------
-# The measurement oracle and the matrix assemblies built on it
+# Noiseless maps, the measurement oracle and the matrix assemblies built on it
+
+
+def _same_potential(a: Potential | None, b: Potential | None) -> bool:
+    """Equal values, or both None."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.values, b.values)
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 over each array's dtype, shape and values (None marked apart)."""
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"none")
+            continue
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a)
+    return h.hexdigest()
+
+
+class DtnMap:
+    """The noiseless boundary map of one potential at one theta.
+
+    `traces` answers a block of data columns with their Neumann traces, one
+    march of the map's `ThetaScheme`.  A map shared by several oracles keeps
+    its answers, keyed by a digest of the question, so each distinct question
+    marches once; a map that one oracle owns alone keeps nothing.  Every
+    answer is an array the caller owns.
+    """
+
+    def __init__(self, grid: Grid, q: Potential | None, theta: float = 0.5, *,
+                 keep_answers: bool = False):
+        self.grid = grid
+        self.q = q
+        self.theta = theta
+        self.scheme = ThetaScheme(grid, q, theta)
+        self._answers = {} if keep_answers else None
+
+    def is_map_of(self, grid: Grid, q: Potential | None, theta: float) -> bool:
+        return (self.theta == theta and self.grid.same_layout(grid)
+                and _same_potential(self.q, q))
+
+    def traces(self, g, u0=None) -> np.ndarray:
+        """Neumann traces (k, nt, nb) of data columns g (k, nt, nb) and
+        initial slices u0 (k, *space_shape) or None."""
+        if self._answers is None:
+            return self.scheme.neumann_traces(g, u0)
+        key = _digest(g, u0)
+        if key not in self._answers:
+            self._answers[key] = self.scheme.neumann_traces(g, u0)
+        return self._answers[key].copy()
+
+    def stacked_traces(self, questions):
+        """`traces` of every (g, u0) question, in turn.  A time-varying
+        scheme factors every step of every march, so where each column
+        marches independently of the block it is in, the questions march as
+        one stacked block and the answer is split.  Otherwise each question
+        marches alone when its answer is taken, which holds fewer columns in
+        memory at once."""
+        scheme = self.scheme
+        if len(questions) < 2 or scheme.time_invariant or not scheme.columns_independent:
+            return (self.traces(g, u0) for g, u0 in questions)
+        g = np.concatenate([g for g, _ in questions])
+        u0 = None
+        if any(u is not None for _, u in questions):
+            u0 = np.concatenate([
+                np.zeros((len(gi),) + self.grid.space_shape) if u is None else u
+                for gi, u in questions
+            ])
+        sizes = np.cumsum([len(gi) for gi, _ in questions])[:-1]
+        return iter(np.split(self.traces(g, u0), sizes))
 
 
 class DtnOracle:
@@ -357,9 +438,13 @@ class DtnOracle:
 
     Wraps the hidden truth potential behind an apply() action, with optional
     support/observation masks and an optional calibrated noise operator that
-    perturbs responses consistently with the noisy matrix it reports.
-    `apply_many` answers a whole block of data columns at once and is the
-    engine under every other question.
+    perturbs responses consistently with the noisy matrix it reports.  The
+    noiseless responses come from `DtnMap`s: the oracle asks the map of its
+    truth, and for a reference potential the map whose potential has the same
+    values, so a reference equal to the truth marches nothing of its own.
+    `maps` are maps the oracle may ask; a potential without one among them
+    gets a private map.  The support check, the noise and the mask run on
+    every answer.
     """
 
     def __init__(self, grid: Grid, q: Potential | None, *,
@@ -367,16 +452,16 @@ class DtnOracle:
                  obs_mask: DirectionMask | None = None,
                  theta: float = 0.5,
                  noise_delta: float = 0.0, noise_seed: int = 0,
-                 noise_basis: DtnBasis | None = None):
+                 noise_basis: DtnBasis | None = None,
+                 maps=()):
         self.grid = grid
-        self._q = q
         self.support_mask = support_mask
         self.obs_mask = obs_mask
         self.theta = theta
         self.noise_delta = float(noise_delta)
         self.noise_seed = int(noise_seed)
-        self._scheme = ThetaScheme(grid, q, theta)
-        self._references = {}
+        self._maps = list(maps)
+        self.map = self._map_of(q)
         self._noise_basis = None
         self._noise_matrix = None
         if self.noise_delta != 0:
@@ -390,46 +475,72 @@ class DtnOracle:
             self._noise_basis = noise_basis
             self._noise_matrix = add_noise(zero, self.noise_delta, self.noise_seed).matrix
 
+    def _map_of(self, q: Potential | None) -> DtnMap:
+        for m in self._maps:
+            if m.is_map_of(self.grid, q, self.theta):
+                return m
+        self._maps.append(DtnMap(self.grid, q, self.theta))
+        return self._maps[-1]
+
     def _observed(self, responses: np.ndarray) -> np.ndarray:
         if self.obs_mask is not None:
             responses *= self.obs_mask.values
         return responses
 
-    def apply_many(self, g, u0=None) -> np.ndarray:
-        """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
-        initial slices u0 (k, *space_shape) or None."""
+    def _measured(self, g: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """Noise and mask applied in place to the noiseless traces of g."""
+        if self._noise_matrix is not None:
+            coeffs = self._noise_basis.project(g) @ self._noise_matrix.T
+            traces += self._noise_basis.synthesize(coeffs)
+        return self._observed(traces)
+
+    def _check(self, g) -> np.ndarray:
         g = np.asarray(g)
         if self.support_mask is not None:
             _check_support(g, self.support_mask)
-        resp = self._scheme.neumann_traces(g, u0)
-        if self._noise_matrix is not None:
-            coeffs = self._noise_basis.project(g) @ self._noise_matrix.T
-            resp += self._noise_basis.synthesize(coeffs)
-        return self._observed(resp)
+        return g
+
+    def apply_many(self, g, u0=None) -> np.ndarray:
+        """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
+        initial slices u0 (k, *space_shape) or None."""
+        g = self._check(g)
+        return self._measured(g, self.map.traces(g, u0))
 
     def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
         u0 = None if u0 is None else np.asarray(u0)[None]
         return BoundaryField(self.grid, self.apply_many(g.values[None], u0)[0])
 
-    def difference_many(self, q_ref: Potential | None, g, u0=None) -> np.ndarray:
-        """(measured map - simulated reference map) responses (k, nt, nb).  The
-        oracle keeps one reference scheme per q_ref, and q_ref with it, so
-        that its id stays unique."""
-        if id(q_ref) not in self._references:
-            self._references[id(q_ref)] = (q_ref, ThetaScheme(self.grid, q_ref, self.theta))
-        reference = self._references[id(q_ref)][1].neumann_traces(np.asarray(g), u0)
-        diff = self.apply_many(g, u0)
+    def differences(self, q_ref: Potential | None, questions):
+        """(measured map - simulated reference map) responses (k, nt, nb) to
+        every (g, u0) question, in turn, each map asked once for all of them.
+        When the reference is the truth, one march serves both sides."""
+        questions = [(self._check(g), u0) for g, u0 in questions]
+        reference_map = self._map_of(q_ref)
+        gs = [g for g, _ in questions]
+        clean = self.map.stacked_traces(questions)
+        # map() keeps no answer alive once it has handed it over
+        if reference_map is self.map:
+            return map(self._difference, gs, clean)
+        return map(self._difference, gs, clean, reference_map.stacked_traces(questions))
+
+    def _difference(self, g, measured, reference=None) -> np.ndarray:
+        """Measured minus observed reference traces; without a reference the
+        noiseless `measured` traces serve both sides."""
+        if reference is None:
+            reference = measured.copy()
+        diff = self._measured(g, measured)
         diff -= self._observed(reference)
         return diff
+
+    def difference_many(self, q_ref: Potential | None, g, u0=None) -> np.ndarray:
+        """(measured map - simulated reference map) responses (k, nt, nb)."""
+        return next(self.differences(q_ref, [(g, u0)]))
 
     def pair_many(self, q_ref: Potential | None, g, h) -> np.ndarray:
         """Pairings (k, m) of (measured map - simulated reference map) g[i]
         against h[j]: the lateral integral of [(map_q - map_ref) g[i]] * h[j],
         for data blocks g (k, nt, nb) and h (m, nt, nb)."""
-        grid = self.grid
-        diff = self.difference_many(q_ref, g).reshape(len(g), -1)
-        diff *= (grid.time_weights[:, None] * grid.boundary_weights).ravel()
-        return diff @ np.asarray(h).reshape(len(h), -1).T
+        return pairings(self.grid, self.difference_many(q_ref, g), h)
 
     def pair_against(self, q_ref: Potential | None, g: BoundaryField,
                      h: BoundaryField) -> complex:
@@ -437,15 +548,39 @@ class DtnOracle:
         return complex(self.pair_many(q_ref, g.values[None], h.values[None])[0, 0])
 
 
-def _map_matrix(respond, basis_in: DtnBasis, basis_out: DtnBasis | None,
-                weights) -> DtnMatrix:
-    """Matrix of the responses to every input mode, as one block."""
+def shared_maps(grid: Grid, potentials, theta: float = 0.5) -> list:
+    """One `DtnMap` per distinct potential of `potentials`, which lists a
+    potential once for every oracle that will ask its map.  A map asked more
+    than once keeps its answers."""
+    distinct = []
+    for q in potentials:
+        for entry in distinct:
+            if _same_potential(entry[0], q):
+                entry[1] += 1
+                break
+        else:
+            distinct.append([q, 1])
+    return [DtnMap(grid, q, theta, keep_answers=uses > 1) for q, uses in distinct]
+
+
+def pairings(grid: Grid, responses, h) -> np.ndarray:
+    """Lateral integrals (k, m) of responses[i] * h[j] for blocks (k, nt, nb)
+    and (m, nt, nb)."""
+    flat = np.asarray(responses).reshape(len(responses), -1)
+    flat = flat * (grid.time_weights[:, None] * grid.boundary_weights).ravel()
+    return flat @ np.asarray(h).reshape(len(h), -1).T
+
+
+def map_matrix(responses, basis_in: DtnBasis, basis_out: DtnBasis | None = None,
+               weights=DEFAULT_WEIGHTS) -> DtnMatrix:
+    """Matrix of a map in the given bases, from its responses (size, nt, nb)
+    to the input modes of basis_in."""
     if basis_out is None:
         basis_out = basis_in
     if basis_out.initial_modes:
         raise ConfigError("output basis cannot carry initial modes")
     return DtnMatrix(
-        basis_out.project(respond(*basis_in.inputs())).T,
+        basis_out.project(responses).T,
         basis_in.xi_sq,
         basis_in.tau,
         basis_out.xi_sq,
@@ -461,7 +596,7 @@ def assemble_dtn_matrix(grid: Grid, q: Potential | None, basis_in: DtnBasis,
                         weights=DEFAULT_WEIGHTS) -> DtnMatrix:
     """The map in the given bases, probed with every input mode at once."""
     oracle = DtnOracle(grid, q, obs_mask=obs_mask, theta=theta)
-    return _map_matrix(oracle.apply_many, basis_in, basis_out, weights)
+    return map_matrix(oracle.apply_many(*basis_in.inputs()), basis_in, basis_out, weights)
 
 
 def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
@@ -472,8 +607,8 @@ def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
     The operator norm of this matrix is the measured data-distance fed to
     parameter selection.
     """
-    return _map_matrix(lambda g, u0: oracle.difference_many(q_ref, g, u0),
-                       basis_in, basis_out, weights)
+    return map_matrix(oracle.difference_many(q_ref, *basis_in.inputs()),
+                      basis_in, basis_out, weights)
 
 
 def save_field(path, field: ScalarField) -> None:

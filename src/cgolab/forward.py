@@ -177,6 +177,11 @@ class ThetaScheme:
         self._lift_pair = _boundary_part(
             sp.hstack([(1 - theta) * ht * lift, theta * ht * lift]), grid)
         self._ndof = self._inner.size
+        # Sparse products and the LU solves treat each column of a block on
+        # its own, so in 2-d a column's traces do not depend on the block it
+        # is marched in, bit for bit.  The dense 1-d products go through BLAS,
+        # whose rounding depends on the width of the block.
+        self.columns_independent = grid.n > 1
         # a time-invariant q keeps one level
         self._q_int = _interior(q_values[:1] if self.time_invariant else q_values, grid.n)
         self._implicit = (sp.identity(self._ndof, format="csc") - theta * ht * self._op).tocsc()

@@ -28,7 +28,10 @@ from .dtn import (
     DtnOracle,
     assemble_difference_matrix,
     faces_within,
+    map_matrix,
     operator_norm,
+    pairings,
+    shared_maps,
 )
 from .errors import ConfigError
 from .fields import Potential, ScalarField
@@ -236,15 +239,15 @@ def probe_rho_cap(grid: Grid) -> float:
 
 def measurement_oracle(grid: Grid, truth: Potential | None, cfg: ReconstructionConfig,
                        noise_delta: float = 0.0, noise_seed: int = 0,
-                       noise_basis: DtnBasis | None = None) -> DtnOracle:
+                       noise_basis: DtnBasis | None = None, maps=()) -> DtnOracle:
     """The measurement oracle of cfg's data setting: the masks of partial
-    mode, cfg.theta and optional calibrated noise."""
+    mode, cfg.theta, optional calibrated noise and the maps it may share."""
     support = obs = None
     if cfg.mode == "partial":
         support, obs = partial_masks(grid, cfg.direction(grid.n), cfg.mask_delta)
     return DtnOracle(grid, truth, support_mask=support, obs_mask=obs, theta=cfg.theta,
                      noise_delta=noise_delta, noise_seed=noise_seed,
-                     noise_basis=noise_basis)
+                     noise_basis=noise_basis, maps=maps)
 
 
 def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
@@ -257,32 +260,45 @@ def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
     which reads only the probes' Dirichlet traces: those do not depend on any
     potential, so no probe is marched.
     """
-    values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho,
-                           probe_delta=probe_delta, vanish_plus=vanish_plus,
-                           vanish_minus=vanish_minus)
+    _, values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho,
+                              probe_delta=probe_delta, vanish_plus=vanish_plus,
+                              vanish_minus=vanish_minus)
     return complex(values[0])
 
 
 def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float, *,
-                  probe_delta, vanish_plus, vanish_minus) -> np.ndarray:
-    """fourier_slice at every (xi, tau, omega) node: the probe traces of all
-    nodes are formed first and then paired against the map difference as one
-    block.  rho is fixed, so the backward trace depends on omega alone and is
-    formed once per direction."""
+                  probe_delta, vanish_plus, vanish_minus, bases=None):
+    """fourier_slice at every (xi, tau, omega) node, and with measurement
+    bases (in, out) the data distance too: (delta or None, values).
+
+    The probe traces of all nodes are formed first and paired against the map
+    difference as one block.  rho is fixed, so the backward trace depends on
+    omega alone and is formed once per direction.  The basis inputs go to the
+    oracle together with the probe traces, so a map that refactors every step
+    marches both as one block.
+    """
     grid = oracle.grid
-    g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
-    rows, backward, which = {}, [], []
-    for i, (xi, tau, omega) in enumerate(nodes):
-        key = np.asarray(omega, dtype=float).tobytes()
-        if key not in rows:
-            rows[key] = len(backward)
-            par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
-            backward.append(probe_trace(grid, par_minus, vanish_minus).values)
-        par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
-        g[i] = probe_trace(grid, par_plus, vanish_plus).values
-        which.append(rows[key])
-    pairs = oracle.pair_many(q_ref, g, np.stack(backward))
-    return (2 * math.pi) ** (-(grid.n + 1) / 2) * pairs[np.arange(len(nodes)), which]
+    questions = [] if bases is None else [bases[0].inputs()]
+    if nodes:
+        g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
+        rows, backward, which = {}, [], []
+        for i, (xi, tau, omega) in enumerate(nodes):
+            key = np.asarray(omega, dtype=float).tobytes()
+            if key not in rows:
+                rows[key] = len(backward)
+                par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
+                backward.append(probe_trace(grid, par_minus, vanish_minus).values)
+            par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
+            g[i] = probe_trace(grid, par_plus, vanish_plus).values
+            which.append(rows[key])
+        questions.append((g, None))
+    answers = oracle.differences(q_ref, questions)
+    delta = None if bases is None else operator_norm(map_matrix(next(answers), *bases))
+    values = np.empty(0, dtype=np.complex128)
+    if nodes:
+        pairs = pairings(grid, next(answers), np.stack(backward))
+        values = (2 * math.pi) ** (-(grid.n + 1) / 2) * pairs[np.arange(len(nodes)), which]
+    return delta, values
 
 
 def exact_slice_values(grid: Grid, p_values: np.ndarray, freq: FrequencyGrid) -> None:
@@ -411,8 +427,9 @@ def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig)
     if oracle.obs_mask is not None:
         faces_out = faces_within(grid, oracle.obs_mask)
     basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_in)
-    basis_out = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_out)
-    return basis_in, basis_out
+    if faces_out == faces_in:
+        return basis_in, basis_in
+    return basis_in, DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_out)
 
 
 def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionConfig,
@@ -422,18 +439,17 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     negative-order error of the estimate against (truth - reference)."""
     grid = oracle.grid
     base = cfg.direction(grid.n)
-
-    delta = None
-    if cfg.measure_delta:
-        diff = assemble_difference_matrix(oracle, q_ref, *_measurement_bases(grid, oracle, cfg))
-        delta = operator_norm(diff)
-
     cap = probe_rho_cap(grid)
+    delta = None
     trivial = False
     saturated = False
     if cfg.rho == "auto":
-        if delta is None:
+        if not cfg.measure_delta:
             raise ConfigError("auto parameter rule needs the measured data distance")
+        # rho depends on the data distance, so the probes are asked in a
+        # march of their own once it is known
+        delta = operator_norm(assemble_difference_matrix(
+            oracle, q_ref, *_measurement_bases(grid, oracle, cfg)))
         c = cfg.c if cfg.c is not None else grid.T + math.sqrt(grid.n)
         sel = select_parameters(delta, cfg.s, c, rho_cap=cap)
         trivial, saturated = sel.trivial, sel.saturated
@@ -469,14 +485,18 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
         vanish_minus = direction_mask(grid, base, cfg.mask_delta, sign=1)
 
     feasible = [nd for nd in freq.canonical_nodes() if nd.feasible]
-    if feasible:
-        values = _slice_values(
-            oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
-            probe_delta=cfg.probe_delta, vanish_plus=vanish_plus,
-            vanish_minus=vanish_minus,
-        )
-        for nd, value in zip(feasible, values):
-            nd.value = complex(value)
+    # an explicit rho is known before the data distance, which is then
+    # measured here, in one request with the slices
+    with_delta = cfg.measure_delta and cfg.rho != "auto"
+    measured, values = _slice_values(
+        oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
+        probe_delta=cfg.probe_delta, vanish_plus=vanish_plus, vanish_minus=vanish_minus,
+        bases=_measurement_bases(grid, oracle, cfg) if with_delta else None,
+    )
+    if measured is not None:
+        delta = measured
+    for nd, value in zip(feasible, values):
+        nd.value = complex(value)
     records = []
     for nd in freq.canonical_nodes():
         if not nd.feasible:
@@ -519,7 +539,9 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     Two sweep axes: a list of truth potentials at zero noise (pair mode), or
     a list of calibrated noise levels at a fixed truth.  Either way each
     record runs the full pipeline and the smallest constant C with
-    err <= C * modulus(delta) over the usable records is fitted.
+    err <= C * modulus(delta) over the usable records is fitted.  The
+    records share one noiseless map per distinct potential for as long as
+    the sweep runs, so a question asked by several records marches once.
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
@@ -528,18 +550,21 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     if pair_truths is not None:
         if len(pair_truths) < 2:
             raise ConfigError("degenerate sweep: need at least 2 levels")
+        maps = shared_maps(grid, list(pair_truths) + [q_ref] * len(pair_truths), cfg.theta)
         for q_true in pair_truths:
-            runs.append((measurement_oracle(grid, q_true, cfg), q_true))
+            runs.append((measurement_oracle(grid, q_true, cfg, maps=maps), q_true))
     else:
         levels = list(noise_levels)
         if len(levels) < 2 or min(levels) == max(levels):
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
-        # the noise draw depends on the seed and the basis size only, so one
-        # basis serves every level
+        # the noise is added after the march, so every level asks the same
+        # noiseless maps; and the noise draw depends on the seed and the basis
+        # size only, so one basis serves every level
+        maps = shared_maps(grid, [noise_truth, q_ref] * len(levels), cfg.theta)
         noise_basis = DtnBasis(grid)
         for lvl in levels:
             oracle = measurement_oracle(grid, noise_truth, cfg, float(lvl), noise_seed,
-                                        noise_basis)
+                                        noise_basis, maps)
             runs.append((oracle, noise_truth))
 
     records = []

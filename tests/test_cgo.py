@@ -19,7 +19,7 @@ from cgolab import (
     probe_trace,
     remainder_decay_report,
 )
-from cgolab.cgo import _nonnegative_fit
+from cgolab.cgo import _corrector_lateral, _nonnegative_fit
 from cgolab.errors import ConfigError, SolverError
 from cgolab.fd import diff1, diff2
 
@@ -183,6 +183,54 @@ def test_probe_trace_is_the_marched_probe_trace(problem):
     marched = build_cgo(grid, params, q, vanish_mask=mask, compute_residual=False)
     assert np.array_equal(probe_trace(grid, params, mask).values,
                           marched.boundary_trace().values)
+
+
+def _cylinder_probe_trace(grid, params, mask):
+    """probe_trace's formula with principal part and weight built on the
+    whole cylinder and then restricted to its boundary."""
+    principal = principal_part(grid, params).boundary_trace().values
+    lateral = principal + _corrector_lateral(grid, params, mask, principal)
+    weight = exp_weight(grid, -params.epsilon, params.omega, params.rho)
+    return weight.boundary_trace().values * lateral
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SolverError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_problems(), st.floats(2.05, 30.0))
+def test_boundary_points_give_the_cylinder_trace_and_guard(problem, rho):
+    # evaluating phase, ramp and weight at the boundary points alone gives
+    # the same bits, and the overflow guard trips at the same rho with the
+    # same peak: the exponent is linear, so its peak sits at a corner
+    grid, params, _, mask = problem
+    params.rho = rho
+    got = _outcome(lambda *a: probe_trace(*a).values, grid, params, mask)
+    want = _outcome(_cylinder_probe_trace, grid, params, mask)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_guard_trips_at_the_rho_of_the_cylinder_weight():
+    # the peak 1.4 rho + rho^2 crosses the guard near rho = 25.77
+    g = build_grid(2, 9, 33, T=1.0)
+    omega = np.array([0.6, 0.8])
+    tripped = []
+    for rho in np.linspace(24.0, 28.0, 81):
+        whole = _outcome(exp_weight, g, -1, omega, rho)
+        trace = _outcome(probe_trace, g, CgoParams(1, omega, np.zeros(2), 0.0, rho))
+        assert isinstance(whole, str) == isinstance(trace, str)
+        if isinstance(whole, str):
+            assert whole == trace
+        tripped.append(isinstance(trace, str))
+    assert 0 < sum(tripped) < len(tripped)
 
 
 @settings(max_examples=200, deadline=None)

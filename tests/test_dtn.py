@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgolab import BoundaryField, ConfigError, Potential, build_grid, direction_mask
@@ -148,21 +148,32 @@ def _family_potential(grid, coeffs):
     return Potential(grid, vals / max(np.abs(vals).max(), 1e-12), m=1.0)
 
 
+# Rounding in the difference of two maps, in units of eps |g|_inf |h|_inf:
+# over 1,800 random pairs of nearly equal or tiny potentials the gap beyond
+# the discretization term reached 18.3.
+_ROUNDING_FLOOR = 100 * np.finfo(float).eps
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(_unit, _unit, _unit), st.tuples(_unit, _unit, _unit),
        st.tuples(_coefficient, _coefficient, _coefficient),
        st.tuples(_coefficient, _coefficient, _coefficient))
+# q_ref about 1e-231: 1 + theta*ht*q_ref rounds to 1, so the boundary side is
+# exactly 0 while the volume side is 1.1e-233
+@example(q_coeffs=(0.0, 0.0, 0.0), ref_coeffs=(1.2271998449976253e-243, 0.0, 0.0),
+         g_coeffs=(0.0, 1.0, 0.0), h_coeffs=(0.0, 1.0, 0.0))
 def test_boundary_pairing_equals_volume_pairing(q_coeffs, ref_coeffs, g_coeffs, h_coeffs):
     # the gap is a discretization error, so it is bounded against the scale of
-    # the pairing's factors, not against the volume side, which can nearly vanish
+    # the pairing's factors, not against the volume side, which can nearly
+    # vanish; below that, rounding in the difference of the two maps
     g = build_grid(1, 33, 33, 1.0)
     q, q_ref = _family_potential(g, q_coeffs), _family_potential(g, ref_coeffs)
     gdat, hdat = _family_data(g, *g_coeffs), _family_data(g, *h_coeffs)
     boundary = DtnOracle(g, q).pair_against(q_ref, gdat, hdat)
     volume = pairing_volume(g, q, q_ref, gdat, hdat)
-    scale = (np.abs(q.values - q_ref.values).max() * np.abs(gdat.values).max()
-             * np.abs(hdat.values).max())
-    assert abs(boundary - volume) <= 1e-2 * scale
+    data = np.abs(gdat.values).max() * np.abs(hdat.values).max()
+    scale = np.abs(q.values - q_ref.values).max() * data
+    assert abs(boundary - volume) <= 1e-2 * scale + _ROUNDING_FLOOR * data
 
 
 def test_matrix_shape_and_validation():

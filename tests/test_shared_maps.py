@@ -1,0 +1,259 @@
+"""Noiseless maps shared by the oracles of a sweep, against fresh oracles.
+
+A `DtnMap` answers each distinct question once when a sweep shares it, and a
+reference equal in value to the truth is the truth's map.  The counting tests
+pin the traffic (factorizations, marches, block solves); the bitwise tests
+hold the shared path to the results of one fresh oracle per record.
+"""
+
+import numpy as np
+import pytest
+
+from cgolab import Potential, build_grid
+from cgolab import forward
+from cgolab.dtn import DtnBasis, DtnMap, DtnOracle, shared_maps
+from cgolab.forward import ThetaScheme
+from cgolab.norms import ModulusParams
+from cgolab.reconstruct import (
+    ReconstructionConfig,
+    measurement_oracle,
+    reconstruct,
+    stability_sweep,
+)
+
+
+class Traffic:
+    """Counts splu calls, distinct factored matrices, marches and block solves."""
+
+    def __init__(self, monkeypatch):
+        self.matrices, self.marches, self.solves = [], 0, 0
+        splu, march = forward.splu, ThetaScheme._march
+        traffic = self
+
+        class CountingFactor:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, rhs):
+                traffic.solves += 1
+                return self._lu.solve(rhs)
+
+        def counting_splu(matrix, *args, **kwargs):
+            self.matrices.append((matrix.data.tobytes(), matrix.indices.tobytes(),
+                                  matrix.indptr.tobytes()))
+            return CountingFactor(splu(matrix, *args, **kwargs))
+
+        def counting_march(scheme, *args):
+            self.marches += 1
+            return march(scheme, *args)
+
+        monkeypatch.setattr(forward, "splu", counting_splu)
+        monkeypatch.setattr(ThetaScheme, "_march", counting_march)
+
+    @property
+    def factorizations(self):
+        return len(self.matrices)
+
+    @property
+    def distinct(self):
+        return len(set(self.matrices))
+
+
+def _sine(grid, amp, varying=False):
+    x = grid.space_coordinates()[0]
+    vals = np.broadcast_to(amp * np.sin(2 * np.pi * x), grid.field_shape).copy()
+    if varying:
+        # monotone in t, so every time level has its own step matrix
+        vals *= (1.0 + grid.ts / grid.T).reshape((-1,) + (1,) * grid.n)
+    return Potential(grid, vals, m=float(np.abs(vals).max()))
+
+
+NOISE_LEVELS = [5e-2, 1.3e-2, 3.6e-3, 9.6e-4, 2.6e-4, 5e-5]
+PARTIAL_AUTO = ReconstructionConfig(mode="partial", rho="auto", base_direction=(1.0, 0.0),
+                                    basis_j_max=2, basis_k_max=2)
+
+
+def test_noise_sweep_factors_once_and_marches_each_question_once(monkeypatch):
+    # the benchmark's sweep2d-partial shape: the reference equals the truth in
+    # value and every level floors at rho = 2.05, so the six levels ask two
+    # distinct questions (the basis block and one probe column) of one map
+    grid = build_grid(2, 25, 81, 1.0)
+    truth = _sine(grid, 0.08)
+    ref = Potential(grid, truth.values.copy(), m=truth.m)
+    traffic = Traffic(monkeypatch)
+    out = stability_sweep(grid, ref, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
+                          noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    assert [r.params["rho"] for r in out["records"]] == [2.05] * len(NOISE_LEVELS)
+    assert traffic.factorizations == traffic.distinct == 1
+    assert traffic.marches == 2
+    assert traffic.solves == 2 * (grid.nt - 1)
+
+
+def test_pair_sweep_reference_answers_once_for_every_truth(monkeypatch):
+    # test_08's pair sweep: five truths against q_ref = None at an explicit
+    # rho, so every truth asks the reference map the same two questions
+    grid = build_grid(2, 9, 17, 1.0)
+    truths = [_sine(grid, a) for a in (0.08, 0.025, 0.008, 0.0025, 0.0008)]
+    cfg = ReconstructionConfig(rho=4.0, R=4.0, basis_j_max=1, basis_k_max=1)
+    traffic = Traffic(monkeypatch)
+    stability_sweep(grid, None, cfg, ModulusParams("double_log", 0.25, 2), pair_truths=truths)
+    assert traffic.factorizations == traffic.distinct == len(truths) + 1
+    assert traffic.marches == 2 * (len(truths) + 1)
+
+
+def test_reference_equal_in_value_to_the_truth_factors_once(monkeypatch):
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.2)
+    ref = Potential(grid, truth.values.copy())
+    traffic = Traffic(monkeypatch)
+    res = reconstruct(DtnOracle(grid, truth), ref, ReconstructionConfig(rho=4.0, R=4.0),
+                      truth=truth)
+    assert traffic.factorizations == 1
+    # one march per question serves both sides, and the difference cancels
+    assert traffic.marches == 2
+    assert res.delta == 0.0
+
+
+def test_single_reconstruct_keeps_no_answers(monkeypatch):
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.2)
+    oracle = DtnOracle(grid, truth)
+    cfg = ReconstructionConfig(rho=4.0, R=4.0)
+    traffic = Traffic(monkeypatch)
+    first = reconstruct(oracle, None, cfg)
+    marches = traffic.marches
+    second = reconstruct(oracle, None, cfg)
+    assert traffic.marches == 2 * marches
+    assert np.array_equal(first.coefficients, second.coefficients)
+
+
+@pytest.mark.parametrize("rho,factorizations,marches", [
+    # an explicit rho asks both questions together, and the time-varying truth
+    # marches them as one block; the time-invariant reference marches each
+    (4.0, 16 + 1, 1 + 2),
+    # at rho "auto" the probes wait for the data distance
+    ("auto", 2 * 16 + 1, 2 + 2),
+])
+def test_time_varying_truth_marches_once_at_explicit_rho(monkeypatch, rho, factorizations,
+                                                         marches):
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.02, varying=True)
+    cfg = ReconstructionConfig(rho=rho, R=4.0 if rho != "auto" else None,
+                               basis_j_max=2, basis_k_max=2)
+    traffic = Traffic(monkeypatch)
+    res = reconstruct(DtnOracle(grid, truth), None, cfg, truth=truth)
+    assert not res.trivial
+    assert traffic.factorizations == factorizations
+    assert traffic.distinct == 16 + 1
+    assert traffic.marches == marches
+
+
+def _fresh_records(grid, q_ref, cfg, runs):
+    """One fresh oracle per record, as the sweep made them before maps were shared."""
+    out = []
+    for truth, level in runs:
+        basis = DtnBasis(grid) if level else None
+        oracle = measurement_oracle(grid, truth, cfg, level, 7, basis)
+        res = reconstruct(oracle, q_ref, cfg, truth=truth)
+        out.append((res.delta, res.error))
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    PARTIAL_AUTO,
+    ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
+                         basis_j_max=2, basis_k_max=2),
+])
+def test_shared_noise_sweep_equals_fresh_oracles_bitwise(cfg):
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.2, varying=True)
+    levels = [0.05, 0.01, 0.002]
+    out = stability_sweep(grid, None, cfg, ModulusParams("single_log", 0.15, 2),
+                          noise_levels=levels, noise_truth=truth, noise_seed=7)
+    shared = [(r.delta, r.err) for r in out["records"]]
+    assert shared == _fresh_records(grid, None, cfg, [(truth, lvl) for lvl in levels])
+
+
+def test_shared_pair_sweep_equals_fresh_oracles_bitwise():
+    grid = build_grid(2, 9, 17, 1.0)
+    ref = _sine(grid, 0.1)
+    truths = [ref, _sine(grid, 0.3), _sine(grid, 0.2, varying=True)]
+    cfg = ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
+                               basis_j_max=2, basis_k_max=2)
+    out = stability_sweep(grid, ref, cfg, ModulusParams("double_log", 0.25, 2),
+                          pair_truths=truths)
+    shared = [(r.delta, r.err) for r in out["records"]]
+    assert shared == _fresh_records(grid, ref, cfg, [(t, 0.0) for t in truths])
+
+
+def test_stored_answers_are_never_written_by_noise_or_mask():
+    grid = build_grid(2, 9, 13, 1.0)
+    q = _sine(grid, 0.3)
+    (shared,) = shared_maps(grid, [q, q])
+    cfg = ReconstructionConfig(mode="partial", base_direction=(1.0, 0.0))
+    answers = []
+    for level in (0.3, 0.3, 0.0):
+        oracle = measurement_oracle(grid, q, cfg, level, 7, maps=[shared])
+        assert oracle.map is shared
+        g = DtnBasis(grid, 2, 2).inputs()[0] * oracle.support_mask.values
+        answer = oracle.apply_many(g)
+        answers.append(answer.copy())
+        answer[...] = np.nan
+    assert np.array_equal(answers[0], answers[1])
+    assert np.array_equal(answers[2], DtnMap(grid, q).traces(g) * oracle.obs_mask.values)
+    assert np.array_equal(shared.traces(g), DtnMap(grid, q).traces(g))
+    # the key is a digest of the question, not a copy of it
+    assert [len(k) for k in shared._answers] == [64]
+
+
+def test_shared_map_answers_like_a_private_one():
+    grid = build_grid(1, 17, 33, 1.0)
+    q = _sine(grid, 0.5, varying=True)
+    (shared,) = shared_maps(grid, [q, Potential(grid, q.values.copy())])
+    private = DtnMap(grid, q)
+    assert shared._answers == {} and private._answers is None
+    g, u0 = DtnBasis(grid, k_max=2, initial_modes=2).inputs()
+    for _ in range(2):
+        for u in (u0, None, 2 * u0):
+            assert np.array_equal(shared.traces(g, u), private.traces(g, u))
+    assert len(shared._answers) == 3
+    # a different theta or different values is a different map
+    assert not shared.is_map_of(grid, q, 0.6)
+    assert not shared.is_map_of(grid, None, 0.5)
+    assert shared.is_map_of(grid, Potential(grid, q.values.copy()), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Column results do not depend on the block they are marched in
+
+
+@pytest.mark.parametrize("n,nx", [(2, 9), (1, 33)])
+def test_factor_solve_is_columnwise_bitwise(n, nx):
+    # SuperLU (2-d) and LAPACK ?gttrs (1-d) solve each column on its own
+    grid = build_grid(n, nx, 9, 1.0)
+    scheme = ThetaScheme(grid, _sine(grid, 0.4))
+    factor = scheme._lu(1)
+    rhs = np.asfortranarray(np.random.default_rng(n).standard_normal((scheme._ndof, 12)))
+    block = factor.solve(rhs)
+    halves = [factor.solve(np.asfortranarray(rhs[:, s])) for s in (slice(0, 5), slice(5, 12))]
+    assert np.array_equal(np.hstack(halves), block)
+    for j in range(rhs.shape[1]):
+        assert np.array_equal(factor.solve(np.asfortranarray(rhs[:, j:j + 1]))[:, 0],
+                              block[:, j])
+
+
+@pytest.mark.parametrize("n,nx", [(2, 9), (1, 17)])
+def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
+    # in 1-d the march multiplies through dense BLAS products, whose rounding
+    # depends on the block width, so there the questions must not be stacked
+    grid = build_grid(n, nx, 13, 1.0)
+    rng = np.random.default_rng(4)
+    shape = (grid.nt, grid.n_boundary)
+    g1 = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+    g2 = rng.standard_normal((1,) + shape)
+    u1 = rng.standard_normal((3,) + grid.space_shape)
+    for q in (_sine(grid, 0.3, varying=True), _sine(grid, 0.3)):
+        m = DtnMap(grid, q)
+        stacked = list(m.stacked_traces([(g1, u1), (g2, None)]))
+        assert np.array_equal(stacked[0], m.traces(g1, u1))
+        assert np.array_equal(stacked[1], m.traces(g2))

@@ -1,0 +1,102 @@
+"""Check that two source trees write byte-identical CLI artifacts.
+
+    python3 tools/byte_identity.py BASE_TREE [HEAD_TREE]
+
+Runs the benchmark's reference configs at their default seed (taken from
+perfbench/workloads.py, which this script only reads), plus recon2d-full's
+config with a time-dependent truth, through `cgolab.cli.run` once with
+BASE_TREE/src and once with HEAD_TREE/src (default: the tree holding this
+script).  Every run is a fresh interpreter with one BLAS thread and writes to
+the same scratch directory, so the manifests can be compared as files.  A
+manifest holds the SHA-256 of every artifact and the config, so equal
+manifest hashes mean equal artifacts.
+
+Exit status: 0 when every manifest matches, 1 when one differs, 2 when a run
+fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from cgolab.cli import ExperimentConfig, run
+run(sys.argv[2], ExperimentConfig(json.loads(sys.argv[3])), sys.argv[4])
+"""
+
+
+def cases() -> list:
+    """(label, command, config) of every checked run."""
+    out = []
+    for name, workload in WORKLOADS.items():
+        out.append((name, workload.command, workload.make_config(DEFAULT_SEED)))
+    varying = WORKLOADS["recon2d-full"].make_config(DEFAULT_SEED)
+    varying["potential"]["time"] = 1
+    out.append(("recon2d-full-time1", "reconstruct", varying))
+    return out
+
+
+def run_manifest(tree: Path, command: str, config: dict, out: Path) -> dict:
+    """Run one command with tree's sources; returns the parsed manifest and its hash."""
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ)
+    env.update({k: "1" for k in BLAS_ENV})
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tree / "src"), command, json.dumps(config),
+         str(out)],
+        env=env, cwd=out.parent, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{command} on {tree} failed:\n{proc.stderr}")
+    raw = (out / "manifest.json").read_bytes()
+    return {"sha256": hashlib.sha256(raw).hexdigest(), "manifest": json.loads(raw)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="tree to compare against")
+    parser.add_argument("head", type=Path, nargs="?", default=ROOT,
+                        help="tree under test (default: this checkout)")
+    args = parser.parse_args(argv)
+
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="byte-identity-") as scratch:
+        out = Path(scratch) / "out"
+        for label, command, config in cases():
+            try:
+                base = run_manifest(args.base.resolve(), command, config, out)
+                head = run_manifest(args.head.resolve(), command, config, out)
+            except RuntimeError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            same = base["sha256"] == head["sha256"]
+            differ |= not same
+            print(f"{label:20s} {base['sha256'][:16]} {head['sha256'][:16]} "
+                  f"{'same' if same else 'DIFFERS'}")
+            if not same:
+                files_b, files_h = base["manifest"]["files"], head["manifest"]["files"]
+                for name in sorted(set(files_b) | set(files_h)):
+                    if files_b.get(name) != files_h.get(name):
+                        print(f"  {name} differs")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
