@@ -51,7 +51,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # field spec: (type tag, default).  Tags: int, float, bool, str, list,
-# "number_or_auto", "opt_<tag>" for nullable.
+# "nonempty_list", "number_or_auto", "opt_<tag>" for nullable.
 SCHEMA = {
     "seed": ("int", 0),
     "out_dir": ("str", "cgolab-out"),
@@ -116,7 +116,7 @@ SCHEMA = {
         "modulus_rho_max": ("float", math.exp(-2)),
     },
     "carleman": {
-        "rhos": ("list", [4.0, 8.0, 16.0, 32.0]),
+        "rhos": ("nonempty_list", [4.0, 8.0, 16.0, 32.0]),
         "samples": ("int", 20),
         "epsilon": ("int", 1),
         "omega": ("opt_list", None),
@@ -173,9 +173,11 @@ def _check_leaf(tag: str, value, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if tag == "list":
+    if tag in ("list", "nonempty_list"):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if tag == "nonempty_list" and not value:
+            raise ConfigError(f"{path}: expected at least one entry")
         return list(value)
     if tag == "number_or_auto":
         if value == "auto":

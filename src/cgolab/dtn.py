@@ -8,7 +8,7 @@ calibrated noise and asks maps: `DtnOracle.differences` is the column engine
 under every matrix assembly and pairing, and the noise and the observation
 mask apply once to each (k, nt, nb) block of traces.  A sweep shares one map
 per distinct potential among its oracles, so each distinct question marches
-once.  For operator-level work (norm estimation, calibrated
+once, and one noise basis, which projects each distinct question once.  For operator-level work (norm estimation, calibrated
 noise) the map is discretized in an orthonormal boundary basis: per-face sine
 profiles in space tensored with Fourier modes in time, which the trapezoid
 quadrature keeps exactly orthonormal and which diagonalize the anisotropic
@@ -74,12 +74,14 @@ class DtnBasis:
     """
 
     def __init__(self, grid: Grid, j_max: int | None = None, k_max: int | None = None,
-                 faces=None, initial_modes: int = 0):
+                 faces=None, initial_modes: int = 0, *, keep_projections: bool = False):
         self.grid = grid
         if faces is None:
             faces = list(range(len(grid.faces)))
         self.faces = list(faces)
         if grid.n == 1:
+            if j_max is not None:
+                raise ConfigError(f"a 1-d basis has no j_max (point faces), got {j_max}")
             self.j_max = 0
             js = [0]
         else:
@@ -120,8 +122,9 @@ class DtnBasis:
         # initial slice, zero where the mode has none
         self._lateral = np.zeros((self.size, grid.nt, grid.n_boundary), dtype=np.complex128)
         self._initial = np.zeros((self.size,) + grid.space_shape)
+        face_points = {fid: np.flatnonzero(grid.boundary_face == fid) for fid in self.faces}
         for row, (fid, j, k) in zip(self._lateral, self.lateral_modes):
-            pts = np.flatnonzero(grid.boundary_face == fid)
+            pts = face_points[fid]
             if grid.n == 1:
                 profile = np.ones(pts.size)
                 norm = 1.0 / np.sqrt(grid.T)
@@ -140,6 +143,7 @@ class DtnBasis:
         # the lateral modes as the rows of one dense (modes, nt*nb) matrix
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
         self._weights = (grid.time_weights[:, None] * grid.boundary_weights).ravel()
+        self._projections = {} if keep_projections else None
 
     def _initial_mode_indices(self, count: int):
         if count == 0:
@@ -185,6 +189,21 @@ class DtnBasis:
         # conj(conj(w f) M^T) is the conjugated product without a conjugated copy of M
         coeffs = (np.conj(flat) @ self._modes.T).conj()
         return coeffs[0] if single else coeffs
+
+    @property
+    def keeps_projections(self) -> bool:
+        return self._projections is not None
+
+    def projection(self, g, key: str):
+        """`project` of a (k, nt, nb) block g whose question digest is key.  A
+        basis shared by several oracles keeps its projections, read-only, so
+        each distinct question is projected once."""
+        if self._projections is None:
+            return self.project(g)
+        if key not in self._projections:
+            self._projections[key] = self.project(g)
+            self._projections[key].flags.writeable = False
+        return self._projections[key]
 
     def synthesize(self, coeffs):
         """Lateral data of mode coefficients: a BoundaryField of a (modes,)
@@ -402,26 +421,35 @@ class DtnMap:
         return (self.theta == theta and self.grid.same_layout(grid)
                 and _same_potential(self.q, q))
 
-    def traces(self, g, u0=None) -> np.ndarray:
+    @property
+    def keeps_answers(self) -> bool:
+        return self._answers is not None
+
+    def traces(self, g, u0=None, key: str | None = None) -> np.ndarray:
         """Neumann traces (k, nt, nb) of data columns g (k, nt, nb) and
-        initial slices u0 (k, *space_shape) or None."""
+        initial slices u0 (k, *space_shape) or None.  key is the question's
+        digest, `_digest(g, u0)`, where the caller has it already."""
         if self._answers is None:
             return self.scheme.neumann_traces(g, u0)
-        key = _digest(g, u0)
+        if key is None:
+            key = _digest(g, u0)
         if key not in self._answers:
             self._answers[key] = self.scheme.neumann_traces(g, u0)
         return self._answers[key].copy()
 
-    def stacked_traces(self, questions):
-        """`traces` of every (g, u0) question, in turn.  A time-varying
+    def stacked_traces(self, questions, keys=None):
+        """`traces` of every (g, u0) question, in turn, with the questions'
+        digests `keys` where the caller has them.  A time-varying
         scheme factors every step of every march, so where each column
         marches independently of the block it is in, the questions march as
         one stacked block and the answer is split.  Otherwise each question
         marches alone when its answer is taken, which holds fewer columns in
         memory at once."""
         scheme = self.scheme
+        if keys is None:
+            keys = [None] * len(questions)
         if len(questions) < 2 or scheme.time_invariant or not scheme.columns_independent:
-            return (self.traces(g, u0) for g, u0 in questions)
+            return (self.traces(g, u0, key) for (g, u0), key in zip(questions, keys))
         g = np.concatenate([g for g, _ in questions])
         u0 = None
         if any(u is not None for _, u in questions):
@@ -430,7 +458,12 @@ class DtnMap:
                 for gi, u in questions
             ])
         sizes = np.cumsum([len(gi) for gi, _ in questions])[:-1]
-        return iter(np.split(self.traces(g, u0), sizes))
+        # the stacked question's key comes from its parts' digests, so no
+        # block is hashed twice
+        key = None
+        if None not in keys:
+            key = hashlib.sha256("".join(keys).encode()).hexdigest()
+        return iter(np.split(self.traces(g, u0, key), sizes))
 
 
 class DtnOracle:
@@ -487,12 +520,21 @@ class DtnOracle:
             responses *= self.obs_mask.values
         return responses
 
-    def _measured(self, g: np.ndarray, traces: np.ndarray) -> np.ndarray:
-        """Noise and mask applied in place to the noiseless traces of g."""
+    def _measured(self, g: np.ndarray, key: str | None, traces: np.ndarray) -> np.ndarray:
+        """Noise and mask applied in place to the noiseless traces of g, the
+        question with digest key."""
         if self._noise_matrix is not None:
-            coeffs = self._noise_basis.project(g) @ self._noise_matrix.T
+            coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
             traces += self._noise_basis.synthesize(coeffs)
         return self._observed(traces)
+
+    def _keys(self, questions, reference_map: DtnMap | None = None) -> list:
+        """The digest of every (g, u0) question where a map asked or the
+        noise basis keeps something per question; Nones where none does."""
+        keeps = self.map.keeps_answers or (
+            reference_map is not None and reference_map.keeps_answers) or (
+            self._noise_basis is not None and self._noise_basis.keeps_projections)
+        return [_digest(g, u0) if keeps else None for g, u0 in questions]
 
     def _check(self, g) -> np.ndarray:
         g = np.asarray(g)
@@ -504,7 +546,8 @@ class DtnOracle:
         """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
         initial slices u0 (k, *space_shape) or None."""
         g = self._check(g)
-        return self._measured(g, self.map.traces(g, u0))
+        (key,) = self._keys([(g, u0)])
+        return self._measured(g, key, self.map.traces(g, u0, key))
 
     def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
         u0 = None if u0 is None else np.asarray(u0)[None]
@@ -513,22 +556,26 @@ class DtnOracle:
     def differences(self, q_ref: Potential | None, questions):
         """(measured map - simulated reference map) responses (k, nt, nb) to
         every (g, u0) question, in turn, each map asked once for all of them.
-        When the reference is the truth, one march serves both sides."""
+        When the reference is the truth, one march serves both sides.  Each
+        question is hashed at most once, and its digest keys both the stored
+        answers of the maps and the noise basis's projections."""
         questions = [(self._check(g), u0) for g, u0 in questions]
         reference_map = self._map_of(q_ref)
         gs = [g for g, _ in questions]
-        clean = self.map.stacked_traces(questions)
+        keys = self._keys(questions, reference_map)
+        clean = self.map.stacked_traces(questions, keys)
         # map() keeps no answer alive once it has handed it over
         if reference_map is self.map:
-            return map(self._difference, gs, clean)
-        return map(self._difference, gs, clean, reference_map.stacked_traces(questions))
+            return map(self._difference, gs, keys, clean)
+        return map(self._difference, gs, keys, clean,
+                   reference_map.stacked_traces(questions, keys))
 
-    def _difference(self, g, measured, reference=None) -> np.ndarray:
+    def _difference(self, g, key, measured, reference=None) -> np.ndarray:
         """Measured minus observed reference traces; without a reference the
         noiseless `measured` traces serve both sides."""
         if reference is None:
             reference = measured.copy()
-        diff = self._measured(g, measured)
+        diff = self._measured(g, key, measured)
         diff -= self._observed(reference)
         return diff
 

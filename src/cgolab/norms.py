@@ -31,6 +31,7 @@ __all__ = [
     "periodic_sobolev_norm",
     "sobolev_norm",
     "hminus1_norm",
+    "Hminus1Target",
     "hminus1_distance",
     "boundary_sobolev_weights",
 ]
@@ -172,11 +173,25 @@ def torus_coefficients(values: np.ndarray, lengths) -> np.ndarray:
     return (2 * math.pi) ** (-d / 2) * cell * np.fft.fftn(values)
 
 
-def coefficients_to_field(coeffs: np.ndarray, lengths) -> np.ndarray:
-    """Inverse of torus_coefficients."""
+def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray:
+    """Inverse of torus_coefficients; with `shape`, only the leading corner of
+    that shape (the cylinder inside the padded box).
+
+    The corner is inverted axis by axis in the order np.fft.ifftn uses, last
+    axis first, and each axis is cropped as soon as it is done.  That runs
+    the same 1-D transforms on the same rows as the full inverse, so the
+    corner is bitwise the crop of the full inverse, at about half the work.
+    """
     d = coeffs.ndim
     cell = np.prod([L / npts for npts, L in zip(coeffs.shape, lengths)])
-    return np.fft.ifftn(coeffs) * (2 * math.pi) ** (d / 2) / cell
+    if shape is None:
+        field = np.fft.ifftn(coeffs)
+    else:
+        field = coeffs
+        for axis in reversed(range(d)):
+            field = np.fft.ifft(field, axis=axis)
+            field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
+    return field * (2 * math.pi) ** (d / 2) / cell
 
 
 def _weight_sq(shape, lengths, order: float) -> np.ndarray:
@@ -204,21 +219,37 @@ def hminus1_norm(field_like) -> float:
     return sobolev_norm(field_like, -1.0)
 
 
+class Hminus1Target:
+    """Order -1 distances from one cylinder field to lattice coefficient arrays.
+
+    The field is zero-extended and transformed once, and the transform is
+    kept with the lattice's order -1 weight, so each distance is one weighted
+    sum over the lattice and no transform.
+    """
+
+    def __init__(self, grid: Grid, values):
+        self.lengths = box_lengths(grid)
+        self.transform = torus_coefficients(zero_extend(grid, values), self.lengths)
+        self.weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
+
+    def distance(self, coeffs: np.ndarray) -> float:
+        """Order -1 distance to a coefficient array on the padded lattice."""
+        if coeffs.shape != self.transform.shape:
+            raise ValueError("coefficient array does not match the padded lattice")
+        diff2 = np.abs(self.transform - coeffs) ** 2
+        return math.sqrt(float(np.sum(self.weight * diff2)) * lattice_measure(self.lengths))
+
+
 def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:
     """Order -1 distance between a cylinder field and a lattice coefficient array.
 
     The field is zero-extended and transformed; the coefficient array must
     already live on the padded lattice (as produced by the inversion sweep).
     Comparing on the lattice keeps Parseval exact, so with truncated exact
-    coefficients the distance equals the tail norm to rounding.
+    coefficients the distance equals the tail norm to rounding.  Distances of
+    one field to several arrays share one `Hminus1Target`.
     """
-    lengths = box_lengths(grid)
-    ref = torus_coefficients(zero_extend(grid, values), lengths)
-    if coeffs.shape != ref.shape:
-        raise ValueError("coefficient array does not match the padded lattice")
-    w = _weight_sq(ref.shape, lengths, -1.0)
-    diff2 = np.abs(ref - coeffs) ** 2
-    return math.sqrt(float(np.sum(w * diff2)) * lattice_measure(lengths))
+    return Hminus1Target(grid, values).distance(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ from .errors import ConfigError
 from .fields import Potential, ScalarField
 from .grid import Grid, direction_mask
 from .norms import (
+    Hminus1Target,
     ModulusParams,
     box_lengths,
     coefficients_to_field,
     fit_modulus_constant,
-    hminus1_distance,
     torus_coefficients,
     zero_extend,
 )
@@ -357,8 +357,7 @@ def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True):
     if not freq.nodes:
         raise ConfigError("empty frequency set")
     coeffs = freq.to_coefficients(hermitian)
-    padded = coefficients_to_field(coeffs, box_lengths(grid))
-    crop = padded[tuple(slice(0, s) for s in grid.field_shape)]
+    crop = coefficients_to_field(coeffs, box_lengths(grid), grid.field_shape)
     imag_residue = float(np.abs(crop.imag).max())
     return ScalarField(grid, crop.real.astype(np.complex128)), imag_residue, coeffs
 
@@ -437,6 +436,20 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     """Full pipeline: measure the data distance, pick (rho, R), sweep the
     admissible frequency ball, invert.  With truth given, reports the
     negative-order error of the estimate against (truth - reference)."""
+    res = _estimate(oracle, q_ref, cfg)
+    if truth is not None:
+        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients)
+    return res
+
+
+def _error_target(grid: Grid, truth: Potential, q_ref: Potential | None) -> Hminus1Target:
+    """The order -1 error target of the difference truth - reference."""
+    return Hminus1Target(grid, truth.values - (0.0 if q_ref is None else q_ref.values))
+
+
+def _estimate(oracle: DtnOracle, q_ref: Potential | None,
+              cfg: ReconstructionConfig) -> ReconstructionResult:
+    """`reconstruct` without the error, which is left None."""
     grid = oracle.grid
     base = cfg.direction(grid.n)
     cap = probe_rho_cap(grid)
@@ -471,12 +484,8 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
         coeffs = np.zeros(
             (2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * grid.n, dtype=np.complex128
         )
-        err = None
-        if truth is not None:
-            p = truth.values - (0.0 if q_ref is None else q_ref.values)
-            err = hminus1_distance(grid, p, coeffs)
         return ReconstructionResult(zero, coeffs, freq, delta, 0.0, 0.0, True,
-                                    False, 0.0, err)
+                                    False, 0.0, None)
 
     freq = build_frequency_grid(grid, radius, cfg.mode, base, cfg.half_width)
     vanish_plus = vanish_minus = None
@@ -511,13 +520,8 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
             }
         )
     estimate, residue, coeffs = invert_cutoff(grid, freq, cfg.use_hermitian)
-
-    err = None
-    if truth is not None:
-        p = truth.values - (0.0 if q_ref is None else q_ref.values)
-        err = hminus1_distance(grid, p, coeffs)
     return ReconstructionResult(estimate, coeffs, freq, delta, rho, radius,
-                                False, saturated, residue, err, records)
+                                False, saturated, residue, None, records)
 
 
 @dataclass
@@ -541,7 +545,9 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     record runs the full pipeline and the smallest constant C with
     err <= C * modulus(delta) over the usable records is fitted.  The
     records share one noiseless map per distinct potential for as long as
-    the sweep runs, so a question asked by several records marches once.
+    the sweep runs, so a question asked by several records marches once,
+    and the error target of each truth, so its difference to the reference
+    is transformed once.
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
@@ -559,9 +565,10 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
         # the noise is added after the march, so every level asks the same
         # noiseless maps; and the noise draw depends on the seed and the basis
-        # size only, so one basis serves every level
+        # size only, so one basis serves every level and projects each
+        # question once
         maps = shared_maps(grid, [noise_truth, q_ref] * len(levels), cfg.theta)
-        noise_basis = DtnBasis(grid)
+        noise_basis = DtnBasis(grid, keep_projections=True)
         for lvl in levels:
             oracle = measurement_oracle(grid, noise_truth, cfg, float(lvl), noise_seed,
                                         noise_basis, maps)
@@ -569,10 +576,16 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
 
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
+    target = target_truth = None
     for oracle, q_true in runs:
         if q_true is None:
             q_true = q_ref if q_ref is not None else zero_truth
-        res = reconstruct(oracle, q_ref, cfg, truth=q_true)
+        res = _estimate(oracle, q_ref, cfg)
+        # records of one truth (every record of a noise sweep) share its
+        # error target, so the truth difference is transformed once
+        if target is None or not np.array_equal(target_truth.values, q_true.values):
+            target, target_truth = _error_target(grid, q_true, q_ref), q_true
+        res.error = target.distance(res.coefficients)
         records.append(
             StabilityRecord(
                 delta=float(res.delta),

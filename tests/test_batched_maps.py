@@ -91,11 +91,12 @@ def test_difference_matrix_matches_column_path(n, varying, partial, noise, initi
     if partial:
         support, obs = partial_masks(grid, [1.0] + [0.0] * (n - 1), 0.3)
         faces_in, faces_out = faces_within(grid, support), faces_within(grid, obs)
+    j_max = 2 if n == 2 else None  # a 1-d basis has point faces and no j_max
     oracle = DtnOracle(grid, q, support_mask=support, obs_mask=obs, theta=0.6,
                        noise_delta=noise, noise_seed=5,
-                       noise_basis=DtnBasis(grid, 2, 2) if noise else None)
-    basis_in = DtnBasis(grid, 2, 2, faces_in, initial_modes=initial)
-    basis_out = DtnBasis(grid, 2, 2, faces_out)
+                       noise_basis=DtnBasis(grid, j_max, 2) if noise else None)
+    basis_in = DtnBasis(grid, j_max, 2, faces_in, initial_modes=initial)
+    basis_out = DtnBasis(grid, j_max, 2, faces_out)
     got = assemble_difference_matrix(oracle, q_ref, basis_in, basis_out).matrix
     want, measured = _column_difference(oracle, q, q_ref, basis_in, basis_out)
     # with the reference equal to the truth the difference cancels, so the
@@ -256,7 +257,7 @@ def test_project_inverts_synthesize(problem, j_max, k_max, count):
     if 2 * k_max >= grid.nt - 1:
         k_max = (grid.nt - 2) // 2
     faces = sorted(set(rng.integers(0, len(grid.faces), size=2).tolist()))
-    basis = DtnBasis(grid, min(j_max, grid.nx - 2), k_max, faces)
+    basis = DtnBasis(grid, min(j_max, grid.nx - 2) if grid.n == 2 else None, k_max, faces)
     coeffs = (rng.standard_normal((count, basis.lateral_size))
               + 1j * rng.standard_normal((count, basis.lateral_size)))
     block = basis.synthesize(coeffs)

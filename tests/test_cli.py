@@ -205,6 +205,28 @@ def test_main_rejects_a_negative_noise_level(tmp_path, capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_main_rejects_empty_carleman_rhos_before_writing(tmp_path, capsys):
+    # before the schema knew the list must not be empty, the run wrote both
+    # CSVs and a 0-byte chart and only then failed in the chart writer
+    path = _write_config(tmp_path, {**SMALL_GRID, "carleman": {"rhos": []}})
+    out = tmp_path / "out"
+    rc = main(["carleman-check", "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert "carleman.rhos" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("j_max", [-1, 0, 1])
+def test_main_rejects_j_max_on_a_1d_grid(tmp_path, capsys, j_max):
+    # a 1-d boundary has point faces, so there is no profile index to bound
+    path = _write_config(tmp_path, {**SMALL_GRID, "dtn": {"j_max": j_max, "k_max": 1}})
+    out = tmp_path / "out"
+    rc = main(["dtn", "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert "j_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_numerical_failure_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, {**SMALL_GRID,
                                     "pairing": {"cases": 2, "threshold": 1e-12}})

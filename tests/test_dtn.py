@@ -88,6 +88,28 @@ def test_basis_validation():
         DtnBasis(g, j_max=1, k_max=5)
     with pytest.raises(ConfigError, match="initial modes"):
         DtnBasis(build_grid(1, 9, 9, 1.0), initial_modes=100)
+    for j_max in (-1, 0, 1):
+        with pytest.raises(ConfigError, match="j_max"):
+            DtnBasis(build_grid(1, 9, 9, 1.0), j_max=j_max)
+
+
+@pytest.mark.parametrize("n,nx,faces", [(1, 9, None), (2, 9, None), (2, 11, [3, 1])])
+def test_basis_rows_equal_the_per_mode_construction_bitwise(n, nx, faces):
+    # each face's points and profile are found once for all of its modes
+    g = build_grid(n, nx, 13, 1.3)
+    basis = DtnBasis(g, None if n == 1 else 3, 2, faces)
+    for row, (fid, j, k) in zip(basis.inputs()[0], basis.lateral_modes):
+        pts = np.flatnonzero(g.boundary_face == fid)
+        want = np.zeros((g.nt, g.n_boundary), dtype=np.complex128)
+        if n == 1:
+            profile, norm = np.ones(pts.size), 1.0 / np.sqrt(g.T)
+        else:
+            s = g.xs[g.boundary_index[1 - g.faces[fid].axis][pts]]
+            profile, norm = np.sin(j * np.pi * s), 1.0 / np.sqrt(g.T / 2.0)
+        want[:, pts] = norm * np.exp(2j * np.pi * k * g.ts / g.T)[:, None] * profile[None, :]
+        assert row.tobytes() == want.tobytes()
+    clone = DtnBasis.from_descriptor(basis.descriptor())
+    assert clone.inputs()[0].tobytes() == basis.inputs()[0].tobytes()
 
 
 def test_basis_descriptor_round_trip():

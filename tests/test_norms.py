@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
 from cgolab.errors import ConfigError
 from cgolab.norms import (
+    Hminus1Target,
     ModulusParams,
     boundary_sobolev_weights,
     box_lengths,
@@ -153,6 +154,80 @@ def test_hminus1_distance_shape_guard():
     g = build_grid(1, 9, 9, T=1.0)
     with pytest.raises(ValueError):
         hminus1_distance(g, np.zeros(g.field_shape), np.zeros((4, 4), dtype=complex))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 10), min_size=2, max_size=3),
+       st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+       st.booleans(), st.integers(0, 2**32 - 1), st.data())
+def test_cropped_inversion_is_the_crop_of_the_full_inverse(halves, lengths, sparse, seed,
+                                                           data):
+    # the cylinder is the leading corner of the padded box; each axis is
+    # cropped as soon as its 1-D transforms are done, which must not change
+    # a single bit of the corner
+    shape = tuple(2 * h for h in halves)
+    lengths = tuple(lengths[:len(shape)])
+    corner = tuple(data.draw(st.integers(1, n)) for n in shape)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if sparse:
+        coeffs[rng.uniform(size=shape) > 0.1] = 0.0
+    full = coefficients_to_field(coeffs, lengths)
+    got = coefficients_to_field(coeffs, lengths, corner)
+    assert got.shape == corner
+    assert _bits(got) == _bits(full[tuple(slice(0, c) for c in corner)])
+
+
+def _plain_hminus1_distance(grid, values, coeffs):
+    """The order -1 distance as one sum over the whole lattice."""
+    lengths = box_lengths(grid)
+    ref = torus_coefficients(zero_extend(grid, values), lengths)
+    freqs = lattice_frequencies(ref.shape, lengths)
+    w = (1.0 + sum(f**2 for f in freqs)) ** -1.0
+    return math.sqrt(float(np.sum(w * np.abs(ref - coeffs) ** 2)) * lattice_measure(lengths))
+
+
+@st.composite
+def _lattice_problems(draw):
+    n = draw(st.sampled_from([1, 2]))
+    grid = build_grid(n, draw(st.integers(3, 9 if n == 2 else 17)),
+                      draw(st.integers(3, 12)), draw(st.floats(0.3, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(grid.field_shape)
+    if draw(st.booleans()):
+        values = rng.normal(size=grid.field_shape)
+    padded = (2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * n
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = np.zeros(padded, dtype=np.complex128)
+        kind = draw(st.sampled_from(["zero", "sparse", "dense", "signed_zeros"]))
+        if kind != "zero":
+            keep = rng.uniform(size=padded) < (1.0 if kind == "dense" else 0.1)
+            coeffs[keep] = (rng.normal(size=padded) + 1j * rng.normal(size=padded))[keep]
+        if kind == "signed_zeros":
+            # -0.0 entries count as zero coefficients; so do mixed-sign zeros
+            spots = rng.uniform(size=padded) < 0.2
+            coeffs[spots] = complex(-0.0, -0.0)
+            coeffs.real[rng.uniform(size=padded) < 0.05] = -0.0
+        arrays.append(coeffs)
+    return grid, values, arrays
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_problems())
+def test_error_target_is_the_whole_lattice_sum_bitwise(problem):
+    # the target keeps the field's transform and the lattice weight; it serves
+    # several arrays in turn and must come out of each distance unchanged
+    grid, values, arrays = problem
+    target = Hminus1Target(grid, values)
+    for coeffs in arrays + arrays[:1]:
+        want = _plain_hminus1_distance(grid, values, coeffs)
+        assert target.distance(coeffs) == want
+        assert hminus1_distance(grid, values, coeffs) == want
 
 
 def test_boundary_weight_duality():

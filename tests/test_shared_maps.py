@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cgolab import Potential, build_grid
-from cgolab import forward
-from cgolab.dtn import DtnBasis, DtnMap, DtnOracle, shared_maps
+from cgolab import forward, norms
+from cgolab.dtn import DtnBasis, DtnMap, DtnOracle, _digest, shared_maps
 from cgolab.forward import ThetaScheme
 from cgolab.norms import ModulusParams
 from cgolab.reconstruct import (
@@ -148,6 +148,53 @@ def test_time_varying_truth_marches_once_at_explicit_rho(monkeypatch, rho, facto
     assert traffic.marches == marches
 
 
+def test_noise_sweep_transforms_its_truth_once_and_projects_each_question_once(monkeypatch):
+    # six levels ask the same two questions (the basis block and the probe
+    # block) and measure the error against the same truth difference
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.2)
+    transforms, projected = [], []
+    torus_coefficients, project = norms.torus_coefficients, DtnBasis.project
+    noise_modes = DtnBasis(grid).lateral_modes
+
+    def counting_transform(values, lengths):
+        transforms.append(values.shape)
+        return torus_coefficients(values, lengths)
+
+    def counting_project(basis, f):
+        if basis.lateral_modes == noise_modes:
+            projected.append(np.asarray(f).tobytes())
+        return project(basis, f)
+
+    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
+    monkeypatch.setattr(DtnBasis, "project", counting_project)
+    cfg = ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
+                               basis_j_max=2, basis_k_max=2)
+    stability_sweep(grid, None, cfg, ModulusParams("single_log", 0.15, 2),
+                    noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    assert transforms == [(2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * 2]
+    assert len(projected) == len(set(projected)) == 2
+
+
+def test_pair_sweep_transforms_each_run_of_one_truth_once(monkeypatch):
+    grid = build_grid(1, 17, 33, 1.0)
+    a, b = _sine(grid, 0.2), _sine(grid, 0.1)
+    truths = [a, Potential(grid, a.values.copy()), b, a]
+    transforms = []
+    torus_coefficients = norms.torus_coefficients
+
+    def counting_transform(values, lengths):
+        transforms.append(values.tobytes())
+        return torus_coefficients(values, lengths)
+
+    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
+    stability_sweep(grid, None, ReconstructionConfig(rho=4.0, R=4.0),
+                    ModulusParams("single_log", 0.15, 1), pair_truths=truths)
+    # records of one truth in a row share its target; a truth met again later
+    # is transformed again rather than kept alive through the records between
+    assert len(transforms) == 3 and len(set(transforms)) == 2
+
+
 def _fresh_records(grid, q_ref, cfg, runs):
     """One fresh oracle per record, as the sweep made them before maps were shared."""
     out = []
@@ -184,6 +231,23 @@ def test_shared_pair_sweep_equals_fresh_oracles_bitwise():
                           pair_truths=truths)
     shared = [(r.delta, r.err) for r in out["records"]]
     assert shared == _fresh_records(grid, ref, cfg, [(t, 0.0) for t in truths])
+
+
+@pytest.mark.parametrize("n,nx,cfg", [
+    (1, 17, ReconstructionConfig(rho=4.0, R=6.0)),
+    (2, 9, ReconstructionConfig(mode="partial", rho="auto", base_direction=(1.0, 0.0),
+                                basis_j_max=2, basis_k_max=2)),
+])
+def test_pair_sweep_records_equal_per_record_reconstruct_bitwise(n, nx, cfg):
+    grid = build_grid(n, nx, 17, 1.0)
+    ref = _sine(grid, 0.05)
+    truths = [_sine(grid, 0.3), _sine(grid, 0.3), _sine(grid, 0.2, varying=True), ref]
+    out = stability_sweep(grid, ref, cfg, ModulusParams("single_log", 0.15, n),
+                          pair_truths=truths)
+    for rec, truth in zip(out["records"], truths):
+        res = reconstruct(measurement_oracle(grid, truth, cfg), ref, cfg, truth=truth)
+        assert (rec.delta, rec.err, rec.params["rho"], rec.params["R"]) == (
+            res.delta, res.error, res.rho, res.R)
 
 
 def test_stored_answers_are_never_written_by_noise_or_mask():
@@ -257,3 +321,23 @@ def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
         stacked = list(m.stacked_traces([(g1, u1), (g2, None)]))
         assert np.array_equal(stacked[0], m.traces(g1, u1))
         assert np.array_equal(stacked[1], m.traces(g2))
+
+
+def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
+    # the stacked block's key is formed from its parts' digests; it must name
+    # neither part, or a part asked alone later would get the whole block
+    grid = build_grid(2, 9, 13, 1.0)
+    q = _sine(grid, 0.3, varying=True)
+    (shared,) = shared_maps(grid, [q, q])
+    private = DtnMap(grid, q)
+    rng = np.random.default_rng(6)
+    shape = (grid.nt, grid.n_boundary)
+    g1, g2 = rng.standard_normal((3,) + shape), rng.standard_normal((1,) + shape)
+    u1 = rng.standard_normal((3,) + grid.space_shape)
+    questions = [(g1, u1), (g2, None)]
+    keys = [_digest(g, u) for g, u in questions]
+    for (g, u), answer in zip(questions, shared.stacked_traces(questions, keys)):
+        assert np.array_equal(answer, private.traces(g, u))
+    assert len(shared._answers) == 1
+    for g, u in questions:
+        assert np.array_equal(shared.traces(g, u), private.traces(g, u))

@@ -4,7 +4,9 @@
 
 Runs the benchmark's reference configs at their default seed (taken from
 perfbench/workloads.py, which this script only reads), plus recon2d-full's
-config with a time-dependent truth, through `cgolab.cli.run` once with
+config with a time-dependent truth and two small stability sweeps (a 2-d
+pair sweep and a 1-d noise sweep, whose truth differs from the reference),
+through `cgolab.cli.run` once with
 BASE_TREE/src and once with HEAD_TREE/src (default: the tree holding this
 script).  Every run is a fresh interpreter with one BLAS thread and writes to
 the same scratch directory, so the manifests can be compared as files.  A
@@ -50,6 +52,22 @@ def cases() -> list:
     varying = WORKLOADS["recon2d-full"].make_config(DEFAULT_SEED)
     varying["potential"]["time"] = 1
     out.append(("recon2d-full-time1", "reconstruct", varying))
+    # five distinct truths against a zero reference, at an explicit rho
+    out.append(("sweep2d-pairs", "stability-sweep", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
+        "reconstruct": {"rho": 6.0, "R": 6.0, "basis_j_max": 2, "basis_k_max": 2},
+        "sweep": {"kind": "pairs"},
+    }))
+    # a truth small enough that every noise level stays off the trivial branch
+    out.append(("sweep1d-noise", "stability-sweep", {
+        "threads": 1,
+        "grid": {"n": 1, "nx": 33, "nt": 129, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.05, "space": [1], "time": 1},
+        "noise": {"seed": 3},
+        "sweep": {"kind": "noise"},
+    }))
     return out
 
 
