@@ -8,11 +8,12 @@ calibrated noise and asks maps: `DtnOracle.differences` is the column engine
 under every matrix assembly and pairing, and the noise and the observation
 mask apply once to each (k, nt, nb) block of traces.  A sweep shares one map
 per distinct potential among its oracles, so each distinct question marches
-once, and one noise basis, which projects each distinct question once.  For operator-level work (norm estimation, calibrated
-noise) the map is discretized in an orthonormal boundary basis: per-face sine
-profiles in space tensored with Fourier modes in time, which the trapezoid
-quadrature keeps exactly orthonormal and which diagonalize the anisotropic
-Sobolev weights.  A basis holds its lateral modes as the rows of one dense
+once, and one noise basis, which projects each distinct question once.  For
+operator-level work (norm estimation, calibrated noise) the map is
+discretized in an orthonormal boundary basis: per-face sine profiles in
+space tensored with Fourier modes in time, which the trapezoid quadrature
+keeps exactly orthonormal and which diagonalize the anisotropic Sobolev
+weights.  A basis holds its lateral modes as the rows of one dense
 matrix, so projection and synthesis are one matrix product each.  Matrices
 serialize to a one-line JSON header followed by raw row-major complex64 bytes.
 """
@@ -74,7 +75,7 @@ class DtnBasis:
     """
 
     def __init__(self, grid: Grid, j_max: int | None = None, k_max: int | None = None,
-                 faces=None, initial_modes: int = 0, *, keep_projections: bool = False):
+                 faces=None, initial_modes: int = 0):
         self.grid = grid
         if faces is None:
             faces = list(range(len(grid.faces)))
@@ -143,7 +144,7 @@ class DtnBasis:
         # the lateral modes as the rows of one dense (modes, nt*nb) matrix
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
         self._weights = (grid.time_weights[:, None] * grid.boundary_weights).ravel()
-        self._projections = {} if keep_projections else None
+        self._projections = {}
 
     def _initial_mode_indices(self, count: int):
         if count == 0:
@@ -190,15 +191,12 @@ class DtnBasis:
         coeffs = (np.conj(flat) @ self._modes.T).conj()
         return coeffs[0] if single else coeffs
 
-    @property
-    def keeps_projections(self) -> bool:
-        return self._projections is not None
-
-    def projection(self, g, key: str):
-        """`project` of a (k, nt, nb) block g whose question digest is key.  A
-        basis shared by several oracles keeps its projections, read-only, so
-        each distinct question is projected once."""
-        if self._projections is None:
+    def projection(self, g, key: str | None):
+        """`project` of a (k, nt, nb) block g whose question digest is key.
+        Projections of digested questions are kept, read-only, so a basis
+        shared by several oracles projects each distinct question once; a
+        question without a digest is projected afresh."""
+        if key is None:
             return self.project(g)
         if key not in self._projections:
             self._projections[key] = self.project(g)
@@ -529,11 +527,10 @@ class DtnOracle:
         return self._observed(traces)
 
     def _keys(self, questions, reference_map: DtnMap | None = None) -> list:
-        """The digest of every (g, u0) question where a map asked or the
-        noise basis keeps something per question; Nones where none does."""
+        """The digest of every (g, u0) question where a map asked keeps its
+        answers; Nones where none does."""
         keeps = self.map.keeps_answers or (
-            reference_map is not None and reference_map.keeps_answers) or (
-            self._noise_basis is not None and self._noise_basis.keeps_projections)
+            reference_map is not None and reference_map.keeps_answers)
         return [_digest(g, u0) if keeps else None for g, u0 in questions]
 
     def _check(self, g) -> np.ndarray:

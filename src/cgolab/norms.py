@@ -177,20 +177,18 @@ def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray
     """Inverse of torus_coefficients; with `shape`, only the leading corner of
     that shape (the cylinder inside the padded box).
 
-    The corner is inverted axis by axis in the order np.fft.ifftn uses, last
+    The field is inverted axis by axis in the order np.fft.ifftn uses, last
     axis first, and each axis is cropped as soon as it is done.  That runs
     the same 1-D transforms on the same rows as the full inverse, so the
     corner is bitwise the crop of the full inverse, at about half the work.
     """
     d = coeffs.ndim
     cell = np.prod([L / npts for npts, L in zip(coeffs.shape, lengths)])
-    if shape is None:
-        field = np.fft.ifftn(coeffs)
-    else:
-        field = coeffs
-        for axis in reversed(range(d)):
-            field = np.fft.ifft(field, axis=axis)
-            field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
+    shape = coeffs.shape if shape is None else shape
+    field = coeffs
+    for axis in reversed(range(d)):
+        field = np.fft.ifft(field, axis=axis)
+        field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
     return field * (2 * math.pi) ** (d / 2) / cell
 
 

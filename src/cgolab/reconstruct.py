@@ -568,7 +568,7 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
         # size only, so one basis serves every level and projects each
         # question once
         maps = shared_maps(grid, [noise_truth, q_ref] * len(levels), cfg.theta)
-        noise_basis = DtnBasis(grid, keep_projections=True)
+        noise_basis = DtnBasis(grid)
         for lvl in levels:
             oracle = measurement_oracle(grid, noise_truth, cfg, float(lvl), noise_seed,
                                         noise_basis, maps)

@@ -176,6 +176,24 @@ def test_noise_sweep_transforms_its_truth_once_and_projects_each_question_once(m
     assert len(projected) == len(set(projected)) == 2
 
 
+def test_a_basis_keeps_the_projections_of_digested_questions_only():
+    grid = build_grid(1, 9, 17, 1.0)
+    basis = DtnBasis(grid)
+    g = basis.inputs()[0][:3]
+    # a private oracle digests nothing, so its basis keeps nothing
+    oracle = DtnOracle(grid, _sine(grid, 0.2), noise_delta=0.1, noise_basis=basis)
+    oracle.apply_many(g)
+    assert basis._projections == {}
+    # a question without a digest never gets another question's projection
+    assert np.array_equal(basis.projection(g, None), basis.project(g))
+    assert np.array_equal(basis.projection(2 * g, None), basis.project(2 * g))
+    key = _digest(g, None)
+    kept = basis.projection(g, key)
+    assert np.array_equal(kept, basis.project(g)) and not kept.flags.writeable
+    assert basis.projection(g, key) is kept
+    assert np.array_equal(basis.projection(3 * g, None), basis.project(3 * g))
+
+
 def test_pair_sweep_transforms_each_run_of_one_truth_once(monkeypatch):
     grid = build_grid(1, 17, 33, 1.0)
     a, b = _sine(grid, 0.2), _sine(grid, 0.1)
