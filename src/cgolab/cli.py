@@ -359,14 +359,20 @@ def _fmt_cell(value) -> str:
 
 
 class _Emitter:
-    """Collects artifacts; creates the output directory on first write."""
+    """Collects artifacts; creates the output directory on first write.
+
+    The first write also removes a manifest left in the directory by an
+    earlier run, so a run that fails part way leaves no manifest vouching for
+    its partial files."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
         self.files = []
 
     def _path(self, name: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
+        if not self.files:
+            self.out.mkdir(parents=True, exist_ok=True)
+            (self.out / "manifest.json").unlink(missing_ok=True)
         self.files.append(name)
         return self.out / name
 

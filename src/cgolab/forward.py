@@ -7,14 +7,16 @@ imposed strongly: the operator is a sparse interior block A plus a matrix B
 that lifts the lateral values into the interior equations, so a march steps
 on interior vectors only.  One kernel, `ThetaScheme`, makes the linear
 marches (one solution, or the Neumann traces of a block of data columns) and
-the Newton steps of the semilinear solver.  Where the lateral data at t=0
-disagrees with the initial slice on the boundary, the lateral value wins and a
-warning is emitted (the discrepancy lives on the corner of the cylinder).
+the Newton steps of the semilinear solver, which also marches a block of
+data columns.  Where the lateral data at t=0 disagrees with the initial slice
+on the boundary, the lateral value wins and a warning is emitted (the
+discrepancy lives on the corner of the cylinder).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +35,7 @@ __all__ = [
     "solve_forward",
     "solve_backward",
     "solve_semilinear",
+    "solve_semilinear_many",
     "neumann_trace",
 ]
 
@@ -411,70 +414,132 @@ class SemilinearResult:
         return max(self.newton_iterations) if self.newton_iterations else 0
 
 
+def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
+                          newton_tol: float = 1e-10, max_iter: int = 50,
+                          max_halvings: int = 10,
+                          warn_incompatible: bool = True) -> list:
+    """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns that
+    share the nonlinearity a, as one block; one SemilinearResult per column.
+
+    bdatas holds the k lateral data, u0s is None or k initial slices (each
+    None or an array).  `a` needs vectorized methods value(*x, t, u) and
+    du(*x, t, u) that broadcast the interior coordinates against a (k, ndof)
+    block.  Each step runs a damped Newton iteration on the theta-stepped
+    equation down to residual newton_tol; the Jacobian is ThetaScheme's step
+    matrix with q = du, divided by ht.  Each Newton iteration and each trial
+    of its line search evaluates the spatial half and a (or du) once on the
+    whole block.  Factor, solve, line-search halving and convergence stay
+    per column, so each column takes its single-column iterations and gets
+    its single-column field bit for bit.  A non-finite residual raises
+    SolverError.  Data must be real.
+    """
+    scheme = ThetaScheme(grid, None, theta)
+    bdatas = list(bdatas)
+    u0s = [None] * len(bdatas) if u0s is None else list(u0s)
+    if len(u0s) != len(bdatas):
+        raise ValueError("need one initial slice (or None) per data column")
+    for bdata, u0 in zip(bdatas, u0s):
+        if not grid.same_layout(bdata.grid):
+            raise ValueError("boundary data lives on a different grid")
+        if np.abs(bdata.values.imag).max() > 0:
+            raise ValueError("semilinear solver expects real boundary data")
+        if u0 is not None and np.iscomplexobj(u0) and np.abs(np.imag(u0)).max() > 0:
+            raise ValueError("semilinear solver expects real initial data")
+    bvals = np.stack([bdata.values.real for bdata in bdatas])
+    op, ht = scheme._op, grid.ht
+    # one lift product per column, (nt, k, ndof): the dense 1-d product
+    # rounds by block width
+    lift = np.stack([(scheme._lift @ bdata.values.real.T).T for bdata in bdatas], axis=1)
+    xint = tuple(_interior(np.broadcast_to(c, grid.space_shape), grid.n)
+                 for c in grid.space_coordinates())
+
+    def half(level, v):
+        """The spatial part op @ v + lift - a(v) of the equation at `level`."""
+        return (op @ v.T).T + lift[level] - a.value(*xint, grid.ts[level], v)
+
+    k = len(bdatas)
+    x = np.empty((k, grid.nt, scheme._ndof))
+    first = None
+    if any(u0 is not None for u0 in u0s):
+        first = np.stack([np.zeros(grid.space_shape) if u0 is None else np.asarray(u0)
+                          for u0 in u0s])
+    x[:, 0] = scheme._initial_interior(bvals, first, warn_incompatible).real
+    # the implicit half of an accepted level is the explicit half of the next step
+    explicit = half(0, x[:, 0])
+    iterations = [[] for _ in range(k)]
+    for level in range(1, grid.nt):
+        xk = x[:, level - 1]
+        weighted_explicit = (1 - theta) * explicit
+
+        def residual(v):
+            implicit = half(level, v)
+            return (v - xk) / ht - theta * implicit - weighted_explicit, implicit
+
+        # A column leaves the loop when its residual passes the test, and its
+        # rows of v, res and implicit stay as they are from then on.  The
+        # whole block is still evaluated, a column out of the line search at
+        # its current v (its step is zero).
+        v = xk.copy()
+        res, implicit = residual(v)
+        count = [0] * k
+        while True:
+            err = np.abs(res).max(axis=1).tolist()
+            if not all(map(math.isfinite, err)):
+                raise SolverError(f"non-finite Newton residual at time level {level}")
+            active = [c for c in range(k) if err[c] > newton_tol]
+            if not active:
+                break
+            if count[active[0]] >= max_iter:
+                raise SolverError(
+                    f"Newton did not converge at time level {level} "
+                    f"(residual {max(err):.3e})"
+                )
+            du = a.du(*xint, grid.ts[level], v)
+            rhs = -ht * res
+            step = np.zeros_like(v)
+            base = {}
+            for c in active:
+                step[c] = scheme._factor(du[c], level).solve(rhs[c])
+                base[c] = np.linalg.norm(res[c])
+                count[c] += 1
+            alpha = np.ones((k, 1))
+            pending = active
+            for halving in range(max_halvings + 1):
+                trial = v + alpha * step
+                trial_res, trial_implicit = residual(trial)
+                if halving == max_halvings:
+                    # out of halvings: the last trial is taken as it is
+                    took = pending
+                else:
+                    finite = np.isfinite(trial_res).all(axis=1).tolist()
+                    took = [c for c in pending if finite[c]
+                            and np.linalg.norm(trial_res[c]) <= base[c]]
+                if len(took) == k:
+                    v, res, implicit = trial, trial_res, trial_implicit
+                    break
+                v[took], res[took] = trial[took], trial_res[took]
+                implicit[took] = trial_implicit[took]
+                step[took] = 0.0
+                pending = [c for c in pending if c not in took]
+                if not pending:
+                    break
+                alpha[pending] *= 0.5
+        for c in range(k):
+            iterations[c].append(count[c])
+        x[:, level] = v
+        explicit = implicit
+    return [SemilinearResult(scheme._field(x[c], bvals[c]), iterations[c])
+            for c in range(k)]
+
+
 def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float = 0.5,
                      newton_tol: float = 1e-10, max_iter: int = 50,
                      max_halvings: int = 10,
                      warn_incompatible: bool = True) -> SemilinearResult:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 with data on the parabolic boundary.
 
-    `a` needs vectorized methods value(*x, t, u) and du(*x, t, u).  Each step
-    runs a damped Newton iteration on the theta-stepped equation down to
-    residual newton_tol; the Jacobian is ThetaScheme's step matrix with
-    q = du, divided by ht.  Data must be real.
+    The one-column call of `solve_semilinear_many`, which holds the Newton
+    loop and its conventions.
     """
-    scheme = ThetaScheme(grid, None, theta)
-    if not grid.same_layout(bdata.grid):
-        raise ValueError("boundary data lives on a different grid")
-    if np.abs(bdata.values.imag).max() > 0:
-        raise ValueError("semilinear solver expects real boundary data")
-    if u0 is not None and np.iscomplexobj(u0) and np.abs(np.imag(u0)).max() > 0:
-        raise ValueError("semilinear solver expects real initial data")
-    bvals = bdata.values.real
-    op, ht = scheme._op, grid.ht
-    lift = (scheme._lift @ bvals.T).T
-    xint = tuple(_interior(np.broadcast_to(c, grid.space_shape), grid.n)
-                 for c in grid.space_coordinates())
-
-    def half(level, v):
-        """The spatial part op @ v + lift - a(v) of the equation at `level`."""
-        return op @ v + lift[level] - a.value(*xint, grid.ts[level], v)
-
-    x = np.empty((grid.nt, scheme._ndof))
-    first = None if u0 is None else np.asarray(u0)[None]
-    x[0] = scheme._initial_interior(bvals[None], first, warn_incompatible)[0].real
-    # the implicit half of an accepted level is the explicit half of the next step
-    explicit = half(0, x[0])
-    iterations = []
-    for k in range(grid.nt - 1):
-        xk = x[k]
-
-        def residual(v):
-            implicit = half(k + 1, v)
-            return (v - xk) / ht - theta * implicit - (1 - theta) * explicit, implicit
-
-        v = xk.copy()
-        res, implicit = residual(v)
-        it = 0
-        while np.abs(res).max() > newton_tol:
-            if it >= max_iter:
-                raise SolverError(
-                    f"Newton did not converge at time level {k + 1} "
-                    f"(residual {np.abs(res).max():.3e})"
-                )
-            step = scheme._factor(a.du(*xint, grid.ts[k + 1], v), k + 1).solve(-ht * res)
-            alpha, base = 1.0, np.linalg.norm(res)
-            for _ in range(max_halvings):
-                trial = v + alpha * step
-                trial_res, trial_implicit = residual(trial)
-                if np.all(np.isfinite(trial_res)) and np.linalg.norm(trial_res) <= base:
-                    break
-                alpha *= 0.5
-            else:
-                trial = v + alpha * step
-                trial_res, trial_implicit = residual(trial)
-            v, res, implicit = trial, trial_res, trial_implicit
-            it += 1
-        iterations.append(it)
-        x[k + 1] = v
-        explicit = implicit
-    return SemilinearResult(scheme._field(x, bvals), iterations)
+    return solve_semilinear_many(grid, a, [bdata], [u0], theta, newton_tol, max_iter,
+                                 max_halvings, warn_incompatible)[0]

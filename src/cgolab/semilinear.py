@@ -17,7 +17,7 @@ import numpy as np
 from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, operator_norm
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
-from .forward import neumann_trace, solve_forward, solve_semilinear
+from .forward import neumann_trace, solve_forward, solve_semilinear_many
 from .grid import Grid
 from .norms import ModulusParams, fit_modulus_constant
 from .reconstruct import (
@@ -32,6 +32,7 @@ __all__ = [
     "Nonlinearity",
     "SemilinearOracle",
     "semilinear_solution",
+    "semilinear_solutions",
     "dtn_semilinear",
     "linearized_potential",
     "frechet_dtn",
@@ -110,18 +111,8 @@ def _data_range(bdata: BoundaryField, u0) -> tuple:
     return float(flat.min()), float(flat.max())
 
 
-def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
-                        u0=None, theta: float = 0.5) -> ScalarField:
-    """Semilinear solve plus the class and a-priori checks.
-
-    For a monotone-class nonlinearity the solution range may not leave the
-    data range (up to a solver tolerance); a configured sup_bound is enforced
-    unconditionally.  Violations raise rather than warn: they mean the
-    computed solution left the regime the estimates cover.
-    """
-    a.check_class(grid.n)
-    result = solve_semilinear(grid, a, bdata, u0, theta, warn_incompatible=False)
-    u = result.field.values.real
+def _check_solution(a: Nonlinearity, u: np.ndarray, bdata: BoundaryField, u0) -> None:
+    """The a-priori checks of one computed solution (real values u)."""
     scale = 1.0 + float(np.abs(bdata.values).max())
     tol = 1e-6 * scale
     if a.sup_bound is not None and np.abs(u).max() > a.sup_bound + tol:
@@ -137,7 +128,33 @@ def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                 f"solution range [{u.min():.3e}, {u.max():.3e}] leaves the "
                 f"data range [{lo:.3e}, {hi:.3e}]"
             )
-    return result.field
+
+
+def semilinear_solutions(grid: Grid, a: Nonlinearity, bdatas, u0s=None,
+                         theta: float = 0.5) -> list:
+    """Semilinear solves of k data columns as one Newton block, plus the
+    class and a-priori checks.
+
+    For a monotone-class nonlinearity a solution's range may not leave its
+    data range (up to a solver tolerance); a configured sup_bound is enforced
+    unconditionally.  Violations raise rather than warn: they mean the
+    computed solution left the regime the estimates cover.  Returns the k
+    solution fields.
+    """
+    a.check_class(grid.n)
+    bdatas = list(bdatas)
+    u0s = [None] * len(bdatas) if u0s is None else list(u0s)
+    results = solve_semilinear_many(grid, a, bdatas, u0s, theta, warn_incompatible=False)
+    for bdata, u0, result in zip(bdatas, u0s, results):
+        _check_solution(a, result.field.values.real, bdata, u0)
+    return [result.field for result in results]
+
+
+def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
+                        u0=None, theta: float = 0.5) -> ScalarField:
+    """Semilinear solve plus the class and a-priori checks: the one-column
+    call of `semilinear_solutions`."""
+    return semilinear_solutions(grid, a, [bdata], [u0], theta)[0]
 
 
 def dtn_semilinear(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
@@ -187,19 +204,23 @@ def fd_frechet_report(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2:
         raise ConfigError("need at least two step sizes")
-    base_solution = semilinear_solution(grid, a, bdata, u0, theta)
-    base_trace = neumann_trace(base_solution)
-    deriv = frechet_dtn(grid, a, bdata, h, u0, h0, theta, solution=base_solution)
-    errs = []
+    perturbed, perturbed0 = [], []
     for eps in epsilons:
-        pert = BoundaryField(grid, bdata.values + eps * h.values)
+        perturbed.append(BoundaryField(grid, bdata.values + eps * h.values))
         pu0 = None
         if u0 is not None or h0 is not None:
             base0 = np.zeros(grid.space_shape) if u0 is None else np.asarray(u0)
             dir0 = np.zeros(grid.space_shape) if h0 is None else np.asarray(h0)
             pu0 = base0 + eps * dir0
-        trace = dtn_semilinear(grid, a, pert, pu0, theta)
-        fd = (trace.values - base_trace.values) / eps
+        perturbed0.append(pu0)
+    # the base datum and every perturbed datum share a: one Newton block
+    base_solution, *solutions = semilinear_solutions(
+        grid, a, [bdata] + perturbed, [u0] + perturbed0, theta)
+    base_trace = neumann_trace(base_solution)
+    deriv = frechet_dtn(grid, a, bdata, h, u0, h0, theta, solution=base_solution)
+    errs = []
+    for eps, solution in zip(epsilons, solutions):
+        fd = (neumann_trace(solution).values - base_trace.values) / eps
         errs.append(float(np.abs(fd - deriv.values).max()))
     slope = float(np.polyfit(np.log(epsilons), np.log(errs), 1)[0])
     return {"eps": epsilons, "err": errs, "slope": slope}
@@ -222,20 +243,48 @@ class SemilinearOracle:
         self.noise_seed = int(noise_seed)
         self.level_bound = a.level_bound
 
-    def level_potential(self, s: float) -> Potential:
+    def _check_level(self, s: float) -> None:
         if abs(s) > self.level_bound + 1e-12:
             raise ConfigError(
                 f"level {s} outside the admissible range [-{self.level_bound}, "
                 f"{self.level_bound}]"
             )
+
+    def level_potential(self, s: float) -> Potential:
+        self._check_level(s)
         grid = self.grid
         bdata = BoundaryField.constant(grid, float(s))
         u0 = np.full(grid.space_shape, float(s))
         return linearized_potential(grid, self._a, bdata, u0, self.theta)
 
-    def level_oracle(self, s: float) -> DtnOracle:
-        return DtnOracle(self.grid, self.level_potential(s), theta=self.theta,
+    def level_potentials(self, levels) -> list:
+        """The potentials of several levels, every level checked before the
+        levels are solved as one block."""
+        for s in levels:
+            self._check_level(s)
+        return _level_potentials(self.grid, self._a, levels, self.theta)
+
+    def oracle(self, p: Potential) -> DtnOracle:
+        """The measurement oracle of a level's potential p."""
+        return DtnOracle(self.grid, p, theta=self.theta,
                          noise_delta=self.noise_delta, noise_seed=self.noise_seed)
+
+    def level_oracle(self, s: float) -> DtnOracle:
+        return self.oracle(self.level_potential(s))
+
+
+def _level_potentials(grid: Grid, a: Nonlinearity, levels, theta: float) -> list:
+    """linearized_potential of a at each constant level, the levels solved as
+    one block; each solution is dropped as soon as its potential is built."""
+    bdatas = [BoundaryField.constant(grid, float(s)) for s in levels]
+    u0s = [np.full(grid.space_shape, float(s)) for s in levels]
+    solutions = semilinear_solutions(grid, a, bdatas, u0s, theta)
+    potentials = []
+    for i, (bdata, u0) in enumerate(zip(bdatas, u0s)):
+        potentials.append(linearized_potential(grid, a, bdata, u0, theta,
+                                               solution=solutions[i]))
+        solutions[i] = None
+    return potentials
 
 
 def _window_average(grid: Grid, values: np.ndarray, layers: int) -> float:
@@ -284,14 +333,13 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
     levels = [float(s) for s in levels]
     if not levels:
         raise ConfigError("need at least one level")
+    # the truth's levels form one Newton block and the reference's another
+    truths = data.level_potentials(levels)
+    refs = _level_potentials(grid, a_ref, levels, data.theta)
     rows = []
     gain = None
-    for s in levels:
-        oracle = data.level_oracle(s)
-        bdata = BoundaryField.constant(grid, s)
-        u0 = np.full(grid.space_shape, s)
-        p_ref = linearized_potential(grid, a_ref, bdata, u0, data.theta)
-        res = reconstruct(oracle, p_ref, cfg)
+    for s, p_true, p_ref in zip(levels, truths, refs):
+        res = reconstruct(data.oracle(p_true), p_ref, cfg)
         if res.trivial:
             raw, d_prime = 0.0, 0.0
         else:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cgolab
-from cgolab import ConfigError
+from cgolab import ConfigError, SolverError, cli
 from cgolab.cli import ExperimentConfig, main, run
 from cgolab.dtn import DtnMatrix, load_field
 
@@ -83,6 +83,23 @@ def test_forward_emits_artifacts_and_valid_manifest(tmp_path):
     assert field.grid.nx == 17
     header = (out / "neumann_trace.csv").read_text().splitlines()[0]
     assert header == "t,p0000,p0001"
+
+
+def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(SMALL_GRID)
+    run("forward", cfg, out)
+    assert (out / "manifest.json").exists()
+
+    def fails_after_first_artifact(cfg, emit):
+        emit.csv("partial.csv", ["x"], [[1.0]])
+        raise SolverError("failed part way")
+
+    monkeypatch.setitem(cli.HANDLERS, "forward", fails_after_first_artifact)
+    with pytest.raises(SolverError, match="part way"):
+        run("forward", cfg, out)
+    assert (out / "partial.csv").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_dtn_matrix_artifact_is_loadable(tmp_path):

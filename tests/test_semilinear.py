@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
-from cgolab import semilinear
+from cgolab import forward, semilinear
 from cgolab.dtn import DtnBasis, assemble_difference_matrix, operator_norm
 from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
 from cgolab.norms import ModulusParams
@@ -252,3 +252,65 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
     out = semilinear_stability_sweep(g, family, ref, level, cfg, mod, basis_k_max=2)
     assert len(calls) == 1 + len(family)
     assert out["records"] == want
+
+
+def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
+    # the truth's three levels form one Newton block and the reference's
+    # another: 2 semilinear schemes, not 6.  A linear a takes one Newton
+    # iteration per step, so a block calls a.value once at t=0 and twice per
+    # step (the start residual and the accepted trial)
+    g = build_grid(1, 17, 33, 1.0)
+    calls = []
+
+    def counted(c):
+        def value(u):
+            calls.append(1)
+            return c * u
+        return Nonlinearity.from_u(value, lambda u: c * np.ones_like(u))
+
+    schemes = []
+
+    class Counting(forward.ThetaScheme):
+        def __init__(self, grid, q=None, *args, **kwargs):
+            if q is None:
+                schemes.append(1)
+            super().__init__(grid, q, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "ThetaScheme", Counting)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    recover_nonlinearity(SemilinearOracle(g, counted(1.0)), counted(0.5),
+                         [0.3, 0.6, 0.9], cfg)
+    assert len(schemes) == 2
+    assert len(calls) == 2 * (1 + 2 * (g.nt - 1))
+
+
+def test_recovery_rejects_a_level_before_any_solve(monkeypatch):
+    g = build_grid(1, 17, 17, 1.0)
+    solves = []
+    monkeypatch.setattr(semilinear, "solve_semilinear_many",
+                        lambda *args, **kwargs: solves.append(1))
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    with pytest.raises(ConfigError, match="admissible range"):
+        recover_nonlinearity(SemilinearOracle(g, _cubic()), _cubic(), [0.3, 1.5], cfg)
+    assert solves == []
+
+
+def test_fd_report_equals_one_solve_per_datum():
+    # the report solves its base and perturbed data as one block; it must
+    # equal the report composed of one checked solve per datum
+    g = build_grid(1, 33, 33, 1.0)
+    a, data, h = _cubic(), _sine_data(g), _sine_data(g, 0.11)
+    u0 = 0.2 * np.sin(np.pi * g.xs)
+    h0 = 0.1 * np.sin(2 * np.pi * g.xs)
+    epsilons = [1e-2, 1e-3, 1e-4]
+    rep = fd_frechet_report(g, a, data, h, epsilons, u0=u0, h0=h0)
+    base = semilinear_solution(g, a, data, u0)
+    deriv = frechet_dtn(g, a, data, h, u0, h0, solution=base)
+    errs = []
+    for eps in epsilons:
+        pert = BoundaryField(g, data.values + eps * h.values)
+        trace = dtn_semilinear(g, a, pert, u0 + eps * h0)
+        fd = (trace.values - neumann_trace(base).values) / eps
+        errs.append(float(np.abs(fd - deriv.values).max()))
+    assert rep["err"] == errs
+    assert rep["eps"] == epsilons

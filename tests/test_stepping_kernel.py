@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from cgolab import BoundaryField, Nonlinearity, Potential, ScalarField, build_grid
+from cgolab import (BoundaryField, Nonlinearity, Potential, ScalarField, SolverError,
+                    build_grid)
 from cgolab import forward
 from cgolab.dtn import DtnOracle
-from cgolab.forward import solve_backward, solve_forward, solve_semilinear
+from cgolab.forward import (solve_backward, solve_forward, solve_semilinear,
+                            solve_semilinear_many)
 
 RTOL = 1e-13
 
@@ -326,3 +328,77 @@ def test_dtn_apply_is_linear(problem, alpha, beta):
     combined = oracle.apply(BoundaryField(g, alpha * g1.values + beta * g2.values))
     scale = (abs(alpha) + abs(beta) + 1.0) * max(np.abs(r1).max(), np.abs(r2).max())
     assert np.abs(combined.values - (alpha * r1 + beta * r2)).max() <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# A Newton block against one-column solves
+
+
+def _polynomial(slope, cubic, calls=None):
+    def value(u):
+        if calls is not None:
+            calls.append(1)
+        return slope * u + cubic * u**3
+    return Nonlinearity.from_u(value, lambda u: slope + 3 * cubic * u**2)
+
+
+def _wave(g, amp, level):
+    return BoundaryField.from_callable(
+        g, lambda p, t: level + amp * np.sin(np.pi * (p[:, 0] + 0.3)) * np.sin(3 * np.pi * t))
+
+
+def _assert_block_equals_single_solves(g, a, bdatas, u0s):
+    block = solve_semilinear_many(g, a, bdatas, u0s, warn_incompatible=False)
+    assert len(block) == len(bdatas)
+    for got, bd, u0 in zip(block, bdatas, u0s):
+        want = solve_semilinear(g, a, bd, u0, warn_incompatible=False)
+        assert got.newton_iterations == want.newton_iterations
+        assert got.field.values.tobytes() == want.field.values.tobytes()
+    return block
+
+
+def test_semilinear_block_with_a_halving_column_equals_single_solves():
+    # at amplitude 6 the cubic needs line-search halvings; the quieter columns
+    # leave the Newton loop earlier and sit out the halvings
+    g = build_grid(1, 9, 5, T=1.0)
+    calls = []
+    a = _polynomial(1.0, 20.0, calls)
+    bdatas = [_wave(g, 6.0, 0.0), _wave(g, 1.0, 0.3), _wave(g, 0.2, 0.0)]
+    u0s = [None, np.full(g.space_shape, 0.3), None]
+    block = _assert_block_equals_single_solves(g, a, bdatas, u0s)
+    assert block[0].newton_iterations != block[2].newton_iterations
+    calls.clear()
+    single = solve_semilinear(g, a, bdatas[0], warn_incompatible=False)
+    # a value call per step start, per Newton iteration and per halving, plus one
+    halvings = len(calls) - g.nt - sum(single.newton_iterations)
+    assert halvings > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(1, 9, 5), (1, 17, 9), (2, 5, 5), (2, 7, 9)]),
+       st.sampled_from([(1.5, 0.0), (1.0, 20.0)]),
+       st.lists(st.tuples(st.floats(-6, 6), st.floats(-1, 1), st.booleans()),
+                min_size=1, max_size=3))
+def test_semilinear_block_equals_single_column_solves(shape, coefficients, columns):
+    g = build_grid(*shape, T=1.0)
+    a = _polynomial(*coefficients)
+    bdatas = [_wave(g, amp, level) for amp, level, _ in columns]
+    u0s = [np.full(g.space_shape, level) if initial else None
+           for _, level, initial in columns]
+    _assert_block_equals_single_solves(g, a, bdatas, u0s)
+
+
+def test_non_finite_newton_residual_raises():
+    # a NaN residual passed the convergence test: the solve returned, every
+    # level after the first a frozen copy of it
+    g = build_grid(1, 17, 33, T=1.0)
+    a = Nonlinearity.from_u(lambda u: np.where(u > 1.5, np.nan, u**3), lambda u: 3 * u**2)
+    bd = BoundaryField.from_callable(g, lambda p, t: 1.4 + 10 * t + 0 * p[:, 0])
+    u0 = np.full(g.space_shape, 1.4)
+    with pytest.raises(SolverError, match="non-finite Newton residual"):
+        solve_semilinear(g, a, bd, u0, warn_incompatible=False)
+    # in a block, the failing column raises although its neighbour converges
+    quiet = BoundaryField.constant(g, 0.5)
+    with pytest.raises(SolverError, match="non-finite Newton residual"):
+        solve_semilinear_many(g, a, [quiet, bd], [np.full(g.space_shape, 0.5), u0],
+                              warn_incompatible=False)

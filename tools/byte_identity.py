@@ -4,8 +4,9 @@
 
 Runs the benchmark's reference configs at their default seed (taken from
 perfbench/workloads.py, which this script only reads), plus recon2d-full's
-config with a time-dependent truth and two small stability sweeps (a 2-d
-pair sweep and a 1-d noise sweep, whose truth differs from the reference),
+config with a time-dependent truth, two small stability sweeps (a 2-d
+pair sweep and a 1-d noise sweep, whose truth differs from the reference)
+and two small nonlinearity recoveries with cubic truths (1-d and 2-d),
 through `cgolab.cli.run` once with
 BASE_TREE/src and once with HEAD_TREE/src (default: the tree holding this
 script).  Every run is a fresh interpreter with one BLAS thread and writes to
@@ -67,6 +68,24 @@ def cases() -> list:
         "potential": {"family": "sine", "amplitude": 0.05, "space": [1], "time": 1},
         "noise": {"seed": 3},
         "sweep": {"kind": "noise"},
+    }))
+    # nonlin1d's linear truth takes one Newton iteration per step; cubic truths
+    # take several, so columns of a level block leave the Newton loop apart
+    out.append(("nonlin1d-cubic", "recover-nonlinearity", {
+        "threads": 1,
+        "grid": {"n": 1, "nx": 33, "nt": 257, "T": 1.0},
+        "semilinear": {"family": "cubic", "slope": 1.0, "cubic": 2.0,
+                       "ref_family": "linear", "ref_slope": 0.5,
+                       "levels": [0.3, 0.6, 0.9]},
+        "reconstruct": {"rho": 8.0, "R": 2.0, "measure_delta": False},
+    }))
+    out.append(("nonlin2d-cubic", "recover-nonlinearity", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 9, "nt": 33},
+        "semilinear": {"family": "cubic", "slope": 1.0, "cubic": 2.0,
+                       "ref_family": "cubic", "ref_slope": 0.5, "ref_cubic": 1.0,
+                       "levels": [-0.5, 0.4, 0.8]},
+        "reconstruct": {"rho": 4.0, "R": 2.0},
     }))
     return out
 
