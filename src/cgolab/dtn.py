@@ -576,20 +576,12 @@ class DtnOracle:
         diff -= self._observed(reference)
         return diff
 
-    def difference_many(self, q_ref: Potential | None, g, u0=None) -> np.ndarray:
-        """(measured map - simulated reference map) responses (k, nt, nb)."""
-        return next(self.differences(q_ref, [(g, u0)]))
-
-    def pair_many(self, q_ref: Potential | None, g, h) -> np.ndarray:
-        """Pairings (k, m) of (measured map - simulated reference map) g[i]
-        against h[j]: the lateral integral of [(map_q - map_ref) g[i]] * h[j],
-        for data blocks g (k, nt, nb) and h (m, nt, nb)."""
-        return pairings(self.grid, self.difference_many(q_ref, g), h)
-
     def pair_against(self, q_ref: Potential | None, g: BoundaryField,
                      h: BoundaryField) -> complex:
-        """Pairing of (measured map - simulated reference map) g against h."""
-        return complex(self.pair_many(q_ref, g.values[None], h.values[None])[0, 0])
+        """Pairing of (measured map - simulated reference map) g against h:
+        the lateral integral of [(map_q - map_ref) g] * h."""
+        diff = next(self.differences(q_ref, [(g.values[None], None)]))
+        return complex(pairings(self.grid, diff, h.values[None])[0, 0])
 
 
 def shared_maps(grid: Grid, potentials, theta: float = 0.5) -> list:
@@ -651,7 +643,7 @@ def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
     The operator norm of this matrix is the measured data-distance fed to
     parameter selection.
     """
-    return map_matrix(oracle.difference_many(q_ref, *basis_in.inputs()),
+    return map_matrix(next(oracle.differences(q_ref, [basis_in.inputs()])),
                       basis_in, basis_out, weights)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,13 @@ __all__ = [
 # thirds of COLAMD's fill (10,234 against 15,780 L+U nonzeros on a 25x25
 # grid), which makes both the factorization and each solve faster.
 _SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+# A Newton step converges at residual NEWTON_TOL and fails after
+# NEWTON_MAX_ITER iterations; its line search takes the last trial as it is
+# after NEWTON_MAX_HALVINGS halvings.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+NEWTON_MAX_HALVINGS = 10
 
 
 def _check_theta(theta):
@@ -241,10 +249,14 @@ class ThetaScheme:
             clash = np.abs(first[(slice(None), *grid.boundary_index)] - bvals[:, 0])
             scale = max(np.abs(first).max(), np.abs(bvals).max(), 1.0)
             if clash.max() > 1e-10 * scale:
+                # name the caller's line: the first frame outside this module
+                frame, level = sys._getframe(), 1
+                while frame is not None and frame.f_code.co_filename == __file__:
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     "lateral data and initial slice disagree at t=0; "
                     "keeping the lateral value",
-                    stacklevel=3,
+                    stacklevel=level,
                 )
         return _interior(first, grid.n)
 
@@ -415,8 +427,6 @@ class SemilinearResult:
 
 
 def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
-                          newton_tol: float = 1e-10, max_iter: int = 50,
-                          max_halvings: int = 10,
                           warn_incompatible: bool = True) -> list:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns that
     share the nonlinearity a, as one block; one SemilinearResult per column.
@@ -425,7 +435,7 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
     None or an array).  `a` needs vectorized methods value(*x, t, u) and
     du(*x, t, u) that broadcast the interior coordinates against a (k, ndof)
     block.  Each step runs a damped Newton iteration on the theta-stepped
-    equation down to residual newton_tol; the Jacobian is ThetaScheme's step
+    equation down to residual NEWTON_TOL; the Jacobian is ThetaScheme's step
     matrix with q = du, divided by ht.  Each Newton iteration and each trial
     of its line search evaluates the spatial half and a (or du) once on the
     whole block.  Factor, solve, line-search halving and convergence stay
@@ -486,10 +496,10 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
             err = np.abs(res).max(axis=1).tolist()
             if not all(map(math.isfinite, err)):
                 raise SolverError(f"non-finite Newton residual at time level {level}")
-            active = [c for c in range(k) if err[c] > newton_tol]
+            active = [c for c in range(k) if err[c] > NEWTON_TOL]
             if not active:
                 break
-            if count[active[0]] >= max_iter:
+            if count[active[0]] >= NEWTON_MAX_ITER:
                 raise SolverError(
                     f"Newton did not converge at time level {level} "
                     f"(residual {max(err):.3e})"
@@ -504,10 +514,10 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
                 count[c] += 1
             alpha = np.ones((k, 1))
             pending = active
-            for halving in range(max_halvings + 1):
+            for halving in range(NEWTON_MAX_HALVINGS + 1):
                 trial = v + alpha * step
                 trial_res, trial_implicit = residual(trial)
-                if halving == max_halvings:
+                if halving == NEWTON_MAX_HALVINGS:
                     # out of halvings: the last trial is taken as it is
                     took = pending
                 else:
@@ -533,13 +543,10 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
 
 
 def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float = 0.5,
-                     newton_tol: float = 1e-10, max_iter: int = 50,
-                     max_halvings: int = 10,
                      warn_incompatible: bool = True) -> SemilinearResult:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 with data on the parabolic boundary.
 
     The one-column call of `solve_semilinear_many`, which holds the Newton
     loop and its conventions.
     """
-    return solve_semilinear_many(grid, a, [bdata], [u0], theta, newton_tol, max_iter,
-                                 max_halvings, warn_incompatible)[0]
+    return solve_semilinear_many(grid, a, [bdata], [u0], theta, warn_incompatible)[0]

@@ -493,7 +493,10 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None,
         vanish_plus = direction_mask(grid, base, cfg.mask_delta, sign=-1)
         vanish_minus = direction_mask(grid, base, cfg.mask_delta, sign=1)
 
-    feasible = [nd for nd in freq.canonical_nodes() if nd.feasible]
+    # a hermitian inverse fills each mirror node with the conjugate of its
+    # canonical node; otherwise every node of the ball is probed
+    nodes = freq.canonical_nodes() if cfg.use_hermitian else freq.nodes
+    feasible = [nd for nd in nodes if nd.feasible]
     # an explicit rho is known before the data distance, which is then
     # measured here, in one request with the slices
     with_delta = cfg.measure_delta and cfg.rho != "auto"
@@ -507,7 +510,7 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None,
     for nd, value in zip(feasible, values):
         nd.value = complex(value)
     records = []
-    for nd in freq.canonical_nodes():
+    for nd in nodes:
         if not nd.feasible:
             nd.value = 0.0
         records.append(

@@ -33,7 +33,6 @@ __all__ = [
     "SemilinearOracle",
     "semilinear_solution",
     "semilinear_solutions",
-    "dtn_semilinear",
     "linearized_potential",
     "frechet_dtn",
     "fd_frechet_report",
@@ -46,21 +45,19 @@ class Nonlinearity:
     """a(x, t, u) with u-derivatives, all vectorized over (*x, t, u).
 
     monotone flags membership in the class {a(0)=0, a nondecreasing}; when
-    set, both properties are spot-checked before a solve.  du_bound is the
-    certified sup of |da/du| (the small-derivative class), level_bound the
+    set, both properties are spot-checked before a solve.  level_bound is the
     largest admissible constant data level, sup_bound an a-priori ceiling on
     |u| that computed solutions must respect.
     """
 
     def __init__(self, value, du, d2u=None, *, name: str = "",
-                 monotone: bool = False, du_bound: float | None = None,
-                 level_bound: float = 1.0, sup_bound: float | None = None):
+                 monotone: bool = False, level_bound: float = 1.0,
+                 sup_bound: float | None = None):
         self._value = value
         self._du = du
         self._d2u = d2u
         self.name = name
         self.monotone = bool(monotone)
-        self.du_bound = None if du_bound is None else float(du_bound)
         self.level_bound = float(level_bound)
         self.sup_bound = None if sup_bound is None else float(sup_bound)
 
@@ -157,12 +154,6 @@ def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
     return semilinear_solutions(grid, a, [bdata], [u0], theta)[0]
 
 
-def dtn_semilinear(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
-                   u0=None, theta: float = 0.5) -> BoundaryField:
-    """Neumann trace of the semilinear solution."""
-    return neumann_trace(semilinear_solution(grid, a, bdata, u0, theta))
-
-
 def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                          u0=None, theta: float = 0.5,
                          solution: ScalarField | None = None) -> Potential:
@@ -229,9 +220,10 @@ def fd_frechet_report(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
 class SemilinearOracle:
     """Measurement side of nonlinearity recovery.
 
-    Holds the hidden nonlinearity and hands out, per constant data level s,
-    the linear measurement oracle of the derivative map around g = s (the
-    linear map whose potential is da/du along the level-s solution).
+    Holds the hidden nonlinearity and hands out the potentials of constant
+    data levels s (da/du along the level-s solution) and the linear
+    measurement oracle of the derivative map around g = s.  Every level draws
+    the same noise, so its oracles share one lateral noise basis.
     """
 
     def __init__(self, grid: Grid, a: Nonlinearity, theta: float = 0.5,
@@ -241,36 +233,23 @@ class SemilinearOracle:
         self.theta = theta
         self.noise_delta = float(noise_delta)
         self.noise_seed = int(noise_seed)
-        self.level_bound = a.level_bound
-
-    def _check_level(self, s: float) -> None:
-        if abs(s) > self.level_bound + 1e-12:
-            raise ConfigError(
-                f"level {s} outside the admissible range [-{self.level_bound}, "
-                f"{self.level_bound}]"
-            )
-
-    def level_potential(self, s: float) -> Potential:
-        self._check_level(s)
-        grid = self.grid
-        bdata = BoundaryField.constant(grid, float(s))
-        u0 = np.full(grid.space_shape, float(s))
-        return linearized_potential(grid, self._a, bdata, u0, self.theta)
+        self._noise_basis = DtnBasis(grid) if self.noise_delta != 0 else None
 
     def level_potentials(self, levels) -> list:
-        """The potentials of several levels, every level checked before the
+        """The potentials of the levels, every level checked before the
         levels are solved as one block."""
+        bound = self._a.level_bound
         for s in levels:
-            self._check_level(s)
+            if abs(s) > bound + 1e-12:
+                raise ConfigError(
+                    f"level {s} outside the admissible range [-{bound}, {bound}]")
         return _level_potentials(self.grid, self._a, levels, self.theta)
 
     def oracle(self, p: Potential) -> DtnOracle:
         """The measurement oracle of a level's potential p."""
         return DtnOracle(self.grid, p, theta=self.theta,
-                         noise_delta=self.noise_delta, noise_seed=self.noise_seed)
-
-    def level_oracle(self, s: float) -> DtnOracle:
-        return self.oracle(self.level_potential(s))
+                         noise_delta=self.noise_delta, noise_seed=self.noise_seed,
+                         noise_basis=self._noise_basis)
 
 
 def _level_potentials(grid: Grid, a: Nonlinearity, levels, theta: float) -> list:
@@ -409,14 +388,12 @@ def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
     """
     if len(family) < 2:
         raise ConfigError("degenerate sweep: need at least 2 family members")
-    bdata = BoundaryField.constant(grid, float(level))
-    u0 = np.full(grid.space_shape, float(level))
-    p_ref = linearized_potential(grid, a_ref, bdata, u0, theta)
+    (p_ref,) = _level_potentials(grid, a_ref, [level], theta)
     basis_in = DtnBasis(grid, basis_j_max, basis_k_max, initial_modes=initial_modes)
     basis_out = DtnBasis(grid, basis_j_max, basis_k_max)
     records = []
     for a in family:
-        p_true = SemilinearOracle(grid, a, theta=theta).level_potential(level)
+        (p_true,) = SemilinearOracle(grid, a, theta=theta).level_potentials([level])
         oracle = DtnOracle(grid, p_true, theta=theta)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         delta = operator_norm(diff)

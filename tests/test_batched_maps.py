@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from cgolab import BoundaryField, Potential, ScalarField, build_grid
 from cgolab import cgo, forward
 from cgolab.cgo import CgoParams, build_cgo
-from cgolab.dtn import DtnBasis, DtnOracle, assemble_difference_matrix, faces_within
+from cgolab.dtn import (
+    DtnBasis,
+    DtnOracle,
+    assemble_difference_matrix,
+    faces_within,
+    pairings,
+)
 from cgolab.forward import ThetaScheme, neumann_trace, solve_forward
 from cgolab.reconstruct import (
     ReconstructionConfig,
@@ -133,7 +139,8 @@ def test_single_column_apply_and_pairings_match_column_path(n, partial):
                 for gi in g]
         want = np.array([[grid.integrate_boundary((c - r) * hj) for hj in h]
                          for c, r in zip(cols, refs)])
-        assert _rel(oracle.pair_many(q_ref, g, h), want, scale) <= RTOL
+        diff = next(oracle.differences(q_ref, [(g, None)]))
+        assert _rel(pairings(grid, diff, h), want, scale) <= RTOL
         single = oracle.pair_against(q_ref, BoundaryField(grid, g[1]),
                                      BoundaryField(grid, h[1]))
         assert abs(single - want[1, 1]) <= RTOL * np.abs(scale).max()

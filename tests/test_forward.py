@@ -10,10 +10,12 @@ import pytest
 from cgolab import BoundaryField, Nonlinearity, Potential, ScalarField, build_grid
 from cgolab.errors import SolverError
 from cgolab.forward import (
+    ThetaScheme,
     neumann_trace,
     solve_backward,
     solve_forward,
     solve_semilinear,
+    solve_semilinear_many,
 )
 
 
@@ -119,6 +121,25 @@ def test_incompatible_corner_warns_and_keeps_lateral():
     assert u.values[0, 0] == pytest.approx(1.0)
 
 
+_ZERO_A = Nonlinearity.from_u(lambda u: 0.0 * u, lambda u: 0.0 * u)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, bd, u0: ThetaScheme(g).solve(bd, u0),
+    lambda g, bd, u0: solve_forward(g, None, bd, u0),
+    lambda g, bd, u0: solve_backward(g, None, bd, u0),
+    lambda g, bd, u0: solve_semilinear(g, _ZERO_A, bd, u0),
+    lambda g, bd, u0: solve_semilinear_many(g, _ZERO_A, [bd], [u0]),
+], ids=["ThetaScheme.solve", "solve_forward", "solve_backward", "solve_semilinear",
+        "solve_semilinear_many"])
+def test_corner_warning_names_the_caller(solve):
+    g = build_grid(1, 9, 7, T=1.0)
+    bd = _bdata(g, lambda p, t: 1.0)
+    with pytest.warns(UserWarning, match="disagree") as record:
+        solve(g, bd, np.zeros(g.nx))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_neumann_trace_exact_on_quadratics():
     g = build_grid(1, 9, 5, T=1.0)
     u = _field(g, lambda x, t: x**2 + (1 + t) * x)
@@ -142,7 +163,7 @@ def test_semilinear_linear_case_matches_linear_solver():
     c = 0.7
     bd = _bdata(g, lambda p, t: 0.5 * np.sin(np.pi * t))
     a = Nonlinearity.from_u(lambda u: c * u, lambda u: c + 0.0 * u,
-                            monotone=True, du_bound=c, level_bound=2.0)
+                            monotone=True, level_bound=2.0)
     res = solve_semilinear(g, a, bd)
     lin = solve_forward(g, Potential(g, np.full(g.field_shape, c)), bd)
     assert np.abs(res.field.values - lin.values).max() < 1e-9
@@ -156,7 +177,7 @@ def test_semilinear_manufactured_decay():
         g = build_grid(1, nx, nx, T=1.0)
         exact = np.exp(-lam * g.ts)[:, None] * np.sin(np.pi * g.xs)[None, :]
         a = Nonlinearity.from_u(lambda u: u, lambda u: 1.0 + 0.0 * u,
-                                monotone=True, du_bound=1.0, level_bound=2.0)
+                                monotone=True, level_bound=2.0)
         res = solve_semilinear(g, a, BoundaryField.zeros(g), u0=np.sin(np.pi * g.xs))
         errs.append(np.abs(res.field.values - exact).max())
     slope = np.polyfit(np.log([1 / 16, 1 / 32, 1 / 64]), np.log(errs), 1)[0]
@@ -167,7 +188,7 @@ def test_semilinear_cubic_newton_converges():
     g = build_grid(1, 17, 17, T=1.0)
     bd = _bdata(g, lambda p, t: 0.8 * np.sin(np.pi * t))
     a = Nonlinearity.from_u(lambda u: u + u**3, lambda u: 1 + 3 * u**2,
-                            monotone=True, du_bound=4.0, level_bound=1.0)
+                            monotone=True, level_bound=1.0)
     res = solve_semilinear(g, a, bd)
     assert res.max_iterations >= 2  # actually nonlinear
     assert np.abs(res.field.values).max() <= 0.8 + 1e-8

@@ -12,7 +12,6 @@ from cgolab.reconstruct import ReconstructionConfig, reconstruct
 from cgolab.semilinear import (
     Nonlinearity,
     SemilinearOracle,
-    dtn_semilinear,
     fd_frechet_report,
     frechet_dtn,
     linearized_potential,
@@ -124,23 +123,19 @@ def test_finite_difference_consistency_is_first_order():
         fd_frechet_report(g, _cubic(), _sine_data(g), _sine_data(g, 0.11), [1e-2])
 
 
-def test_level_potential_equals_derivative_at_the_initial_slice():
+def test_level_potential_equals_derivative_at_the_initial_slice(monkeypatch):
     g = build_grid(1, 33, 33, 1.0)
     oracle = SemilinearOracle(g, _cubic())
-    p = oracle.level_potential(0.5)
+    (p,) = oracle.level_potentials([0.5])
     # the level solution starts exactly at u = s
     assert np.abs(p.values[0] - (1.0 + 0.6 * 0.25)).max() == 0.0
+    # every level is checked before the block is solved
+    solves = []
+    monkeypatch.setattr(semilinear, "solve_semilinear_many",
+                        lambda *args, **kwargs: solves.append(1))
     with pytest.raises(ConfigError, match="admissible range"):
-        oracle.level_potential(1.5)
-
-
-def test_dtn_semilinear_agrees_with_manual_composition():
-    g = build_grid(1, 17, 17, 1.0)
-    a = _cubic()
-    data = _sine_data(g)
-    direct = dtn_semilinear(g, a, data)
-    manual = neumann_trace(semilinear_solution(g, a, data))
-    assert np.array_equal(direct.values, manual.values)
+        oracle.level_potentials([0.5, 1.5])
+    assert solves == []
 
 
 def test_recovery_is_exact_for_matching_reference():
@@ -230,10 +225,10 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
     want = []
     for a in family:
         data = SemilinearOracle(g, a)
-        oracle = data.level_oracle(level)
+        (p_true,) = data.level_potentials([level])
+        oracle = data.oracle(p_true)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         res = reconstruct(oracle, p_ref, cfg)
-        p_true = data.level_potential(level)
         want.append({
             "delta": operator_norm(diff),
             "err": float(np.abs(res.estimate.values.real
@@ -242,13 +237,13 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
         })
 
     calls = []
-    solve = semilinear.semilinear_solution
+    solve = semilinear.semilinear_solutions
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(semilinear, "semilinear_solution", counting)
+    monkeypatch.setattr(semilinear, "semilinear_solutions", counting)
     out = semilinear_stability_sweep(g, family, ref, level, cfg, mod, basis_k_max=2)
     assert len(calls) == 1 + len(family)
     assert out["records"] == want
@@ -309,8 +304,28 @@ def test_fd_report_equals_one_solve_per_datum():
     errs = []
     for eps in epsilons:
         pert = BoundaryField(g, data.values + eps * h.values)
-        trace = dtn_semilinear(g, a, pert, u0 + eps * h0)
+        trace = neumann_trace(semilinear_solution(g, a, pert, u0 + eps * h0))
         fd = (trace.values - neumann_trace(base).values) / eps
         errs.append(float(np.abs(fd - deriv.values).max()))
     assert rep["err"] == errs
     assert rep["eps"] == epsilons
+
+
+def test_noisy_levels_share_one_noise_basis(monkeypatch):
+    # every level draws the same noise, so every level's oracle projects
+    # onto the one lateral basis its SemilinearOracle built
+    g = build_grid(1, 17, 17, 1.0)
+    oracles = []
+
+    def keep(oracle, *args, **kwargs):
+        oracles.append(oracle)
+        return reconstruct(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(semilinear, "reconstruct", keep)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    data = SemilinearOracle(g, _cubic(), noise_delta=1e-3, noise_seed=5)
+    recover_nonlinearity(data, _linear(0.5), [0.3, 0.6, 0.9], cfg)
+    assert len(oracles) == 3
+    assert all(o._noise_basis is data._noise_basis for o in oracles)
+    assert data._noise_basis is not None
+    assert SemilinearOracle(g, _cubic())._noise_basis is None

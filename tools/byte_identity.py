@@ -6,8 +6,8 @@ Runs the benchmark's reference configs at their default seed (taken from
 perfbench/workloads.py, which this script only reads), plus recon2d-full's
 config with a time-dependent truth, two small stability sweeps (a 2-d
 pair sweep and a 1-d noise sweep, whose truth differs from the reference)
-and two small nonlinearity recoveries with cubic truths (1-d and 2-d),
-through `cgolab.cli.run` once with
+and three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
+2-d with noise), through `cgolab.cli.run` once with
 BASE_TREE/src and once with HEAD_TREE/src (default: the tree holding this
 script).  Every run is a fresh interpreter with one BLAS thread and writes to
 the same scratch directory, so the manifests can be compared as files.  A
@@ -79,14 +79,18 @@ def cases() -> list:
                        "levels": [0.3, 0.6, 0.9]},
         "reconstruct": {"rho": 8.0, "R": 2.0, "measure_delta": False},
     }))
-    out.append(("nonlin2d-cubic", "recover-nonlinearity", {
+    nonlin2d = {
         "threads": 1,
         "grid": {"n": 2, "nx": 9, "nt": 33},
         "semilinear": {"family": "cubic", "slope": 1.0, "cubic": 2.0,
                        "ref_family": "cubic", "ref_slope": 0.5, "ref_cubic": 1.0,
                        "levels": [-0.5, 0.4, 0.8]},
         "reconstruct": {"rho": 4.0, "R": 2.0},
-    }))
+    }
+    out.append(("nonlin2d-cubic", "recover-nonlinearity", nonlin2d))
+    # every level draws the same calibrated noise
+    out.append(("nonlin2d-noisy", "recover-nonlinearity",
+                dict(nonlin2d, noise={"delta": 1e-3, "seed": 5})))
     return out
 
 
