@@ -273,8 +273,7 @@ def _build_potential(grid: Grid, section: dict) -> Potential:
                 out = out * np.sin(k * math.pi * t / grid.T)
             return section["amplitude"] * out
 
-        f = ScalarField.from_callable(grid, profile)
-        return Potential(grid, f.values.real, m=section["bound"])
+        return Potential.from_callable(grid, profile, m=section["bound"])
     raise ConfigError(f"unknown potential family {fam!r}")
 
 
@@ -590,10 +589,18 @@ def _noise_seed(cfg: ExperimentConfig) -> int:
     return cfg["seed"] if seed is None else seed
 
 
+def _truth_and_reference(grid: Grid, cfg: ExperimentConfig) -> tuple:
+    """The truth and reference potentials; a reference section equal to the
+    truth's is the truth, built once."""
+    truth = _build_potential(grid, cfg["potential"])
+    if cfg["potential_ref"] == cfg["potential"]:
+        return truth, truth
+    return truth, _build_potential(grid, cfg["potential_ref"])
+
+
 def _cmd_reconstruct(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
-    truth = _build_potential(grid, cfg["potential"])
-    ref = _build_potential(grid, cfg["potential_ref"])
+    truth, ref = _truth_and_reference(grid, cfg)
     rcfg = _recon_config(cfg)
     oracle = measurement_oracle(grid, truth, rcfg, cfg["noise"]["delta"], _noise_seed(cfg))
     res = reconstruct(oracle, ref, rcfg, truth=truth)
@@ -626,8 +633,7 @@ def _cmd_reconstruct(cfg: ExperimentConfig, emit: _Emitter) -> dict:
 
 def _cmd_stability_sweep(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
-    truth = _build_potential(grid, cfg["potential"])
-    ref = _build_potential(grid, cfg["potential_ref"])
+    truth, ref = _truth_and_reference(grid, cfg)
     rcfg = _recon_config(cfg)
     modulus = _modulus(cfg, grid)
     sec = cfg["sweep"]

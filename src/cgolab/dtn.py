@@ -145,6 +145,7 @@ class DtnBasis:
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
         self._weights = (grid.time_weights[:, None] * grid.boundary_weights).ravel()
         self._projections = {}
+        self._noise_draws = {}
 
     def _initial_mode_indices(self, count: int):
         if count == 0:
@@ -202,6 +203,20 @@ class DtnBasis:
             self._projections[key] = self.project(g)
             self._projections[key].flags.writeable = False
         return self._projections[key]
+
+    def noise(self, delta: float, seed: int) -> np.ndarray:
+        """The calibrated noise matrix (modes, modes) of level delta and
+        seed on the lateral modes: bitwise the perturbation `add_noise` puts
+        on their zero matrix.  Each seed's draw and its weighted norm are
+        kept, so oracles sharing the basis draw each seed once."""
+        _check_noise_level(delta)
+        if seed not in self._noise_draws:
+            size = self.lateral_size
+            zero = DtnMatrix(np.zeros((size, size)), self.xi_sq[:size], self.tau[:size],
+                             self.xi_sq[:size], self.tau[:size])
+            self._noise_draws[seed] = _noise_draw(zero, seed)
+        draw, norm = self._noise_draws[seed]
+        return 0.0 + (delta / norm) * draw
 
     def synthesize(self, coeffs):
         """Lateral data of mode coefficients: a BoundaryField of a (modes,)
@@ -320,23 +335,33 @@ def operator_norm(m: DtnMatrix) -> float:
     return float(np.linalg.svd(m.weighted(), compute_uv=False)[0])
 
 
-def add_noise(m: DtnMatrix, delta: float, seed: int) -> DtnMatrix:
-    """Additive complex Gaussian perturbation with weighted norm exactly delta."""
+def _check_noise_level(delta: float) -> None:
     if not delta >= 0:
         raise ConfigError(f"noise level must be nonnegative, got {delta}")
+
+
+def _noise_draw(m: DtnMatrix, seed: int):
+    """The complex Gaussian draw of seed shaped like m, and its weighted norm
+    in m's bases and weights."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(m.matrix.shape) + 1j * rng.standard_normal(m.matrix.shape)
+    probe = DtnMatrix(
+        noise, m.xi_sq_in, m.tau_in, m.xi_sq_out, m.tau_out, m.weights
+    )
+    return noise, operator_norm(probe)
+
+
+def add_noise(m: DtnMatrix, delta: float, seed: int) -> DtnMatrix:
+    """Additive complex Gaussian perturbation with weighted norm exactly delta."""
+    _check_noise_level(delta)
     out = DtnMatrix(
         m.matrix.copy(), m.xi_sq_in, m.tau_in, m.xi_sq_out, m.tau_out,
         m.weights, dict(m.meta),
     )
     if delta == 0:
         return out
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(m.matrix.shape) + 1j * rng.standard_normal(m.matrix.shape)
-    probe = DtnMatrix(
-        noise, m.xi_sq_in, m.tau_in, m.xi_sq_out, m.tau_out, m.weights
-    )
-    scale = delta / operator_norm(probe)
-    out.matrix = out.matrix + scale * noise
+    noise, norm = _noise_draw(m, seed)
+    out.matrix = out.matrix + (delta / norm) * noise
     out.meta = dict(out.meta, noise_delta=delta, noise_seed=seed)
     return out
 
@@ -500,11 +525,8 @@ class DtnOracle:
                 noise_basis = DtnBasis(grid)
             if noise_basis.initial_modes:
                 raise ConfigError("noise basis must be lateral-only")
-            size = noise_basis.lateral_size
-            zero = DtnMatrix(np.zeros((size, size)), noise_basis.xi_sq, noise_basis.tau,
-                             noise_basis.xi_sq, noise_basis.tau)
             self._noise_basis = noise_basis
-            self._noise_matrix = add_noise(zero, self.noise_delta, self.noise_seed).matrix
+            self._noise_matrix = noise_basis.noise(self.noise_delta, self.noise_seed)
 
     def _map_of(self, q: Potential | None) -> DtnMap:
         for m in self._maps:

@@ -9,6 +9,14 @@ from .grid import Grid
 __all__ = ["ScalarField", "BoundaryField", "Potential"]
 
 
+def _sample(grid: Grid, fn) -> np.ndarray:
+    """fn(x, t) (1-d) or fn(x, y, t) (2-d) on every grid point, the
+    arguments broadcast against each other."""
+    t = grid.ts.reshape((grid.nt,) + (1,) * grid.n)
+    coords = grid.space_coordinates()
+    return fn(*(c[None] for c in coords), t) + np.zeros(grid.field_shape)
+
+
 class ScalarField:
     """Complex samples on every grid point of the closed cylinder.
 
@@ -29,13 +37,7 @@ class ScalarField:
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "ScalarField":
         """Sample fn(x, t) (1-d) or fn(x, y, t) (2-d); arguments broadcast."""
-        t = grid.ts.reshape((grid.nt,) + (1,) * grid.n)
-        coords = grid.space_coordinates()
-        if grid.n == 1:
-            values = fn(coords[0][None, :], t) + np.zeros(grid.field_shape)
-        else:
-            values = fn(coords[0][None], coords[1][None], t) + np.zeros(grid.field_shape)
-        return cls(grid, values)
+        return cls(grid, _sample(grid, fn))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
@@ -130,6 +132,12 @@ class Potential:
         self.grid = grid
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self.m = float(m)
+
+    @classmethod
+    def from_callable(cls, grid: Grid, fn, m: float | None = None) -> "Potential":
+        """Sample the real fn(x, t) (1-d) or fn(x, y, t) (2-d); arguments
+        broadcast."""
+        return cls(grid, _sample(grid, fn), m)
 
     @classmethod
     def zero(cls, grid: Grid) -> "Potential":

@@ -159,7 +159,10 @@ class ThetaScheme:
     traces: a sparse trace operator, split like the spatial operator into an
     interior part and a boundary part, turns each level's state block and
     lateral data into the (k, nb) traces, so the march holds one state block
-    and never k fields.
+    and never k fields.  In 2-d each real column of a block marches
+    independently of the others, bit for bit, so `neumann_traces` marches only
+    the distinct nonzero ones and copies or negates the traces of the rest;
+    a 1-d block marches at its full width.
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
@@ -268,21 +271,24 @@ class ThetaScheme:
         u[(slice(None), *grid.boundary_index)] = bvals
         return ScalarField(grid, u)
 
-    def _march(self, bvals, x0, source, dtype, emit):
+    def _march(self, bvals, x0, source, dtype, emit, columns=None):
         """March k data columns from t=0 to T as one block.
 
         bvals holds the lateral data (k, nt, nb), x0 the initial interior
         values (k, ndof) and source the interior source values (k, nt, ndof)
         or None.  dtype float64 marches the real parts; complex128 marches the
-        (re, im) pairs.  emit(level, state, lateral) sees the real blocks of
-        every level, the state as (ndof, k) or (ndof, 2k) and the lateral data
-        as (nb, k) or (nb, 2k).
+        (re, im) pairs.  columns, where given, picks the real columns to
+        march out of those k or 2k, level by level, and every other column is
+        left out.  emit(level, state, lateral) sees the real blocks of every
+        level, the state as (ndof, m) and the lateral data as (nb, m), with m
+        the number of marched real columns.
         """
         theta, ht = self.theta, self.grid.ht
 
         def block(a):
             a = a.real if dtype is np.float64 else a
-            return np.ascontiguousarray(a, dtype=dtype).view(np.float64)
+            a = np.ascontiguousarray(a, dtype=dtype).view(np.float64)
+            return a if columns is None else np.ascontiguousarray(a[..., columns])
 
         # With M the step matrix of `level` and dq the change of
         # (1-theta)*ht*q over the step, the explicit half of the step is
@@ -344,25 +350,82 @@ class ThetaScheme:
         _check_finite(x, 0, "solution")
         return self._field(x, bdata.values)
 
+    @staticmethod
+    def _distinct_columns(bvals, x0, width):
+        """The real columns of a block worth marching, and how to fill the rest.
+
+        A real column is one part, the real or (with width 2) the imaginary
+        part, of a data column of bvals (k, nt, nb) together with the same
+        part of its initial interior values x0 (k, ndof); real column j is
+        part j % width of data column j // width.  Returns (kept, repeats):
+        the indices of the distinct nonzero real columns, and a
+        (j, i, negated) triple for every other nonzero real column j, equal
+        to the kept column i or to its negation.  Columns are matched by
+        exact equality; their sums, which negation flips exactly, only pick
+        the candidates.
+        """
+        data = (bvals.real, bvals.imag)[:width]
+        start = (x0.real, x0.imag)[:width]
+        sums = np.stack([np.abs(d.sum(axis=(1, 2))) for d in data]
+                        + [np.abs(x.sum(axis=1)) for x in start], axis=1)
+        kept, repeats, candidates = [], [], {}
+        for j in range(width * bvals.shape[0]):
+            c, p = divmod(j, width)
+            d, x = data[p][c], start[p][c]
+            if not (d.any() or x.any()):
+                continue
+            same_sums = candidates.setdefault(tuple(sums[c, p::width]), [])
+            for i in same_sums:
+                e, y = data[i % width][i // width], start[i % width][i // width]
+                if np.array_equal(d, e) and np.array_equal(x, y):
+                    repeats.append((j, i, False))
+                    break
+                if np.array_equal(d, -e) and np.array_equal(x, -y):
+                    repeats.append((j, i, True))
+                    break
+            else:
+                same_sums.append(j)
+                kept.append(j)
+        return np.array(kept, dtype=np.intp), repeats
+
     def neumann_traces(self, bvals, u0=None) -> np.ndarray:
         """Neumann traces (k, nt, nb) of the k solutions with lateral data
         bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None.
 
-        Where the lateral data at t=0 and an initial slice disagree on the
-        boundary, the lateral value wins silently."""
+        Where columns march independently (2-d), only the distinct nonzero
+        real columns march: a zero column has zero traces, and a column equal
+        to a marched one, or to its negation, copies or negates its traces,
+        which is bitwise what marching it would give.  Where the lateral data
+        at t=0 and an initial slice disagree on the boundary, the lateral
+        value wins silently."""
         grid = self.grid
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
             raise ValueError("lateral data block must have shape (k, nt, nb)")
         x0 = self._initial_interior(bvals, u0, warn_incompatible=False)
         dtype = _block_dtype(bvals, x0)
+        width = 1 if dtype is np.float64 else 2
         trace_int, trace_bnd = self._trace
-        out = np.empty(bvals.shape, dtype=np.complex128)
+        out = np.zeros(bvals.shape, dtype=np.complex128)
+        # (k, nt, nb, re/im): real column j is out_parts[j // width, ..., j % width]
+        out_parts = out.view(np.float64).reshape(bvals.shape + (2,))
+        columns, repeats = None, []
+        marched = np.arange(width * bvals.shape[0])
+        if self.columns_independent:
+            columns, repeats = self._distinct_columns(bvals, x0, width)
+            marched = columns
+        data_column, part = np.divmod(marched, width)
 
         def trace(level, state, lateral):
-            out[:, level] = (trace_int @ state + trace_bnd @ lateral).view(dtype).T
+            out_parts[data_column, level, :, part] = (trace_int @ state
+                                                      + trace_bnd @ lateral).T
 
-        self._march(bvals, x0, None, dtype, trace)
+        if marched.size:
+            self._march(bvals, x0, None, dtype, trace, columns)
+        for j, i, negated in repeats:
+            traces = out_parts[i // width, ..., i % width]
+            # 0.0 - t keeps the march's +0.0 where -t would flip it to -0.0
+            out_parts[j // width, ..., j % width] = 0.0 - traces if negated else traces
         _check_finite(out, 1, "trace")
         return out
 

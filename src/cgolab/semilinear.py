@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, operator_norm
+from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, operator_norm, shared_maps
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear_many
@@ -245,11 +245,12 @@ class SemilinearOracle:
                     f"level {s} outside the admissible range [-{bound}, {bound}]")
         return _level_potentials(self.grid, self._a, levels, self.theta)
 
-    def oracle(self, p: Potential) -> DtnOracle:
-        """The measurement oracle of a level's potential p."""
+    def oracle(self, p: Potential, maps=()) -> DtnOracle:
+        """The measurement oracle of a level's potential p, which may ask
+        the given maps."""
         return DtnOracle(self.grid, p, theta=self.theta,
                          noise_delta=self.noise_delta, noise_seed=self.noise_seed,
-                         noise_basis=self._noise_basis)
+                         noise_basis=self._noise_basis, maps=maps)
 
 
 def _level_potentials(grid: Grid, a: Nonlinearity, levels, theta: float) -> list:
@@ -315,10 +316,13 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
     # the truth's levels form one Newton block and the reference's another
     truths = data.level_potentials(levels)
     refs = _level_potentials(grid, a_ref, levels, data.theta)
+    # a linear family gives every level the same potential, so the levels
+    # share one map per distinct potential and ask it each question once
+    maps = shared_maps(grid, truths + refs, data.theta)
     rows = []
     gain = None
     for s, p_true, p_ref in zip(levels, truths, refs):
-        res = reconstruct(data.oracle(p_true), p_ref, cfg)
+        res = reconstruct(data.oracle(p_true, maps), p_ref, cfg)
         if res.trivial:
             raw, d_prime = 0.0, 0.0
         else:

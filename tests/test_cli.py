@@ -159,6 +159,26 @@ def test_stability_sweep_and_recovery_summaries(tmp_path):
                       "raw_window,gain")
 
 
+def test_a_reference_section_equal_to_the_truth_is_built_once(tmp_path, monkeypatch):
+    built = []
+    build = cli._build_potential
+
+    def counting(grid, section):
+        built.append(section["family"])
+        return build(grid, section)
+
+    monkeypatch.setattr(cli, "_build_potential", counting)
+    truth = {"family": "sine", "amplitude": 0.05, "space": [1], "time": 1}
+    base = {**SMALL_GRID, "potential": truth,
+            "sweep": {"kind": "noise", "noise_levels": [1e-2, 1e-3]},
+            "reconstruct": {"basis_k_max": 2}}
+    run("stability-sweep", ExperimentConfig({**base, "potential_ref": dict(truth)}),
+        tmp_path / "same")
+    assert built == ["sine"]
+    run("stability-sweep", ExperimentConfig(base), tmp_path / "zero")
+    assert built == ["sine", "sine", "zero"]
+
+
 def test_identical_configs_give_identical_bytes(tmp_path):
     payload = {**SMALL_GRID, "seed": 5, "pairing": {"cases": 2, "threshold": 0.2}}
     run("pairing-check", ExperimentConfig(payload), tmp_path / "one")

@@ -19,6 +19,18 @@ def test_scalar_field_from_callable_2d():
     assert np.allclose(f.values, want)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_potential_from_callable_is_the_real_part_of_the_sampled_field(n):
+    g = build_grid(n, 9, 5, T=1.0)
+
+    def fn(*args):
+        return np.sin(np.pi * args[0]) * np.cos(args[-1]) + args[-2] ** 2
+
+    p = Potential.from_callable(g, fn, m=2.0)
+    want = ScalarField.from_callable(g, fn).values.real
+    assert p.values.tobytes() == np.ascontiguousarray(want).tobytes() and p.m == 2.0
+
+
 def test_scalar_field_shape_and_finiteness_guard():
     g = build_grid(1, 9, 5, 1.0)
     with pytest.raises(ValueError):

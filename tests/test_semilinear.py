@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
-from cgolab import forward, semilinear
-from cgolab.dtn import DtnBasis, assemble_difference_matrix, operator_norm
+from cgolab import dtn, forward, semilinear
+from cgolab.dtn import DtnBasis, add_noise, assemble_difference_matrix, operator_norm
 from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
 from cgolab.norms import ModulusParams
 from cgolab.reconstruct import ReconstructionConfig, reconstruct
@@ -329,3 +329,78 @@ def test_noisy_levels_share_one_noise_basis(monkeypatch):
     assert all(o._noise_basis is data._noise_basis for o in oracles)
     assert data._noise_basis is not None
     assert SemilinearOracle(g, _cubic())._noise_basis is None
+
+
+def _count_marches(monkeypatch):
+    marches = []
+    march = forward.ThetaScheme._march
+
+    def counting(scheme, *args, **kwargs):
+        marches.append(scheme)
+        return march(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(forward.ThetaScheme, "_march", counting)
+    return marches
+
+
+def test_linear_recovery_levels_share_their_maps(monkeypatch):
+    # a linear family gives every truth level the same potential, and every
+    # reference level too: the three levels ask two maps, and each map answers
+    # the one probe question once
+    g = build_grid(1, 17, 33, 1.0)
+    marches = _count_marches(monkeypatch)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    out = recover_nonlinearity(SemilinearOracle(g, _linear(1.0)), _linear(0.5),
+                               [0.3, 0.6, 0.9], cfg)
+    assert len(marches) == 2 and len(set(map(id, marches))) == 2
+    assert len({row["raw_window"] for row in out["rows"]}) == 1
+
+
+def test_cubic_recovery_keeps_one_private_map_per_level(monkeypatch):
+    # cubic truths and references give six distinct potentials: six maps, none
+    # asked twice, so none keeps its answers
+    g = build_grid(2, 9, 17, 1.0)
+    made = []
+    shared_maps = semilinear.shared_maps
+
+    def recording(*args, **kwargs):
+        made.extend(shared_maps(*args, **kwargs))
+        return made
+
+    monkeypatch.setattr(semilinear, "shared_maps", recording)
+    marches = _count_marches(monkeypatch)
+    cfg = ReconstructionConfig(rho=4.0, R=2.0, measure_delta=False, basis_j_max=1,
+                               basis_k_max=1)
+    ref = Nonlinearity.from_u(lambda u: 0.5 * u + 0.1 * u**3, lambda u: 0.5 + 0.3 * u**2,
+                              lambda u: 0.6 * u, name="cubic_ref", monotone=True)
+    recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [-0.5, 0.4, 0.8], cfg)
+    assert len(made) == 6 and not any(m.keeps_answers for m in made)
+    assert sorted(map(id, marches)) == sorted(map(id, (m.scheme for m in made)))
+
+
+def test_noisy_levels_draw_their_noise_once(monkeypatch):
+    draws = []
+    noise_draw = dtn._noise_draw
+
+    def counting(m, seed):
+        draws.append(seed)
+        return noise_draw(m, seed)
+
+    monkeypatch.setattr(dtn, "_noise_draw", counting)
+    g = build_grid(1, 17, 17, 1.0)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    data = SemilinearOracle(g, _cubic(), noise_delta=1e-3, noise_seed=5)
+    recover_nonlinearity(data, _linear(0.5), [0.3, 0.6, 0.9], cfg)
+    assert draws == [5]
+    # a kept draw scales to each level as add_noise scales a fresh one
+    basis = data._noise_basis
+    size = basis.lateral_size
+    zero = dtn.DtnMatrix(np.zeros((size, size)), basis.xi_sq, basis.tau, basis.xi_sq,
+                         basis.tau)
+    cases = [(1e-3, 5), (0.2, 5), (0.2, 6)]
+    kept = [basis.noise(delta, seed) for delta, seed in cases]
+    assert draws == [5, 6]
+    for (delta, seed), noise in zip(cases, kept):
+        assert noise.tobytes() == add_noise(zero, delta, seed).matrix.tobytes()
+    with pytest.raises(ConfigError, match="nonnegative"):
+        basis.noise(-1e-3, 5)

@@ -8,6 +8,8 @@ hold the shared path to the results of one fresh oracle per record.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgolab import Potential, build_grid
 from cgolab import forward, norms
@@ -23,10 +25,11 @@ from cgolab.reconstruct import (
 
 
 class Traffic:
-    """Counts splu calls, distinct factored matrices, marches and block solves."""
+    """Counts splu calls, distinct factored matrices, marches, block solves and
+    the real columns of those solves."""
 
     def __init__(self, monkeypatch):
-        self.matrices, self.marches, self.solves = [], 0, 0
+        self.matrices, self.marches, self.solves, self.columns = [], 0, 0, 0
         splu, march = forward.splu, ThetaScheme._march
         traffic = self
 
@@ -36,6 +39,7 @@ class Traffic:
 
             def solve(self, rhs):
                 traffic.solves += 1
+                traffic.columns += rhs.shape[1]
                 return self._lu.solve(rhs)
 
         def counting_splu(matrix, *args, **kwargs):
@@ -43,9 +47,9 @@ class Traffic:
                                   matrix.indptr.tobytes()))
             return CountingFactor(splu(matrix, *args, **kwargs))
 
-        def counting_march(scheme, *args):
+        def counting_march(scheme, *args, **kwargs):
             self.marches += 1
-            return march(scheme, *args)
+            return march(scheme, *args, **kwargs)
 
         monkeypatch.setattr(forward, "splu", counting_splu)
         monkeypatch.setattr(ThetaScheme, "_march", counting_march)
@@ -305,6 +309,38 @@ def test_shared_map_answers_like_a_private_one():
     assert shared.is_map_of(grid, Potential(grid, q.values.copy()), 0.5)
 
 
+RECON2D_FULL = ReconstructionConfig(rho=12.0, R=8.0, basis_j_max=2, basis_k_max=2)
+
+
+def test_basis_question_marches_its_distinct_real_columns_only(monkeypatch):
+    # recon2d-full's basis question: 40 complex columns, sine profiles times
+    # e^{2 pi i k t/T} for k = -2..2.  Mode -k is the conjugate of mode +k and
+    # the k = 0 modes are real, so 40 of the 80 real columns are distinct and
+    # nonzero
+    grid = build_grid(2, 25, 81, 1.0)
+    g, u0 = DtnBasis(grid, RECON2D_FULL.basis_j_max, RECON2D_FULL.basis_k_max).inputs()
+    assert g.shape[0] == 40
+    traffic = Traffic(monkeypatch)
+    DtnMap(grid, _sine(grid, 0.08)).traces(g, u0)
+    assert traffic.marches == traffic.factorizations == 1
+    assert traffic.columns == 40 * (grid.nt - 1)
+
+
+def test_full_reconstruct_solves_242_real_columns_per_step(monkeypatch):
+    # recon2d-full: the truth's and the zero reference's map each march the
+    # basis question (80 -> 40 real columns) and the 41 probe traces
+    # (82 -> 81 real columns), on one factor each
+    grid = build_grid(2, 25, 81, 1.0)
+    truth = _sine(grid, 0.08)
+    traffic = Traffic(monkeypatch)
+    res = reconstruct(DtnOracle(grid, truth), Potential.zero(grid), RECON2D_FULL,
+                      truth=truth)
+    assert not res.trivial
+    assert traffic.factorizations == traffic.distinct == 2
+    assert traffic.marches == 4
+    assert traffic.columns == 2 * (40 + 81) * (grid.nt - 1)
+
+
 # ---------------------------------------------------------------------------
 # Column results do not depend on the block they are marched in
 
@@ -359,3 +395,76 @@ def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
     assert len(shared._answers) == 1
     for g, u in questions:
         assert np.array_equal(shared.traces(g, u), private.traces(g, u))
+
+
+def _marched_alone(scheme, g, u0):
+    """Traces of each data column of g marched alone, both of its real parts
+    marched as they are: no column is left out."""
+    trace_int, trace_bnd = scheme._trace
+    out = np.empty(g.shape, dtype=np.complex128)
+    for c in range(len(g)):
+        x0 = scheme._initial_interior(g[c:c + 1], None if u0 is None else u0[c:c + 1],
+                                      warn_incompatible=False)
+
+        def trace(level, state, lateral):
+            out[c, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128)[:, 0]
+
+        scheme._march(g[c:c + 1], x0, None, np.complex128, trace)
+    return out
+
+
+# how each column of a block is made: fresh, fresh on one face with zero
+# initial values (so its traces start with exact zeros, whose sign a negated
+# copy must keep), zero, or from an earlier column: its real part; the column
+# as it is, conjugated, negated or times i; or the column with its lateral
+# data or its initial values mirrored.  Initial values and face data are
+# small integers, so a mirrored column has exactly the sums of the original
+# and only an exact comparison tells them apart.
+_KINDS = ["fresh", "face", "zero", "real", "same", "conj", "neg", "times_i",
+          "mirrored_data", "mirrored_start"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 7), st.integers(3, 6), st.booleans(), st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 10**6)),
+                min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+@example(5, 4, False, True, False, [("fresh", 0), ("mirrored_start", 0)], 0)
+@example(5, 4, True, False, False, [("face", 1), ("neg", 0), ("times_i", 0)], 0)
+@example(6, 5, True, True, True, [("fresh", 0), ("mirrored_data", 0), ("zero", 0)], 0)
+def test_block_traces_equal_each_column_marched_alone_bitwise(nx, nt, varying, initial,
+                                                              real_block, kinds, seed):
+    grid = build_grid(2, nx, nt, 1.0)
+    rng = np.random.default_rng(seed)
+    scheme = ThetaScheme(grid, _sine(grid, 0.3, varying))
+    shape = (grid.nt, grid.n_boundary)
+    gs, us = [], []
+
+    def integers(shape):
+        return rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+
+    for kind, pick in kinds:
+        if kind == "face":
+            g = np.zeros(shape, complex)
+            on_face = grid.boundary_face == pick % len(grid.faces)
+            g[:, on_face] = integers((grid.nt, on_face.sum()))
+            u = np.zeros(grid.space_shape, complex)
+        elif kind == "zero":
+            g, u = np.zeros(shape, complex), np.zeros(grid.space_shape, complex)
+        elif kind == "fresh" or not gs:
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u = integers(grid.space_shape)
+        else:
+            g, u = gs[pick % len(gs)], us[pick % len(us)]
+            g, u = {"real": (g.real + 0j, u.real + 0j), "same": (g, u),
+                    "conj": (g.conj(), u.conj()), "neg": (-g, -u),
+                    "times_i": (1j * g, 1j * u),
+                    "mirrored_data": (g[::-1], u), "mirrored_start": (g, u[::-1])}[kind]
+        gs.append(g)
+        us.append(u)
+    g, u0 = np.array(gs), (np.array(us) if initial else None)
+    if real_block:
+        g = g.real.copy()
+        u0 = None if u0 is None else u0.real.copy()
+    got = scheme.neumann_traces(g, u0)
+    assert got.tobytes() == _marched_alone(scheme, g, u0).tobytes()

@@ -5,14 +5,14 @@
 Runs the benchmark's reference configs at their default seed (taken from
 perfbench/workloads.py, which this script only reads), plus recon2d-full's
 config with a time-dependent truth, two small stability sweeps (a 2-d
-pair sweep and a 1-d noise sweep, whose truth differs from the reference)
-and three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
-2-d with noise), through `cgolab.cli.run` once with
-BASE_TREE/src and once with HEAD_TREE/src (default: the tree holding this
-script).  Every run is a fresh interpreter with one BLAS thread and writes to
-the same scratch directory, so the manifests can be compared as files.  A
-manifest holds the SHA-256 of every artifact and the config, so equal
-manifest hashes mean equal artifacts.
+pair sweep and a 1-d noise sweep, whose truth differs from the reference),
+three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
+2-d with noise) and one 2-d boundary-map matrix with initial modes, through
+`cgolab.cli.run` once with BASE_TREE/src and once with HEAD_TREE/src
+(default: the tree holding this script).  Every run is a fresh interpreter
+with one BLAS thread and writes to the same scratch directory, so the
+manifests can be compared as files.  A manifest holds the SHA-256 of every
+artifact and the config, so equal manifest hashes mean equal artifacts.
 
 Exit status: 0 when every manifest matches, 1 when one differs, 2 when a run
 fails.
@@ -91,6 +91,14 @@ def cases() -> list:
     # every level draws the same calibrated noise
     out.append(("nonlin2d-noisy", "recover-nonlinearity",
                 dict(nonlin2d, noise={"delta": 1e-3, "seed": 5})))
+    # the map matrix of a time-dependent potential, written as raw complex64
+    # bytes; the initial modes add columns with initial values
+    out.append(("dtn2d-initial", "dtn", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
+        "dtn": {"j_max": 2, "k_max": 2, "initial_modes": 2},
+    }))
     return out
 
 
