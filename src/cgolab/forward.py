@@ -489,27 +489,57 @@ class SemilinearResult:
         return max(self.newton_iterations) if self.newton_iterations else 0
 
 
-def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
-                          warn_incompatible: bool = True) -> list:
-    """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns that
-    share the nonlinearity a, as one block; one SemilinearResult per column.
+def _norm(r) -> float:
+    """Euclidean norm of a real 1-d vector, bitwise what np.linalg.norm
+    computes for one (its own path is sqrt(r.dot(r))), without its dispatch."""
+    return math.sqrt(r.dot(r))
 
-    bdatas holds the k lateral data, u0s is None or k initial slices (each
-    None or an array).  `a` needs vectorized methods value(*x, t, u) and
-    du(*x, t, u) that broadcast the interior coordinates against a (k, ndof)
-    block.  Each step runs a damped Newton iteration on the theta-stepped
-    equation down to residual NEWTON_TOL; the Jacobian is ThetaScheme's step
-    matrix with q = du, divided by ht.  Each Newton iteration and each trial
-    of its line search evaluates the spatial half and a (or du) once on the
-    whole block.  Factor, solve, line-search halving and convergence stay
-    per column, so each column takes its single-column iterations and gets
-    its single-column field bit for bit.  A non-finite residual raises
-    SolverError.  Data must be real.
+
+def _row_groups(nonlinearities) -> list:
+    """(a, rows) for each distinct nonlinearity object, in order of first
+    use: rows picks its columns' rows of a (k, ndof) block, as a slice where
+    they are consecutive and as an index array where they are not."""
+    columns = {}
+    for c, a in enumerate(nonlinearities):
+        columns.setdefault(id(a), (a, []))[1].append(c)
+    groups = []
+    for a, cols in columns.values():
+        consecutive = cols[-1] - cols[0] == len(cols) - 1
+        groups.append((a, slice(cols[0], cols[-1] + 1) if consecutive else np.array(cols)))
+    return groups
+
+
+def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: float = 0.5,
+                          warn_incompatible: bool = True) -> list:
+    """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns, each
+    with its own nonlinearity a, as one block; one SemilinearResult per column.
+
+    nonlinearities holds one nonlinearity per column, bdatas the k lateral
+    data, u0s is None or k initial slices (each None or an array).  Each
+    nonlinearity needs vectorized methods value(*x, t, u) and du(*x, t, u)
+    that broadcast the interior coordinates against a block of rows of
+    length ndof.  Each step runs a damped Newton iteration on the
+    theta-stepped equation down to residual NEWTON_TOL; the Jacobian is
+    ThetaScheme's step matrix with q = du, divided by ht.  Each Newton
+    iteration and each trial of its line search evaluates the spatial half
+    once on the whole block, and value (or du) once per distinct
+    nonlinearity object, on the rows of the columns that share it.  A column
+    solves with the factor of another column, or its own from an earlier
+    iteration, whose du row is bytewise its own, so each distinct Jacobian
+    is factored once; every column keeps only its latest factor.  Solve,
+    line-search halving and convergence stay per column, so each column
+    takes its single-column iterations and gets its single-column field bit
+    for bit.  A non-finite residual raises SolverError.  Data must be real.
     """
     scheme = ThetaScheme(grid, None, theta)
     bdatas = list(bdatas)
-    u0s = [None] * len(bdatas) if u0s is None else list(u0s)
-    if len(u0s) != len(bdatas):
+    k = len(bdatas)
+    nonlinearities = list(nonlinearities)
+    if len(nonlinearities) != k:
+        raise ValueError("need one nonlinearity per data column")
+    groups = _row_groups(nonlinearities)
+    u0s = [None] * k if u0s is None else list(u0s)
+    if len(u0s) != k:
         raise ValueError("need one initial slice (or None) per data column")
     for bdata, u0 in zip(bdatas, u0s):
         if not grid.same_layout(bdata.grid):
@@ -526,11 +556,18 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
     xint = tuple(_interior(np.broadcast_to(c, grid.space_shape), grid.n)
                  for c in grid.space_coordinates())
 
+    def evaluate(method, level, v):
+        """a.value or a.du (method "value" or "du") of every column at
+        `level`, one call per nonlinearity on the rows of its columns."""
+        out = np.empty_like(v)
+        for a, rows in groups:
+            out[rows] = getattr(a, method)(*xint, grid.ts[level], v[rows])
+        return out
+
     def half(level, v):
         """The spatial part op @ v + lift - a(v) of the equation at `level`."""
-        return (op @ v.T).T + lift[level] - a.value(*xint, grid.ts[level], v)
+        return (op @ v.T).T + lift[level] - evaluate("value", level, v)
 
-    k = len(bdatas)
     x = np.empty((k, grid.nt, scheme._ndof))
     first = None
     if any(u0 is not None for u0 in u0s):
@@ -540,6 +577,8 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
     # the implicit half of an accepted level is the explicit half of the next step
     explicit = half(0, x[:, 0])
     iterations = [[] for _ in range(k)]
+    # each column's latest factor, as (du row bytes, factor)
+    factors = [None] * k
     for level in range(1, grid.nt):
         xk = x[:, level - 1]
         weighted_explicit = (1 - theta) * explicit
@@ -567,13 +606,19 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
                     f"Newton did not converge at time level {level} "
                     f"(residual {max(err):.3e})"
                 )
-            du = a.du(*xint, grid.ts[level], v)
+            du = evaluate("du", level, v)
             rhs = -ht * res
             step = np.zeros_like(v)
             base = {}
+            known = dict(f for f in factors if f is not None)
             for c in active:
-                step[c] = scheme._factor(du[c], level).solve(rhs[c])
-                base[c] = np.linalg.norm(res[c])
+                key = du[c].tobytes()
+                lu = known.get(key)
+                if lu is None:
+                    lu = known[key] = scheme._factor(du[c], level)
+                factors[c] = (key, lu)
+                step[c] = lu.solve(rhs[c])
+                base[c] = _norm(res[c])
                 count[c] += 1
             alpha = np.ones((k, 1))
             pending = active
@@ -586,7 +631,7 @@ def solve_semilinear_many(grid: Grid, a, bdatas, u0s=None, theta: float = 0.5,
                 else:
                     finite = np.isfinite(trial_res).all(axis=1).tolist()
                     took = [c for c in pending if finite[c]
-                            and np.linalg.norm(trial_res[c]) <= base[c]]
+                            and _norm(trial_res[c]) <= base[c]]
                 if len(took) == k:
                     v, res, implicit = trial, trial_res, trial_implicit
                     break
@@ -612,4 +657,4 @@ def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float 
     The one-column call of `solve_semilinear_many`, which holds the Newton
     loop and its conventions.
     """
-    return solve_semilinear_many(grid, a, [bdata], [u0], theta, warn_incompatible)[0]
+    return solve_semilinear_many(grid, [a], [bdata], [u0], theta, warn_incompatible)[0]

@@ -127,22 +127,26 @@ def _check_solution(a: Nonlinearity, u: np.ndarray, bdata: BoundaryField, u0) ->
             )
 
 
-def semilinear_solutions(grid: Grid, a: Nonlinearity, bdatas, u0s=None,
+def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
                          theta: float = 0.5) -> list:
-    """Semilinear solves of k data columns as one Newton block, plus the
-    class and a-priori checks.
+    """Semilinear solves of k data columns, one nonlinearity per column, as
+    one Newton block, plus the class and a-priori checks.
 
+    Every distinct nonlinearity passes its class check before the solve.
     For a monotone-class nonlinearity a solution's range may not leave its
     data range (up to a solver tolerance); a configured sup_bound is enforced
     unconditionally.  Violations raise rather than warn: they mean the
     computed solution left the regime the estimates cover.  Returns the k
     solution fields.
     """
-    a.check_class(grid.n)
+    nonlinearities = list(nonlinearities)
+    for a in {id(a): a for a in nonlinearities}.values():
+        a.check_class(grid.n)
     bdatas = list(bdatas)
     u0s = [None] * len(bdatas) if u0s is None else list(u0s)
-    results = solve_semilinear_many(grid, a, bdatas, u0s, theta, warn_incompatible=False)
-    for bdata, u0, result in zip(bdatas, u0s, results):
+    results = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta,
+                                    warn_incompatible=False)
+    for a, bdata, u0, result in zip(nonlinearities, bdatas, u0s, results):
         _check_solution(a, result.field.values.real, bdata, u0)
     return [result.field for result in results]
 
@@ -151,7 +155,7 @@ def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                         u0=None, theta: float = 0.5) -> ScalarField:
     """Semilinear solve plus the class and a-priori checks: the one-column
     call of `semilinear_solutions`."""
-    return semilinear_solutions(grid, a, [bdata], [u0], theta)[0]
+    return semilinear_solutions(grid, [a], [bdata], [u0], theta)[0]
 
 
 def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
@@ -206,7 +210,7 @@ def fd_frechet_report(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
         perturbed0.append(pu0)
     # the base datum and every perturbed datum share a: one Newton block
     base_solution, *solutions = semilinear_solutions(
-        grid, a, [bdata] + perturbed, [u0] + perturbed0, theta)
+        grid, [a] * (1 + len(perturbed)), [bdata] + perturbed, [u0] + perturbed0, theta)
     base_trace = neumann_trace(base_solution)
     deriv = frechet_dtn(grid, a, bdata, h, u0, h0, theta, solution=base_solution)
     errs = []
@@ -235,15 +239,14 @@ class SemilinearOracle:
         self.noise_seed = int(noise_seed)
         self._noise_basis = DtnBasis(grid) if self.noise_delta != 0 else None
 
-    def level_potentials(self, levels) -> list:
-        """The potentials of the levels, every level checked before the
-        levels are solved as one block."""
-        bound = self._a.level_bound
-        for s in levels:
-            if abs(s) > bound + 1e-12:
-                raise ConfigError(
-                    f"level {s} outside the admissible range [-{bound}, {bound}]")
-        return _level_potentials(self.grid, self._a, levels, self.theta)
+    def level_potentials(self, levels, reference: Nonlinearity | None = None) -> list:
+        """The potentials of the hidden nonlinearity at the levels and then,
+        given a reference nonlinearity, the reference's at the same levels,
+        all solved as one block."""
+        columns = [(self._a, s) for s in levels]
+        if reference is not None:
+            columns += [(reference, s) for s in levels]
+        return _level_potentials(self.grid, columns, self.theta)
 
     def oracle(self, p: Potential, maps=()) -> DtnOracle:
         """The measurement oracle of a level's potential p, which may ask
@@ -253,14 +256,21 @@ class SemilinearOracle:
                          noise_basis=self._noise_basis, maps=maps)
 
 
-def _level_potentials(grid: Grid, a: Nonlinearity, levels, theta: float) -> list:
-    """linearized_potential of a at each constant level, the levels solved as
-    one block; each solution is dropped as soon as its potential is built."""
-    bdatas = [BoundaryField.constant(grid, float(s)) for s in levels]
-    u0s = [np.full(grid.space_shape, float(s)) for s in levels]
-    solutions = semilinear_solutions(grid, a, bdatas, u0s, theta)
+def _level_potentials(grid: Grid, columns, theta: float) -> list:
+    """linearized_potential of a at the constant level s for each column
+    (a, s), the columns solved as one block.  Every level is checked against
+    its nonlinearity's level_bound before any solve, and each solution is
+    dropped as soon as its potential is built."""
+    for a, s in columns:
+        if abs(s) > a.level_bound + 1e-12:
+            raise ConfigError(f"level {s} outside the admissible range "
+                              f"[-{a.level_bound}, {a.level_bound}] of {a.name!r}")
+    nonlinearities = [a for a, _ in columns]
+    bdatas = [BoundaryField.constant(grid, float(s)) for _, s in columns]
+    u0s = [np.full(grid.space_shape, float(s)) for _, s in columns]
+    solutions = semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta)
     potentials = []
-    for i, (bdata, u0) in enumerate(zip(bdatas, u0s)):
+    for i, (a, bdata, u0) in enumerate(zip(nonlinearities, bdatas, u0s)):
         potentials.append(linearized_potential(grid, a, bdata, u0, theta,
                                                solution=solutions[i]))
         solutions[i] = None
@@ -313,9 +323,9 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
     levels = [float(s) for s in levels]
     if not levels:
         raise ConfigError("need at least one level")
-    # the truth's levels form one Newton block and the reference's another
-    truths = data.level_potentials(levels)
-    refs = _level_potentials(grid, a_ref, levels, data.theta)
+    # the truth's and the reference's levels form one Newton block
+    potentials = data.level_potentials(levels, a_ref)
+    truths, refs = potentials[:len(levels)], potentials[len(levels):]
     # a linear family gives every level the same potential, so the levels
     # share one map per distinct potential and ask it each question once
     maps = shared_maps(grid, truths + refs, data.theta)
@@ -392,12 +402,13 @@ def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
     """
     if len(family) < 2:
         raise ConfigError("degenerate sweep: need at least 2 family members")
-    (p_ref,) = _level_potentials(grid, a_ref, [level], theta)
+    # the reference's level and every member's level form one Newton block
+    p_ref, *p_trues = _level_potentials(
+        grid, [(a, level) for a in [a_ref, *family]], theta)
     basis_in = DtnBasis(grid, basis_j_max, basis_k_max, initial_modes=initial_modes)
     basis_out = DtnBasis(grid, basis_j_max, basis_k_max)
     records = []
-    for a in family:
-        (p_true,) = SemilinearOracle(grid, a, theta=theta).level_potentials([level])
+    for p_true in p_trues:
         oracle = DtnOracle(grid, p_true, theta=theta)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         delta = operator_norm(diff)

@@ -129,7 +129,7 @@ _ZERO_A = Nonlinearity.from_u(lambda u: 0.0 * u, lambda u: 0.0 * u)
     lambda g, bd, u0: solve_forward(g, None, bd, u0),
     lambda g, bd, u0: solve_backward(g, None, bd, u0),
     lambda g, bd, u0: solve_semilinear(g, _ZERO_A, bd, u0),
-    lambda g, bd, u0: solve_semilinear_many(g, _ZERO_A, [bd], [u0]),
+    lambda g, bd, u0: solve_semilinear_many(g, [_ZERO_A], [bd], [u0]),
 ], ids=["ThetaScheme.solve", "solve_forward", "solve_backward", "solve_semilinear",
         "solve_semilinear_many"])
 def test_corner_warning_names_the_caller(solve):

@@ -245,15 +245,17 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
 
     monkeypatch.setattr(semilinear, "semilinear_solutions", counting)
     out = semilinear_stability_sweep(g, family, ref, level, cfg, mod, basis_k_max=2)
-    assert len(calls) == 1 + len(family)
+    # the reference's level and every member's level form one Newton block
+    assert len(calls) == 1
     assert out["records"] == want
 
 
 def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
-    # the truth's three levels form one Newton block and the reference's
-    # another: 2 semilinear schemes, not 6.  A linear a takes one Newton
-    # iteration per step, so a block calls a.value once at t=0 and twice per
-    # step (the start residual and the accepted trial)
+    # the truth's three levels and the reference's three form one Newton
+    # block: 1 semilinear scheme, not 6.  A linear a takes one Newton
+    # iteration per step, so each nonlinearity's a.value is called once at
+    # t=0 and twice per step (the start residual and the accepted trial),
+    # on the rows of its own levels
     g = build_grid(1, 17, 33, 1.0)
     calls = []
 
@@ -275,7 +277,7 @@ def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
     cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
     recover_nonlinearity(SemilinearOracle(g, counted(1.0)), counted(0.5),
                          [0.3, 0.6, 0.9], cfg)
-    assert len(schemes) == 2
+    assert len(schemes) == 1
     assert len(calls) == 2 * (1 + 2 * (g.nt - 1))
 
 
@@ -288,6 +290,72 @@ def test_recovery_rejects_a_level_before_any_solve(monkeypatch):
     with pytest.raises(ConfigError, match="admissible range"):
         recover_nonlinearity(SemilinearOracle(g, _cubic()), _cubic(), [0.3, 1.5], cfg)
     assert solves == []
+
+
+def test_recovery_rejects_a_reference_level_before_any_solve(monkeypatch):
+    # the reference's levels are held to its own level_bound too
+    g = build_grid(1, 17, 17, 1.0)
+    solves = []
+    monkeypatch.setattr(semilinear, "solve_semilinear_many",
+                        lambda *args, **kwargs: solves.append(1))
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    ref = Nonlinearity.from_u(lambda u: 0.5 * u, lambda u: 0.5 * np.ones_like(u),
+                              name="ref", level_bound=0.5)
+    with pytest.raises(ConfigError, match=r"level 0.9 outside the admissible range .*'ref'"):
+        recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [0.3, 0.9], cfg)
+    assert solves == []
+
+
+def _newton_blocks(monkeypatch):
+    """(factorizations, results) of every Newton block, its `_factor` calls
+    counted while it runs; also returns the list of every `_factor` call."""
+    blocks, factors = [], []
+    factor, solve = forward.ThetaScheme._factor, semilinear.solve_semilinear_many
+
+    def counting_factor(scheme, *args, **kwargs):
+        factors.append(1)
+        return factor(scheme, *args, **kwargs)
+
+    def recording(*args, **kwargs):
+        before = len(factors)
+        results = solve(*args, **kwargs)
+        blocks.append((len(factors) - before, results))
+        return results
+
+    monkeypatch.setattr(forward.ThetaScheme, "_factor", counting_factor)
+    monkeypatch.setattr(semilinear, "solve_semilinear_many", recording)
+    return blocks, factors
+
+
+def test_cubic_recovery_factors_once_per_column_and_iteration(monkeypatch):
+    # a cubic's du moves with every iterate: no column finds a factor to
+    # reuse, so the block factors once per column per Newton iteration, as
+    # one-column solves do
+    g = build_grid(1, 17, 33, 1.0)
+    blocks, _ = _newton_blocks(monkeypatch)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
+    ref = Nonlinearity.from_u(lambda u: 0.5 * u + 0.1 * u**3, lambda u: 0.5 + 0.3 * u**2,
+                              name="cubic_ref", monotone=True)
+    recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [-0.5, 0.4, 0.8], cfg)
+    assert len(blocks) == 1
+    factorizations, results = blocks[0]
+    assert factorizations == sum(sum(r.newton_iterations) for r in results)
+    assert factorizations > len(results) * (g.nt - 1)
+
+
+def test_nonlin1d_recovery_runs_one_block_and_four_factorizations(monkeypatch):
+    # the benchmark's nonlin1d shape: a linear truth against a linear
+    # reference at three levels is one 6-column Newton block that factors
+    # each of its 2 distinct Jacobians once, and each of the 2 distinct maps
+    # factors once (a block per nonlinearity that factored every column at
+    # every iteration made 6,146 calls)
+    grid = build_grid(1, 65, 1025, 2.0)
+    blocks, factors = _newton_blocks(monkeypatch)
+    cfg = ReconstructionConfig(rho=16.0, R=2.0, measure_delta=False)
+    recover_nonlinearity(SemilinearOracle(grid, _linear(1.0, monotone=True)),
+                         _linear(0.5, monotone=True), [0.3, 0.6, 0.9], cfg)
+    assert [(factorizations, len(results)) for factorizations, results in blocks] == [(2, 6)]
+    assert len(factors) == 4
 
 
 def test_fd_report_equals_one_solve_per_datum():

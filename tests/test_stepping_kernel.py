@@ -11,7 +11,7 @@ plain loops to rounding.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -347,10 +347,10 @@ def _wave(g, amp, level):
         g, lambda p, t: level + amp * np.sin(np.pi * (p[:, 0] + 0.3)) * np.sin(3 * np.pi * t))
 
 
-def _assert_block_equals_single_solves(g, a, bdatas, u0s):
-    block = solve_semilinear_many(g, a, bdatas, u0s, warn_incompatible=False)
+def _assert_block_equals_single_solves(g, nonlinearities, bdatas, u0s):
+    block = solve_semilinear_many(g, nonlinearities, bdatas, u0s, warn_incompatible=False)
     assert len(block) == len(bdatas)
-    for got, bd, u0 in zip(block, bdatas, u0s):
+    for got, a, bd, u0 in zip(block, nonlinearities, bdatas, u0s):
         want = solve_semilinear(g, a, bd, u0, warn_incompatible=False)
         assert got.newton_iterations == want.newton_iterations
         assert got.field.values.tobytes() == want.field.values.tobytes()
@@ -365,7 +365,7 @@ def test_semilinear_block_with_a_halving_column_equals_single_solves():
     a = _polynomial(1.0, 20.0, calls)
     bdatas = [_wave(g, 6.0, 0.0), _wave(g, 1.0, 0.3), _wave(g, 0.2, 0.0)]
     u0s = [None, np.full(g.space_shape, 0.3), None]
-    block = _assert_block_equals_single_solves(g, a, bdatas, u0s)
+    block = _assert_block_equals_single_solves(g, [a] * 3, bdatas, u0s)
     assert block[0].newton_iterations != block[2].newton_iterations
     calls.clear()
     single = solve_semilinear(g, a, bdatas[0], warn_incompatible=False)
@@ -374,18 +374,65 @@ def test_semilinear_block_with_a_halving_column_equals_single_solves():
     assert halvings > 0
 
 
-@settings(max_examples=20, deadline=None)
+# a linear and a cubic nonlinearity; each column of a block picks one
+_POLYNOMIALS = [(1.5, 0.0), (1.0, 20.0)]
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.sampled_from([(1, 9, 5), (1, 17, 9), (2, 5, 5), (2, 7, 9)]),
-       st.sampled_from([(1.5, 0.0), (1.0, 20.0)]),
-       st.lists(st.tuples(st.floats(-6, 6), st.floats(-1, 1), st.booleans()),
-                min_size=1, max_size=3))
-def test_semilinear_block_equals_single_column_solves(shape, coefficients, columns):
+       st.lists(st.tuples(st.floats(-6, 6), st.floats(-1, 1), st.booleans(),
+                          st.sampled_from([0, 1])),
+                min_size=1, max_size=4))
+# the cubic's rows interleaved with the linear's, its first column halving
+@example(shape=(1, 9, 5), columns=[(6.0, 0.0, False, 1), (1.0, 0.3, True, 0),
+                                   (0.2, 0.0, False, 1), (-2.0, 0.5, True, 0)])
+# each nonlinearity's rows grouped, the halving column last
+@example(shape=(1, 9, 5), columns=[(1.0, 0.3, True, 0), (0.2, 0.0, False, 0),
+                                   (1.0, 0.3, True, 1), (6.0, 0.0, False, 1)])
+def test_semilinear_block_equals_single_column_solves(shape, columns):
+    # every column takes its one-column iterations and field, whichever
+    # nonlinearity its neighbours have and wherever its rows sit in the block
     g = build_grid(*shape, T=1.0)
-    a = _polynomial(*coefficients)
-    bdatas = [_wave(g, amp, level) for amp, level, _ in columns]
+    polynomials = [_polynomial(*coefficients) for coefficients in _POLYNOMIALS]
+    nonlinearities = [polynomials[which] for *_, which in columns]
+    bdatas = [_wave(g, amp, level) for amp, level, _, _ in columns]
     u0s = [np.full(g.space_shape, level) if initial else None
-           for _, level, initial in columns]
-    _assert_block_equals_single_solves(g, a, bdatas, u0s)
+           for _, level, initial, _ in columns]
+    _assert_block_equals_single_solves(g, nonlinearities, bdatas, u0s)
+
+
+def test_semilinear_block_factors_each_distinct_jacobian_once(monkeypatch):
+    # a linear a has one Jacobian, shared by its columns and its steps; a
+    # cubic's du changes with every iterate, so it factors once per column
+    # per Newton iteration and never reuses another column's factor
+    g = build_grid(1, 17, 9, T=1.0)
+    calls = []
+    factor = forward.ThetaScheme._factor
+
+    def counting(scheme, q_int, level):
+        calls.append(q_int.tobytes())
+        return factor(scheme, q_int, level)
+
+    monkeypatch.setattr(forward.ThetaScheme, "_factor", counting)
+    linear, cubic = (_polynomial(*coefficients) for coefficients in _POLYNOMIALS)
+    bdatas = [_wave(g, 1.0, 0.3), _wave(g, 4.0, 0.0), _wave(g, 0.5, -0.2),
+              _wave(g, 2.0, 0.1)]
+    # distinct levels, so no two cubic iterates start equal
+    u0s = [np.full(g.space_shape, level) for level in (0.3, 0.0, -0.2, 0.1)]
+    block = solve_semilinear_many(g, [cubic, linear, cubic, linear], bdatas, u0s,
+                                  warn_incompatible=False)
+    cubic_iterations = sum(sum(block[c].newton_iterations) for c in (0, 2))
+    assert len(calls) == 1 + cubic_iterations
+    assert len(set(calls)) == len(calls)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2**32 - 1), st.floats(1e-100, 1e100))
+def test_newton_norm_is_numpys_norm_bitwise(size, seed, scale):
+    # the line search compares the residual norms of rows of a block
+    block = scale * np.random.default_rng(seed).standard_normal((3, size))
+    for row in block:
+        assert forward._norm(row) == np.linalg.norm(row)
 
 
 def test_non_finite_newton_residual_raises():
@@ -400,5 +447,5 @@ def test_non_finite_newton_residual_raises():
     # in a block, the failing column raises although its neighbour converges
     quiet = BoundaryField.constant(g, 0.5)
     with pytest.raises(SolverError, match="non-finite Newton residual"):
-        solve_semilinear_many(g, a, [quiet, bd], [np.full(g.space_shape, 0.5), u0],
+        solve_semilinear_many(g, [a, a], [quiet, bd], [np.full(g.space_shape, 0.5), u0],
                               warn_incompatible=False)

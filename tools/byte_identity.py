@@ -7,7 +7,8 @@ perfbench/workloads.py, which this script only reads), plus recon2d-full's
 config with a time-dependent truth, two small stability sweeps (a 2-d
 pair sweep and a 1-d noise sweep, whose truth differs from the reference),
 three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
-2-d with noise) and one 2-d boundary-map matrix with initial modes, through
+2-d with noise), one 1-d cubic semilinear solve whose line search halves
+and one 2-d boundary-map matrix with initial modes, through
 `cgolab.cli.run` once with BASE_TREE/src and once with HEAD_TREE/src
 (default: the tree holding this script).  Every run is a fresh interpreter
 with one BLAS thread and writes to the same scratch directory, so the
@@ -78,6 +79,14 @@ def cases() -> list:
                        "ref_family": "linear", "ref_slope": 0.5,
                        "levels": [0.3, 0.6, 0.9]},
         "reconstruct": {"rho": 8.0, "R": 2.0, "measure_delta": False},
+    }))
+    # the one-column Newton solve; at this amplitude and time step the line
+    # search halves (twice)
+    out.append(("semilinear1d-cubic", "semilinear", {
+        "threads": 1,
+        "grid": {"n": 1, "nx": 33, "nt": 9, "T": 1.0},
+        "semilinear": {"family": "cubic", "slope": 1.0, "cubic": 20.0},
+        "data": {"family": "face_sine", "amplitude": 20.0, "face": 0, "time": 3},
     }))
     nonlin2d = {
         "threads": 1,
