@@ -19,7 +19,7 @@ from . import fd
 from .errors import ConfigError
 from .fields import Potential, ScalarField
 from .forward import neumann_trace
-from .grid import Grid
+from .grid import Grid, unit_direction
 
 __all__ = [
     "conjugated_apply",
@@ -40,9 +40,7 @@ def conjugated_apply(kind: str, v: ScalarField, omega, rho: float) -> ScalarFiel
     kind "transport": d_t - 2 rho omega . grad
     """
     grid = v.grid
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (grid.n,):
-        raise ConfigError(f"omega must have shape ({grid.n},)")
+    omega = unit_direction(omega, grid.n)
     out = fd.diff1(v.values, grid.ht, 0)
     out = out - 2.0 * rho * sum(
         omega[a] * fd.diff1(v.values, grid.hx, 1 + a) for a in range(grid.n)
@@ -91,7 +89,7 @@ def poincare_ratio(v: ScalarField, omega, rho: float, epsilon: int = 1) -> float
 def _lateral_direction_integral(grid: Grid, normal_sq: np.ndarray, omega,
                                 side: int) -> float:
     """integral over {side * nu.omega > 0} of |d_nu b|^2 |omega.nu|."""
-    dots = grid.boundary_normals @ np.asarray(omega, dtype=float)
+    dots = grid.boundary_normals @ omega
     sel = side * dots > 0.0
     weights = np.where(sel, np.abs(dots), 0.0)
     return grid.integrate_boundary(normal_sq * weights[None, :])
@@ -116,7 +114,7 @@ def carleman_parts(b: ScalarField, q: Potential | None, omega, rho: float,
         raise ConfigError(f"rho must exceed 2, got {rho}")
     _check_admissible(b, epsilon)
     grid = b.grid
-    omega = np.asarray(omega, dtype=float)
+    omega = unit_direction(omega, grid.n)
     qvals = 0.0 if q is None else q.values
 
     if epsilon == 1:

@@ -23,7 +23,7 @@ from . import fd
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import solve_backward, solve_forward
-from .grid import DirectionMask, Grid, direction_mask, neighborhood_mask
+from .grid import DirectionMask, Grid, direction_mask, neighborhood_mask, unit_direction
 
 __all__ = [
     "CgoParams",
@@ -65,12 +65,8 @@ class CgoParams:
     def __post_init__(self):
         if self.epsilon not in (1, -1):
             raise ConfigError(f"epsilon must be +1 or -1, got {self.epsilon}")
-        self.omega = np.asarray(self.omega, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        if self.omega.shape != self.xi.shape:
-            raise ConfigError("omega and xi must have the same dimension")
-        if abs(np.linalg.norm(self.omega) - 1.0) > 1e-12:
-            raise ConfigError("omega must be a unit vector")
+        self.omega = unit_direction(self.omega, self.xi.size)
         if abs(float(self.omega @ self.xi)) > 1e-12:
             raise ConfigError("xi must be orthogonal to omega")
         if not self.rho > 2.0:
@@ -103,7 +99,6 @@ def _time_column(grid: Grid, space_ndim: int) -> np.ndarray:
 
 def _weight_exponent(grid: Grid, epsilon: int, omega, rho: float,
                      on_boundary: bool = False) -> np.ndarray:
-    omega = np.asarray(omega, dtype=float)
     coords = _points(grid, on_boundary)
     wx = sum(omega[a] * coords[a] for a in range(grid.n))
     return -epsilon * (rho * wx[None, ...] + rho**2 * _time_column(grid, wx.ndim))
@@ -119,15 +114,12 @@ def _guarded_exp(expo: np.ndarray) -> np.ndarray:
     return np.exp(expo)
 
 
-def exp_weight(grid: Grid, epsilon: int, omega, rho: float, squared: bool = False) -> ScalarField:
-    """The weight e^{-eps(rho w.x + rho^2 t)}; squared=True returns its square."""
+def exp_weight(grid: Grid, epsilon: int, omega, rho: float) -> ScalarField:
+    """The weight e^{-eps(rho w.x + rho^2 t)}."""
     if epsilon not in (1, -1):
         raise ConfigError(f"epsilon must be +1 or -1, got {epsilon}")
-    if abs(np.linalg.norm(np.asarray(omega, dtype=float)) - 1.0) > 1e-12:
-        raise ConfigError("omega must be a unit vector")
+    omega = unit_direction(omega, grid.n)
     expo = _weight_exponent(grid, epsilon, omega, rho)
-    if squared:
-        expo = 2.0 * expo
     return ScalarField(grid, _guarded_exp(expo).astype(np.complex128))
 
 
@@ -321,6 +313,8 @@ def remainder_decay_report(grid: Grid, q: Potential | None, xi, tau: float,
             f"rho={rhos.max():.3g} is unresolved on this grid (rho^2*ht > 5)"
         )
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (grid.n,):
+        raise ConfigError(f"xi must have shape ({grid.n},), got {xi.shape}")
     if omega is None:
         omega = _default_omega(grid.n, xi)
     norms = {1: [], -1: []}
@@ -391,11 +385,9 @@ def _nonnegative_fit(design, rhs) -> np.ndarray:
 def _default_omega(n: int, xi) -> np.ndarray:
     """A unit vector orthogonal to xi (axis-aligned preference)."""
     xi = np.asarray(xi, dtype=float)
-    if n == 1:
-        if np.linalg.norm(xi) > 1e-14:
-            raise ConfigError("in one dimension only xi = 0 admits an orthogonal direction")
-        return np.ones(1)
     if np.linalg.norm(xi) < 1e-14:
-        return np.array([1.0, 0.0])
+        return unit_direction(None, n)
+    if n == 1:
+        raise ConfigError("in one dimension only xi = 0 admits an orthogonal direction")
     perp = np.array([-xi[1], xi[0]])
     return perp / np.linalg.norm(perp)

@@ -34,7 +34,7 @@ from .dtn import (
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear
-from .grid import Grid, build_grid
+from .grid import Grid, build_grid, unit_direction
 from .norms import ModulusParams
 from .reconstruct import (
     ReconstructionConfig,
@@ -314,19 +314,18 @@ def _build_nonlinearity(section: dict, which: str) -> Nonlinearity:
     bound = section["level_bound"]
     if fam == "zero":
         return Nonlinearity.from_u(
-            lambda u: 0.0 * u, lambda u: 0.0 * u, lambda u: 0.0 * u,
+            lambda u: 0.0 * u, lambda u: 0.0 * u,
             name="zero", monotone=True, level_bound=bound,
         )
     if fam == "linear":
         return Nonlinearity.from_u(
-            lambda u: slope * u, lambda u: slope + 0.0 * u, lambda u: 0.0 * u,
+            lambda u: slope * u, lambda u: slope + 0.0 * u,
             name=f"linear({slope:g})", monotone=slope >= 0, level_bound=bound,
         )
     if fam == "cubic":
         return Nonlinearity.from_u(
             lambda u: slope * u + cubic * u**3,
             lambda u: slope + 3 * cubic * u**2,
-            lambda u: 6 * cubic * u,
             name=f"cubic({slope:g},{cubic:g})",
             monotone=slope >= 0 and cubic >= 0,
             level_bound=bound,
@@ -418,12 +417,9 @@ class _Emitter:
         )
 
 
-def _cmd_forward(cfg: ExperimentConfig, emit: _Emitter) -> dict:
-    grid = _build_grid(cfg)
-    q = _build_potential(grid, cfg["potential"])
-    g = _build_bdata(grid, cfg["data"])
-    theta = cfg["reconstruct"]["theta"]
-    u = solve_forward(grid, q, g, None, None, theta, warn_incompatible=False)
+def _emit_solution(emit: _Emitter, u: ScalarField) -> None:
+    """A solution's field and the real part of its Neumann trace by time."""
+    grid = u.grid
     trace = neumann_trace(u)
     emit.field("solution.field", u)
     emit.csv(
@@ -431,6 +427,15 @@ def _cmd_forward(cfg: ExperimentConfig, emit: _Emitter) -> dict:
         ["t"] + [f"p{i:04d}" for i in range(grid.n_boundary)],
         [[t] + list(trace.values[k].real) for k, t in enumerate(grid.ts)],
     )
+
+
+def _cmd_forward(cfg: ExperimentConfig, emit: _Emitter) -> dict:
+    grid = _build_grid(cfg)
+    q = _build_potential(grid, cfg["potential"])
+    g = _build_bdata(grid, cfg["data"])
+    theta = cfg["reconstruct"]["theta"]
+    u = solve_forward(grid, q, g, None, None, theta, warn_incompatible=False)
+    _emit_solution(emit, u)
     return {"max_abs": u.max_abs(), "l2": u.l2_norm()}
 
 
@@ -563,10 +568,7 @@ def _cmd_carleman_check(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
     q = _build_potential(grid, cfg["potential"])
     sec = cfg["carleman"]
-    omega = sec["omega"]
-    if omega is None:
-        omega = [1.0] + [0.0] * (grid.n - 1)
-    omega = np.asarray(omega, dtype=float)
+    omega = unit_direction(sec["omega"], grid.n)
     samples = sample_family(grid, sec["samples"], cfg["seed"], sec["epsilon"])
     report = carleman_report(grid, q, omega, sec["rhos"], samples, sec["epsilon"])
     emit.raw("carleman.csv", report.to_csv)
@@ -692,13 +694,7 @@ def _cmd_semilinear(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     theta = cfg["reconstruct"]["theta"]
     a.check_class(grid.n)
     result = solve_semilinear(grid, a, g, None, theta, warn_incompatible=False)
-    trace = neumann_trace(result.field)
-    emit.field("solution.field", result.field)
-    emit.csv(
-        "neumann_trace.csv",
-        ["t"] + [f"p{i:04d}" for i in range(grid.n_boundary)],
-        [[t] + list(trace.values[k].real) for k, t in enumerate(grid.ts)],
-    )
+    _emit_solution(emit, result.field)
     return {
         "max_abs": result.field.max_abs(),
         "max_newton_iterations": result.max_iterations,

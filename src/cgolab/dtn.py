@@ -15,7 +15,7 @@ space tensored with Fourier modes in time, which the trapezoid quadrature
 keeps exactly orthonormal and which diagonalize the anisotropic Sobolev
 weights.  A basis holds its lateral modes as the rows of one dense
 matrix, so projection and synthesis are one matrix product each.  Matrices
-serialize to a one-line JSON header followed by raw row-major complex64 bytes.
+and fields serialize to one container: a JSON header line, complex64 bytes.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class DtnBasis:
             slice_ *= np.sqrt(2.0) ** grid.n
         # the lateral modes as the rows of one dense (modes, nt*nb) matrix
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
-        self._weights = (grid.time_weights[:, None] * grid.boundary_weights).ravel()
+        self._weights = grid.lateral_weights.ravel()
         self._projections = {}
         self._noise_draws = {}
 
@@ -285,11 +285,10 @@ class DtnMatrix:
         )
 
     def save(self, path) -> None:
-        header = {
+        _write_container(path, {
             "format": "dtn-matrix-v1",
             "rows": int(self.matrix.shape[0]),
             "cols": int(self.matrix.shape[1]),
-            "dtype": "complex64",
             "order": "row-major",
             "weights": list(self.weights),
             "xi_sq_in": self.xi_sq_in.tolist(),
@@ -297,30 +296,13 @@ class DtnMatrix:
             "xi_sq_out": self.xi_sq_out.tolist(),
             "tau_out": self.tau_out.tolist(),
             "meta": self.meta,
-        }
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(np.ascontiguousarray(self.matrix.astype(np.complex64)).tobytes())
+        }, self.matrix)
 
     @classmethod
     def load(cls, path) -> "DtnMatrix":
-        with open(path, "rb") as fh:
-            header_line = fh.readline()
-            header = json.loads(header_line.decode("utf-8"))
-            if header.get("format") != "dtn-matrix-v1":
-                raise ConfigError(f"not a dtn matrix file: {path}")
-            payload = fh.read()
-        rows, cols = header["rows"], header["cols"]
-        expected = rows * cols * np.dtype(np.complex64).itemsize
-        if len(payload) != expected:
-            raise ConfigError(
-                f"dtn matrix payload has {len(payload)} bytes, "
-                f"a {rows}x{cols} complex64 matrix needs {expected}"
-            )
-        mat = np.frombuffer(payload, dtype=np.complex64)
+        header, payload = _read_container(path, "dtn-matrix-v1")
         return cls(
-            mat.reshape(rows, cols).astype(np.complex128),
+            _payload_array(path, payload, (header["rows"], header["cols"])),
             np.asarray(header["xi_sq_in"]),
             np.asarray(header["tau_in"]),
             np.asarray(header["xi_sq_out"]),
@@ -625,12 +607,11 @@ def pairings(grid: Grid, responses, h) -> np.ndarray:
     """Lateral integrals (k, m) of responses[i] * h[j] for blocks (k, nt, nb)
     and (m, nt, nb)."""
     flat = np.asarray(responses).reshape(len(responses), -1)
-    flat = flat * (grid.time_weights[:, None] * grid.boundary_weights).ravel()
+    flat = flat * grid.lateral_weights.ravel()
     return flat @ np.asarray(h).reshape(len(h), -1).T
 
 
-def map_matrix(responses, basis_in: DtnBasis, basis_out: DtnBasis | None = None,
-               weights=DEFAULT_WEIGHTS) -> DtnMatrix:
+def map_matrix(responses, basis_in: DtnBasis, basis_out: DtnBasis | None = None) -> DtnMatrix:
     """Matrix of a map in the given bases, from its responses (size, nt, nb)
     to the input modes of basis_in."""
     if basis_out is None:
@@ -643,61 +624,99 @@ def map_matrix(responses, basis_in: DtnBasis, basis_out: DtnBasis | None = None,
         basis_in.tau,
         basis_out.xi_sq,
         basis_out.tau,
-        weights,
+        DEFAULT_WEIGHTS,
         {"basis_in": basis_in.descriptor(), "basis_out": basis_out.descriptor()},
     )
 
 
 def assemble_dtn_matrix(grid: Grid, q: Potential | None, basis_in: DtnBasis,
-                        basis_out: DtnBasis | None = None, theta: float = 0.5,
-                        obs_mask: DirectionMask | None = None,
-                        weights=DEFAULT_WEIGHTS) -> DtnMatrix:
+                        basis_out: DtnBasis | None = None, theta: float = 0.5) -> DtnMatrix:
     """The map in the given bases, probed with every input mode at once."""
-    oracle = DtnOracle(grid, q, obs_mask=obs_mask, theta=theta)
-    return map_matrix(oracle.apply_many(*basis_in.inputs()), basis_in, basis_out, weights)
+    oracle = DtnOracle(grid, q, theta=theta)
+    return map_matrix(oracle.apply_many(*basis_in.inputs()), basis_in, basis_out)
 
 
 def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
-                               basis_in: DtnBasis, basis_out: DtnBasis | None = None,
-                               weights=DEFAULT_WEIGHTS) -> DtnMatrix:
+                               basis_in: DtnBasis,
+                               basis_out: DtnBasis | None = None) -> DtnMatrix:
     """Matrix of (measured map - simulated reference map) in the given bases.
 
     The operator norm of this matrix is the measured data-distance fed to
     parameter selection.
     """
     return map_matrix(next(oracle.differences(q_ref, [basis_in.inputs()])),
-                      basis_in, basis_out, weights)
+                      basis_in, basis_out)
+
+
+# ---------------------------------------------------------------------------
+# The file container of matrices and fields
+
+
+# format tag: (what the file holds, the header keys a reader needs and their types)
+_FORMATS = {
+    "dtn-matrix-v1": ("dtn matrix", {"rows": int, "cols": int, "weights": list,
+                                     "xi_sq_in": list, "tau_in": list,
+                                     "xi_sq_out": list, "tau_out": list}),
+    "dtn-field-v1": ("field dump", {"n": int, "nx": int, "nt": int, "T": (int, float)}),
+}
+
+
+def _write_container(path, header: dict, values: np.ndarray) -> None:
+    """One JSON line of header (sorted keys, the dtype added), then the
+    complex64 bytes of values in C order."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(dict(header, dtype="complex64"), sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        fh.write(np.ascontiguousarray(values.astype(np.complex64)).tobytes())
+
+
+def _read_container(path, fmt: str):
+    """(header, payload bytes) of a container file of format fmt whose header
+    holds every key the format needs, each with a value of its type; anything
+    else raises ConfigError."""
+    what, keys = _FORMATS[fmt]
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: header is not a JSON line") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ConfigError(f"not a {what} file: {path}")
+    for key, kind in keys.items():
+        if key not in header:
+            raise ConfigError(f"{path}: header has no {key!r}")
+        if isinstance(header[key], bool) or not isinstance(header[key], kind):
+            raise ConfigError(f"{path}: header {key!r} has the wrong type: {header[key]!r}")
+    return header, payload
+
+
+def _payload_array(path, payload: bytes, shape) -> np.ndarray:
+    """The complex64 payload as a complex128 array of the header's shape."""
+    expected = int(np.prod(shape)) * np.dtype(np.complex64).itemsize
+    if len(payload) != expected:
+        raise ConfigError(
+            f"{path}: payload has {len(payload)} bytes, a {shape} array of "
+            f"complex64 samples needs {expected}"
+        )
+    return np.frombuffer(payload, dtype=np.complex64).reshape(shape).astype(np.complex128)
 
 
 def save_field(path, field: ScalarField) -> None:
-    """Field dump: one-line JSON header (grid layout, dtype) + raw complex64
-    bytes in C order; same container convention as the matrix format."""
+    """Field dump: the container with the grid layout in its header."""
     grid = field.grid
-    header = {
+    _write_container(path, {
         "format": "dtn-field-v1",
         "n": grid.n,
         "nx": grid.nx,
         "nt": grid.nt,
         "T": grid.T,
-        "dtype": "complex64",
         "order": "C",
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(field.values.astype(np.complex64)).tobytes())
+    }, field.values)
 
 
 def load_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "dtn-field-v1":
-            raise ConfigError(f"not a field dump: {path}")
-        grid = build_grid(header["n"], header["nx"], header["nt"], header["T"])
-        raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    expected = grid.nt * grid.nx**grid.n
-    if raw.size != expected:
-        raise ConfigError(
-            f"field dump has {raw.size} samples, layout expects {expected}"
-        )
-    return ScalarField(grid, raw.reshape(grid.field_shape).astype(np.complex128))
+    header, payload = _read_container(path, "dtn-field-v1")
+    grid = build_grid(header["n"], header["nx"], header["nt"], header["T"])
+    return ScalarField(grid, _payload_array(path, payload, grid.field_shape))

@@ -23,11 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Grid",
     "Face",
     "DirectionMask",
     "build_grid",
+    "unit_direction",
     "direction_mask",
     "neighborhood_mask",
 ]
@@ -60,6 +63,8 @@ class Grid:
     boundary_points : (nb, n) coordinates
     boundary_weights : (nb,) surface quadrature weights (full, corner-aware)
     boundary_face : (nb,) owning face id
+    lateral_weights : (nt, nb) trapezoid weights of the lateral boundary,
+        time weight times surface weight (read-only)
     """
 
     def __init__(self, n: int, nx: int, nt: int, T: float):
@@ -84,6 +89,8 @@ class Grid:
 
         self.faces = self._build_faces()
         self._enumerate_boundary()
+        self.lateral_weights = self.time_weights[:, None] * self.boundary_weights
+        self.lateral_weights.flags.writeable = False
         self._adjacency = None
 
     # -- construction -------------------------------------------------------
@@ -163,7 +170,7 @@ class Grid:
 
     def integrate_boundary(self, values: np.ndarray):
         """Trapezoid quadrature over the lateral boundary of (nt, nb) samples."""
-        return (self.time_weights[:, None] * self.boundary_weights * values).sum()
+        return (self.lateral_weights * values).sum()
 
     def space_coordinates(self):
         """Coordinate arrays broadcastable to space_shape."""
@@ -241,17 +248,27 @@ class DirectionMask:
         return DirectionMask(self.grid, self.values | other.values)
 
 
+def unit_direction(omega, n: int) -> np.ndarray:
+    """omega as a float vector, checked to have shape (n,) and unit norm; the
+    first coordinate axis e_1 when omega is None.  Every direction the package
+    accepts passes through here."""
+    if omega is None:
+        return np.eye(n)[0]
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (n,):
+        raise ConfigError(f"direction must have shape ({n},), got {omega.shape}")
+    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
+        raise ConfigError(f"direction must be a unit vector, got {omega.tolist()}")
+    return omega
+
+
 def direction_mask(grid: Grid, omega, delta: float, sign: int = 1) -> DirectionMask:
     """Boundary points whose outward normal satisfies sign*(nu . omega) > delta.
 
-    omega must be a unit vector and 0 <= delta < 1.  The indicator is constant
-    in time because the lateral boundary geometry is.
+    omega is a direction as `unit_direction` accepts it and 0 <= delta < 1.
+    The indicator is constant in time because the lateral boundary geometry is.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (grid.n,):
-        raise ValueError(f"direction must have shape ({grid.n},)")
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
+    omega = unit_direction(omega, grid.n)
     if not (0.0 <= delta < 1.0):
         raise ValueError(f"threshold must lie in [0, 1), got {delta}")
     if sign not in (1, -1):

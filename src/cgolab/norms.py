@@ -24,6 +24,7 @@ __all__ = [
     "fit_modulus_constant",
     "zero_extend",
     "box_lengths",
+    "padded_shape",
     "lattice_frequencies",
     "lattice_measure",
     "torus_coefficients",
@@ -137,12 +138,17 @@ def box_lengths(grid: Grid):
     return (2.0 * grid.T,) + (2.0,) * grid.n
 
 
+def padded_shape(grid: Grid) -> tuple:
+    """Lattice shape of the padded box, time axis first: each axis of the
+    closed cylinder is zero-extended to twice its length."""
+    return (2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * grid.n
+
+
 def zero_extend(grid: Grid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.shape != grid.field_shape:
         raise ValueError("values do not match the grid")
-    shape = (2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * grid.n
-    out = np.zeros(shape, dtype=np.complex128)
+    out = np.zeros(padded_shape(grid), dtype=np.complex128)
     sel = tuple(slice(0, s) for s in values.shape)
     out[sel] = values
     return out

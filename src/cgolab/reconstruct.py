@@ -35,13 +35,14 @@ from .dtn import (
 )
 from .errors import ConfigError
 from .fields import Potential, ScalarField
-from .grid import Grid, direction_mask
+from .grid import Grid, direction_mask, unit_direction
 from .norms import (
     Hminus1Target,
     ModulusParams,
     box_lengths,
     coefficients_to_field,
     fit_modulus_constant,
+    padded_shape,
     torus_coefficients,
     zero_extend,
 )
@@ -79,13 +80,7 @@ def choose_direction(xi, mode: str = "full", base_direction=None,
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.size
-    if base_direction is None:
-        base = np.zeros(n)
-        base[0] = 1.0
-    else:
-        base = np.asarray(base_direction, dtype=float)
-        if abs(np.linalg.norm(base) - 1.0) > 1e-12:
-            raise ConfigError("base direction must be a unit vector")
+    base = unit_direction(base_direction, n)
     norm_xi = np.linalg.norm(xi)
     if norm_xi < 1e-14:
         return base
@@ -132,8 +127,7 @@ class FrequencyGrid:
 
     @property
     def padded_shape(self) -> tuple:
-        g = self.grid
-        return (2 * (g.nt - 1),) + (2 * (g.nx - 1),) * g.n
+        return padded_shape(self.grid)
 
     def canonical_nodes(self):
         return [nd for nd in self.nodes if nd.canonical]
@@ -166,13 +160,9 @@ def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
     """All lattice nodes with |zeta| <= R, with directions attached."""
     if R < 0:
         raise ConfigError(f"cutoff radius must be nonnegative, got {R}")
-    if base_direction is None:
-        base = np.zeros(grid.n)
-        base[0] = 1.0
-    else:
-        base = np.asarray(base_direction, dtype=float)
-    nt2 = 2 * (grid.nt - 1)
-    nx2 = 2 * (grid.nx - 1)
+    base = unit_direction(base_direction, grid.n)
+    shape = padded_shape(grid)
+    nt2, nx2 = shape[:2]
     tau_of = lambda s: math.pi * s / grid.T
     xi_of = lambda s: math.pi * s
 
@@ -195,7 +185,7 @@ def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
         if math.hypot(float(np.linalg.norm(xi)), tau) > R + 1e-12:
             continue
         index = tuple([st % nt2] + [s % nx2 for s in sxs])
-        mirror = tuple((-i) % npts for i, npts in zip(index, (nt2,) + (nx2,) * grid.n))
+        mirror = tuple((-i) % npts for i, npts in zip(index, shape))
         nonzero = [s for s in signed if s != 0]
         canonical = (not nonzero) or nonzero[0] > 0 or mirror == index
         omega = choose_direction(xi, mode, base, half_width) if mode == "partial" else (
@@ -393,14 +383,7 @@ class ReconstructionConfig:
             raise ConfigError("cutoff radius must be nonnegative")
 
     def direction(self, n: int) -> np.ndarray:
-        if self.base_direction is None:
-            base = np.zeros(n)
-            base[0] = 1.0
-            return base
-        base = np.asarray(self.base_direction, dtype=float)
-        if base.shape != (n,):
-            raise ConfigError(f"base direction must have dimension {n}")
-        return base
+        return unit_direction(self.base_direction, n)
 
 
 @dataclass
@@ -481,9 +464,7 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None,
     if trivial:
         zero = ScalarField.zeros(grid)
         freq = FrequencyGrid(grid, 0.0, cfg.mode, base, cfg.half_width, [])
-        coeffs = np.zeros(
-            (2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * grid.n, dtype=np.complex128
-        )
+        coeffs = np.zeros(padded_shape(grid), dtype=np.complex128)
         return ReconstructionResult(zero, coeffs, freq, delta, 0.0, 0.0, True,
                                     False, 0.0, None)
 
@@ -632,9 +613,7 @@ def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
         raise ConfigError("frequency is not on the padded lattice")
     p = q.values - (0.0 if q_ref is None else q_ref.values)
     coeffs = torus_coefficients(zero_extend(grid, p), box_lengths(grid))
-    index = tuple(
-        [jt % (2 * (grid.nt - 1))] + [j % (2 * (grid.nx - 1)) for j in jx]
-    )
+    index = tuple(j % m for j, m in zip([jt] + jx, padded_shape(grid)))
     target = complex(coeffs[index])
 
     omega = choose_direction(xi)

@@ -42,7 +42,7 @@ __all__ = [
 
 
 class Nonlinearity:
-    """a(x, t, u) with u-derivatives, all vectorized over (*x, t, u).
+    """a(x, t, u) with its u-derivative, both vectorized over (*x, t, u).
 
     monotone flags membership in the class {a(0)=0, a nondecreasing}; when
     set, both properties are spot-checked before a solve.  level_bound is the
@@ -50,12 +50,11 @@ class Nonlinearity:
     |u| that computed solutions must respect.
     """
 
-    def __init__(self, value, du, d2u=None, *, name: str = "",
+    def __init__(self, value, du, *, name: str = "",
                  monotone: bool = False, level_bound: float = 1.0,
                  sup_bound: float | None = None):
         self._value = value
         self._du = du
-        self._d2u = d2u
         self.name = name
         self.monotone = bool(monotone)
         self.level_bound = float(level_bound)
@@ -65,23 +64,14 @@ class Nonlinearity:
         return np.asarray(self._value(*args), dtype=float)
 
     def du(self, *args):
-        out = np.asarray(self._du(*args), dtype=float)
-        return np.array(np.broadcast_to(out, np.shape(args[-1])), dtype=float)
-
-    def d2u(self, *args):
-        if self._d2u is None:
-            raise ConfigError(f"nonlinearity {self.name!r} has no second derivative")
-        return np.asarray(self._d2u(*args), dtype=float)
+        """da/du, broadcast to the shape of u as a read-only view."""
+        return np.broadcast_to(np.asarray(self._du(*args), dtype=float), np.shape(args[-1]))
 
     @classmethod
-    def from_u(cls, f, fprime, f2=None, **kw) -> "Nonlinearity":
-        """Wrap pure-u callables a(u), a'(u) (and optionally a'')."""
+    def from_u(cls, f, fprime, **kw) -> "Nonlinearity":
+        """Wrap pure-u callables a(u) and a'(u)."""
         value = lambda *args: np.asarray(f(args[-1]), dtype=float) + 0.0 * args[-1]
-        du = lambda *args: np.asarray(fprime(args[-1]), dtype=float) + 0.0 * args[-1]
-        d2u = None
-        if f2 is not None:
-            d2u = lambda *args: np.asarray(f2(args[-1]), dtype=float) + 0.0 * args[-1]
-        return cls(value, du, d2u, **kw)
+        return cls(value, lambda *args: fprime(args[-1]), **kw)
 
     def check_class(self, n: int, u_range=None, samples: int = 101) -> None:
         """Spot-check the monotone-class properties on the probed range."""
@@ -171,8 +161,7 @@ def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
         args = (coords[0][None, :], t, solution.values.real)
     else:
         args = (coords[0][None], coords[1][None], t, solution.values.real)
-    p = a.du(*args)
-    return Potential(grid, np.array(np.broadcast_to(p, grid.field_shape)))
+    return Potential(grid, np.array(a.du(*args)))
 
 
 def frechet_dtn(grid: Grid, a: Nonlinearity, bdata: BoundaryField,

@@ -388,8 +388,7 @@ def test_08_stability_noise_and_partial_data():
 def test_09_derivative_map_consistency():
     grid = build_grid(1, 33, 33, 1.0)
     a = Nonlinearity(lambda x, t, u: u + 0.2 * u**3,
-                     lambda x, t, u: 1.0 + 0.6 * u**2,
-                     d2u=lambda x, t, u: 1.2 * u, monotone=True)
+                     lambda x, t, u: 1.0 + 0.6 * u**2, monotone=True)
     bdata = BoundaryField.from_callable(
         grid, lambda p, t: 0.4 * np.sin(np.pi * t) * np.ones(p.shape[0]))
     h = BoundaryField.from_callable(

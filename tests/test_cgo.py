@@ -49,8 +49,8 @@ def test_exp_weight_values_and_overflow_guard():
     w = exp_weight(g, 1, np.array([1.0]), 3.0)
     want = np.exp(-(3.0 * g.xs[None, :] + 9.0 * g.ts[:, None]))
     assert np.allclose(w.values, want)
-    w2 = exp_weight(g, -1, np.array([1.0]), 3.0, squared=True)
-    assert np.allclose(w2.values, 1.0 / want**2)
+    w2 = exp_weight(g, -1, np.array([1.0]), 3.0)
+    assert np.allclose(w2.values, 1.0 / want)
     with pytest.raises(SolverError):
         exp_weight(g, 1, np.array([1.0]), 40.0)  # rho^2 T > 700
 

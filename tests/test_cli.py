@@ -264,6 +264,24 @@ def test_main_rejects_j_max_on_a_1d_grid(tmp_path, capsys, j_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, message", [
+    # the xi of a 1-d frequency on a 2-d grid used to crash with IndexError
+    ("cgo-check", {"cgo": {"xi": [3.0]}}, "xi must have shape (2,)"),
+    # a non-unit weight direction used to pass and write uncovered ratios
+    ("carleman-check", {"carleman": {"omega": [2.0, 0.0]}}, "unit vector"),
+    ("carleman-check", {"carleman": {"omega": [1.0]}}, "shape (2,)"),
+])
+def test_main_rejects_malformed_directions_before_writing(tmp_path, capsys, command,
+                                                          section, message):
+    path = _write_config(tmp_path, {"grid": {"n": 2, "nx": 9, "nt": 33, "T": 1.0},
+                                    "potential": {"family": "zero"}, **section})
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_numerical_failure_exits_3(tmp_path, capsys):
     path = _write_config(tmp_path, {**SMALL_GRID,
                                     "pairing": {"cases": 2, "threshold": 1e-12}})

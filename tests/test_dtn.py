@@ -1,11 +1,20 @@
 """Boundary-map layer: bases, matrices, pairings, noise, file formats."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgolab import BoundaryField, ConfigError, Potential, build_grid, direction_mask
+from cgolab import (
+    BoundaryField,
+    ConfigError,
+    Potential,
+    ScalarField,
+    build_grid,
+    direction_mask,
+)
 from cgolab.dtn import (
     DEFAULT_WEIGHTS,
     DtnBasis,
@@ -307,6 +316,60 @@ def test_field_save_load_round_trip(tmp_path):
     short.write_bytes(data[:-16])
     with pytest.raises(ConfigError, match="samples"):
         load_field(short)
+
+
+def _saved_matrix(path):
+    """Save a small map matrix at path; returns its loader."""
+    g = build_grid(1, 9, 9, 1.0)
+    assemble_dtn_matrix(g, None, DtnBasis(g, k_max=1)).save(path)
+    return DtnMatrix.load
+
+
+def _saved_field(path):
+    """Save a small 2-d field at path; returns its loader."""
+    g = build_grid(2, 5, 5, 1.0)
+    save_field(path, ScalarField(g, np.ones(g.field_shape)))
+    return load_field
+
+
+@pytest.mark.parametrize("save, key, value, message", [
+    (_saved_matrix, "cols", None, "no 'cols'"),
+    (_saved_matrix, "cols", "6", "'cols' has the wrong type"),
+    (_saved_matrix, "rows", True, "'rows' has the wrong type"),
+    (_saved_matrix, "tau_in", 0.0, "'tau_in' has the wrong type"),
+    (_saved_field, "nx", None, "no 'nx'"),
+    (_saved_field, "nx", 5.0, "'nx' has the wrong type"),
+    (_saved_field, "T", [1.0], "'T' has the wrong type"),
+])
+def test_container_reader_names_a_missing_or_ill_typed_key(tmp_path, save, key,
+                                                           value, message):
+    path = tmp_path / "file"
+    load = save(path)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(ConfigError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("header", [b"[1, 2]", b"{not json", b"\xff\xfe"])
+def test_container_reader_rejects_a_header_that_is_no_json_object(tmp_path, header):
+    path = tmp_path / "file"
+    path.write_bytes(header + b"\n" + b"\0" * 16)
+    with pytest.raises(ConfigError):
+        load_field(path)
+
+
+def test_field_load_rejects_a_payload_of_the_wrong_size(tmp_path):
+    path = tmp_path / "state.field"
+    _saved_field(path)
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ConfigError, match=r"has 1008 bytes.*\(5, 5, 5\).* needs 1000"):
+        load_field(path)
 
 
 def test_partial_apply_enforces_support():

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from cgolab import build_grid
+from cgolab import (
+    CgoParams,
+    ConfigError,
+    ReconstructionConfig,
+    ScalarField,
+    build_frequency_grid,
+    build_grid,
+    choose_direction,
+    conjugated_apply,
+    direction_mask,
+    exp_weight,
+)
+from cgolab.grid import unit_direction
 
 
 def test_basic_shapes():
@@ -117,3 +129,44 @@ def test_faces_partition_boundary():
     assert len(covered) == g.n_boundary
     # face ownership is a function of the stored ids
     assert set(g.boundary_face) <= set(range(4))
+
+
+
+# every entry point that takes a direction checks it through one validator
+_DIRECTION_ENTRY_POINTS = {
+    "direction_mask": lambda g, om: direction_mask(g, om, 0.2),
+    "CgoParams": lambda g, om: CgoParams(1, om, np.zeros(g.n), 0.0, 4.0),
+    "exp_weight": lambda g, om: exp_weight(g, 1, om, 3.0),
+    "choose_direction": lambda g, om: choose_direction(np.array([0.0, np.pi]),
+                                                       "partial", om, 0.3),
+    "build_frequency_grid": lambda g, om: build_frequency_grid(g, 4.0, "full", om),
+    "ReconstructionConfig.direction":
+        lambda g, om: ReconstructionConfig(base_direction=om).direction(g.n),
+    "conjugated_apply": lambda g, om: conjugated_apply("full", ScalarField.zeros(g),
+                                                       om, 4.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DIRECTION_ENTRY_POINTS))
+@pytest.mark.parametrize("omega, message", [([2.0, 0.0], "unit vector"),
+                                            ([1.0], "shape"),
+                                            ([0.6, 0.8, 0.0], "shape")])
+def test_direction_entry_points_reject_malformed_directions(entry, omega, message):
+    g = build_grid(2, 9, 9, 1.0)
+    with pytest.raises(ConfigError, match=message):
+        _DIRECTION_ENTRY_POINTS[entry](g, np.array(omega))
+
+
+def test_unit_direction_defaults_to_the_first_axis():
+    assert np.array_equal(unit_direction(None, 2), [1.0, 0.0])
+    assert np.array_equal(unit_direction(None, 1), [1.0])
+    assert np.array_equal(unit_direction([0.6, 0.8], 2), [0.6, 0.8])
+
+
+def test_lateral_weights_integrate_the_lateral_boundary():
+    g = build_grid(2, 9, 17, T=2.0)
+    assert g.lateral_weights.shape == (g.nt, g.n_boundary)
+    assert np.array_equal(g.lateral_weights, g.time_weights[:, None] * g.boundary_weights)
+    # perimeter 4 times the final time
+    assert g.integrate_boundary(np.ones((g.nt, g.n_boundary))) == pytest.approx(8.0)
+    assert not g.lateral_weights.flags.writeable

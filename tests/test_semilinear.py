@@ -25,7 +25,6 @@ def _cubic():
     return Nonlinearity.from_u(
         lambda u: u + 0.2 * u**3,
         lambda u: 1.0 + 0.6 * u**2,
-        lambda u: 1.2 * u,
         name="cubic",
         monotone=True,
     )
@@ -51,10 +50,9 @@ def test_from_u_broadcasts_over_space_time_slices():
     u = np.linspace(-1, 1, 5)
     assert a.value(x, 0.0, u).shape == (5,)
     assert a.du(x, 0.0, u) == pytest.approx(1.0 + 0.6 * u**2)
-    assert a.d2u(x, 0.0, u) == pytest.approx(1.2 * u)
-    plain = Nonlinearity.from_u(lambda u: u, lambda u: np.ones_like(u))
-    with pytest.raises(ConfigError, match="second derivative"):
-        plain.d2u(x, 0.0, u)
+    # a constant derivative broadcasts to the shape of u
+    plain = Nonlinearity.from_u(lambda u: u, lambda u: 1.0)
+    assert np.array_equal(plain.du(x, 0.0, u), np.ones(5))
 
 
 def test_class_check_catches_violations():
@@ -440,7 +438,7 @@ def test_cubic_recovery_keeps_one_private_map_per_level(monkeypatch):
     cfg = ReconstructionConfig(rho=4.0, R=2.0, measure_delta=False, basis_j_max=1,
                                basis_k_max=1)
     ref = Nonlinearity.from_u(lambda u: 0.5 * u + 0.1 * u**3, lambda u: 0.5 + 0.3 * u**2,
-                              lambda u: 0.6 * u, name="cubic_ref", monotone=True)
+                              name="cubic_ref", monotone=True)
     recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [-0.5, 0.4, 0.8], cfg)
     assert len(made) == 6 and not any(m.keeps_answers for m in made)
     assert sorted(map(id, marches)) == sorted(map(id, (m.scheme for m in made)))

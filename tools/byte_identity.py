@@ -7,8 +7,10 @@ perfbench/workloads.py, which this script only reads), plus recon2d-full's
 config with a time-dependent truth, two small stability sweeps (a 2-d
 pair sweep and a 1-d noise sweep, whose truth differs from the reference),
 three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
-2-d with noise), one 1-d cubic semilinear solve whose line search halves
-and one 2-d boundary-map matrix with initial modes, through
+2-d with noise), one 1-d cubic semilinear solve whose line search halves,
+one 2-d boundary-map matrix with initial modes, one 2-d forward solve, a
+1-d pairing check, a 2-d weighted-inequality check along an oblique
+direction and a 2-d probe-decay check, through
 `cgolab.cli.run` once with BASE_TREE/src and once with HEAD_TREE/src
 (default: the tree holding this script).  Every run is a fresh interpreter
 with one BLAS thread and writes to the same scratch directory, so the
@@ -107,6 +109,34 @@ def cases() -> list:
         "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
         "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
         "dtn": {"j_max": 2, "k_max": 2, "initial_modes": 2},
+    }))
+    # the field container and the Neumann-trace table
+    out.append(("forward2d", "forward", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
+        "data": {"family": "face_sine", "amplitude": 1.0, "face": 2, "space": 2, "time": 1},
+    }))
+    # boundary pairings of synthesized lateral data against volume integrals
+    out.append(("pairing1d", "pairing-check", {
+        "threads": 1,
+        "grid": {"n": 1, "nx": 33, "nt": 33, "T": 1.0},
+        "pairing": {"cases": 3},
+    }))
+    # a direction off the axes and lateral quadrature of the normal flux
+    out.append(("carleman2d-oblique", "carleman-check", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 17, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
+        "carleman": {"samples": 6, "rhos": [4.0, 8.0], "omega": [0.6, 0.8]},
+    }))
+    # the probe direction defaults to the perpendicular of xi
+    out.append(("cgo2d", "cgo-check", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.3, "space": [1, 2], "time": 1},
+        "cgo": {"xi": [3.141592653589793, 0.0], "tau": 3.141592653589793,
+                "rhos": [4.0, 6.0, 8.0, 10.0]},
     }))
     return out
 
