@@ -313,8 +313,6 @@ def remainder_decay_report(grid: Grid, q: Potential | None, xi, tau: float,
             f"rho={rhos.max():.3g} is unresolved on this grid (rho^2*ht > 5)"
         )
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.n,):
-        raise ConfigError(f"xi must have shape ({grid.n},), got {xi.shape}")
     if omega is None:
         omega = _default_omega(grid.n, xi)
     norms = {1: [], -1: []}
@@ -385,6 +383,8 @@ def _nonnegative_fit(design, rhs) -> np.ndarray:
 def _default_omega(n: int, xi) -> np.ndarray:
     """A unit vector orthogonal to xi (axis-aligned preference)."""
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,):
+        raise ConfigError(f"xi must have shape ({n},), got {xi.shape}")
     if np.linalg.norm(xi) < 1e-14:
         return unit_direction(None, n)
     if n == 1:

@@ -141,6 +141,10 @@ class DtnBasis:
             for c, j in zip(coords, js_tuple):
                 slice_ *= np.sin(j * np.pi * c)
             slice_ *= np.sqrt(2.0) ** grid.n
+        # the input blocks never change, so their digest is taken once
+        self._lateral.flags.writeable = False
+        self._initial.flags.writeable = False
+        self._inputs_digest = None
         # the lateral modes as the rows of one dense (modes, nt*nb) matrix
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
         self._weights = grid.lateral_weights.ravel()
@@ -179,8 +183,16 @@ class DtnBasis:
 
     def inputs(self):
         """Every input mode as a column of one block: (lateral data
-        (size, nt, nb), initial slices (size, *space_shape) or None)."""
+        (size, nt, nb), initial slices (size, *space_shape) or None), both
+        read-only."""
         return self._lateral, (self._initial if self.init_modes else None)
+
+    def digest(self) -> str:
+        """`_digest` of the `inputs` question: the blocks are read-only, so
+        the basis hashes them once, when first asked."""
+        if self._inputs_digest is None:
+            self._inputs_digest = _digest(*self.inputs())
+        return self._inputs_digest
 
     def project(self, f):
         """Coefficients of the lateral modes (orthonormal, so inner products):
@@ -530,12 +542,16 @@ class DtnOracle:
             traces += self._noise_basis.synthesize(coeffs)
         return self._observed(traces)
 
-    def _keys(self, questions, reference_map: DtnMap | None = None) -> list:
+    def _keys(self, questions, reference_map: DtnMap | None = None, bases=None) -> list:
         """The digest of every (g, u0) question where a map asked keeps its
-        answers; Nones where none does."""
+        answers, taken from the basis the question came from where `bases`
+        names one; Nones where no map keeps answers."""
         keeps = self.map.keeps_answers or (
             reference_map is not None and reference_map.keeps_answers)
-        return [_digest(g, u0) if keeps else None for g, u0 in questions]
+        if bases is None:
+            bases = [None] * len(questions)
+        return [(_digest(g, u0) if basis is None else basis.digest()) if keeps else None
+                for (g, u0), basis in zip(questions, bases)]
 
     def _check(self, g) -> np.ndarray:
         g = np.asarray(g)
@@ -557,13 +573,17 @@ class DtnOracle:
     def differences(self, q_ref: Potential | None, questions):
         """(measured map - simulated reference map) responses (k, nt, nb) to
         every (g, u0) question, in turn, each map asked once for all of them.
-        When the reference is the truth, one march serves both sides.  Each
-        question is hashed at most once, and its digest keys both the stored
-        answers of the maps and the noise basis's projections."""
+        A `DtnBasis` in place of a question asks about its input modes.  When
+        the reference is the truth, one march serves both sides.  Each
+        question is hashed at most once (a basis's only once in its life),
+        and its digest keys both the stored answers of the maps and the noise
+        basis's projections."""
+        bases = [q if isinstance(q, DtnBasis) else None for q in questions]
+        questions = [q.inputs() if isinstance(q, DtnBasis) else q for q in questions]
         questions = [(self._check(g), u0) for g, u0 in questions]
         reference_map = self._map_of(q_ref)
         gs = [g for g, _ in questions]
-        keys = self._keys(questions, reference_map)
+        keys = self._keys(questions, reference_map, bases)
         clean = self.map.stacked_traces(questions, keys)
         # map() keeps no answer alive once it has handed it over
         if reference_map is self.map:
@@ -644,8 +664,7 @@ def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
     The operator norm of this matrix is the measured data-distance fed to
     parameter selection.
     """
-    return map_matrix(next(oracle.differences(q_ref, [basis_in.inputs()])),
-                      basis_in, basis_out)
+    return map_matrix(next(oracle.differences(q_ref, [basis_in])), basis_in, basis_out)
 
 
 # ---------------------------------------------------------------------------

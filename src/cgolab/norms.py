@@ -167,16 +167,85 @@ def lattice_measure(lengths) -> float:
     return float(np.prod([2 * math.pi / L for L in lengths]))
 
 
+# Above this share of occupied lines (a zero-extended field fills about a
+# quarter of the last axis's lines in 2-d, half in 1-d), gathering them and
+# copying the blank slab costs more memory traffic than transforming every
+# line, so the lattice is transformed whole.
+_SPARSE_SHARE = 1 / 8
+
+
+def _occupied_lines(values: np.ndarray) -> np.ndarray:
+    """Which lines along the last axis hold a nonzero bit pattern (a -0.0
+    entry counts): a boolean array of the other axes' shape."""
+    values = np.ascontiguousarray(values)
+    words = values.view(np.uint64 if values.itemsize % 8 == 0 else np.uint8)
+    return words.reshape(values.shape[:-1] + (-1,)).any(axis=-1)
+
+
+def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
+    """`transform` (np.fft.fft or np.fft.ifft) along every axis, last axis
+    first as np.fft.fftn and ifftn run it, each axis cropped to `shape` once
+    its 1-D transforms are done.  The result is an array of the function's
+    own (a view of it when cropped), which the caller may scale in place.
+
+    Where few lines hold a nonzero bit pattern (a -0.0 entry counts), only
+    those are transformed.  Before an axis is transformed, every index tuple
+    of the axes not yet transformed that leads to no such line carries the
+    same slab, `blank`: what the earlier axes made of zeros.  So the slab is
+    transformed once per axis and stands in for all of them; it is a
+    transform's result, never literal zeros, since pocketfft returns -0.0
+    entries from an all-zero line at some lengths (202, 214 and 254, for
+    instance).  Every occupied line goes through the same 1-D transform as
+    in the n-d one, so the result is bitwise the crop of the full transform.
+    A transform whose input the function owns runs in place, so the whole
+    lattice is allocated at most once.
+    """
+    n = values.shape
+    lines = values.reshape(-1, n[-1])
+    # flat indices, over the other axes, of the occupied lines along the last
+    rows = np.flatnonzero(_occupied_lines(values))
+    if rows.size > _SPARSE_SHARE * len(lines):
+        field = transform(values, axis=-1)[..., :shape[-1]]
+        for axis in reversed(range(len(n) - 1)):
+            field = transform(field, axis=axis, out=field)
+            field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
+        return field
+    data = transform(lines[rows], axis=-1)[:, :shape[-1]]
+    blank = transform(np.zeros(n[-1], dtype=values.dtype))[:shape[-1]]
+    for axis in reversed(range(len(n) - 1)):
+        # the occupied index tuples of the axes before this one, and the
+        # position of each row in their slabs
+        outer, inner = np.divmod(rows, n[axis])
+        prefixes, slab = np.unique(outer, return_inverse=True)
+        slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=blank.dtype)
+        slabs[...] = blank
+        slabs[slab, inner] = data
+        data = transform(slabs, axis=1, out=slabs)[:, :shape[axis]]
+        if prefixes.size < math.prod(n[:axis]):
+            # the broadcast input is read in place; the output is laid out in
+            # C order, as the full transform's is, since sums over it follow
+            # its memory order
+            wide = np.broadcast_to(blank, (n[axis],) + blank.shape)
+            blank = transform(wide, axis=0, out=np.empty(wide.shape, dtype=blank.dtype))
+            blank = blank[:shape[axis]]
+        rows = prefixes
+    return data[0] if rows.size else blank
+
+
 def torus_coefficients(values: np.ndarray, lengths) -> np.ndarray:
     """Normalized Fourier coefficients (2pi)^{-d/2} * integral p e^{-i zeta.z}.
 
     The integral is the left-endpoint Riemann sum, which makes Parseval exact
     on the lattice: sum |coeff|^2 * lattice_measure == sum |p|^2 * cell volume.
+    The transform is bitwise np.fft.fftn's, but on a lattice where few lines
+    hold nonzero bits (all of a zero field) the zero lines are transformed
+    once per axis and the result is copied to the others.
     """
     values = np.asarray(values, dtype=np.complex128)
     d = values.ndim
     cell = np.prod([L / npts for npts, L in zip(values.shape, lengths)])
-    return (2 * math.pi) ** (-d / 2) * cell * np.fft.fftn(values)
+    coeffs = _lattice_transform(values, np.fft.fft, values.shape)
+    return np.multiply((2 * math.pi) ** (-d / 2) * cell, coeffs, out=coeffs)
 
 
 def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray:
@@ -184,22 +253,25 @@ def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray
     that shape (the cylinder inside the padded box).
 
     The field is inverted axis by axis in the order np.fft.ifftn uses, last
-    axis first, and each axis is cropped as soon as it is done.  That runs
-    the same 1-D transforms on the same rows as the full inverse, so the
-    corner is bitwise the crop of the full inverse, at about half the work.
+    axis first, and each axis is cropped as soon as it is done.  Lines that
+    hold only zero bits (all but the few that meet the frequency ball) are
+    inverted once per axis and the result is copied to the others; every
+    other line runs the same 1-D transform as the full inverse.  So the
+    corner is bitwise the crop of np.fft.ifftn, at a fraction of the work.
     """
     d = coeffs.ndim
     cell = np.prod([L / npts for npts, L in zip(coeffs.shape, lengths)])
     shape = coeffs.shape if shape is None else shape
-    field = coeffs
-    for axis in reversed(range(d)):
-        field = np.fft.ifft(field, axis=axis)
-        field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
-    return field * (2 * math.pi) ** (d / 2) / cell
+    field = _lattice_transform(coeffs, np.fft.ifft, shape) * (2 * math.pi) ** (d / 2)
+    return np.divide(field, cell, out=field)
 
 
-def _weight_sq(shape, lengths, order: float) -> np.ndarray:
+def _weight_sq(shape, lengths, order: float, index=None) -> np.ndarray:
+    """(1 + |zeta|^2)^order over the lattice, or at the entries of an index
+    tuple of integer arrays only (the same bits as the lattice's there)."""
     freqs = lattice_frequencies(shape, lengths)
+    if index is not None:
+        freqs = [f.ravel()[i] for f, i in zip(freqs, index)]
     zeta_sq = sum(f**2 for f in freqs)
     return (1.0 + zeta_sq) ** order
 
@@ -226,22 +298,39 @@ def hminus1_norm(field_like) -> float:
 class Hminus1Target:
     """Order -1 distances from one cylinder field to lattice coefficient arrays.
 
-    The field is zero-extended and transformed once, and the transform is
-    kept with the lattice's order -1 weight, so each distance is one weighted
-    sum over the lattice and no transform.
+    The field is zero-extended and transformed once.  The target keeps the
+    transform and, in place of the lattice's order -1 weight, each entry's
+    term of the weighted sum against a zero coefficient, weight * |transform|^2.
+    A distance recomputes only the entries where the coefficient array is
+    nonzero, patches them in and sums the same array the whole-lattice
+    formula sums, so it is that formula bitwise, with no transform.
     """
 
     def __init__(self, grid: Grid, values):
         self.lengths = box_lengths(grid)
         self.transform = torus_coefficients(zero_extend(grid, values), self.lengths)
-        self.weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
+        terms = np.abs(self.transform) ** 2
+        weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
+        self._terms = np.multiply(weight, terms, out=terms)
 
     def distance(self, coeffs: np.ndarray) -> float:
         """Order -1 distance to a coefficient array on the padded lattice."""
         if coeffs.shape != self.transform.shape:
             raise ValueError("coefficient array does not match the padded lattice")
-        diff2 = np.abs(self.transform - coeffs) ** 2
-        return math.sqrt(float(np.sum(self.weight * diff2)) * lattice_measure(self.lengths))
+        return self._distance(coeffs, np.flatnonzero(coeffs))
+
+    def _distance(self, coeffs: np.ndarray, positions) -> float:
+        """`distance` to a coefficient array that vanishes off the given flat
+        lattice positions (repeats allowed)."""
+        index = np.unravel_index(np.asarray(positions, dtype=np.intp), coeffs.shape)
+        diff2 = np.abs(self.transform[index] - coeffs[index]) ** 2
+        kept = self._terms[index]
+        self._terms[index] = _weight_sq(coeffs.shape, self.lengths, -1.0, index) * diff2
+        try:
+            total = float(np.sum(self._terms))
+        finally:
+            self._terms[index] = kept
+        return math.sqrt(total * lattice_measure(self.lengths))
 
 
 def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:

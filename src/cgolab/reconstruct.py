@@ -268,7 +268,7 @@ def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float,
     marches both as one block.
     """
     grid = oracle.grid
-    questions = [] if bases is None else [bases[0].inputs()]
+    questions = [] if bases is None else [bases[0]]
     if nodes:
         g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
         rows, backward, which = {}, [], []
@@ -421,7 +421,7 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     negative-order error of the estimate against (truth - reference)."""
     res = _estimate(oracle, q_ref, cfg)
     if truth is not None:
-        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients)
+        res.error = _error(_error_target(oracle.grid, truth, q_ref), res)
     return res
 
 
@@ -430,10 +430,24 @@ def _error_target(grid: Grid, truth: Potential, q_ref: Potential | None) -> Hmin
     return Hminus1Target(grid, truth.values - (0.0 if q_ref is None else q_ref.values))
 
 
-def _estimate(oracle: DtnOracle, q_ref: Potential | None,
-              cfg: ReconstructionConfig) -> ReconstructionResult:
-    """`reconstruct` without the error, which is left None."""
+def _error(target: Hminus1Target, res: ReconstructionResult) -> float:
+    """The target's distance to res's coefficients, which vanish off the
+    lattice entries of its frequency nodes and their mirrors: only those
+    entries are recomputed, and no lattice scan finds them."""
+    freq = res.frequencies
+    shape = freq.padded_shape
+    positions = [np.ravel_multi_index(i, shape)
+                 for nd in freq.nodes for i in (nd.index, nd.mirror)]
+    return target._distance(res.coefficients, positions)
+
+
+def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionConfig,
+              bases=None) -> ReconstructionResult:
+    """`reconstruct` without the error, which is left None.  `bases` are the
+    measurement bases of the oracle's masks where the caller has them."""
     grid = oracle.grid
+    if bases is None and cfg.measure_delta:
+        bases = _measurement_bases(grid, oracle, cfg)
     base = cfg.direction(grid.n)
     cap = probe_rho_cap(grid)
     delta = None
@@ -444,8 +458,7 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None,
             raise ConfigError("auto parameter rule needs the measured data distance")
         # rho depends on the data distance, so the probes are asked in a
         # march of their own once it is known
-        delta = operator_norm(assemble_difference_matrix(
-            oracle, q_ref, *_measurement_bases(grid, oracle, cfg)))
+        delta = operator_norm(assemble_difference_matrix(oracle, q_ref, *bases))
         c = cfg.c if cfg.c is not None else grid.T + math.sqrt(grid.n)
         sel = select_parameters(delta, cfg.s, c, rho_cap=cap)
         trivial, saturated = sel.trivial, sel.saturated
@@ -484,7 +497,7 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None,
     measured, values = _slice_values(
         oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
         probe_delta=cfg.probe_delta, vanish_plus=vanish_plus, vanish_minus=vanish_minus,
-        bases=_measurement_bases(grid, oracle, cfg) if with_delta else None,
+        bases=bases if with_delta else None,
     )
     if measured is not None:
         delta = measured
@@ -529,9 +542,10 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     record runs the full pipeline and the smallest constant C with
     err <= C * modulus(delta) over the usable records is fitted.  The
     records share one noiseless map per distinct potential for as long as
-    the sweep runs, so a question asked by several records marches once,
-    and the error target of each truth, so its difference to the reference
-    is transformed once.
+    the sweep runs, so a question asked by several records marches once;
+    the measurement bases, which every record's oracle masks alike, so they
+    are built and their question hashed once; and the error target of each
+    truth, so its difference to the reference is transformed once.
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
@@ -560,16 +574,17 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
 
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
+    bases = _measurement_bases(grid, runs[0][0], cfg) if cfg.measure_delta else None
     target = target_truth = None
     for oracle, q_true in runs:
         if q_true is None:
             q_true = q_ref if q_ref is not None else zero_truth
-        res = _estimate(oracle, q_ref, cfg)
+        res = _estimate(oracle, q_ref, cfg, bases)
         # records of one truth (every record of a noise sweep) share its
         # error target, so the truth difference is transformed once
         if target is None or not np.array_equal(target_truth.values, q_true.values):
             target, target_truth = _error_target(grid, q_true, q_ref), q_true
-        res.error = target.distance(res.coefficients)
+        res.error = _error(target, res)
         records.append(
             StabilityRecord(
                 delta=float(res.delta),

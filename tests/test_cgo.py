@@ -14,6 +14,7 @@ from cgolab import (
     build_grid,
     corrector_source,
     direction_mask,
+    envelope_fit,
     exp_weight,
     principal_part,
     probe_trace,
@@ -138,6 +139,18 @@ def test_remainder_decay_and_guard():
         remainder_decay_report(g, q, np.array([0.0]), 0.0, [4.0, 8.0, 16.0])
     with pytest.raises(ConfigError):
         remainder_decay_report(g, q, np.array([0.0]), 0.0, [4.0, 8.0, 16.0, 60.0])
+
+
+@pytest.mark.parametrize("entry", ["report", "envelope"])
+def test_default_direction_rejects_a_xi_of_the_wrong_length(entry):
+    # both entry points take omega from xi when none is given; a xi with one
+    # entry on a 2-d grid is a configuration error, not an IndexError
+    g = build_grid(2, 9, 17, T=1.0)
+    with pytest.raises(ConfigError, match=r"xi must have shape \(2,\)"):
+        if entry == "report":
+            remainder_decay_report(g, None, [3.0], 0.0, [3.0, 4.0, 5.0, 6.0])
+        else:
+            envelope_fit(g, None, [4.0], [([3.0], 0.0)])
 
 
 def test_field_assembly_guard():

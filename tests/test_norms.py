@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
@@ -160,6 +160,23 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _cell(shape, lengths):
+    return np.prod([L / n for n, L in zip(shape, lengths)])
+
+
+def _plain_forward(values, lengths):
+    """torus_coefficients as one np.fft.fftn of the whole lattice."""
+    values = np.asarray(values, dtype=np.complex128)
+    return (2 * math.pi) ** (-values.ndim / 2) * _cell(values.shape, lengths) * np.fft.fftn(
+        values)
+
+
+def _plain_inverse(coeffs, lengths, corner):
+    """coefficients_to_field as the corner of one np.fft.ifftn of the lattice."""
+    crop = np.fft.ifftn(coeffs)[tuple(slice(0, c) for c in corner)]
+    return crop * (2 * math.pi) ** (coeffs.ndim / 2) / _cell(coeffs.shape, lengths)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 10), min_size=2, max_size=3),
        st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
@@ -176,16 +193,67 @@ def test_cropped_inversion_is_the_crop_of_the_full_inverse(halves, lengths, spar
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if sparse:
         coeffs[rng.uniform(size=shape) > 0.1] = 0.0
-    full = coefficients_to_field(coeffs, lengths)
     got = coefficients_to_field(coeffs, lengths, corner)
     assert got.shape == corner
-    assert _bits(got) == _bits(full[tuple(slice(0, c) for c in corner)])
+    assert _bits(got) == _bits(_plain_inverse(coeffs, lengths, corner))
+
+
+@st.composite
+def _lattice_arrays(draw):
+    """(array, lengths, corner) on an even lattice of one to three axes.
+    Often one axis, a non-final one in more than one dimension, has length
+    202 or 214, where pocketfft turns an all-zero line into one with -0.0
+    entries.  The entries are all zero, a few values, -0.0 alone, or a few
+    values among -0.0s."""
+    d = draw(st.integers(1, 3))
+    shape = [2 * draw(st.integers(1, 6)) for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        shape[draw(st.integers(0, d - 2))] = draw(st.sampled_from([202, 214]))
+    else:
+        shape[0] = draw(st.sampled_from([shape[0], 202, 214]))
+    shape = tuple(shape)
+    lengths = tuple(draw(st.floats(0.2, 5.0)) for _ in shape)
+    corner = tuple(draw(st.integers(1, n)) for n in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(shape, dtype=np.complex128)
+    kind = draw(st.sampled_from(["zero", "few", "signed_zeros", "few_among_signed_zeros"]))
+    if kind in ("signed_zeros", "few_among_signed_zeros"):
+        share = draw(st.sampled_from([0.01, 0.3, 1.0]))
+        values.real[rng.uniform(size=shape) < share] = -0.0
+        values.imag[rng.uniform(size=shape) < share] = -0.0
+    if kind in ("few", "few_among_signed_zeros"):
+        for _ in range(draw(st.integers(1, 4))):
+            spot = tuple(int(rng.integers(n)) for n in shape)
+            values[spot] = complex(rng.normal(), rng.normal())
+    return values, lengths, corner
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_arrays())
+# -0.0 entries alone: their lines transform to a -0.0 at frequency 0, which a
+# blank line does not have
+@example((np.full(4, complex(-0.0, -0.0)), (1.0,), (3,)))
+@example((np.full((4, 6), complex(-0.0, -0.0)), (1.0, 2.0), (3, 4)))
+# zeros alone: pocketfft's -0.0 entries must come out of the blank slab
+@example((np.zeros((202, 4), dtype=np.complex128), (1.0, 2.0), (101, 3)))
+def test_line_restricted_transforms_are_the_plain_transforms_bitwise(problem):
+    # only the lines holding a nonzero bit pattern are transformed, and one
+    # transformed blank line stands in for the rest; a -0.0 entry is not blank
+    # the memory layout must match too: a sum over the array follows it
+    values, lengths, corner = problem
+    got, want = torus_coefficients(values, lengths), _plain_forward(values, lengths)
+    assert _bits(got) == _bits(want) and got.strides == want.strides
+    # a real array inverts to complex values, as np.fft.ifftn's do
+    for coeffs in (values, values.real):
+        got, want = (coefficients_to_field(coeffs, lengths, corner),
+                     _plain_inverse(coeffs, lengths, corner))
+        assert _bits(got) == _bits(want) and got.strides == want.strides
 
 
 def _plain_hminus1_distance(grid, values, coeffs):
     """The order -1 distance as one sum over the whole lattice."""
     lengths = box_lengths(grid)
-    ref = torus_coefficients(zero_extend(grid, values), lengths)
+    ref = _plain_forward(zero_extend(grid, values), lengths)
     freqs = lattice_frequencies(ref.shape, lengths)
     w = (1.0 + sum(f**2 for f in freqs)) ** -1.0
     return math.sqrt(float(np.sum(w * np.abs(ref - coeffs) ** 2)) * lattice_measure(lengths))
@@ -218,16 +286,24 @@ def _lattice_problems(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_lattice_problems())
-def test_error_target_is_the_whole_lattice_sum_bitwise(problem):
-    # the target keeps the field's transform and the lattice weight; it serves
-    # several arrays in turn and must come out of each distance unchanged
+@given(_lattice_problems(), st.integers(0, 2**32 - 1))
+def test_error_target_is_the_whole_lattice_sum_bitwise(problem, seed):
+    # the target keeps each entry's term against a zero coefficient and
+    # patches in the occupied entries only; it serves several arrays in turn
+    # and must come out of each distance unchanged.  Given positions may
+    # cover more than the occupied entries, and repeat some, as a frequency
+    # grid's nodes and their mirrors do
     grid, values, arrays = problem
     target = Hminus1Target(grid, values)
+    rng = np.random.default_rng(seed)
     for coeffs in arrays + arrays[:1]:
         want = _plain_hminus1_distance(grid, values, coeffs)
         assert target.distance(coeffs) == want
         assert hminus1_distance(grid, values, coeffs) == want
+        occupied = np.flatnonzero(coeffs)
+        extra = rng.integers(coeffs.size, size=rng.integers(0, 6))
+        positions = np.concatenate([occupied, occupied[:2], extra])
+        assert target._distance(coeffs, rng.permutation(positions)) == want
 
 
 def test_boundary_weight_duality():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cgolab import Potential, build_grid
-from cgolab import forward, norms
+from cgolab import dtn, forward, norms
 from cgolab.dtn import DtnBasis, DtnMap, DtnOracle, _digest, shared_maps
 from cgolab.forward import ThetaScheme
 from cgolab.norms import ModulusParams
@@ -178,6 +178,38 @@ def test_noise_sweep_transforms_its_truth_once_and_projects_each_question_once(m
                     noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
     assert transforms == [(2 * (grid.nt - 1),) + (2 * (grid.nx - 1),) * 2]
     assert len(projected) == len(set(projected)) == 2
+
+
+def test_noise_sweep_builds_its_measurement_bases_once_and_hashes_their_question_once(
+        monkeypatch):
+    # the masks of every level's oracle are alike, so the in and out bases
+    # of partial data are built once for the sweep, and the read-only input
+    # block that every level asks of the shared map is digested once
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.08)
+    ref = Potential(grid, truth.values.copy(), m=truth.m)
+    built, hashed = [], []
+    init, digest = DtnBasis.__init__, dtn._digest
+
+    def counting_init(basis, *args, **kwargs):
+        init(basis, *args, **kwargs)
+        built.append(basis)
+
+    def counting_digest(*arrays):
+        hashed.append(arrays[0])
+        return digest(*arrays)
+
+    monkeypatch.setattr(DtnBasis, "__init__", counting_init)
+    monkeypatch.setattr(dtn, "_digest", counting_digest)
+    out = stability_sweep(grid, ref, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
+                          noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    assert len(out["records"]) == len(NOISE_LEVELS)
+    measurement = [b for b in built if (b.j_max, b.k_max) == (2, 2)]
+    # one noise basis, and one basis per masked side
+    assert len(built) == 3 and len(measurement) == 2
+    assert measurement[0].faces != measurement[1].faces
+    asked = [a for a in hashed if any(a is b.inputs()[0] for b in built)]
+    assert len(asked) == 1 and asked[0] is measurement[0].inputs()[0]
 
 
 def test_a_basis_keeps_the_projections_of_digested_questions_only():

@@ -4,8 +4,9 @@
 
 Runs the benchmark's reference configs at their default seed (taken from
 perfbench/workloads.py, which this script only reads), plus recon2d-full's
-config with a time-dependent truth, two small stability sweeps (a 2-d
-pair sweep and a 1-d noise sweep, whose truth differs from the reference),
+config with a time-dependent truth, three small stability sweeps (a 2-d
+pair sweep, a 1-d noise sweep and a 2-d partial-data noise sweep along an
+oblique direction, whose truths differ from the reference),
 three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
 2-d with noise), one 1-d cubic semilinear solve whose line search halves,
 one 2-d boundary-map matrix with initial modes, one 2-d forward solve, a
@@ -70,6 +71,18 @@ def cases() -> list:
         "grid": {"n": 1, "nx": 33, "nt": 129, "T": 1.0},
         "potential": {"family": "sine", "amplitude": 0.05, "space": [1], "time": 1},
         "noise": {"seed": 3},
+        "sweep": {"kind": "noise"},
+    }))
+    # a 2-d half-boundary noise sweep along an oblique direction: the levels
+    # share masked measurement bases, and the truth differs from the zero
+    # reference, so the error target is not zero
+    out.append(("sweep2d-partial-oblique", "stability-sweep", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.05, "space": [1, 2], "time": 1},
+        "reconstruct": {"mode": "partial", "rho": "auto", "base_direction": [0.6, 0.8],
+                        "basis_j_max": 2, "basis_k_max": 2},
+        "noise": {"seed": 5},
         "sweep": {"kind": "noise"},
     }))
     # nonlin1d's linear truth takes one Newton iteration per step; cubic truths
@@ -176,7 +189,7 @@ def main(argv=None) -> int:
                 return 2
             same = base["sha256"] == head["sha256"]
             differ |= not same
-            print(f"{label:20s} {base['sha256'][:16]} {head['sha256'][:16]} "
+            print(f"{label:24s} {base['sha256'][:16]} {head['sha256'][:16]} "
                   f"{'same' if same else 'DIFFERS'}")
             if not same:
                 files_b, files_h = base["manifest"]["files"], head["manifest"]["files"]
