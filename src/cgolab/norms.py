@@ -167,13 +167,6 @@ def lattice_measure(lengths) -> float:
     return float(np.prod([2 * math.pi / L for L in lengths]))
 
 
-# Above this share of occupied lines (a zero-extended field fills about a
-# quarter of the last axis's lines in 2-d, half in 1-d), gathering them and
-# copying the blank slab costs more memory traffic than transforming every
-# line, so the lattice is transformed whole.
-_SPARSE_SHARE = 1 / 8
-
-
 def _occupied_lines(values: np.ndarray) -> np.ndarray:
     """Which lines along the last axis hold a nonzero bit pattern (a -0.0
     entry counts): a boolean array of the other axes' shape."""
@@ -185,39 +178,33 @@ def _occupied_lines(values: np.ndarray) -> np.ndarray:
 def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
     """`transform` (np.fft.fft or np.fft.ifft) along every axis, last axis
     first as np.fft.fftn and ifftn run it, each axis cropped to `shape` once
-    its 1-D transforms are done.  The result is an array of the function's
-    own (a view of it when cropped), which the caller may scale in place.
+    its 1-D transforms are done.  The result is a complex128 array of the
+    function's own (a view of it when cropped), which the caller may scale
+    in place.
 
-    Where few lines hold a nonzero bit pattern (a -0.0 entry counts), only
-    those are transformed.  Before an axis is transformed, every index tuple
-    of the axes not yet transformed that leads to no such line carries the
-    same slab, `blank`: what the earlier axes made of zeros.  So the slab is
-    transformed once per axis and stands in for all of them; it is a
-    transform's result, never literal zeros, since pocketfft returns -0.0
-    entries from an all-zero line at some lengths (202, 214 and 254, for
-    instance).  Every occupied line goes through the same 1-D transform as
-    in the n-d one, so the result is bitwise the crop of the full transform.
-    A transform whose input the function owns runs in place, so the whole
-    lattice is allocated at most once.
+    Only the lines along the last axis that hold a nonzero bit pattern (a
+    -0.0 entry counts) are cast to complex and transformed.  Before each
+    further axis, every index tuple of the axes not yet transformed that
+    leads to no such line carries the same slab, `blank`: what the earlier
+    axes made of zeros.  So the slab is transformed once per axis and stands
+    in for all of them; it is a transform's result, never literal zeros,
+    since pocketfft returns -0.0 entries from an all-zero line at some
+    lengths (202, 214 and 254, for instance).  Every occupied line goes
+    through the same 1-D transform as in the n-d one, so with NumPy 2's
+    pocketfft the result is bitwise the crop of the full transform.
     """
     n = values.shape
-    lines = values.reshape(-1, n[-1])
     # flat indices, over the other axes, of the occupied lines along the last
     rows = np.flatnonzero(_occupied_lines(values))
-    if rows.size > _SPARSE_SHARE * len(lines):
-        field = transform(values, axis=-1)[..., :shape[-1]]
-        for axis in reversed(range(len(n) - 1)):
-            field = transform(field, axis=axis, out=field)
-            field = field[(slice(None),) * axis + (slice(0, shape[axis]),)]
-        return field
-    data = transform(lines[rows], axis=-1)[:, :shape[-1]]
-    blank = transform(np.zeros(n[-1], dtype=values.dtype))[:shape[-1]]
+    data = values.reshape(-1, n[-1])[rows].astype(np.complex128)
+    data = transform(data, axis=-1, out=data)[:, :shape[-1]]
+    blank = transform(np.zeros(n[-1], dtype=np.complex128))[:shape[-1]]
     for axis in reversed(range(len(n) - 1)):
         # the occupied index tuples of the axes before this one, and the
         # position of each row in their slabs
         outer, inner = np.divmod(rows, n[axis])
         prefixes, slab = np.unique(outer, return_inverse=True)
-        slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=blank.dtype)
+        slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=np.complex128)
         slabs[...] = blank
         slabs[slab, inner] = data
         data = transform(slabs, axis=1, out=slabs)[:, :shape[axis]]
@@ -226,7 +213,7 @@ def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
             # C order, as the full transform's is, since sums over it follow
             # its memory order
             wide = np.broadcast_to(blank, (n[axis],) + blank.shape)
-            blank = transform(wide, axis=0, out=np.empty(wide.shape, dtype=blank.dtype))
+            blank = transform(wide, axis=0, out=np.empty(wide.shape, dtype=np.complex128))
             blank = blank[:shape[axis]]
         rows = prefixes
     return data[0] if rows.size else blank
@@ -237,11 +224,11 @@ def torus_coefficients(values: np.ndarray, lengths) -> np.ndarray:
 
     The integral is the left-endpoint Riemann sum, which makes Parseval exact
     on the lattice: sum |coeff|^2 * lattice_measure == sum |p|^2 * cell volume.
-    The transform is bitwise np.fft.fftn's, but on a lattice where few lines
-    hold nonzero bits (all of a zero field) the zero lines are transformed
-    once per axis and the result is copied to the others.
+    The transform is bitwise np.fft.fftn's of the values cast to complex128,
+    but the lines holding only zero bits (all of a zero field) are
+    transformed once per axis and the result is copied to the others.
     """
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values)
     d = values.ndim
     cell = np.prod([L / npts for npts, L in zip(values.shape, lengths)])
     coeffs = _lattice_transform(values, np.fft.fft, values.shape)
@@ -302,8 +289,10 @@ class Hminus1Target:
     transform and, in place of the lattice's order -1 weight, each entry's
     term of the weighted sum against a zero coefficient, weight * |transform|^2.
     A distance recomputes only the entries where the coefficient array is
-    nonzero, patches them in and sums the same array the whole-lattice
-    formula sums, so it is that formula bitwise, with no transform.
+    nonzero, patches them in, sums the same array the whole-lattice formula
+    sums and restores it, so it is that formula bitwise, with no transform.
+    Since a distance writes to the target while it sums, one target must
+    not serve two threads at once.
     """
 
     def __init__(self, grid: Grid, values):
@@ -317,12 +306,8 @@ class Hminus1Target:
         """Order -1 distance to a coefficient array on the padded lattice."""
         if coeffs.shape != self.transform.shape:
             raise ValueError("coefficient array does not match the padded lattice")
-        return self._distance(coeffs, np.flatnonzero(coeffs))
-
-    def _distance(self, coeffs: np.ndarray, positions) -> float:
-        """`distance` to a coefficient array that vanishes off the given flat
-        lattice positions (repeats allowed)."""
-        index = np.unravel_index(np.asarray(positions, dtype=np.intp), coeffs.shape)
+        # a zero entry of either sign leaves its term as it is kept
+        index = np.nonzero(coeffs)
         diff2 = np.abs(self.transform[index] - coeffs[index]) ** 2
         kept = self._terms[index]
         self._terms[index] = _weight_sq(coeffs.shape, self.lengths, -1.0, index) * diff2

@@ -421,24 +421,13 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     negative-order error of the estimate against (truth - reference)."""
     res = _estimate(oracle, q_ref, cfg)
     if truth is not None:
-        res.error = _error(_error_target(oracle.grid, truth, q_ref), res)
+        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients)
     return res
 
 
 def _error_target(grid: Grid, truth: Potential, q_ref: Potential | None) -> Hminus1Target:
     """The order -1 error target of the difference truth - reference."""
     return Hminus1Target(grid, truth.values - (0.0 if q_ref is None else q_ref.values))
-
-
-def _error(target: Hminus1Target, res: ReconstructionResult) -> float:
-    """The target's distance to res's coefficients, which vanish off the
-    lattice entries of its frequency nodes and their mirrors: only those
-    entries are recomputed, and no lattice scan finds them."""
-    freq = res.frequencies
-    shape = freq.padded_shape
-    positions = [np.ravel_multi_index(i, shape)
-                 for nd in freq.nodes for i in (nd.index, nd.mirror)]
-    return target._distance(res.coefficients, positions)
 
 
 def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionConfig,
@@ -584,7 +573,7 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
         # error target, so the truth difference is transformed once
         if target is None or not np.array_equal(target_truth.values, q_true.values):
             target, target_truth = _error_target(grid, q_true, q_ref), q_true
-        res.error = _error(target, res)
+        res.error = target.distance(res.coefficients)
         records.append(
             StabilityRecord(
                 delta=float(res.delta),
