@@ -33,7 +33,7 @@ from .dtn import (
 )
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
-from .forward import neumann_trace, solve_forward, solve_semilinear
+from .forward import neumann_trace, solve_forward
 from .grid import Grid, build_grid, unit_direction
 from .norms import ModulusParams
 from .reconstruct import (
@@ -42,7 +42,8 @@ from .reconstruct import (
     reconstruct,
     stability_sweep,
 )
-from .semilinear import Nonlinearity, SemilinearOracle, recover_nonlinearity
+from .semilinear import (Nonlinearity, SemilinearOracle, recover_nonlinearity,
+                         semilinear_solutions)
 
 __all__ = ["ExperimentConfig", "main", "run"]
 
@@ -691,9 +692,7 @@ def _cmd_semilinear(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
     a = _build_nonlinearity(cfg["semilinear"], "")
     g = _build_bdata(grid, cfg["data"])
-    theta = cfg["reconstruct"]["theta"]
-    a.check_class(grid.n)
-    result = solve_semilinear(grid, a, g, None, theta, warn_incompatible=False)
+    (result,) = semilinear_solutions(grid, [a], [g], None, cfg["reconstruct"]["theta"])
     _emit_solution(emit, result.field)
     return {
         "max_abs": result.field.max_abs(),

@@ -63,6 +63,7 @@ __all__ = [
     "select_parameters",
     "invert_cutoff",
     "reconstruct",
+    "reconstructions",
     "stability_sweep",
     "slice_error_report",
 ]
@@ -521,6 +522,29 @@ class StabilityRecord:
             raise ValueError("distance and error must be nonnegative")
 
 
+def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0):
+    """`_estimate`'s result for each run (truth, reference, noise level), in
+    turn; a run's oracle is made when the run is reached.
+
+    The runs share one noiseless map per distinct potential, which keeps its
+    answers where several runs ask it, so each distinct question marches
+    once.  The noise is added after the march and its draw depends on the
+    seed and the basis size only, so one lateral noise basis serves every
+    noisy run.  Every run's oracle masks alike, so one set of measurement
+    bases serves them all and their question is hashed once.
+    """
+    runs = list(runs)
+    maps = shared_maps(grid, [q for truth, ref, _ in runs for q in (truth, ref)], cfg.theta)
+    noise_basis = DtnBasis(grid) if any(level != 0 for *_, level in runs) else None
+    bases = None
+    for truth, q_ref, level in runs:
+        oracle = measurement_oracle(grid, truth, cfg, float(level), noise_seed,
+                                    noise_basis, maps)
+        if bases is None and cfg.measure_delta:
+            bases = _measurement_bases(grid, oracle, cfg)
+        yield _estimate(oracle, q_ref, cfg, bases)
+
+
 def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConfig,
                     modulus: ModulusParams, *, pair_truths=None, noise_levels=None,
                     noise_truth: Potential | None = None, noise_seed: int = 7) -> dict:
@@ -528,49 +552,29 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
 
     Two sweep axes: a list of truth potentials at zero noise (pair mode), or
     a list of calibrated noise levels at a fixed truth.  Either way each
-    record runs the full pipeline and the smallest constant C with
-    err <= C * modulus(delta) over the usable records is fitted.  The
-    records share one noiseless map per distinct potential for as long as
-    the sweep runs, so a question asked by several records marches once;
-    the measurement bases, which every record's oracle masks alike, so they
-    are built and their question hashed once; and the error target of each
-    truth, so its difference to the reference is transformed once.
+    record runs the full pipeline through `reconstructions` and the smallest
+    constant C with err <= C * modulus(delta) over the usable records is
+    fitted.  Records of one truth share its error target, so its difference
+    to the reference is transformed once.
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
-
-    runs = []
     if pair_truths is not None:
         if len(pair_truths) < 2:
             raise ConfigError("degenerate sweep: need at least 2 levels")
-        maps = shared_maps(grid, list(pair_truths) + [q_ref] * len(pair_truths), cfg.theta)
-        for q_true in pair_truths:
-            runs.append((measurement_oracle(grid, q_true, cfg, maps=maps), q_true))
+        runs = [(q_true, q_ref, 0.0) for q_true in pair_truths]
     else:
         levels = list(noise_levels)
         if len(levels) < 2 or min(levels) == max(levels):
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
-        # the noise is added after the march, so every level asks the same
-        # noiseless maps; and the noise draw depends on the seed and the basis
-        # size only, so one basis serves every level and projects each
-        # question once
-        maps = shared_maps(grid, [noise_truth, q_ref] * len(levels), cfg.theta)
-        noise_basis = DtnBasis(grid)
-        for lvl in levels:
-            oracle = measurement_oracle(grid, noise_truth, cfg, float(lvl), noise_seed,
-                                        noise_basis, maps)
-            runs.append((oracle, noise_truth))
+        runs = [(noise_truth, q_ref, lvl) for lvl in levels]
 
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
-    bases = _measurement_bases(grid, runs[0][0], cfg) if cfg.measure_delta else None
     target = target_truth = None
-    for oracle, q_true in runs:
+    for (q_true, _, _), res in zip(runs, reconstructions(grid, runs, cfg, noise_seed)):
         if q_true is None:
             q_true = q_ref if q_ref is not None else zero_truth
-        res = _estimate(oracle, q_ref, cfg, bases)
-        # records of one truth (every record of a noise sweep) share its
-        # error target, so the truth difference is transformed once
         if target is None or not np.array_equal(target_truth.values, q_true.values):
             target, target_truth = _error_target(grid, q_true, q_ref), q_true
         res.error = target.distance(res.coefficients)

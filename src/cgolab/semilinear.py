@@ -26,6 +26,7 @@ from .reconstruct import (
     exact_slice_values,
     invert_cutoff,
     reconstruct,
+    reconstructions,
 )
 
 __all__ = [
@@ -127,7 +128,7 @@ def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
     data range (up to a solver tolerance); a configured sup_bound is enforced
     unconditionally.  Violations raise rather than warn: they mean the
     computed solution left the regime the estimates cover.  Returns the k
-    solution fields.
+    `SemilinearResult`s (the solution field and its Newton iterations).
     """
     nonlinearities = list(nonlinearities)
     for a in {id(a): a for a in nonlinearities}.values():
@@ -138,14 +139,14 @@ def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
                                     warn_incompatible=False)
     for a, bdata, u0, result in zip(nonlinearities, bdatas, u0s, results):
         _check_solution(a, result.field.values.real, bdata, u0)
-    return [result.field for result in results]
+    return results
 
 
 def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                         u0=None, theta: float = 0.5) -> ScalarField:
     """Semilinear solve plus the class and a-priori checks: the one-column
     call of `semilinear_solutions`."""
-    return semilinear_solutions(grid, [a], [bdata], [u0], theta)[0]
+    return semilinear_solutions(grid, [a], [bdata], [u0], theta)[0].field
 
 
 def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
@@ -198,8 +199,8 @@ def fd_frechet_report(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
             pu0 = base0 + eps * dir0
         perturbed0.append(pu0)
     # the base datum and every perturbed datum share a: one Newton block
-    base_solution, *solutions = semilinear_solutions(
-        grid, [a] * (1 + len(perturbed)), [bdata] + perturbed, [u0] + perturbed0, theta)
+    base_solution, *solutions = (r.field for r in semilinear_solutions(
+        grid, [a] * (1 + len(perturbed)), [bdata] + perturbed, [u0] + perturbed0, theta))
     base_trace = neumann_trace(base_solution)
     deriv = frechet_dtn(grid, a, bdata, h, u0, h0, theta, solution=base_solution)
     errs = []
@@ -214,9 +215,10 @@ class SemilinearOracle:
     """Measurement side of nonlinearity recovery.
 
     Holds the hidden nonlinearity and hands out the potentials of constant
-    data levels s (da/du along the level-s solution) and the linear
-    measurement oracle of the derivative map around g = s.  Every level draws
-    the same noise, so its oracles share one lateral noise basis.
+    data levels s (da/du along the level-s solution), solved at theta.  The
+    recovery measures the derivative map around g = s through
+    `reconstruct.reconstructions`, whose oracles add this calibrated noise
+    at every level.
     """
 
     def __init__(self, grid: Grid, a: Nonlinearity, theta: float = 0.5,
@@ -226,7 +228,6 @@ class SemilinearOracle:
         self.theta = theta
         self.noise_delta = float(noise_delta)
         self.noise_seed = int(noise_seed)
-        self._noise_basis = DtnBasis(grid) if self.noise_delta != 0 else None
 
     def level_potentials(self, levels, reference: Nonlinearity | None = None) -> list:
         """The potentials of the hidden nonlinearity at the levels and then,
@@ -236,13 +237,6 @@ class SemilinearOracle:
         if reference is not None:
             columns += [(reference, s) for s in levels]
         return _level_potentials(self.grid, columns, self.theta)
-
-    def oracle(self, p: Potential, maps=()) -> DtnOracle:
-        """The measurement oracle of a level's potential p, which may ask
-        the given maps."""
-        return DtnOracle(self.grid, p, theta=self.theta,
-                         noise_delta=self.noise_delta, noise_seed=self.noise_seed,
-                         noise_basis=self._noise_basis, maps=maps)
 
 
 def _level_potentials(grid: Grid, columns, theta: float) -> list:
@@ -257,7 +251,7 @@ def _level_potentials(grid: Grid, columns, theta: float) -> list:
     nonlinearities = [a for a, _ in columns]
     bdatas = [BoundaryField.constant(grid, float(s)) for _, s in columns]
     u0s = [np.full(grid.space_shape, float(s)) for _, s in columns]
-    solutions = semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta)
+    solutions = [r.field for r in semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta)]
     potentials = []
     for i, (a, bdata, u0) in enumerate(zip(nonlinearities, bdatas, u0s)):
         potentials.append(linearized_potential(grid, a, bdata, u0, theta,
@@ -307,21 +301,21 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
     the cutoff's gain on constants.  The result estimates a'(s) - ref'(s);
     adding ref' and integrating in s from the anchor a(0)=0 yields the value
     table.  With the truth supplied, sup errors over the levels are reported.
+    The data's theta, at which the levels are solved, must be cfg.theta.
     """
     grid = data.grid
     levels = [float(s) for s in levels]
     if not levels:
         raise ConfigError("need at least one level")
+    if data.theta != cfg.theta:
+        raise ConfigError(f"data theta {data.theta} differs from cfg.theta {cfg.theta}")
     # the truth's and the reference's levels form one Newton block
     potentials = data.level_potentials(levels, a_ref)
-    truths, refs = potentials[:len(levels)], potentials[len(levels):]
-    # a linear family gives every level the same potential, so the levels
-    # share one map per distinct potential and ask it each question once
-    maps = shared_maps(grid, truths + refs, data.theta)
+    runs = [(p_true, p_ref, data.noise_delta)
+            for p_true, p_ref in zip(potentials[:len(levels)], potentials[len(levels):])]
     rows = []
     gain = None
-    for s, p_true, p_ref in zip(levels, truths, refs):
-        res = reconstruct(data.oracle(p_true, maps), p_ref, cfg)
+    for s, res in zip(levels, reconstructions(grid, runs, cfg, data.noise_seed)):
         if res.trivial:
             raw, d_prime = 0.0, 0.0
         else:
@@ -377,28 +371,29 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
 
 def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
                                level: float, cfg: ReconstructionConfig,
-                               modulus: ModulusParams, *, theta: float = 0.5,
-                               initial_modes: int = 2,
-                               basis_j_max: int | None = None,
-                               basis_k_max: int | None = None) -> dict:
+                               modulus: ModulusParams, *, initial_modes: int = 2) -> dict:
     """Sup-norm recovery error of the linearized-potential difference vs the
     measured distance of the extended derivative maps, fitted to a modulus.
 
     The extended-map distance includes initial-data modes in the input basis.
     Its weighted-basis operator norm stands in for a quotient norm that has
     no computable form; every report carries the weighted_surrogate flag to
-    make the substitution explicit.
+    make the substitution explicit.  Solves and maps run at cfg.theta and the
+    bases take cfg's sizes.  The members' oracles carry no masks, in partial
+    mode too, and share one map of the reference, which marches each question
+    once.
     """
     if len(family) < 2:
         raise ConfigError("degenerate sweep: need at least 2 family members")
     # the reference's level and every member's level form one Newton block
     p_ref, *p_trues = _level_potentials(
-        grid, [(a, level) for a in [a_ref, *family]], theta)
-    basis_in = DtnBasis(grid, basis_j_max, basis_k_max, initial_modes=initial_modes)
-    basis_out = DtnBasis(grid, basis_j_max, basis_k_max)
+        grid, [(a, level) for a in [a_ref, *family]], cfg.theta)
+    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, initial_modes=initial_modes)
+    basis_out = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max)
+    maps = shared_maps(grid, [p_ref] * len(p_trues), cfg.theta)
     records = []
     for p_true in p_trues:
-        oracle = DtnOracle(grid, p_true, theta=theta)
+        oracle = DtnOracle(grid, p_true, theta=cfg.theta, maps=maps)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         delta = operator_norm(diff)
         res = reconstruct(oracle, p_ref, cfg)

@@ -290,6 +290,20 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_main_semilinear_solve_leaving_its_data_range_exits_3(tmp_path, capsys):
+    # two time steps are too coarse for the Crank-Nicolson step to keep the
+    # maximum principle: constant data 1 from a zero start overshoots to about
+    # 1.9, which the command's checked solve rejects before writing anything
+    path = _write_config(tmp_path, {"grid": {"n": 1, "nx": 33, "nt": 3, "T": 1.0},
+                                    "semilinear": {"family": "zero"},
+                                    "data": {"family": "constant", "value": 1.0}})
+    out = tmp_path / "out"
+    rc = main(["semilinear", "--config", path, "--out", str(out)])
+    assert rc == 3
+    assert "leaves the data range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_rejects_unknown_subcommand():
     with pytest.raises(SystemExit):
         main(["does-not-exist"])

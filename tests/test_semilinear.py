@@ -1,14 +1,16 @@
 """Derivative boundary maps and level-by-level nonlinearity recovery."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
 from cgolab import dtn, forward, semilinear
-from cgolab.dtn import DtnBasis, add_noise, assemble_difference_matrix, operator_norm
+from cgolab.dtn import DtnBasis, DtnOracle, add_noise, assemble_difference_matrix, operator_norm
 from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
 from cgolab.norms import ModulusParams
-from cgolab.reconstruct import ReconstructionConfig, reconstruct
+from cgolab.reconstruct import ReconstructionConfig, measurement_oracle, reconstruct
 from cgolab.semilinear import (
     Nonlinearity,
     SemilinearOracle,
@@ -19,6 +21,9 @@ from cgolab.semilinear import (
     semilinear_solution,
     semilinear_stability_sweep,
 )
+
+# the module, which the package's `reconstruct` function shadows
+reconstruct_module = importlib.import_module("cgolab.reconstruct")
 
 
 def _cubic():
@@ -179,7 +184,7 @@ def test_semilinear_sweep_fits_within_the_modulus_domain():
     ref = _linear(1.0)
     cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
     mod = ModulusParams("double_log", 0.25, 1)
-    out = semilinear_stability_sweep(g, family, ref, 0.4, cfg, mod, basis_k_max=2)
+    out = semilinear_stability_sweep(g, family, ref, 0.4, cfg, mod)
     assert out["weighted_surrogate"] is True
     assert out["fit_used"] == 2
     assert out["fit_constant"] == pytest.approx(0.0404, abs=2e-3)
@@ -187,7 +192,7 @@ def test_semilinear_sweep_fits_within_the_modulus_domain():
     errs = [r["err"] for r in out["records"]]
     assert deltas[0] > deltas[1] and errs[0] > errs[1]
     with pytest.raises(ConfigError, match="degenerate"):
-        semilinear_stability_sweep(g, [ref], ref, 0.4, cfg, mod, basis_k_max=2)
+        semilinear_stability_sweep(g, [ref], ref, 0.4, cfg, mod)
 
 
 def test_newton_reuses_the_accepted_residual():
@@ -224,7 +229,7 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
     for a in family:
         data = SemilinearOracle(g, a)
         (p_true,) = data.level_potentials([level])
-        oracle = data.oracle(p_true)
+        oracle = DtnOracle(g, p_true)
         diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
         res = reconstruct(oracle, p_ref, cfg)
         want.append({
@@ -242,7 +247,7 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(semilinear, "semilinear_solutions", counting)
-    out = semilinear_stability_sweep(g, family, ref, level, cfg, mod, basis_k_max=2)
+    out = semilinear_stability_sweep(g, family, ref, level, cfg, mod)
     # the reference's level and every member's level form one Newton block
     assert len(calls) == 1
     assert out["records"] == want
@@ -377,24 +382,32 @@ def test_fd_report_equals_one_solve_per_datum():
     assert rep["eps"] == epsilons
 
 
+def _recovery_oracles(monkeypatch):
+    """Every measurement oracle the recovery's loop makes, in order."""
+    oracles = []
+    make = reconstruct_module.measurement_oracle
+
+    def keep(*args, **kwargs):
+        oracles.append(make(*args, **kwargs))
+        return oracles[-1]
+
+    monkeypatch.setattr(reconstruct_module, "measurement_oracle", keep)
+    return oracles
+
+
 def test_noisy_levels_share_one_noise_basis(monkeypatch):
     # every level draws the same noise, so every level's oracle projects
-    # onto the one lateral basis its SemilinearOracle built
+    # onto the one lateral basis the recovery's loop built
     g = build_grid(1, 17, 17, 1.0)
-    oracles = []
-
-    def keep(oracle, *args, **kwargs):
-        oracles.append(oracle)
-        return reconstruct(oracle, *args, **kwargs)
-
-    monkeypatch.setattr(semilinear, "reconstruct", keep)
+    oracles = _recovery_oracles(monkeypatch)
     cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
     data = SemilinearOracle(g, _cubic(), noise_delta=1e-3, noise_seed=5)
     recover_nonlinearity(data, _linear(0.5), [0.3, 0.6, 0.9], cfg)
     assert len(oracles) == 3
-    assert all(o._noise_basis is data._noise_basis for o in oracles)
-    assert data._noise_basis is not None
-    assert SemilinearOracle(g, _cubic())._noise_basis is None
+    assert all(o._noise_basis is oracles[0]._noise_basis for o in oracles)
+    assert oracles[0]._noise_basis is not None
+    recover_nonlinearity(SemilinearOracle(g, _cubic()), _linear(0.5), [0.3], cfg)
+    assert oracles[3]._noise_basis is None
 
 
 def _count_marches(monkeypatch):
@@ -427,13 +440,13 @@ def test_cubic_recovery_keeps_one_private_map_per_level(monkeypatch):
     # asked twice, so none keeps its answers
     g = build_grid(2, 9, 17, 1.0)
     made = []
-    shared_maps = semilinear.shared_maps
+    shared_maps = reconstruct_module.shared_maps
 
     def recording(*args, **kwargs):
         made.extend(shared_maps(*args, **kwargs))
         return made
 
-    monkeypatch.setattr(semilinear, "shared_maps", recording)
+    monkeypatch.setattr(reconstruct_module, "shared_maps", recording)
     marches = _count_marches(monkeypatch)
     cfg = ReconstructionConfig(rho=4.0, R=2.0, measure_delta=False, basis_j_max=1,
                                basis_k_max=1)
@@ -453,13 +466,14 @@ def test_noisy_levels_draw_their_noise_once(monkeypatch):
         return noise_draw(m, seed)
 
     monkeypatch.setattr(dtn, "_noise_draw", counting)
+    oracles = _recovery_oracles(monkeypatch)
     g = build_grid(1, 17, 17, 1.0)
     cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
     data = SemilinearOracle(g, _cubic(), noise_delta=1e-3, noise_seed=5)
     recover_nonlinearity(data, _linear(0.5), [0.3, 0.6, 0.9], cfg)
     assert draws == [5]
     # a kept draw scales to each level as add_noise scales a fresh one
-    basis = data._noise_basis
+    basis = oracles[0]._noise_basis
     size = basis.lateral_size
     zero = dtn.DtnMatrix(np.zeros((size, size)), basis.xi_sq, basis.tau, basis.xi_sq,
                          basis.tau)
@@ -470,3 +484,91 @@ def test_noisy_levels_draw_their_noise_once(monkeypatch):
         assert noise.tobytes() == add_noise(zero, delta, seed).matrix.tobytes()
     with pytest.raises(ConfigError, match="nonnegative"):
         basis.noise(-1e-3, 5)
+
+
+def test_recovery_rejects_a_theta_apart_from_cfg_before_any_solve(monkeypatch):
+    # the levels are solved at the data's theta and measured at cfg.theta
+    g = build_grid(1, 17, 17, 1.0)
+    solves = []
+    monkeypatch.setattr(semilinear, "solve_semilinear_many",
+                        lambda *args, **kwargs: solves.append(1))
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, theta=0.5)
+    with pytest.raises(ConfigError, match="theta"):
+        recover_nonlinearity(SemilinearOracle(g, _cubic(), theta=1.0), _linear(0.5),
+                             [0.3, 0.6], cfg)
+    assert solves == []
+
+
+@pytest.mark.parametrize("n,nx,cfg,noise", [
+    (1, 17, ReconstructionConfig(rho=8.0, R=2.0, basis_k_max=2), 0.0),
+    # the masks change the measured distance and the noise, so a partial
+    # recovery whose oracles dropped them would not match
+    (2, 9, ReconstructionConfig(mode="partial", rho=4.0, R=2.0, base_direction=(1.0, 0.0),
+                                basis_j_max=2, basis_k_max=2), 1e-3),
+])
+def test_recovery_rows_equal_per_level_reconstructs_bitwise(n, nx, cfg, noise):
+    g = build_grid(n, nx, 17, 1.0)
+    levels = [-0.5, 0.4, 0.8]
+    ref = _linear(0.5)
+    data = SemilinearOracle(g, _cubic(), noise_delta=noise, noise_seed=5)
+    out = recover_nonlinearity(data, ref, levels, cfg)
+    potentials = data.level_potentials(levels, ref)
+    for row, p_true, p_ref in zip(out["rows"], potentials[:3], potentials[3:]):
+        basis = DtnBasis(g) if noise else None
+        res = reconstruct(measurement_oracle(g, p_true, cfg, noise, 5, basis), p_ref, cfg)
+        raw = semilinear._window_average(g, res.estimate.values, out["window_layers"])
+        assert (row["delta"], row["rho"], row["R"], row["raw_window"]) == (
+            res.delta, res.rho, res.R, raw)
+
+
+def test_linear_recovery_builds_its_measurement_bases_once(monkeypatch):
+    # measure_delta is on, as in the CLI: the three levels' oracles mask
+    # alike, so one basis serves every level's data distance, and the shared
+    # maps digest its read-only input block once
+    g = build_grid(1, 17, 33, 1.0)
+    built, hashed = [], []
+    init, digest = DtnBasis.__init__, dtn._digest
+
+    def counting_init(basis, *args, **kwargs):
+        init(basis, *args, **kwargs)
+        built.append(basis)
+
+    def counting_digest(*arrays):
+        hashed.append(arrays[0])
+        return digest(*arrays)
+
+    monkeypatch.setattr(DtnBasis, "__init__", counting_init)
+    monkeypatch.setattr(dtn, "_digest", counting_digest)
+    cfg = ReconstructionConfig(rho=8.0, R=2.0, basis_k_max=2)
+    out = recover_nonlinearity(SemilinearOracle(g, _linear(1.0)), _linear(0.5),
+                               [0.3, 0.6, 0.9], cfg)
+    assert all(row["delta"] > 0 for row in out["rows"])
+    assert len(built) == 1
+    asked = [a for a in hashed if a is built[0].inputs()[0]]
+    assert len(asked) == 1
+
+
+def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
+    # three members and one reference: four maps, not one reference map per
+    # member, and the shared one factors once
+    g = build_grid(1, 17, 17, 1.0)
+    maps, factors = [], []
+    init, factor = dtn.DtnMap.__init__, forward.ThetaScheme._factor
+
+    def counting_init(m, *args, **kwargs):
+        init(m, *args, **kwargs)
+        maps.append(m)
+
+    def counting_factor(scheme, *args, **kwargs):
+        factors.append(1)
+        return factor(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(dtn.DtnMap, "__init__", counting_init)
+    monkeypatch.setattr(forward.ThetaScheme, "_factor", counting_factor)
+    family = [_linear(0.9), _linear(0.95), _linear(0.98)]
+    cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
+    semilinear_stability_sweep(g, family, _linear(1.0), 0.4, cfg,
+                               ModulusParams("double_log", 0.25, 1))
+    assert len(maps) == 4
+    assert [m.keeps_answers for m in maps] == [True, False, False, False]
+    assert len(factors) == 8

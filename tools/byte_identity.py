@@ -7,8 +7,9 @@ perfbench/workloads.py, which this script only reads), plus recon2d-full's
 config with a time-dependent truth, three small stability sweeps (a 2-d
 pair sweep, a 1-d noise sweep and a 2-d partial-data noise sweep along an
 oblique direction, whose truths differ from the reference),
-three small nonlinearity recoveries with cubic truths (1-d, 2-d, and
-2-d with noise), one 1-d cubic semilinear solve whose line search halves,
+four small nonlinearity recoveries with cubic truths (1-d, 2-d, 2-d with
+noise, and 2-d half-boundary data with noise), one 1-d cubic semilinear
+solve whose line search halves,
 one 2-d boundary-map matrix with initial modes, one 2-d forward solve, a
 1-d pairing check, a 2-d weighted-inequality check along an oblique
 direction and a 2-d probe-decay check, through
@@ -115,6 +116,17 @@ def cases() -> list:
     # every level draws the same calibrated noise
     out.append(("nonlin2d-noisy", "recover-nonlinearity",
                 dict(nonlin2d, noise={"delta": 1e-3, "seed": 5})))
+    # half-boundary data: every level's oracle carries partial mode's masks
+    out.append(("nonlin2d-partial", "recover-nonlinearity", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 9, "nt": 33},
+        "semilinear": {"family": "cubic", "slope": 1.0, "cubic": 2.0,
+                       "ref_family": "linear", "ref_slope": 0.5,
+                       "levels": [-0.5, 0.4, 0.8]},
+        "reconstruct": {"mode": "partial", "rho": 4.0, "R": 2.0,
+                        "base_direction": [1.0, 0.0]},
+        "noise": {"delta": 1e-3, "seed": 5},
+    }))
     # the map matrix of a time-dependent potential, written as raw complex64
     # bytes; the initial modes add columns with initial values
     out.append(("dtn2d-initial", "dtn", {
