@@ -150,6 +150,7 @@ class DtnBasis:
         self._weights = grid.lateral_weights.ravel()
         self._projections = {}
         self._noise_draws = {}
+        self._supports = set()
 
     def _initial_mode_indices(self, count: int):
         if count == 0:
@@ -200,8 +201,10 @@ class DtnBasis:
         single = isinstance(f, BoundaryField)
         values = np.asarray(f.values if single else f)
         flat = values.reshape(-1, self._weights.size) * self._weights
-        # conj(conj(w f) M^T) is the conjugated product without a conjugated copy of M
-        coeffs = (np.conj(flat) @ self._modes.T).conj()
+        # conj(conj(w f) M^T) is the conjugated product without a conjugated
+        # copy of M; the weighted copy is conjugated in place
+        coeffs = np.conjugate(flat, out=flat) @ self._modes.T
+        coeffs = np.conjugate(coeffs, out=coeffs)
         return coeffs[0] if single else coeffs
 
     def projection(self, g, key: str | None):
@@ -215,6 +218,14 @@ class DtnBasis:
             self._projections[key] = self.project(g)
             self._projections[key].flags.writeable = False
         return self._projections[key]
+
+    def check_support(self, support_mask: DirectionMask) -> None:
+        """`_check_support` of the lateral input block against a mask.  The
+        block is read-only, so each mask it passes is checked once."""
+        key = support_mask.values.tobytes()
+        if key not in self._supports:
+            _check_support(self._lateral, support_mask)
+            self._supports.add(key)
 
     def noise(self, delta: float, seed: int) -> np.ndarray:
         """The calibrated noise matrix (modes, modes) of level delta and
@@ -553,10 +564,15 @@ class DtnOracle:
         return [(_digest(g, u0) if basis is None else basis.digest()) if keeps else None
                 for (g, u0), basis in zip(questions, bases)]
 
-    def _check(self, g) -> np.ndarray:
+    def _check(self, g, basis: DtnBasis | None = None) -> np.ndarray:
+        """g, checked against the support mask; `basis` is the basis whose
+        input block g is, which checks it once per mask."""
         g = np.asarray(g)
         if self.support_mask is not None:
-            _check_support(g, self.support_mask)
+            if basis is None:
+                _check_support(g, self.support_mask)
+            else:
+                basis.check_support(self.support_mask)
         return g
 
     def apply_many(self, g, u0=None) -> np.ndarray:
@@ -580,7 +596,7 @@ class DtnOracle:
         basis's projections."""
         bases = [q if isinstance(q, DtnBasis) else None for q in questions]
         questions = [q.inputs() if isinstance(q, DtnBasis) else q for q in questions]
-        questions = [(self._check(g), u0) for g, u0 in questions]
+        questions = [(self._check(g, basis), u0) for (g, u0), basis in zip(questions, bases)]
         reference_map = self._map_of(q_ref)
         gs = [g for g, _ in questions]
         keys = self._keys(questions, reference_map, bases)

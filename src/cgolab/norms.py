@@ -175,12 +175,13 @@ def _occupied_lines(values: np.ndarray) -> np.ndarray:
     return words.reshape(values.shape[:-1] + (-1,)).any(axis=-1)
 
 
-def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
+def _lattice_transform(values: np.ndarray, transform, keep) -> np.ndarray:
     """`transform` (np.fft.fft or np.fft.ifft) along every axis, last axis
-    first as np.fft.fftn and ifftn run it, each axis cropped to `shape` once
-    its 1-D transforms are done.  The result is a complex128 array of the
-    function's own (a view of it when cropped), which the caller may scale
-    in place.
+    first as np.fft.fftn and ifftn run it.  Once an axis's 1-D transforms are
+    done, only its indices `keep[axis]` are kept: a slice (the crop to a
+    corner) or an integer array (the axis's coordinates of wanted nodes).
+    The result is a complex128 array of the function's own (a view of it
+    when cropped), which the caller may scale in place.
 
     Only the lines along the last axis that hold a nonzero bit pattern (a
     -0.0 entry counts) are cast to complex and transformed.  Before each
@@ -189,16 +190,18 @@ def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
     axes made of zeros.  So the slab is transformed once per axis and stands
     in for all of them; it is a transform's result, never literal zeros,
     since pocketfft returns -0.0 entries from an all-zero line at some
-    lengths (202, 214 and 254, for instance).  Every occupied line goes
-    through the same 1-D transform as in the n-d one, so with NumPy 2's
-    pocketfft the result is bitwise the crop of the full transform.
+    lengths (202, 214 and 254, for instance).  Every line that is
+    transformed goes through the same 1-D transform as in the n-d one, so
+    with NumPy 2's pocketfft the result is bitwise the kept part of the full
+    transform.
     """
     n = values.shape
     # flat indices, over the other axes, of the occupied lines along the last
     rows = np.flatnonzero(_occupied_lines(values))
-    data = values.reshape(-1, n[-1])[rows].astype(np.complex128)
-    data = transform(data, axis=-1, out=data)[:, :shape[-1]]
-    blank = transform(np.zeros(n[-1], dtype=np.complex128))[:shape[-1]]
+    # the gathered lines are a copy already, so complex ones are not copied again
+    data = values.reshape(-1, n[-1])[rows].astype(np.complex128, copy=False)
+    data = transform(data, axis=-1, out=data)[:, keep[-1]]
+    blank = transform(np.zeros(n[-1], dtype=np.complex128))[keep[-1]]
     for axis in reversed(range(len(n) - 1)):
         # the occupied index tuples of the axes before this one, and the
         # position of each row in their slabs
@@ -207,19 +210,24 @@ def _lattice_transform(values: np.ndarray, transform, shape) -> np.ndarray:
         slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=np.complex128)
         slabs[...] = blank
         slabs[slab, inner] = data
-        data = transform(slabs, axis=1, out=slabs)[:, :shape[axis]]
+        data = transform(slabs, axis=1, out=slabs)[:, keep[axis]]
         if prefixes.size < math.prod(n[:axis]):
             # the broadcast input is read in place; the output is laid out in
             # C order, as the full transform's is, since sums over it follow
             # its memory order
             wide = np.broadcast_to(blank, (n[axis],) + blank.shape)
             blank = transform(wide, axis=0, out=np.empty(wide.shape, dtype=np.complex128))
-            blank = blank[:shape[axis]]
+            blank = blank[keep[axis]]
         rows = prefixes
     return data[0] if rows.size else blank
 
 
-def torus_coefficients(values: np.ndarray, lengths) -> np.ndarray:
+def _corner(shape) -> tuple:
+    """`_lattice_transform`'s `keep` of the leading corner of `shape`."""
+    return tuple(slice(0, s) for s in shape)
+
+
+def torus_coefficients(values: np.ndarray, lengths, at=None) -> np.ndarray:
     """Normalized Fourier coefficients (2pi)^{-d/2} * integral p e^{-i zeta.z}.
 
     The integral is the left-endpoint Riemann sum, which makes Parseval exact
@@ -227,11 +235,22 @@ def torus_coefficients(values: np.ndarray, lengths) -> np.ndarray:
     The transform is bitwise np.fft.fftn's of the values cast to complex128,
     but the lines holding only zero bits (all of a zero field) are
     transformed once per axis and the result is copied to the others.
+
+    With `at`, an index tuple of integer arrays (one per axis, as np.nonzero
+    returns), only the coefficients at those nodes are returned, as a 1-d
+    array: after each axis only the indices some node reaches are kept, so
+    only the lines that lead to a node are transformed, each as in the full
+    transform.
     """
     values = np.asarray(values)
     d = values.ndim
     cell = np.prod([L / npts for npts, L in zip(values.shape, lengths)])
-    coeffs = _lattice_transform(values, np.fft.fft, values.shape)
+    if at is None:
+        coeffs = _lattice_transform(values, np.fft.fft, _corner(values.shape))
+    else:
+        keep = tuple(np.unique(i) for i in at)
+        kept = _lattice_transform(values, np.fft.fft, keep)
+        coeffs = kept[tuple(np.searchsorted(k, i) for k, i in zip(keep, at))]
     return np.multiply((2 * math.pi) ** (-d / 2) * cell, coeffs, out=coeffs)
 
 
@@ -249,7 +268,7 @@ def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray
     d = coeffs.ndim
     cell = np.prod([L / npts for npts, L in zip(coeffs.shape, lengths)])
     shape = coeffs.shape if shape is None else shape
-    field = _lattice_transform(coeffs, np.fft.ifft, shape) * (2 * math.pi) ** (d / 2)
+    field = _lattice_transform(coeffs, np.fft.ifft, _corner(shape)) * (2 * math.pi) ** (d / 2)
     return np.divide(field, cell, out=field)
 
 
@@ -288,11 +307,11 @@ class Hminus1Target:
     The field is zero-extended and transformed once.  The target keeps the
     transform and, in place of the lattice's order -1 weight, each entry's
     term of the weighted sum against a zero coefficient, weight * |transform|^2.
-    A distance recomputes only the entries where the coefficient array is
-    nonzero, patches them in, sums the same array the whole-lattice formula
-    sums and restores it, so it is that formula bitwise, with no transform.
-    Since a distance writes to the target while it sums, one target must
-    not serve two threads at once.
+    A distance recomputes only the entries at the positions it is given,
+    patches them in, sums the same array the whole-lattice formula sums and
+    restores it, so it is that formula bitwise, with no transform and no scan
+    of the lattice.  Since a distance writes to the target while it sums,
+    one target must not serve two threads at once.
     """
 
     def __init__(self, grid: Grid, values):
@@ -302,19 +321,21 @@ class Hminus1Target:
         weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
         self._terms = np.multiply(weight, terms, out=terms)
 
-    def distance(self, coeffs: np.ndarray) -> float:
-        """Order -1 distance to a coefficient array on the padded lattice."""
+    def distance(self, coeffs: np.ndarray, positions) -> float:
+        """Order -1 distance to a coefficient array on the padded lattice
+        that is zero outside `positions`, an index tuple of integer arrays
+        (one per axis, as np.nonzero returns; repeats allowed).  The
+        positions may hold zero entries of either sign: patching one
+        rewrites its kept term bitwise."""
         if coeffs.shape != self.transform.shape:
             raise ValueError("coefficient array does not match the padded lattice")
-        # a zero entry of either sign leaves its term as it is kept
-        index = np.nonzero(coeffs)
-        diff2 = np.abs(self.transform[index] - coeffs[index]) ** 2
-        kept = self._terms[index]
-        self._terms[index] = _weight_sq(coeffs.shape, self.lengths, -1.0, index) * diff2
+        diff2 = np.abs(self.transform[positions] - coeffs[positions]) ** 2
+        kept = self._terms[positions]
+        self._terms[positions] = _weight_sq(coeffs.shape, self.lengths, -1.0, positions) * diff2
         try:
             total = float(np.sum(self._terms))
         finally:
-            self._terms[index] = kept
+            self._terms[positions] = kept
         return math.sqrt(total * lattice_measure(self.lengths))
 
 
@@ -322,12 +343,13 @@ def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:
     """Order -1 distance between a cylinder field and a lattice coefficient array.
 
     The field is zero-extended and transformed; the coefficient array must
-    already live on the padded lattice (as produced by the inversion sweep).
+    already live on the padded lattice (as produced by the inversion sweep),
+    and may be any such array: its nonzero entries are found by a scan.
     Comparing on the lattice keeps Parseval exact, so with truncated exact
     coefficients the distance equals the tail norm to rounding.  Distances of
     one field to several arrays share one `Hminus1Target`.
     """
-    return Hminus1Target(grid, values).distance(coeffs)
+    return Hminus1Target(grid, values).distance(coeffs, np.nonzero(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .dtn import (
     pairings,
     shared_maps,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .fields import Potential, ScalarField
 from .grid import Grid, direction_mask, unit_direction
 from .norms import (
@@ -139,21 +140,28 @@ class FrequencyGrid:
                 return nd
         raise KeyError(f"no node at lattice index {index}")
 
-    def to_coefficients(self, hermitian: bool = True) -> np.ndarray:
-        """Padded-lattice coefficient array: canonical values, conjugate
-        mirrors (for real fields), zeros elsewhere."""
+    def to_coefficients(self, hermitian: bool = True):
+        """(coefficient array, positions): the padded-lattice array of the
+        canonical values, their conjugate mirrors (for real fields) and zeros
+        elsewhere, and the index tuple (one integer array per axis) of every
+        entry written, zero values and mirrors included."""
         out = np.zeros(self.padded_shape, dtype=np.complex128)
+        written = []
         for nd in self.canonical_nodes():
             if nd.value is None:
                 continue
             out[nd.index] = nd.value
+            written.append(nd.index)
             if hermitian and nd.mirror != nd.index:
                 out[nd.mirror] = np.conj(nd.value)
+                written.append(nd.mirror)
         if not hermitian:
             for nd in self.nodes:
                 if not nd.canonical and nd.value is not None:
                     out[nd.index] = nd.value
-        return out
+                    written.append(nd.index)
+        positions = np.array(written, dtype=np.intp).reshape(-1, out.ndim)
+        return out, tuple(positions.T)
 
 
 def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
@@ -294,10 +302,17 @@ def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float,
 
 def exact_slice_values(grid: Grid, p_values: np.ndarray, freq: FrequencyGrid) -> None:
     """Fill feasible nodes with the exact lattice transform of p (bypassing
-    the measurement maps entirely); infeasible nodes get zero."""
-    coeffs = torus_coefficients(zero_extend(grid, p_values), box_lengths(grid))
+    the measurement maps entirely); infeasible nodes get zero.  Only the
+    lattice lines that lead to a feasible node are transformed, so the
+    values are bitwise the full transform's at the nodes."""
+    feasible = [nd for nd in freq.nodes if nd.feasible]
     for nd in freq.nodes:
-        nd.value = complex(coeffs[nd.index]) if nd.feasible else 0.0
+        nd.value = 0.0
+    if feasible:
+        at = tuple(np.array([nd.index for nd in feasible], dtype=np.intp).T)
+        coeffs = torus_coefficients(zero_extend(grid, p_values), box_lengths(grid), at)
+        for nd, value in zip(feasible, coeffs):
+            nd.value = complex(value)
 
 
 @dataclass
@@ -339,15 +354,18 @@ def select_parameters(delta: float, s: float, c: float,
     return SelectionResult(trivial=False, rho=rho, R=rho**s, saturated=saturated)
 
 
-def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True):
+def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, coeffs=None):
     """Inverse transform of the collected slices, restricted to the cylinder.
 
     Returns (real-part estimate, imaginary residue, coefficient array).  The
-    coefficient array is the lattice object used for exact error evaluation.
+    coefficient array is the lattice object used for exact error evaluation;
+    `coeffs` is that array, `freq.to_coefficients(hermitian)`'s, where the
+    caller has it already.
     """
     if not freq.nodes:
         raise ConfigError("empty frequency set")
-    coeffs = freq.to_coefficients(hermitian)
+    if coeffs is None:
+        coeffs, _ = freq.to_coefficients(hermitian)
     crop = coefficients_to_field(coeffs, box_lengths(grid), grid.field_shape)
     imag_residue = float(np.abs(crop.imag).max())
     return ScalarField(grid, crop.real.astype(np.complex128)), imag_residue, coeffs
@@ -389,17 +407,42 @@ class ReconstructionConfig:
 
 @dataclass
 class ReconstructionResult:
-    estimate: ScalarField
+    """One reconstruction: its lattice coefficients, the positions they were
+    written to (what an error distance patches), the frequencies and the
+    chosen parameters.
+
+    The estimate on the cylinder and its imaginary residue are computed on
+    first access, by `invert_cutoff` of the frequencies (the zero field and
+    0.0 on the trivial branch), so a run that reads only the coefficients,
+    such as a stability sweep, inverts nothing.
+    """
+
     coefficients: np.ndarray
+    positions: tuple
     frequencies: FrequencyGrid
+    hermitian: bool
     delta: float | None
     rho: float
     R: float
     trivial: bool
     saturated: bool
-    imag_residue: float
     error: float | None
     node_records: list = dc_field(default_factory=list)
+
+    @cached_property
+    def _inverse(self) -> tuple:
+        grid = self.frequencies.grid
+        if self.trivial:
+            return ScalarField.zeros(grid), 0.0
+        return invert_cutoff(grid, self.frequencies, self.hermitian, self.coefficients)[:2]
+
+    @property
+    def estimate(self) -> ScalarField:
+        return self._inverse[0]
+
+    @property
+    def imag_residue(self) -> float:
+        return self._inverse[1]
 
 
 def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig):
@@ -422,7 +465,8 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     negative-order error of the estimate against (truth - reference)."""
     res = _estimate(oracle, q_ref, cfg)
     if truth is not None:
-        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients)
+        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients,
+                                                                      res.positions)
     return res
 
 
@@ -465,11 +509,10 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
         radius = cfg.R if cfg.R is not None else rho**cfg.s
 
     if trivial:
-        zero = ScalarField.zeros(grid)
         freq = FrequencyGrid(grid, 0.0, cfg.mode, base, cfg.half_width, [])
-        coeffs = np.zeros(padded_shape(grid), dtype=np.complex128)
-        return ReconstructionResult(zero, coeffs, freq, delta, 0.0, 0.0, True,
-                                    False, 0.0, None)
+        coeffs, positions = freq.to_coefficients(cfg.use_hermitian)
+        return ReconstructionResult(coeffs, positions, freq, cfg.use_hermitian, delta,
+                                    0.0, 0.0, True, False, None)
 
     freq = build_frequency_grid(grid, radius, cfg.mode, base, cfg.half_width)
     vanish_plus = vanish_minus = None
@@ -491,6 +534,9 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
     )
     if measured is not None:
         delta = measured
+    if not np.all(np.isfinite(values)):
+        raise SolverError(f"{np.count_nonzero(~np.isfinite(values))} of {values.size} "
+                          "Fourier slices are not finite")
     for nd, value in zip(feasible, values):
         nd.value = complex(value)
     records = []
@@ -506,9 +552,9 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
                 "value": nd.value,
             }
         )
-    estimate, residue, coeffs = invert_cutoff(grid, freq, cfg.use_hermitian)
-    return ReconstructionResult(estimate, coeffs, freq, delta, rho, radius,
-                                False, saturated, residue, None, records)
+    coeffs, positions = freq.to_coefficients(cfg.use_hermitian)
+    return ReconstructionResult(coeffs, positions, freq, cfg.use_hermitian, delta, rho,
+                                radius, False, saturated, None, records)
 
 
 @dataclass
@@ -577,7 +623,7 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
             q_true = q_ref if q_ref is not None else zero_truth
         if target is None or not np.array_equal(target_truth.values, q_true.values):
             target, target_truth = _error_target(grid, q_true, q_ref), q_true
-        res.error = target.distance(res.coefficients)
+        res.error = target.distance(res.coefficients, res.positions)
         records.append(
             StabilityRecord(
                 delta=float(res.delta),

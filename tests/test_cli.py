@@ -1,6 +1,7 @@
 """Config schema, artifact emission, exit codes, and determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -288,6 +289,32 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
     rc = main(["pairing-check", "--config", path, "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section", [
+    ("reconstruct", {"reconstruct": {"rho": 4.0, "R": 4.0, "basis_k_max": 2}}),
+    ("stability-sweep", {"reconstruct": {"basis_k_max": 2},
+                         "sweep": {"kind": "noise", "noise_levels": [1e-2, 1e-3]}}),
+])
+def test_main_non_finite_slice_exits_3(tmp_path, capsys, monkeypatch, command, section):
+    # a sweep never inverts its estimate, so the slices are checked where
+    # they are collected, before any record or artifact is written
+    pipeline = importlib.import_module("cgolab.reconstruct")
+    slice_values = pipeline._slice_values
+
+    def poisoned(*args, **kwargs):
+        delta, values = slice_values(*args, **kwargs)
+        values[0] = complex("nan")
+        return delta, values
+
+    monkeypatch.setattr(pipeline, "_slice_values", poisoned)
+    path = _write_config(tmp_path, {**SMALL_GRID, "potential": {
+        "family": "sine", "amplitude": 0.05, "space": [1], "time": 1}, **section})
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 3
+    assert "Fourier slices are not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_semilinear_solve_leaving_its_data_range_exits_3(tmp_path, capsys):

@@ -416,6 +416,19 @@ def test_oracle_enforces_support_mask():
         oracle.apply(_random_boundary_data(g, rng))
 
 
+def test_a_basis_block_is_checked_against_each_support_mask():
+    # the basis keeps the masks its read-only block passed; a mask it does
+    # not pass still fails, whatever it passed before
+    g = build_grid(2, 9, 17, 1.0)
+    inside = direction_mask(g, [1.0, 0.0], 0.25, sign=1)
+    basis = DtnBasis(g, 2, 2, faces_within(g, inside))
+    for _ in range(2):
+        assemble_difference_matrix(DtnOracle(g, None, support_mask=inside), None, basis)
+    outside = direction_mask(g, [-1.0, 0.0], 0.25, sign=1)
+    with pytest.raises(ConfigError, match="support"):
+        assemble_difference_matrix(DtnOracle(g, None, support_mask=outside), None, basis)
+
+
 def test_output_basis_rejects_initial_modes():
     g = build_grid(1, 17, 17, 1.0)
     basis_in = DtnBasis(g, k_max=2, initial_modes=1)

@@ -202,15 +202,15 @@ def test_cropped_inversion_is_the_crop_of_the_full_inverse(halves, lengths, spar
 def _lattice_arrays(draw):
     """(array, lengths, corner) on an even lattice of one to three axes.
     Often one axis, a non-final one in more than one dimension, has length
-    202 or 214, where pocketfft turns an all-zero line into one with -0.0
-    entries.  The entries are all zero, a few values, -0.0 alone, or a few
+    202, 214 or 254, where pocketfft turns an all-zero line into one with
+    -0.0 entries.  The entries are all zero, a few values, -0.0 alone, or a few
     values among -0.0s."""
     d = draw(st.integers(1, 3))
     shape = [2 * draw(st.integers(1, 6)) for _ in range(d)]
     if d > 1 and draw(st.booleans()):
-        shape[draw(st.integers(0, d - 2))] = draw(st.sampled_from([202, 214]))
+        shape[draw(st.integers(0, d - 2))] = draw(st.sampled_from([202, 214, 254]))
     else:
-        shape[0] = draw(st.sampled_from([shape[0], 202, 214]))
+        shape[0] = draw(st.sampled_from([shape[0], 202, 214, 254]))
     shape = tuple(shape)
     lengths = tuple(draw(st.floats(0.2, 5.0)) for _ in shape)
     corner = tuple(draw(st.integers(1, n)) for n in shape)
@@ -248,6 +248,31 @@ def test_line_restricted_transforms_are_the_plain_transforms_bitwise(problem):
         got, want = (coefficients_to_field(coeffs, lengths, corner),
                      _plain_inverse(coeffs, lengths, corner))
         assert _bits(got) == _bits(want) and got.strides == want.strides
+
+
+@st.composite
+def _node_problems(draw):
+    """(array, lengths, nodes): a `_lattice_arrays` array and an index tuple
+    of one to six nodes on it, repeats allowed."""
+    values, lengths, _ = draw(_lattice_arrays())
+    count = draw(st.integers(1, 6))
+    at = tuple(np.array(draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                      max_size=count)))
+               for n in values.shape)
+    return values, lengths, at
+
+
+@settings(max_examples=150, deadline=None)
+@given(_node_problems())
+# a blank line of length 254 has -0.0 entries at indices 12 to 19
+@example((np.zeros((254, 4), dtype=np.complex128), (1.0, 2.0),
+          (np.array([12, 0, 19, 12]), np.array([3, 0, 1, 3]))))
+def test_node_restricted_coefficients_are_the_full_transform_bitwise(problem):
+    # only the lines that lead to a wanted node are transformed; repeated
+    # nodes, blank lines and -0.0 entries must not change a bit
+    values, lengths, at = problem
+    got = torus_coefficients(values, lengths, at)
+    assert _bits(got) == _bits(_plain_forward(values, lengths)[at])
 
 
 def _plain_hminus1_distance(grid, values, coeffs):
@@ -295,8 +320,28 @@ def test_error_target_is_the_whole_lattice_sum_bitwise(problem):
     target = Hminus1Target(grid, values)
     for coeffs in arrays + arrays[:1]:
         want = _plain_hminus1_distance(grid, values, coeffs)
-        assert target.distance(coeffs) == want
+        assert target.distance(coeffs, np.nonzero(coeffs)) == want
         assert hminus1_distance(grid, values, coeffs) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_problems(), st.integers(0, 2**32 - 1))
+def test_error_target_at_written_positions_is_the_scanning_form_bitwise(problem, seed):
+    # the positions a coefficient array was written at hold its nonzero
+    # entries and may hold zeros of either sign, in any order and repeated;
+    # patching a zero entry rewrites its kept term bitwise
+    grid, values, arrays = problem
+    target = Hminus1Target(grid, values)
+    rng = np.random.default_rng(seed)
+    for coeffs in arrays + arrays[:1]:
+        bits = coeffs.view(np.uint64).reshape(coeffs.shape + (2,))
+        signed_zero = (coeffs == 0) & bits.any(axis=-1)
+        extra = signed_zero | (rng.uniform(size=coeffs.shape) < 0.05)
+        flat = np.concatenate([np.flatnonzero(coeffs), np.flatnonzero(extra)])
+        flat = rng.permutation(np.concatenate([flat, flat[:3]]))
+        positions = np.unravel_index(flat, coeffs.shape)
+        assert target.distance(coeffs, positions) == target.distance(coeffs,
+                                                                     np.nonzero(coeffs))
 
 
 def test_boundary_weight_duality():

@@ -7,7 +7,13 @@ import pytest
 
 from cgolab import ConfigError, Potential, build_grid
 from cgolab.dtn import DtnBasis, DtnOracle
-from cgolab.norms import ModulusParams, box_lengths, periodic_sobolev_norm, zero_extend
+from cgolab.norms import (
+    ModulusParams,
+    box_lengths,
+    coefficients_to_field,
+    periodic_sobolev_norm,
+    zero_extend,
+)
 from cgolab.reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
@@ -336,6 +342,40 @@ def test_non_hermitian_inverse_probes_every_node(n, nx, nt, mode, R):
     assert len(herm.node_records) < len(full.node_records)
     assert np.array_equal(full.estimate.values, herm.estimate.values)
     assert full.imag_residue < 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("n,nx,mode,hermitian,noise", [
+    (1, 33, "full", True, 0.0), (2, 9, "full", False, 0.0),
+    (2, 9, "partial", True, 0.0), (2, 9, "partial", False, 0.0),
+    (1, 33, "full", True, 0.5),
+])
+def test_deferred_estimate_is_the_eager_inverse_bitwise(n, nx, mode, hermitian, noise):
+    # a result inverts its coefficients when the estimate is first read;
+    # that is the cropped inverse of the coefficient array the error reads,
+    # which holds nothing outside the positions it was written at
+    g = build_grid(n, nx, 17, 1.0)
+    q = _sine_potential(g, 0.02) if n == 1 else Potential(
+        g, 0.02 * np.sin(np.pi * g.space_coordinates()[0])[None] * np.ones(g.field_shape))
+    cfg = ReconstructionConfig(mode=mode, rho="auto", basis_k_max=2, use_hermitian=hermitian)
+    oracle = measurement_oracle(g, q, cfg, noise, 3, DtnBasis(g) if noise else None)
+    res = reconstruct(oracle, None, cfg, truth=q)
+    assert res.trivial == (noise > 0)
+    rest = res.coefficients.copy()
+    rest[res.positions] = 0.0
+    assert not np.any(rest)
+    crop = coefficients_to_field(res.coefficients, box_lengths(g), g.field_shape)
+    assert _bits(res.estimate.values) == _bits(crop.real.astype(np.complex128))
+    assert res.imag_residue == float(np.abs(crop.imag).max())
+    if not res.trivial:
+        estimate, residue, coeffs = invert_cutoff(g, res.frequencies, hermitian)
+        assert _bits(coeffs) == _bits(res.coefficients)
+        assert _bits(estimate.values) == _bits(res.estimate.values)
+        assert residue == res.imag_residue
+    assert res.estimate is res.estimate
 
 
 # ---------------------------------------------------------------------------

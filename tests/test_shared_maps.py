@@ -6,6 +6,8 @@ pin the traffic (factorizations, marches, block solves); the bitwise tests
 hold the shared path to the results of one fresh oracle per record.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +212,71 @@ def test_noise_sweep_builds_its_measurement_bases_once_and_hashes_their_question
     assert measurement[0].faces != measurement[1].faces
     asked = [a for a in hashed if any(a is b.inputs()[0] for b in built)]
     assert len(asked) == 1 and asked[0] is measurement[0].inputs()[0]
+
+
+def _count_lattice_scans(monkeypatch, grid) -> list:
+    """Patches np.nonzero to record its calls on arrays of the padded
+    lattice's shape; returns the record."""
+    padded = norms.padded_shape(grid)
+    scans, nonzero = [], np.nonzero
+
+    def counting_nonzero(a):
+        if np.shape(a) == padded:
+            scans.append(np.shape(a))
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", counting_nonzero)
+    return scans
+
+
+def test_noise_sweep_inverts_no_estimate_and_scans_no_lattice(monkeypatch):
+    # a sweep's records read the data distance, the error and the parameters:
+    # the coefficients are never inverted to the cylinder, and each error
+    # patches the positions the coefficients were written at
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.08)
+    inverses = []
+    # the package exports the function `reconstruct` under the module's name
+    reconstruct_module = importlib.import_module("cgolab.reconstruct")
+    to_field = reconstruct_module.coefficients_to_field
+
+    def counting_to_field(*args, **kwargs):
+        inverses.append(args[0].shape)
+        return to_field(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct_module, "coefficients_to_field", counting_to_field)
+    scans = _count_lattice_scans(monkeypatch, grid)
+    out = stability_sweep(grid, truth, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
+                          noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    assert not any(r.params["trivial"] for r in out["records"])
+    assert inverses == [] and scans == []
+
+
+def test_pipeline_distance_scans_no_lattice(monkeypatch):
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.2)
+    cfg = ReconstructionConfig(rho=4.0, R=4.0, basis_j_max=2, basis_k_max=2)
+    scans = _count_lattice_scans(monkeypatch, grid)
+    res = reconstruct(measurement_oracle(grid, truth, cfg), None, cfg, truth=truth)
+    assert res.error > 0 and scans == []
+
+
+def test_partial_noise_sweep_checks_the_basis_support_once(monkeypatch):
+    # every level asks the read-only basis block under equal support masks,
+    # which is checked once; each level's probe block is checked
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.08)
+    checked = []
+    check = dtn._check_support
+
+    def counting_check(values, mask):
+        checked.append(np.shape(values))
+        return check(values, mask)
+
+    monkeypatch.setattr(dtn, "_check_support", counting_check)
+    stability_sweep(grid, truth, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
+                    noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    assert len(checked) == len(NOISE_LEVELS) + 1
 
 
 def test_a_basis_keeps_the_projections_of_digested_questions_only():
