@@ -119,10 +119,9 @@ class DtnBasis:
         self.xi_sq = np.asarray(xi_sq)
         self.tau = np.asarray(tau)
 
-        # every input mode as one column of a block: its lateral data and its
-        # initial slice, zero where the mode has none
+        # every input mode as one column of a block: its lateral data and,
+        # with initial modes, its initial slice, zero where the mode has none
         self._lateral = np.zeros((self.size, grid.nt, grid.n_boundary), dtype=np.complex128)
-        self._initial = np.zeros((self.size,) + grid.space_shape)
         face_points = {fid: np.flatnonzero(grid.boundary_face == fid) for fid in self.faces}
         for row, (fid, j, k) in zip(self._lateral, self.lateral_modes):
             pts = face_points[fid]
@@ -135,15 +134,18 @@ class DtnBasis:
                 norm = 1.0 / np.sqrt(grid.T / 2.0)
             tfac = np.exp(2j * np.pi * k * grid.ts / grid.T)
             row[:, pts] = norm * tfac[:, None] * profile[None, :]
-        coords = [np.broadcast_to(c, grid.space_shape) for c in grid.space_coordinates()]
-        for slice_, js_tuple in zip(self._initial[self.lateral_size:], self.init_modes):
-            slice_[...] = 1.0
-            for c, j in zip(coords, js_tuple):
-                slice_ *= np.sin(j * np.pi * c)
-            slice_ *= np.sqrt(2.0) ** grid.n
+        self._initial = None
+        if self.init_modes:
+            self._initial = np.zeros((self.size,) + grid.space_shape)
+            coords = [np.broadcast_to(c, grid.space_shape) for c in grid.space_coordinates()]
+            for slice_, js_tuple in zip(self._initial[self.lateral_size:], self.init_modes):
+                slice_[...] = 1.0
+                for c, j in zip(coords, js_tuple):
+                    slice_ *= np.sin(j * np.pi * c)
+                slice_ *= np.sqrt(2.0) ** grid.n
+            self._initial.flags.writeable = False
         # the input blocks never change, so their digest is taken once
         self._lateral.flags.writeable = False
-        self._initial.flags.writeable = False
         self._inputs_digest = None
         # the lateral modes as the rows of one dense (modes, nt*nb) matrix
         self._modes = self._lateral[:self.lateral_size].reshape(self.lateral_size, -1)
@@ -186,7 +188,7 @@ class DtnBasis:
         """Every input mode as a column of one block: (lateral data
         (size, nt, nb), initial slices (size, *space_shape) or None), both
         read-only."""
-        return self._lateral, (self._initial if self.init_modes else None)
+        return self._lateral, self._initial
 
     def digest(self) -> str:
         """`_digest` of the `inputs` question: the blocks are read-only, so
@@ -545,12 +547,16 @@ class DtnOracle:
             responses *= self.obs_mask.values
         return responses
 
+    def _noise(self, g: np.ndarray, key: str | None) -> np.ndarray:
+        """The noise block (k, nt, nb) of g, the question with digest key."""
+        coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
+        return self._noise_basis.synthesize(coeffs)
+
     def _measured(self, g: np.ndarray, key: str | None, traces: np.ndarray) -> np.ndarray:
         """Noise and mask applied in place to the noiseless traces of g, the
         question with digest key."""
         if self._noise_matrix is not None:
-            coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
-            traces += self._noise_basis.synthesize(coeffs)
+            traces += self._noise(g, key)
         return self._observed(traces)
 
     def _keys(self, questions, reference_map: DtnMap | None = None, bases=None) -> list:
@@ -609,10 +615,19 @@ class DtnOracle:
 
     def _difference(self, g, key, measured, reference=None) -> np.ndarray:
         """Measured minus observed reference traces; without a reference the
-        noiseless `measured` traces serve both sides."""
-        if reference is None:
-            reference = measured.copy()
-        diff = self._measured(g, key, measured)
+        noiseless `measured` traces serve both sides, masked in place."""
+        if reference is not None:
+            diff = self._measured(g, key, measured)
+        else:
+            # the noise is synthesized before the traces are copied and the
+            # traces are added to it: on finite traces S + M is M + S bitwise
+            reference = measured
+            if self._noise_matrix is None:
+                diff = measured.copy()
+            else:
+                diff = self._noise(g, key)
+                diff += measured
+            diff = self._observed(diff)
         diff -= self._observed(reference)
         return diff
 

@@ -646,6 +646,9 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             iterations[c].append(count[c])
         x[:, level] = v
         explicit = implicit
+    # the lift block is as large as the solution; it is not held while the
+    # fields are built
+    del lift
     return [SemilinearResult(scheme._field(x[c], bvals[c]), iterations[c])
             for c in range(k)]
 

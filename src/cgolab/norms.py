@@ -302,7 +302,7 @@ def hminus1_norm(field_like) -> float:
 
 
 class Hminus1Target:
-    """Order -1 distances from one cylinder field to lattice coefficient arrays.
+    """Order -1 distances from one cylinder field to lattice coefficients.
 
     The field is zero-extended and transformed once.  The target keeps the
     transform and, in place of the lattice's order -1 weight, each entry's
@@ -321,17 +321,21 @@ class Hminus1Target:
         weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
         self._terms = np.multiply(weight, terms, out=terms)
 
-    def distance(self, coeffs: np.ndarray, positions) -> float:
-        """Order -1 distance to a coefficient array on the padded lattice
-        that is zero outside `positions`, an index tuple of integer arrays
-        (one per axis, as np.nonzero returns; repeats allowed).  The
-        positions may hold zero entries of either sign: patching one
-        rewrites its kept term bitwise."""
-        if coeffs.shape != self.transform.shape:
-            raise ValueError("coefficient array does not match the padded lattice")
-        diff2 = np.abs(self.transform[positions] - coeffs[positions]) ** 2
+    def distance(self, values, positions) -> float:
+        """Order -1 distance to the padded-lattice coefficient array that
+        holds `values` at `positions` and zeros elsewhere.  `positions` is an
+        index tuple of integer arrays (one per axis, as np.nonzero returns);
+        a repeated position takes its last value, as an assignment does.
+        The values may hold zeros of either sign: patching one rewrites its
+        kept term bitwise."""
+        values = np.asarray(values)
+        if len(positions) != self.transform.ndim or any(
+                np.shape(i) != values.shape for i in positions):
+            raise ValueError("values do not match their lattice positions")
+        diff2 = np.abs(self.transform[positions] - values) ** 2
         kept = self._terms[positions]
-        self._terms[positions] = _weight_sq(coeffs.shape, self.lengths, -1.0, positions) * diff2
+        self._terms[positions] = _weight_sq(self.transform.shape, self.lengths, -1.0,
+                                            positions) * diff2
         try:
             total = float(np.sum(self._terms))
         finally:
@@ -347,9 +351,12 @@ def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:
     and may be any such array: its nonzero entries are found by a scan.
     Comparing on the lattice keeps Parseval exact, so with truncated exact
     coefficients the distance equals the tail norm to rounding.  Distances of
-    one field to several arrays share one `Hminus1Target`.
+    one field to several coefficient sets share one `Hminus1Target`.
     """
-    return Hminus1Target(grid, values).distance(coeffs, np.nonzero(coeffs))
+    if coeffs.shape != padded_shape(grid):
+        raise ValueError("coefficient array does not match the padded lattice")
+    positions = np.nonzero(coeffs)
+    return Hminus1Target(grid, values).distance(coeffs[positions], positions)
 
 
 # ---------------------------------------------------------------------------

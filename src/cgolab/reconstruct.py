@@ -141,27 +141,35 @@ class FrequencyGrid:
         raise KeyError(f"no node at lattice index {index}")
 
     def to_coefficients(self, hermitian: bool = True):
-        """(coefficient array, positions): the padded-lattice array of the
-        canonical values, their conjugate mirrors (for real fields) and zeros
-        elsewhere, and the index tuple (one integer array per axis) of every
-        entry written, zero values and mirrors included."""
-        out = np.zeros(self.padded_shape, dtype=np.complex128)
-        written = []
+        """(values, positions): the canonical values, their conjugate mirrors
+        (for real fields) and, without the mirrors, the other nodes' values,
+        and the index tuple (one integer array per axis) of the padded-lattice
+        entry each is written to, zero values and mirrors included.
+        `_scatter` writes them into the lattice."""
+        values, written = [], []
         for nd in self.canonical_nodes():
             if nd.value is None:
                 continue
-            out[nd.index] = nd.value
+            values.append(nd.value)
             written.append(nd.index)
             if hermitian and nd.mirror != nd.index:
-                out[nd.mirror] = np.conj(nd.value)
+                values.append(np.conj(nd.value))
                 written.append(nd.mirror)
         if not hermitian:
             for nd in self.nodes:
                 if not nd.canonical and nd.value is not None:
-                    out[nd.index] = nd.value
+                    values.append(nd.value)
                     written.append(nd.index)
-        positions = np.array(written, dtype=np.intp).reshape(-1, out.ndim)
-        return out, tuple(positions.T)
+        positions = np.array(written, dtype=np.intp).reshape(-1, len(self.padded_shape))
+        return np.array(values, dtype=np.complex128), tuple(positions.T)
+
+
+def _scatter(grid: Grid, values: np.ndarray, positions) -> np.ndarray:
+    """The padded-lattice coefficient array holding `values` at `positions`
+    (as `FrequencyGrid.to_coefficients` returns them) and zeros elsewhere."""
+    out = np.zeros(padded_shape(grid), dtype=np.complex128)
+    out[positions] = values
+    return out
 
 
 def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
@@ -354,18 +362,19 @@ def select_parameters(delta: float, s: float, c: float,
     return SelectionResult(trivial=False, rho=rho, R=rho**s, saturated=saturated)
 
 
-def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, coeffs=None):
+def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, written=None):
     """Inverse transform of the collected slices, restricted to the cylinder.
 
     Returns (real-part estimate, imaginary residue, coefficient array).  The
     coefficient array is the lattice object used for exact error evaluation;
-    `coeffs` is that array, `freq.to_coefficients(hermitian)`'s, where the
-    caller has it already.
+    `written` is `freq.to_coefficients(hermitian)` where the caller has it
+    already.
     """
     if not freq.nodes:
         raise ConfigError("empty frequency set")
-    if coeffs is None:
-        coeffs, _ = freq.to_coefficients(hermitian)
+    if written is None:
+        written = freq.to_coefficients(hermitian)
+    coeffs = _scatter(grid, *written)
     crop = coefficients_to_field(coeffs, box_lengths(grid), grid.field_shape)
     imag_residue = float(np.abs(crop.imag).max())
     return ScalarField(grid, crop.real.astype(np.complex128)), imag_residue, coeffs
@@ -407,17 +416,18 @@ class ReconstructionConfig:
 
 @dataclass
 class ReconstructionResult:
-    """One reconstruction: its lattice coefficients, the positions they were
-    written to (what an error distance patches), the frequencies and the
-    chosen parameters.
+    """One reconstruction: the coefficient values it wrote and their
+    padded-lattice positions (`FrequencyGrid.to_coefficients`), the
+    frequencies and the chosen parameters.  It holds no lattice array: the
+    `coefficients` property scatters the values into a new one.
 
     The estimate on the cylinder and its imaginary residue are computed on
-    first access, by `invert_cutoff` of the frequencies (the zero field and
-    0.0 on the trivial branch), so a run that reads only the coefficients,
+    first access, by `invert_cutoff` of the written values (the zero field
+    and 0.0 on the trivial branch), so a run that reads only the values,
     such as a stability sweep, inverts nothing.
     """
 
-    coefficients: np.ndarray
+    values: np.ndarray
     positions: tuple
     frequencies: FrequencyGrid
     hermitian: bool
@@ -429,12 +439,19 @@ class ReconstructionResult:
     error: float | None
     node_records: list = dc_field(default_factory=list)
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The padded-lattice coefficient array: the values at their
+        positions, zeros elsewhere."""
+        return _scatter(self.frequencies.grid, self.values, self.positions)
+
     @cached_property
     def _inverse(self) -> tuple:
         grid = self.frequencies.grid
         if self.trivial:
             return ScalarField.zeros(grid), 0.0
-        return invert_cutoff(grid, self.frequencies, self.hermitian, self.coefficients)[:2]
+        return invert_cutoff(grid, self.frequencies, self.hermitian,
+                             (self.values, self.positions))[:2]
 
     @property
     def estimate(self) -> ScalarField:
@@ -465,7 +482,7 @@ def reconstruct(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionC
     negative-order error of the estimate against (truth - reference)."""
     res = _estimate(oracle, q_ref, cfg)
     if truth is not None:
-        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.coefficients,
+        res.error = _error_target(oracle.grid, truth, q_ref).distance(res.values,
                                                                       res.positions)
     return res
 
@@ -510,8 +527,8 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
 
     if trivial:
         freq = FrequencyGrid(grid, 0.0, cfg.mode, base, cfg.half_width, [])
-        coeffs, positions = freq.to_coefficients(cfg.use_hermitian)
-        return ReconstructionResult(coeffs, positions, freq, cfg.use_hermitian, delta,
+        values, positions = freq.to_coefficients(cfg.use_hermitian)
+        return ReconstructionResult(values, positions, freq, cfg.use_hermitian, delta,
                                     0.0, 0.0, True, False, None)
 
     freq = build_frequency_grid(grid, radius, cfg.mode, base, cfg.half_width)
@@ -552,8 +569,8 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
                 "value": nd.value,
             }
         )
-    coeffs, positions = freq.to_coefficients(cfg.use_hermitian)
-    return ReconstructionResult(coeffs, positions, freq, cfg.use_hermitian, delta, rho,
+    values, positions = freq.to_coefficients(cfg.use_hermitian)
+    return ReconstructionResult(values, positions, freq, cfg.use_hermitian, delta, rho,
                                 radius, False, saturated, None, records)
 
 
@@ -600,8 +617,10 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
     a list of calibrated noise levels at a fixed truth.  Either way each
     record runs the full pipeline through `reconstructions` and the smallest
     constant C with err <= C * modulus(delta) over the usable records is
-    fitted.  Records of one truth share its error target, so its difference
-    to the reference is transformed once.
+    fitted.  The error targets are built after the levels have run, once
+    their maps, noise basis and measurement bases are gone, and records of
+    one truth share its target, so its difference to the reference is
+    transformed once.
     """
     if (pair_truths is None) == (noise_levels is None):
         raise ConfigError("provide exactly one of pair_truths or noise_levels")
@@ -615,15 +634,16 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
         runs = [(noise_truth, q_ref, lvl) for lvl in levels]
 
+    results = list(reconstructions(grid, runs, cfg, noise_seed))
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
     target = target_truth = None
-    for (q_true, _, _), res in zip(runs, reconstructions(grid, runs, cfg, noise_seed)):
+    for (q_true, _, _), res in zip(runs, results):
         if q_true is None:
             q_true = q_ref if q_ref is not None else zero_truth
         if target is None or not np.array_equal(target_truth.values, q_true.values):
             target, target_truth = _error_target(grid, q_true, q_ref), q_true
-        res.error = target.distance(res.coefficients, res.positions)
+        res.error = target.distance(res.values, res.positions)
         records.append(
             StabilityRecord(
                 delta=float(res.delta),

@@ -1,6 +1,7 @@
 """Boundary-map layer: bases, matrices, pairings, noise, file formats."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cgolab.dtn import (
     DtnBasis,
     DtnMatrix,
     DtnOracle,
+    _digest,
     add_noise,
     assemble_difference_matrix,
     assemble_dtn_matrix,
@@ -434,3 +436,77 @@ def test_output_basis_rejects_initial_modes():
     basis_in = DtnBasis(g, k_max=2, initial_modes=1)
     with pytest.raises(ConfigError, match="initial modes"):
         assemble_dtn_matrix(g, None, basis_in, basis_out=basis_in)
+
+
+def test_a_lateral_only_basis_has_no_initial_block():
+    g = build_grid(2, 9, 17, 1.0)
+    basis = DtnBasis(g, 2, 2)
+    lateral, initial = basis.inputs()
+    assert initial is None and basis._initial is None
+    assert lateral.shape == (basis.size, g.nt, g.n_boundary) and not lateral.flags.writeable
+    assert basis.digest() == _digest(lateral, None)
+    assert basis.mode_data(basis.size - 1)[1] is None
+    extended = DtnBasis(g, 2, 2, initial_modes=2)
+    _, initial = extended.inputs()
+    assert initial.shape == (extended.size,) + g.space_shape and not initial.flags.writeable
+    assert not np.any(initial[:extended.lateral_size])
+    assert np.array_equal(extended.mode_data(extended.size - 1)[1],
+                          initial[-1].astype(np.complex128))
+
+
+# trace entries: zeros of either sign beside ordinary values
+_TRACE_PARTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _same_reference_problems(draw):
+    n = draw(st.sampled_from([1, 2]))
+    g = build_grid(n, 5 if n == 2 else 7, draw(st.integers(5, 9)), 1.0)
+    basis = DtnBasis(g)
+    rows = draw(st.lists(st.integers(0, basis.size - 1), min_size=1, max_size=3))
+    q = basis.inputs()[0][rows] if draw(st.booleans()) else np.zeros(
+        (len(rows), g.nt, g.n_boundary), dtype=np.complex128)
+    parts = draw(st.lists(_TRACE_PARTS, min_size=2 * q.size, max_size=2 * q.size))
+    traces = np.array(parts).view(np.complex128).reshape(q.shape)
+    obs = direction_mask(g, [1.0] + [0.0] * (n - 1), 0.3, sign=1) if draw(st.booleans()) \
+        else None
+    delta = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    return g, basis, q, traces, obs, delta
+
+
+@settings(max_examples=80, deadline=None)
+@given(_same_reference_problems())
+def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(problem):
+    # the noise is synthesized first and the traces are added to it; the
+    # result is (M + S) w - M w with M added first, bit for bit
+    g, basis, q, traces, obs, delta = problem
+    oracle = DtnOracle(g, None, obs_mask=obs, noise_delta=delta, noise_seed=4,
+                       noise_basis=basis)
+    w = 1.0 if obs is None else obs.values
+    want = traces.copy()
+    if delta:
+        want += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
+    want = want * w
+    want -= traces * w
+    got = oracle._difference(q, None, traces.copy())
+    assert got.tobytes() == want.tobytes()
+
+
+def test_same_reference_noisy_difference_copies_no_traces():
+    # beside the traces handed in, the difference holds the noise block only
+    g = build_grid(2, 9, 17, 1.0)
+    basis = DtnBasis(g)
+    q = basis.inputs()[0]
+    key = basis.digest()
+    basis.projection(q, key)
+    oracle = DtnOracle(g, None, obs_mask=direction_mask(g, [1.0, 0.0], 0.3, sign=1),
+                       noise_delta=1e-3, noise_seed=4, noise_basis=basis)
+    traces = np.random.default_rng(2).normal(size=q.shape) + 0j
+    tracemalloc.start()
+    try:
+        oracle._difference(q, key, traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traces.nbytes

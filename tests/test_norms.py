@@ -320,7 +320,8 @@ def test_error_target_is_the_whole_lattice_sum_bitwise(problem):
     target = Hminus1Target(grid, values)
     for coeffs in arrays + arrays[:1]:
         want = _plain_hminus1_distance(grid, values, coeffs)
-        assert target.distance(coeffs, np.nonzero(coeffs)) == want
+        positions = np.nonzero(coeffs)
+        assert target.distance(coeffs[positions], positions) == want
         assert hminus1_distance(grid, values, coeffs) == want
 
 
@@ -340,8 +341,20 @@ def test_error_target_at_written_positions_is_the_scanning_form_bitwise(problem,
         flat = np.concatenate([np.flatnonzero(coeffs), np.flatnonzero(extra)])
         flat = rng.permutation(np.concatenate([flat, flat[:3]]))
         positions = np.unravel_index(flat, coeffs.shape)
-        assert target.distance(coeffs, positions) == target.distance(coeffs,
-                                                                     np.nonzero(coeffs))
+        want = _plain_hminus1_distance(grid, values, coeffs)
+        assert target.distance(coeffs[positions], positions) == want
+
+
+def test_error_target_values_must_match_their_positions():
+    grid = build_grid(1, 5, 5, T=1.0)
+    target = Hminus1Target(grid, np.ones(grid.field_shape))
+    positions = (np.array([0, 1]), np.array([2, 3]))
+    with pytest.raises(ValueError):
+        target.distance(np.ones(3, dtype=complex), positions)
+    with pytest.raises(ValueError):
+        target.distance(np.ones(2, dtype=complex), positions[:1])
+    assert target.distance(np.zeros(2, dtype=complex), positions) == hminus1_norm(
+        ScalarField(grid, np.ones(grid.field_shape)))
 
 
 def test_boundary_weight_duality():

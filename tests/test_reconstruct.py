@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import ConfigError, Potential, build_grid
 from cgolab.dtn import DtnBasis, DtnOracle
@@ -16,6 +18,7 @@ from cgolab.norms import (
 )
 from cgolab.reconstruct import (
     ReconstructionConfig,
+    ReconstructionResult,
     build_frequency_grid,
     choose_direction,
     exact_slice_values,
@@ -376,6 +379,89 @@ def test_deferred_estimate_is_the_eager_inverse_bitwise(n, nx, mode, hermitian, 
         assert _bits(estimate.values) == _bits(res.estimate.values)
         assert residue == res.imag_residue
     assert res.estimate is res.estimate
+
+
+def _node_lattice(freq, hermitian):
+    """The coefficient array written node by node into the padded lattice:
+    each canonical value and, for real fields, its conjugate at the mirror,
+    or without the mirrors every other node's value."""
+    out = np.zeros(freq.padded_shape, dtype=np.complex128)
+    for nd in freq.canonical_nodes():
+        if nd.value is None:
+            continue
+        out[nd.index] = nd.value
+        if hermitian and nd.mirror != nd.index:
+            out[nd.mirror] = np.conj(nd.value)
+    if not hermitian:
+        for nd in freq.nodes:
+            if not nd.canonical and nd.value is not None:
+                out[nd.index] = nd.value
+    return out
+
+
+# zeros of every sign: a complex zero leaves -0.0 at its mirror's imaginary
+# part, the float zero of an infeasible node leaves +0.0
+_NODE_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _valued_frequency_grids(draw):
+    n = draw(st.sampled_from([1, 2]))
+    g = build_grid(n, draw(st.integers(3, 9 if n == 2 else 17)), draw(st.integers(3, 12)),
+                   draw(st.floats(0.5, 2.0)))
+    freq = build_frequency_grid(g, draw(st.floats(0.0, 12.0)))
+    for nd in freq.nodes:
+        nd.value = draw(_NODE_VALUES)
+    return freq, draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_valued_frequency_grids())
+def test_written_values_scatter_to_the_node_lattice_bitwise(problem):
+    # a result keeps the values and positions the frequency grid hands out;
+    # scattered, they are the lattice written node by node, signed zeros
+    # included, and invert_cutoff scatters the same array
+    freq, hermitian = problem
+    values, positions = freq.to_coefficients(hermitian)
+    assert all(i.shape == values.shape == (values.size,) for i in positions)
+    res = ReconstructionResult(values, positions, freq, hermitian, None, 0.0, 0.0,
+                               not freq.nodes, False, None)
+    want = _bits(_node_lattice(freq, hermitian))
+    assert _bits(res.coefficients) == want
+    if freq.nodes:
+        assert _bits(invert_cutoff(freq.grid, freq, hermitian)[2]) == want
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_zero_slices_leave_signed_zeros_at_their_mirrors(hermitian):
+    g = build_grid(2, 9, 17, 1.0)
+    freq = build_frequency_grid(g, 6.0)
+    for nd in freq.nodes:
+        nd.value = 0j if nd.feasible else 0.0
+    res = ReconstructionResult(*freq.to_coefficients(hermitian), freq, hermitian, None,
+                               0.0, 0.0, False, False, None)
+    coeffs = res.coefficients
+    assert _bits(coeffs) == _bits(_node_lattice(freq, hermitian))
+    assert np.any(np.signbit(coeffs.imag)) == hermitian
+
+
+@pytest.mark.parametrize("mode,hermitian,level", [
+    ("full", True, 0.0), ("partial", True, 0.0), ("partial", False, 0.0), ("full", True, 0.5),
+])
+def test_result_coefficients_are_the_node_lattice_bitwise(mode, hermitian, level):
+    g = build_grid(2, 9, 17, 1.0)
+    q = Potential(g, 0.02 * np.sin(np.pi * g.space_coordinates()[0])[None]
+                  * np.ones(g.field_shape))
+    cfg = ReconstructionConfig(mode=mode, rho="auto", basis_k_max=2, use_hermitian=hermitian)
+    oracle = measurement_oracle(g, q, cfg, level, 3, DtnBasis(g) if level else None)
+    res = reconstruct(oracle, None, cfg, truth=q)
+    assert res.trivial == (level > 0)
+    assert res.values.shape == res.positions[0].shape == (len(res.positions[0]),)
+    assert _bits(res.coefficients) == _bits(_node_lattice(res.frequencies, hermitian))
 
 
 # ---------------------------------------------------------------------------

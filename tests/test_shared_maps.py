@@ -6,7 +6,9 @@ pin the traffic (factorizations, marches, block solves); the bitwise tests
 hold the shared path to the results of one fresh oracle per record.
 """
 
+import gc
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -212,6 +214,79 @@ def test_noise_sweep_builds_its_measurement_bases_once_and_hashes_their_question
     assert measurement[0].faces != measurement[1].faces
     asked = [a for a in hashed if any(a is b.inputs()[0] for b in built)]
     assert len(asked) == 1 and asked[0] is measurement[0].inputs()[0]
+
+
+@pytest.mark.parametrize("ref_is_truth", [True, False])
+def test_noise_sweep_builds_its_error_target_once_its_levels_are_gone(monkeypatch,
+                                                                      ref_is_truth):
+    # the levels run first; by the time the error target is built the
+    # sweep's noise basis, measurement bases and shared maps are freed (by
+    # reference counting alone, so the cycle collector is off)
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.08)
+    ref = Potential(grid, truth.values.copy(), m=truth.m) if ref_is_truth else None
+    built, alive = [], []
+    basis_init, map_init = DtnBasis.__init__, DtnMap.__init__
+    # the package exports the function `reconstruct` under the module's name
+    reconstruct_module = importlib.import_module("cgolab.reconstruct")
+    target = reconstruct_module.Hminus1Target
+
+    def tracked_basis(basis, *args, **kwargs):
+        basis_init(basis, *args, **kwargs)
+        built.append(weakref.ref(basis))
+
+    def tracked_map(m, *args, **kwargs):
+        map_init(m, *args, **kwargs)
+        built.append(weakref.ref(m))
+
+    def checked_target(*args):
+        if not alive:
+            alive.append([tracked() is not None for tracked in built])
+        return target(*args)
+
+    monkeypatch.setattr(DtnBasis, "__init__", tracked_basis)
+    monkeypatch.setattr(DtnMap, "__init__", tracked_map)
+    monkeypatch.setattr(reconstruct_module, "Hminus1Target", checked_target)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = stability_sweep(grid, ref, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
+                              noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(out["records"]) == len(NOISE_LEVELS) and out["records"][-1].err > 0
+    # a noise basis, two measurement bases and one or two maps
+    assert len(built) >= 4 and alive == [[False] * len(built)]
+
+
+def _has_lattice_array(value, size) -> bool:
+    """Whether value is, or directly holds, an array of at least `size` entries."""
+    if isinstance(value, (tuple, list)):
+        return any(_has_lattice_array(v, size) for v in value)
+    values = getattr(value, "values", value)
+    return isinstance(values, np.ndarray) and values.size >= size
+
+
+@pytest.mark.parametrize("cfg", [
+    PARTIAL_AUTO,
+    ReconstructionConfig(rho=4.0, R=4.0, basis_j_max=2, basis_k_max=2, use_hermitian=False),
+])
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_a_result_holds_no_lattice_array(cfg, level):
+    # a result keeps the values it wrote and their positions; the lattice
+    # array is scattered when it is asked for, and the estimate is smaller
+    grid = build_grid(2, 9, 17, 1.0)
+    truth = _sine(grid, 0.08)
+    basis = DtnBasis(grid) if level else None
+    res = reconstruct(measurement_oracle(grid, truth, cfg, level, 7, basis), None, cfg,
+                      truth=truth)
+    # a level this high takes auto rho's trivial branch
+    assert res.trivial == (level > 0 and cfg.rho == "auto")
+    assert res.estimate is not None and res.error > 0
+    size = int(np.prod(norms.padded_shape(grid)))
+    assert res.coefficients.size == size
+    assert not [name for name, value in vars(res).items() if _has_lattice_array(value, size)]
 
 
 def _count_lattice_scans(monkeypatch, grid) -> list:

@@ -8,6 +8,7 @@ config with a time-dependent truth, four small stability sweeps (a 2-d
 pair sweep, a 1-d noise sweep and a 2-d partial-data noise sweep along an
 oblique direction, whose truths differ from the reference, and that partial
 sweep without the hermitian inverse, from a level on the trivial branch),
+a small 2-d partial-data noisy reconstruct whose reference is its truth,
 four small nonlinearity recoveries with cubic truths (1-d, 2-d, 2-d with
 noise, and 2-d half-boundary data with noise), one 1-d cubic semilinear
 solve whose line search halves,
@@ -97,6 +98,18 @@ def cases() -> list:
                         "basis_j_max": 2, "basis_k_max": 2, "use_hermitian": False},
         "noise": {"seed": 5},
         "sweep": {"kind": "noise", "noise_levels": [2.0, 1e-2, 1e-3]},
+    }))
+    # a noisy partial reconstruct whose reference is its truth: its oracle's
+    # one map keeps no answers, so the difference works on the map's own traces
+    sine = {"family": "sine", "amplitude": 0.05, "space": [1, 2], "time": 1}
+    out.append(("recon2d-partial-same-ref", "reconstruct", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": sine,
+        "potential_ref": dict(sine),
+        "reconstruct": {"mode": "partial", "rho": "auto", "base_direction": [0.6, 0.8],
+                        "basis_j_max": 2, "basis_k_max": 2},
+        "noise": {"delta": 1e-3, "seed": 5},
     }))
     # nonlin1d's linear truth takes one Newton iteration per step; cubic truths
     # take several, so columns of a level block leave the Newton loop apart
