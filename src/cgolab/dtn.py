@@ -547,16 +547,17 @@ class DtnOracle:
             responses *= self.obs_mask.values
         return responses
 
-    def _noise(self, g: np.ndarray, key: str | None) -> np.ndarray:
-        """The noise block (k, nt, nb) of g, the question with digest key."""
-        coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
-        return self._noise_basis.synthesize(coeffs)
-
     def _measured(self, g: np.ndarray, key: str | None, traces: np.ndarray) -> np.ndarray:
-        """Noise and mask applied in place to the noiseless traces of g, the
-        question with digest key."""
+        """Measured responses of g, the question with digest key, from its
+        noiseless traces: without noise the traces are masked in place; with
+        it the traces are added to a fresh noise block, which is masked and
+        returned, so the traces are left as they were.  On finite traces the
+        noise plus the traces is the traces plus the noise bitwise."""
         if self._noise_matrix is not None:
-            traces += self._noise(g, key)
+            coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
+            noise = self._noise_basis.synthesize(coeffs)
+            noise += traces
+            traces = noise
         return self._observed(traces)
 
     def _keys(self, questions, reference_map: DtnMap | None = None, bases=None) -> list:
@@ -615,19 +616,14 @@ class DtnOracle:
 
     def _difference(self, g, key, measured, reference=None) -> np.ndarray:
         """Measured minus observed reference traces; without a reference the
-        noiseless `measured` traces serve both sides, masked in place."""
-        if reference is not None:
-            diff = self._measured(g, key, measured)
-        else:
-            # the noise is synthesized before the traces are copied and the
-            # traces are added to it: on finite traces S + M is M + S bitwise
+        noiseless `measured` traces serve both sides, masked in place.  A
+        noisy measurement leaves its traces as they were, so only a noiseless
+        one copies them."""
+        if reference is None:
             reference = measured
             if self._noise_matrix is None:
-                diff = measured.copy()
-            else:
-                diff = self._noise(g, key)
-                diff += measured
-            diff = self._observed(diff)
+                measured = measured.copy()
+        diff = self._measured(g, key, measured)
         diff -= self._observed(reference)
         return diff
 

@@ -14,7 +14,9 @@ def _sample(grid: Grid, fn) -> np.ndarray:
     arguments broadcast against each other."""
     t = grid.ts.reshape((grid.nt,) + (1,) * grid.n)
     coords = grid.space_coordinates()
-    return fn(*(c[None] for c in coords), t) + np.zeros(grid.field_shape)
+    # adding a float64 zero to the broadcast samples gives the bits, the
+    # dtype and the shape of adding a zero array, without reading one in
+    return np.broadcast_to(fn(*(c[None] for c in coords), t), grid.field_shape) + np.float64(0.0)
 
 
 class ScalarField:
@@ -124,7 +126,8 @@ class Potential:
             values = values.real
         if not np.all(np.isfinite(values)):
             raise ValueError("potential contains non-finite values")
-        sup = float(np.abs(values).max()) if values.size else 0.0
+        # the largest modulus of finite values is that of their max or min
+        sup = max(abs(float(values.max())), abs(float(values.min()))) if values.size else 0.0
         if m is None:
             m = sup
         elif sup > m + 1e-12:

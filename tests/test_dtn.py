@@ -491,6 +491,14 @@ def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(pr
     want -= traces * w
     got = oracle._difference(q, None, traces.copy())
     assert got.tobytes() == want.tobytes()
+    # every other measurement takes the same path: (M + S) w, M added first,
+    # and no mask leaves it unmultiplied
+    measured = traces.copy()
+    if delta:
+        measured += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
+    if obs is not None:
+        measured *= w
+    assert oracle._measured(q, None, traces.copy()).tobytes() == measured.tobytes()
 
 
 def test_same_reference_noisy_difference_copies_no_traces():

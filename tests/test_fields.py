@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgolab import BoundaryField, Potential, ScalarField, build_grid, direction_mask
+from cgolab.fields import _sample
 
 
 def test_scalar_field_from_callable_1d():
@@ -82,3 +85,37 @@ def test_potential_real_and_bound():
         Potential(g, np.full(g.field_shape, 0.8), m=0.5)
     with pytest.raises(ValueError):
         Potential(g, np.full(g.field_shape, 1j))
+
+
+# field entries: zeros of either sign beside ordinary values
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ENTRIES, min_size=9, max_size=9), st.sampled_from([1, 2]),
+       st.sampled_from([np.float64, np.float32, np.complex128, np.int64]))
+def test_sampling_is_the_samples_plus_a_zero_array_bitwise(entries, n, dtype):
+    # samples that vary along one space axis only, with signed zeros, of
+    # every dtype a profile may return: bits, dtype and shape of adding a
+    # zero array of the field's shape
+    g = build_grid(n, 9, 5, T=1.0)
+    line = np.array(entries).astype(dtype)
+
+    def fn(*args):
+        return line.reshape((1,) * n + (9,))
+
+    want = fn() + np.zeros(g.field_shape)
+    got = _sample(g, fn)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ENTRIES, min_size=45, max_size=45))
+@example([-0.0] * 45)
+@example([0.0] * 44 + [-0.0])
+def test_potential_bound_is_the_largest_modulus_bitwise(entries):
+    g = build_grid(1, 9, 5, 1.0)
+    values = np.array(entries).reshape(g.field_shape)
+    want = float(np.abs(values).max())
+    assert np.float64(Potential(g, values).m).tobytes() == np.float64(want).tobytes()
