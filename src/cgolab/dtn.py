@@ -3,11 +3,13 @@
 The Dirichlet-to-Neumann action is a forward solve plus a normal-derivative
 trace.  Two layers answer every question put to a map.  A `DtnMap` is the
 noiseless map of one potential: k data columns march as one block through
-its `ThetaScheme.neumann_traces`.  A `DtnOracle` holds the masks and the
-calibrated noise and asks maps: `DtnOracle.differences` is the column engine
-under every matrix assembly and pairing, and the noise and the observation
-mask apply once to each (k, nt, nb) block of traces.  A sweep shares one map
-per distinct potential among its oracles, so each distinct question marches
+its `ThetaScheme`, which hands over the traces level by level.  A
+`DtnOracle` holds the masks and the calibrated noise and asks maps:
+`DtnOracle.differences` is the column engine under every matrix assembly and
+pairing; it writes the noisy, masked measurement into one block and
+subtracts the masked reference traces from it as they come, so a
+difference holds one answer-sized block.  A sweep shares one map per
+distinct potential among its oracles, so each distinct question marches
 once, and one noise basis, which projects each distinct question once.  For
 operator-level work (norm estimation, calibrated noise) the map is
 discretized in an orthonormal boundary basis: per-face sine profiles in
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,6 +56,10 @@ __all__ = [
 # (r_in, s_in, r_out, s_out): data space smoothness -1/2,-1/4, difference
 # output measured in the smoother 1/2,1/4 scale
 DEFAULT_WEIGHTS = (-0.5, -0.25, 0.5, 0.25)
+
+# The masked reference traces a difference subtracts are formed in a scratch
+# array of at most this size, or of one column where a column is larger.
+_SCRATCH_BYTES = 1 << 19
 
 
 def faces_within(grid: Grid, mask: DirectionMask) -> list:
@@ -199,15 +206,28 @@ class DtnBasis:
 
     def project(self, f):
         """Coefficients of the lateral modes (orthonormal, so inner products):
-        (modes,) of a BoundaryField, or (k, modes) of a (k, nt, nb) block."""
+        (modes,) of a BoundaryField, or (k, modes) of a (k, nt, nb) block.
+        f is left as it is: the weights go to a copy."""
         single = isinstance(f, BoundaryField)
         values = np.asarray(f.values if single else f)
-        flat = values.reshape(-1, self._weights.size) * self._weights
-        # conj(conj(w f) M^T) is the conjugated product without a conjugated
-        # copy of M; the weighted copy is conjugated in place
-        coeffs = np.conjugate(flat, out=flat) @ self._modes.T
-        coeffs = np.conjugate(coeffs, out=coeffs)
+        coeffs = self._coefficients(values.reshape(-1, self._weights.size) * self._weights)
         return coeffs[0] if single else coeffs
+
+    def _project_block(self, block) -> np.ndarray:
+        """`project` of a (k, nt, nb) block that is not kept: the block is
+        weighted and conjugated in place, by the operations `project` runs
+        on its copy."""
+        flat = np.asarray(block).reshape(len(block), -1)
+        flat *= self._weights
+        return self._coefficients(flat)
+
+    def _coefficients(self, flat) -> np.ndarray:
+        """(k, modes) coefficients of weighted data flat (k, nt*nb), which is
+        overwritten."""
+        # conj(conj(w f) M^T) is the conjugated product without a conjugated
+        # copy of M; the weighted data is conjugated in place
+        coeffs = np.conjugate(flat, out=flat) @ self._modes.T
+        return np.conjugate(coeffs, out=coeffs)
 
     def projection(self, g, key: str | None):
         """`project` of a (k, nt, nb) block g whose question digest is key.
@@ -432,11 +452,11 @@ def _digest(*arrays) -> str:
 class DtnMap:
     """The noiseless boundary map of one potential at one theta.
 
-    `traces` answers a block of data columns with their Neumann traces, one
-    march of the map's `ThetaScheme`.  A map shared by several oracles keeps
-    its answers, keyed by a digest of the question, so each distinct question
-    marches once; a map that one oracle owns alone keeps nothing.  Every
-    answer is an array the caller owns.
+    `answer` hands each question's Neumann traces to a consumer level by
+    level, from one march of the map's `ThetaScheme`.  A map shared by
+    several oracles keeps its answers, keyed by a digest of the question, so
+    each distinct question marches once; a map that one oracle owns alone
+    keeps nothing, and its march holds no block of traces.
     """
 
     def __init__(self, grid: Grid, q: Potential | None, theta: float = 0.5, *,
@@ -458,42 +478,75 @@ class DtnMap:
     def traces(self, g, u0=None, key: str | None = None) -> np.ndarray:
         """Neumann traces (k, nt, nb) of data columns g (k, nt, nb) and
         initial slices u0 (k, *space_shape) or None.  key is the question's
-        digest, `_digest(g, u0)`, where the caller has it already."""
+        digest, `_digest(g, u0)`, where the caller has it already.  A map
+        that keeps its answers returns the stored answer itself, which is
+        read-only; a private map returns a new array the caller owns."""
         if self._answers is None:
             return self.scheme.neumann_traces(g, u0)
         if key is None:
             key = _digest(g, u0)
         if key not in self._answers:
-            self._answers[key] = self.scheme.neumann_traces(g, u0)
-        return self._answers[key].copy()
+            answer = self.scheme.neumann_traces(g, u0)
+            answer.flags.writeable = False
+            self._answers[key] = answer
+        return self._answers[key]
 
-    def stacked_traces(self, questions, keys=None):
-        """`traces` of every (g, u0) question, in turn, with the questions'
-        digests `keys` where the caller has them.  A time-varying
-        scheme factors every step of every march, so where each column
-        marches independently of the block it is in, the questions march as
-        one stacked block and the answer is split.  Otherwise each question
-        marches alone when its answer is taken, which holds fewer columns in
-        memory at once."""
+    def stacks(self, count: int) -> bool:
+        """Whether `answer` marches `count` questions as one stacked block.
+        A time-varying scheme factors every step of every march, so where
+        each column marches independently of the block it is in, the
+        questions march together.  Otherwise each question marches alone,
+        which holds fewer columns in memory at once."""
         scheme = self.scheme
-        if keys is None:
-            keys = [None] * len(questions)
-        if len(questions) < 2 or scheme.time_invariant or not scheme.columns_independent:
-            return (self.traces(g, u0, key) for (g, u0), key in zip(questions, keys))
-        g = np.concatenate([g for g, _ in questions])
-        u0 = None
-        if any(u is not None for _, u in questions):
-            u0 = np.concatenate([
-                np.zeros((len(gi),) + self.grid.space_shape) if u is None else u
-                for gi, u in questions
-            ])
-        sizes = np.cumsum([len(gi) for gi, _ in questions])[:-1]
-        # the stacked question's key comes from its parts' digests, so no
-        # block is hashed twice
-        key = None
-        if None not in keys:
-            key = hashlib.sha256("".join(keys).encode()).hexdigest()
-        return iter(np.split(self.traces(g, u0, key), sizes))
+        return count > 1 and not scheme.time_invariant and scheme.columns_independent
+
+    def answer(self, questions, consumers) -> None:
+        """Hand each (g, u0, key) question's traces to its consumer, read-only
+        and valid during the call only: consume(levels, traces) gets the
+        traces at some time levels, (k, nb) at one level or (k, L, nb) at a
+        slice of them.  key is the question's digest or None.  `consumers`
+        is called, with no arguments, for the list of consumers once the
+        map is about to hand over: a private map then hands over each level
+        of its march in turn; a map that keeps its answers first forms the
+        answers it lacks, then hands over each at once, as the slice of
+        every level.  Where the map `stacks` the questions, they march as
+        one block, whose key comes from its parts' digests so no block is
+        hashed twice, and each level is split among the consumers."""
+        if self.stacks(len(questions)):
+            g = np.concatenate([g for g, _, _ in questions])
+            u0 = None
+            if any(u is not None for _, u, _ in questions):
+                u0 = np.concatenate([
+                    np.zeros((len(gi),) + self.grid.space_shape) if u is None else u
+                    for gi, u, _ in questions
+                ])
+            keys = [key for _, _, key in questions]
+            key = None if None in keys else hashlib.sha256("".join(keys).encode()).hexdigest()
+            consumers = _split(consumers, np.cumsum([0] + [len(gi) for gi, _, _ in questions]))
+            questions = [(g, u0, key)]
+        if self._answers is None:
+            for (g, u0, _), consume in zip(questions, consumers()):
+                self.scheme.trace_levels(g, u0, consume)
+            return
+        answers = [self.traces(g, u0, key) for g, u0, key in questions]
+        for answer, consume in zip(answers, consumers()):
+            consume(slice(None), answer)
+
+
+def _split(consumers, bounds):
+    """`DtnMap.answer`'s consumers of a stacked question: one consumer that
+    hands the columns from bounds[i] to bounds[i + 1] to the i-th of
+    `consumers()`."""
+    def stacked():
+        parts = list(zip(consumers(), bounds[:-1], bounds[1:]))
+
+        def split(levels, traces):
+            for consume, start, stop in parts:
+                consume(levels, traces[start:stop])
+
+        return [split]
+
+    return stacked
 
 
 class DtnOracle:
@@ -542,52 +595,108 @@ class DtnOracle:
         self._maps.append(DtnMap(self.grid, q, self.theta))
         return self._maps[-1]
 
-    def _observed(self, responses: np.ndarray) -> np.ndarray:
-        if self.obs_mask is not None:
-            responses *= self.obs_mask.values
-        return responses
-
-    def _measured(self, g: np.ndarray, key: str | None, traces: np.ndarray) -> np.ndarray:
-        """Measured responses of g, the question with digest key, from its
-        noiseless traces: without noise the traces are masked in place; with
-        it the traces are added to a fresh noise block, which is masked and
-        returned, so the traces are left as they were.  On finite traces the
-        noise plus the traces is the traces plus the noise bitwise."""
-        if self._noise_matrix is not None:
-            coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
-            noise = self._noise_basis.synthesize(coeffs)
-            noise += traces
-            traces = noise
-        return self._observed(traces)
-
-    def _keys(self, questions, reference_map: DtnMap | None = None, bases=None) -> list:
-        """The digest of every (g, u0) question where a map asked keeps its
-        answers, taken from the basis the question came from where `bases`
-        names one; Nones where no map keeps answers."""
-        keeps = self.map.keeps_answers or (
-            reference_map is not None and reference_map.keeps_answers)
-        if bases is None:
-            bases = [None] * len(questions)
-        return [(_digest(g, u0) if basis is None else basis.digest()) if keeps else None
-                for (g, u0), basis in zip(questions, bases)]
-
-    def _check(self, g, basis: DtnBasis | None = None) -> np.ndarray:
-        """g, checked against the support mask; `basis` is the basis whose
-        input block g is, which checks it once per mask."""
+    def _question(self, question, keyed: bool):
+        """(g, u0, key) of a question: a (g, u0) pair, a `DtnBasis`, which
+        asks about its input modes, or a callable that returns a pair.  g is
+        checked against the support mask (a basis's block once per mask), and
+        key is its digest where `keyed` (a basis's only once in its life),
+        else None."""
+        if callable(question):
+            question = question()
+        if isinstance(question, DtnBasis):
+            g, u0 = question.inputs()
+            if self.support_mask is not None:
+                question.check_support(self.support_mask)
+            return g, u0, question.digest() if keyed else None
+        g, u0 = question
         g = np.asarray(g)
         if self.support_mask is not None:
-            if basis is None:
-                _check_support(g, self.support_mask)
+            _check_support(g, self.support_mask)
+        return g, u0, _digest(g, u0) if keyed else None
+
+    def _mask(self):
+        """The observation mask at every time level, (nt, nb) complex128, or
+        None.  Indexed by the levels a consumer gets, it broadcasts against
+        their traces without a broadcast axis of its own, and a complex
+        product casts the boolean mask to these very values, so multiplying
+        by it is bitwise the same."""
+        if self.obs_mask is None:
+            return None
+        return np.tile(self.obs_mask.values.astype(np.complex128), (self.grid.nt, 1))
+
+    def _measuring(self, asked, blocks: list, mask, same: bool = False):
+        """`DtnMap.answer`'s consumers of the asked (g, u0, key) questions'
+        measurements: called, it starts each question's block, a fresh noise
+        block or an empty one without noise, appends it to `blocks` and
+        returns its `_measure` consumer.  A map that keeps its answers calls
+        it once they are formed, so a stored answer's march never holds a
+        block beside it."""
+        def consumers():
+            for g, _, key in asked:
+                if self._noise_matrix is None:
+                    blocks.append(np.empty(g.shape, dtype=np.complex128))
+                else:
+                    coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
+                    blocks.append(self._noise_basis.synthesize(coeffs))
+            return [self._measure(out, mask, same) for out in blocks]
+
+        return consumers
+
+    def _measure(self, out: np.ndarray, mask, same: bool = False):
+        """consume(levels, traces) that writes the measurement at those levels
+        into out: the traces are added to the noise block already there and
+        the sum is masked, or without noise the masked traces are written.
+        With `same`, the traces are also the reference's, and `_subtract`
+        takes them off again."""
+        noisy = self._noise_matrix is not None
+        subtract = self._subtract(out, mask) if same else None
+
+        def consume(levels, traces):
+            rows = out[:, levels]
+            if noisy:
+                rows += traces
+                if mask is not None:
+                    rows *= mask[levels]
+            elif mask is None:
+                rows[...] = traces
             else:
-                basis.check_support(self.support_mask)
-        return g
+                np.multiply(traces, mask[levels], out=rows)
+            if subtract is not None:
+                subtract(levels, traces)
+
+        return consume
+
+    def _subtract(self, out: np.ndarray, mask):
+        """consume(levels, traces) that subtracts the observed reference
+        traces at those levels from out.  The masked traces are formed a few
+        columns at a time, in one scratch array of at most _SCRATCH_BYTES (or
+        one column), so no reference block is formed."""
+        scratch = None
+
+        def consume(levels, traces):
+            nonlocal scratch
+            rows = out[:, levels]
+            if mask is None:
+                rows -= traces
+                return
+            weight = mask[levels]
+            if scratch is None:
+                column = traces.itemsize * math.prod(traces.shape[1:])
+                step = max(1, min(_SCRATCH_BYTES // column, len(traces)))
+                scratch = np.empty((step,) + traces.shape[1:], dtype=np.complex128)
+            for start in range(0, len(traces), len(scratch)):
+                part = traces[start:start + len(scratch)]
+                rows[start:start + len(part)] -= np.multiply(part, weight,
+                                                             out=scratch[:len(part)])
+
+        return consume
 
     def apply_many(self, g, u0=None) -> np.ndarray:
         """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
-        initial slices u0 (k, *space_shape) or None."""
-        g = self._check(g)
-        (key,) = self._keys([(g, u0)])
-        return self._measured(g, key, self.map.traces(g, u0, key))
+        initial slices u0 (k, *space_shape) or None, in a new array."""
+        asked, blocks = [self._question((g, u0), self.map.keeps_answers)], []
+        self.map.answer(asked, self._measuring(asked, blocks, self._mask()))
+        return blocks[0]
 
     def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
         u0 = None if u0 is None else np.asarray(u0)[None]
@@ -595,37 +704,41 @@ class DtnOracle:
 
     def differences(self, q_ref: Potential | None, questions):
         """(measured map - simulated reference map) responses (k, nt, nb) to
-        every (g, u0) question, in turn, each map asked once for all of them.
-        A `DtnBasis` in place of a question asks about its input modes.  When
-        the reference is the truth, one march serves both sides.  Each
-        question is hashed at most once (a basis's only once in its life),
-        and its digest keys both the stored answers of the maps and the noise
-        basis's projections."""
-        bases = [q if isinstance(q, DtnBasis) else None for q in questions]
-        questions = [q.inputs() if isinstance(q, DtnBasis) else q for q in questions]
-        questions = [(self._check(g, basis), u0) for (g, u0), basis in zip(questions, bases)]
-        reference_map = self._map_of(q_ref)
-        gs = [g for g, _ in questions]
-        keys = self._keys(questions, reference_map, bases)
-        clean = self.map.stacked_traces(questions, keys)
-        # map() keeps no answer alive once it has handed it over
-        if reference_map is self.map:
-            return map(self._difference, gs, keys, clean)
-        return map(self._difference, gs, keys, clean,
-                   reference_map.stacked_traces(questions, keys))
+        every question, in turn, each in a new array the caller owns.  A
+        question is a (g, u0) pair, a `DtnBasis`, which asks about its input
+        modes, or a callable returning a pair, called only when its question
+        is asked.
 
-    def _difference(self, g, key, measured, reference=None) -> np.ndarray:
-        """Measured minus observed reference traces; without a reference the
-        noiseless `measured` traces serve both sides, masked in place.  A
-        noisy measurement leaves its traces as they were, so only a noiseless
-        one copies them."""
-        if reference is None:
-            reference = measured
-            if self._noise_matrix is None:
-                measured = measured.copy()
-        diff = self._measured(g, key, measured)
-        diff -= self._observed(reference)
-        return diff
+        Each question is asked alone, and dropped before its difference is
+        handed over, unless a map `stacks` the questions: then all of them
+        are asked at once.  The truth's map writes the measurement into the
+        difference block level by level (`_measure`), and the reference's
+        map hands over its traces level by level too, which are masked and
+        subtracted as they come (`_subtract`), so no reference block is
+        formed or copied.  When the reference is the truth, one march serves
+        both sides.  Each question is hashed at most once (a basis's only
+        once in its life), and only where a map asked keeps its answers; its
+        digest keys both the stored answers of the maps and the noise basis's
+        projections."""
+        reference_map = self._map_of(q_ref)
+        same = reference_map is self.map
+        maps = [self.map] if same else [self.map, reference_map]
+        keyed = any(m.keeps_answers for m in maps)
+        mask = self._mask()
+        pending = list(questions)[::-1]
+        del questions
+        while pending:
+            count = len(pending) if any(m.stacks(len(pending)) for m in maps) else 1
+            asked = [self._question(pending.pop(), keyed) for _ in range(count)]
+            blocks = []
+            self.map.answer(asked, self._measuring(asked, blocks, mask, same))
+            if not same:
+                reference_map.answer(asked, lambda: [self._subtract(out, mask)
+                                                     for out in blocks])
+            del asked
+            blocks.reverse()
+            while blocks:
+                yield blocks.pop()
 
     def pair_against(self, q_ref: Potential | None, g: BoundaryField,
                      h: BoundaryField) -> complex:
@@ -652,21 +765,25 @@ def shared_maps(grid: Grid, potentials, theta: float = 0.5) -> list:
 
 def pairings(grid: Grid, responses, h) -> np.ndarray:
     """Lateral integrals (k, m) of responses[i] * h[j] for blocks (k, nt, nb)
-    and (m, nt, nb)."""
+    and (m, nt, nb).  The lateral weights are applied to `responses` in
+    place, so it must be a block the caller need not keep, such as a
+    difference block."""
     flat = np.asarray(responses).reshape(len(responses), -1)
-    flat = flat * grid.lateral_weights.ravel()
+    flat *= grid.lateral_weights.ravel()
     return flat @ np.asarray(h).reshape(len(h), -1).T
 
 
 def map_matrix(responses, basis_in: DtnBasis, basis_out: DtnBasis | None = None) -> DtnMatrix:
     """Matrix of a map in the given bases, from its responses (size, nt, nb)
-    to the input modes of basis_in."""
+    to the input modes of basis_in.  The responses are projected as
+    `DtnBasis.project` does, but weighted in place, so they must be a block
+    the caller need not keep, such as a difference block."""
     if basis_out is None:
         basis_out = basis_in
     if basis_out.initial_modes:
         raise ConfigError("output basis cannot carry initial modes")
     return DtnMatrix(
-        basis_out.project(responses).T,
+        basis_out._project_block(responses).T,
         basis_in.xi_sq,
         basis_in.tau,
         basis_out.xi_sq,

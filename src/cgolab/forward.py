@@ -155,14 +155,15 @@ class ThetaScheme:
     One loop marches a block of k data columns together: real data as a real
     (ndof, k) block, complex data as its real view (ndof, 2k) of (re, im)
     column pairs, every step one solve with the shared factor.  `solve` is the
-    k = 1 march and keeps the whole field.  `neumann_traces` keeps only the
-    traces: a sparse trace operator, split like the spatial operator into an
-    interior part and a boundary part, turns each level's state block and
-    lateral data into the (k, nb) traces, so the march holds one state block
-    and never k fields.  In 2-d each real column of a block marches
-    independently of the others, bit for bit, so `neumann_traces` marches only
-    the distinct nonzero ones and copies or negates the traces of the rest;
-    a 1-d block marches at its full width.
+    k = 1 march and keeps the whole field.  `trace_levels` keeps only the
+    traces of one level at a time: a sparse trace operator, split like the
+    spatial operator into an interior part and a boundary part, turns each
+    level's state block and lateral data into the (k, nb) traces, which it
+    hands to a consumer, so the march holds one state block and never k
+    fields; `neumann_traces` collects them into one block.  In 2-d each real
+    column of a block marches independently of the others, bit for bit, so
+    only the distinct nonzero ones march and the traces of the rest are
+    copied or negated; a 1-d block marches at its full width.
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
@@ -388,16 +389,21 @@ class ThetaScheme:
                 kept.append(j)
         return np.array(kept, dtype=np.intp), repeats
 
-    def neumann_traces(self, bvals, u0=None) -> np.ndarray:
-        """Neumann traces (k, nt, nb) of the k solutions with lateral data
-        bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None.
+    def trace_levels(self, bvals, u0, consume) -> None:
+        """March the k solutions with lateral data bvals (k, nt, nb) and
+        initial slices u0 (k, *space_shape) or None, and hand
+        consume(level, traces) the (k, nb) Neumann traces of each time level
+        in turn.  The traces array is the march's own and is overwritten at
+        the next level, so consume copies what it keeps and writes nothing
+        into it.  A level holding a non-finite trace raises SolverError
+        before it is handed over.
 
         Where columns march independently (2-d), only the distinct nonzero
         real columns march: a zero column has zero traces, and a column equal
-        to a marched one, or to its negation, copies or negates its traces,
-        which is bitwise what marching it would give.  Where the lateral data
-        at t=0 and an initial slice disagree on the boundary, the lateral
-        value wins silently."""
+        to a marched one, or to its negation, copies or negates its traces at
+        every level, which is bitwise what marching it would give.  Where the
+        lateral data at t=0 and an initial slice disagree on the boundary,
+        the lateral value wins silently."""
         grid = self.grid
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
@@ -406,27 +412,48 @@ class ThetaScheme:
         dtype = _block_dtype(bvals, x0)
         width = 1 if dtype is np.float64 else 2
         trace_int, trace_bnd = self._trace
-        out = np.zeros(bvals.shape, dtype=np.complex128)
-        # (k, nt, nb, re/im): real column j is out_parts[j // width, ..., j % width]
-        out_parts = out.view(np.float64).reshape(bvals.shape + (2,))
+        traces = np.zeros((bvals.shape[0], grid.n_boundary), dtype=np.complex128)
+        # (k, nb, re/im): real column j is parts[j // width, :, j % width]
+        parts = traces.view(np.float64).reshape(traces.shape + (2,))
         columns, repeats = None, []
         marched = np.arange(width * bvals.shape[0])
         if self.columns_independent:
             columns, repeats = self._distinct_columns(bvals, x0, width)
             marched = columns
         data_column, part = np.divmod(marched, width)
+        if repeats:
+            target, source, negated = (np.array(a) for a in zip(*repeats))
+            # the (data column, part) pairs of the copies and of their sources
+            target, source = np.divmod(target, width), np.divmod(source, width)
+            negated = negated[:, None]
 
         def trace(level, state, lateral):
-            out_parts[data_column, level, :, part] = (trace_int @ state
-                                                      + trace_bnd @ lateral).T
+            parts[data_column, :, part] = (trace_int @ state + trace_bnd @ lateral).T
+            if repeats:
+                copied = parts[source[0], :, source[1]]
+                # 0.0 - t keeps the march's +0.0 where -t would flip it to -0.0
+                np.subtract(0.0, copied, out=copied, where=negated)
+                parts[target[0], :, target[1]] = copied
+            if not np.isfinite(parts).all():
+                raise SolverError(f"non-finite trace at time level {level}")
+            consume(level, traces)
 
         if marched.size:
             self._march(bvals, x0, None, dtype, trace, columns)
-        for j, i, negated in repeats:
-            traces = out_parts[i // width, ..., i % width]
-            # 0.0 - t keeps the march's +0.0 where -t would flip it to -0.0
-            out_parts[j // width, ..., j % width] = 0.0 - traces if negated else traces
-        _check_finite(out, 1, "trace")
+        else:
+            for level in range(grid.nt):
+                consume(level, traces)
+
+    def neumann_traces(self, bvals, u0=None) -> np.ndarray:
+        """Neumann traces (k, nt, nb) of the k solutions with lateral data
+        bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None:
+        `trace_levels` with a consumer that fills one new block."""
+        out = np.empty(np.shape(bvals), dtype=np.complex128)
+
+        def keep(level, traces):
+            out[:, level] = traces
+
+        self.trace_levels(bvals, u0, keep)
         return out
 
 

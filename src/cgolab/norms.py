@@ -175,31 +175,43 @@ def _occupied_lines(values: np.ndarray) -> np.ndarray:
     return words.reshape(values.shape[:-1] + (-1,)).any(axis=-1)
 
 
-def _lattice_transform(values: np.ndarray, transform, keep) -> np.ndarray:
+def _lattice_transform(values: np.ndarray, transform, keep, shape=None) -> np.ndarray:
     """`transform` (np.fft.fft or np.fft.ifft) along every axis, last axis
     first as np.fft.fftn and ifftn run it.  Once an axis's 1-D transforms are
     done, only its indices `keep[axis]` are kept: a slice (the crop to a
     corner) or an integer array (the axis's coordinates of wanted nodes).
     The result is a complex128 array of the function's own (a view of it
-    when cropped), which the caller may scale in place.
+    when cropped), which the caller may scale in place.  With `shape`, the
+    lattice is that larger shape and the values fill its leading corner,
+    zeros elsewhere, as `zero_extend` writes them; the zero-extended array
+    is never formed.
 
     Only the lines along the last axis that hold a nonzero bit pattern (a
-    -0.0 entry counts) are cast to complex and transformed.  Before each
-    further axis, every index tuple of the axes not yet transformed that
-    leads to no such line carries the same slab, `blank`: what the earlier
-    axes made of zeros.  So the slab is transformed once per axis and stands
-    in for all of them; it is a transform's result, never literal zeros,
-    since pocketfft returns -0.0 entries from an all-zero line at some
-    lengths (202, 214 and 254, for instance).  Every line that is
-    transformed goes through the same 1-D transform as in the n-d one, so
-    with NumPy 2's pocketfft the result is bitwise the kept part of the full
-    transform.
+    -0.0 entry counts) are cast to complex, zero-extended where the lattice
+    is longer, and transformed.  Before each further axis, every index tuple
+    of the axes not yet transformed that leads to no such line carries the
+    same slab, `blank`: what the earlier axes made of zeros.  So the slab is
+    transformed once per axis and stands in for all of them; it is a
+    transform's result, never literal zeros, since pocketfft returns -0.0
+    entries from an all-zero line at some lengths (202, 214 and 254, for
+    instance).  Every line that is transformed goes through the same 1-D
+    transform as in the n-d one, so with NumPy 2's pocketfft the result is
+    bitwise the kept part of the full transform.
     """
-    n = values.shape
-    # flat indices, over the other axes, of the occupied lines along the last
-    rows = np.flatnonzero(_occupied_lines(values))
-    # the gathered lines are a copy already, so complex ones are not copied again
-    data = values.reshape(-1, n[-1])[rows].astype(np.complex128, copy=False)
+    n = values.shape if shape is None else tuple(shape)
+    # flat indices, over the values' other axes, of the occupied lines along
+    # the last, and the lines themselves, a copy already
+    lines = np.flatnonzero(_occupied_lines(values))
+    gathered = values.reshape(-1, values.shape[-1])[lines]
+    if n == values.shape:
+        rows, data = lines, gathered.astype(np.complex128, copy=False)
+    else:
+        # the same lines' flat indices over the lattice's other axes
+        rows = np.ravel_multi_index(np.unravel_index(lines, values.shape[:-1]), n[:-1])
+        data = np.zeros((lines.size, n[-1]), dtype=np.complex128)
+        data[:, :values.shape[-1]] = gathered
+    # the gathered copy is not held while the slabs are formed
+    del gathered
     data = transform(data, axis=-1, out=data)[:, keep[-1]]
     blank = transform(np.zeros(n[-1], dtype=np.complex128))[keep[-1]]
     for axis in reversed(range(len(n) - 1)):
@@ -243,15 +255,21 @@ def torus_coefficients(values: np.ndarray, lengths, at=None) -> np.ndarray:
     transform.
     """
     values = np.asarray(values)
-    d = values.ndim
-    cell = np.prod([L / npts for npts, L in zip(values.shape, lengths)])
+    return _extended_coefficients(values, values.shape, lengths, at)
+
+
+def _extended_coefficients(values: np.ndarray, shape, lengths, at=None) -> np.ndarray:
+    """`torus_coefficients` of the values zero-extended to the lattice
+    `shape`, bitwise, without forming the zero-extended array."""
+    shape = tuple(shape)
+    cell = np.prod([L / npts for npts, L in zip(shape, lengths)])
     if at is None:
-        coeffs = _lattice_transform(values, np.fft.fft, _corner(values.shape))
+        coeffs = _lattice_transform(values, np.fft.fft, _corner(shape), shape)
     else:
         keep = tuple(np.unique(i) for i in at)
-        kept = _lattice_transform(values, np.fft.fft, keep)
+        kept = _lattice_transform(values, np.fft.fft, keep, shape)
         coeffs = kept[tuple(np.searchsorted(k, i) for k, i in zip(keep, at))]
-    return np.multiply((2 * math.pi) ** (-d / 2) * cell, coeffs, out=coeffs)
+    return np.multiply((2 * math.pi) ** (-len(shape) / 2) * cell, coeffs, out=coeffs)
 
 
 def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray:
@@ -274,12 +292,19 @@ def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray
 
 def _weight_sq(shape, lengths, order: float, index=None) -> np.ndarray:
     """(1 + |zeta|^2)^order over the lattice, or at the entries of an index
-    tuple of integer arrays only (the same bits as the lattice's there)."""
+    tuple of integer arrays only (the same bits as the lattice's there).
+    The squares are summed axis by axis as sum() adds them; the last sum
+    makes the one array of the result's size, which the rest works in."""
     freqs = lattice_frequencies(shape, lengths)
     if index is not None:
         freqs = [f.ravel()[i] for f, i in zip(freqs, index)]
-    zeta_sq = sum(f**2 for f in freqs)
-    return (1.0 + zeta_sq) ** order
+    squares = [f**2 for f in freqs]
+    head = sum(squares[:-1])
+    weight = np.add(head, squares[-1],
+                    out=np.empty(np.broadcast_shapes(np.shape(head), squares[-1].shape)))
+    weight += 1.0
+    weight **= order
+    return weight
 
 
 def periodic_sobolev_norm(values: np.ndarray, lengths, order: float) -> float:
@@ -304,9 +329,12 @@ def hminus1_norm(field_like) -> float:
 class Hminus1Target:
     """Order -1 distances from one cylinder field to lattice coefficients.
 
-    The field is zero-extended and transformed once.  The target keeps the
-    transform and, in place of the lattice's order -1 weight, each entry's
-    term of the weighted sum against a zero coefficient, weight * |transform|^2.
+    The field's zero-extension is transformed once, from the cylinder values
+    (`_lattice_transform` with the padded shape), so the padded array is
+    never formed; the transform is bitwise `torus_coefficients` of
+    `zero_extend`.  The target keeps the transform and, in place of the
+    lattice's order -1 weight, each entry's term of the weighted sum against
+    a zero coefficient, weight * |transform|^2, formed in place.
     A distance recomputes only the entries at the positions it is given,
     patches them in, sums the same array the whole-lattice formula sums and
     restores it, so it is that formula bitwise, with no transform and no scan
@@ -315,11 +343,15 @@ class Hminus1Target:
     """
 
     def __init__(self, grid: Grid, values):
+        values = np.asarray(values)
+        if values.shape != grid.field_shape:
+            raise ValueError("values do not match the grid")
         self.lengths = box_lengths(grid)
-        self.transform = torus_coefficients(zero_extend(grid, values), self.lengths)
-        terms = np.abs(self.transform) ** 2
-        weight = _weight_sq(self.transform.shape, self.lengths, -1.0)
-        self._terms = np.multiply(weight, terms, out=terms)
+        self.transform = _extended_coefficients(values, padded_shape(grid), self.lengths)
+        terms = np.abs(self.transform)
+        terms **= 2
+        terms *= _weight_sq(self.transform.shape, self.lengths, -1.0)
+        self._terms = terms
 
     def distance(self, values, positions) -> float:
         """Order -1 distance to the padded-lattice coefficient array that

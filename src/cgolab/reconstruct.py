@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -276,34 +276,50 @@ def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
 def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float, *,
                   probe_delta, vanish_plus, vanish_minus, bases=None):
     """fourier_slice at every (xi, tau, omega) node, and with measurement
-    bases (in, out) the data distance too: (delta or None, values).
+    bases (in, out), or a callable that builds them, the data distance too:
+    (delta or None, values).
 
-    The probe traces of all nodes are formed first and paired against the map
-    difference as one block.  rho is fixed, so the backward trace depends on
-    omega alone and is formed once per direction.  The basis inputs go to the
-    oracle together with the probe traces, so a map that refactors every step
-    marches both as one block.
+    The forward probe traces of all nodes form one question, paired against
+    the map difference as one block.  rho is fixed, so the backward trace
+    depends on omega alone and is formed once per direction, once the
+    difference is at hand.  The basis inputs go to the oracle in the same
+    request as the probe question, which the oracle forms only when it asks
+    it: a map that refactors every step marches both as one block, and
+    otherwise the distance is measured first and the bases are dropped
+    before the probe block is formed.
     """
     grid = oracle.grid
-    questions = [] if bases is None else [bases[0]]
-    if nodes:
+    # each distinct direction's row in the backward block, and its omega
+    directions, which = {}, []
+    for _, _, omega in nodes:
+        key = np.asarray(omega, dtype=float).tobytes()
+        if key not in directions:
+            directions[key] = (len(directions), omega)
+        which.append(directions[key][0])
+
+    def probes():
         g = np.empty((len(nodes), grid.nt, grid.n_boundary), dtype=np.complex128)
-        rows, backward, which = {}, [], []
         for i, (xi, tau, omega) in enumerate(nodes):
-            key = np.asarray(omega, dtype=float).tobytes()
-            if key not in rows:
-                rows[key] = len(backward)
-                par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
-                backward.append(probe_trace(grid, par_minus, vanish_minus).values)
             par_plus = CgoParams(1, omega, xi, tau, rho, probe_delta)
             g[i] = probe_trace(grid, par_plus, vanish_plus).values
-            which.append(rows[key])
-        questions.append((g, None))
-    answers = oracle.differences(q_ref, questions)
-    delta = None if bases is None else operator_norm(map_matrix(next(answers), *bases))
+        return g, None
+
+    if callable(bases):
+        bases = bases()
+    answers = oracle.differences(
+        q_ref, ([] if bases is None else [bases[0]]) + ([probes] if nodes else []))
+    delta = None
+    if bases is not None:
+        delta = operator_norm(map_matrix(next(answers), *bases))
+        bases = None
     values = np.empty(0, dtype=np.complex128)
     if nodes:
-        pairs = pairings(grid, next(answers), np.stack(backward))
+        diff = next(answers)
+        backward = np.empty((len(directions), grid.nt, grid.n_boundary), dtype=np.complex128)
+        for row, omega in directions.values():
+            par_minus = CgoParams(-1, omega, np.zeros(grid.n), 0.0, rho, probe_delta)
+            backward[row] = probe_trace(grid, par_minus, vanish_minus).values
+        pairs = pairings(grid, diff, backward)
         values = (2 * math.pi) ** (-(grid.n + 1) / 2) * pairs[np.arange(len(nodes)), which]
     return delta, values
 
@@ -495,10 +511,10 @@ def _error_target(grid: Grid, truth: Potential, q_ref: Potential | None) -> Hmin
 def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionConfig,
               bases=None) -> ReconstructionResult:
     """`reconstruct` without the error, which is left None.  `bases` are the
-    measurement bases of the oracle's masks where the caller has them."""
+    measurement bases of the oracle's masks where the caller has them;
+    otherwise they are built where the distance is measured and held only
+    there, so they are gone before the probes are formed."""
     grid = oracle.grid
-    if bases is None and cfg.measure_delta:
-        bases = _measurement_bases(grid, oracle, cfg)
     base = cfg.direction(grid.n)
     cap = probe_rho_cap(grid)
     delta = None
@@ -509,7 +525,8 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
             raise ConfigError("auto parameter rule needs the measured data distance")
         # rho depends on the data distance, so the probes are asked in a
         # march of their own once it is known
-        delta = operator_norm(assemble_difference_matrix(oracle, q_ref, *bases))
+        delta = operator_norm(assemble_difference_matrix(
+            oracle, q_ref, *(bases or _measurement_bases(grid, oracle, cfg))))
         c = cfg.c if cfg.c is not None else grid.T + math.sqrt(grid.n)
         sel = select_parameters(delta, cfg.s, c, rho_cap=cap)
         trivial, saturated = sel.trivial, sel.saturated
@@ -542,12 +559,15 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
     nodes = freq.canonical_nodes() if cfg.use_hermitian else freq.nodes
     feasible = [nd for nd in nodes if nd.feasible]
     # an explicit rho is known before the data distance, which is then
-    # measured here, in one request with the slices
-    with_delta = cfg.measure_delta and cfg.rho != "auto"
+    # measured here, in one request with the slices; bases the run does not
+    # share are built inside that request and held by it alone
+    measure = None
+    if cfg.measure_delta and cfg.rho != "auto":
+        measure = bases or partial(_measurement_bases, grid, oracle, cfg)
     measured, values = _slice_values(
         oracle, q_ref, [(nd.xi, nd.tau, nd.omega) for nd in feasible], rho,
         probe_delta=cfg.probe_delta, vanish_plus=vanish_plus, vanish_minus=vanish_minus,
-        bases=bases if with_delta else None,
+        bases=measure,
     )
     if measured is not None:
         delta = measured

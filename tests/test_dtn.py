@@ -475,6 +475,28 @@ def _same_reference_problems(draw):
     return g, basis, q, traces, obs, delta
 
 
+class _GivenMap:
+    """A map of every potential that answers every question with the same
+    traces, level by level, as `DtnMap.answer` hands them over; it claims
+    to keep its answers, so a question is keyed by its digest."""
+
+    keeps_answers = True
+
+    def __init__(self, traces):
+        self._traces = traces
+
+    def is_map_of(self, *args):
+        return True
+
+    def stacks(self, count):
+        return False
+
+    def answer(self, questions, consumers):
+        for consume in consumers():
+            for level in range(self._traces.shape[1]):
+                consume(level, self._traces[:, level])
+
+
 @settings(max_examples=80, deadline=None)
 @given(_same_reference_problems())
 def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(problem):
@@ -482,14 +504,14 @@ def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(pr
     # result is (M + S) w - M w with M added first, bit for bit
     g, basis, q, traces, obs, delta = problem
     oracle = DtnOracle(g, None, obs_mask=obs, noise_delta=delta, noise_seed=4,
-                       noise_basis=basis)
+                       noise_basis=basis, maps=[_GivenMap(traces)])
     w = 1.0 if obs is None else obs.values
     want = traces.copy()
     if delta:
         want += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
     want = want * w
     want -= traces * w
-    got = oracle._difference(q, None, traces.copy())
+    got = next(oracle.differences(None, [(q, None)]))
     assert got.tobytes() == want.tobytes()
     # every other measurement takes the same path: (M + S) w, M added first,
     # and no mask leaves it unmultiplied
@@ -498,22 +520,23 @@ def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(pr
         measured += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
     if obs is not None:
         measured *= w
-    assert oracle._measured(q, None, traces.copy()).tobytes() == measured.tobytes()
+    assert oracle.apply_many(q).tobytes() == measured.tobytes()
 
 
 def test_same_reference_noisy_difference_copies_no_traces():
-    # beside the traces handed in, the difference holds the noise block only
+    # beside the traces handed over, the difference holds the noise block
+    # and one masked level
     g = build_grid(2, 9, 17, 1.0)
     basis = DtnBasis(g)
     q = basis.inputs()[0]
-    key = basis.digest()
-    basis.projection(q, key)
-    oracle = DtnOracle(g, None, obs_mask=direction_mask(g, [1.0, 0.0], 0.3, sign=1),
-                       noise_delta=1e-3, noise_seed=4, noise_basis=basis)
+    basis.projection(q, basis.digest())
     traces = np.random.default_rng(2).normal(size=q.shape) + 0j
+    oracle = DtnOracle(g, None, obs_mask=direction_mask(g, [1.0, 0.0], 0.3, sign=1),
+                       noise_delta=1e-3, noise_seed=4, noise_basis=basis,
+                       maps=[_GivenMap(traces)])
     tracemalloc.start()
     try:
-        oracle._difference(q, key, traces)
+        next(oracle.differences(None, [basis]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -162,19 +162,19 @@ def test_noise_sweep_transforms_its_truth_once_and_projects_each_question_once(m
     grid = build_grid(2, 9, 17, 1.0)
     truth = _sine(grid, 0.2)
     transforms, projected = [], []
-    torus_coefficients, project = norms.torus_coefficients, DtnBasis.project
+    extended_coefficients, project = norms._extended_coefficients, DtnBasis.project
     noise_modes = DtnBasis(grid).lateral_modes
 
-    def counting_transform(values, lengths):
-        transforms.append(values.shape)
-        return torus_coefficients(values, lengths)
+    def counting_transform(values, shape, *args):
+        transforms.append(tuple(shape))
+        return extended_coefficients(values, shape, *args)
 
     def counting_project(basis, f):
         if basis.lateral_modes == noise_modes:
             projected.append(np.asarray(f).tobytes())
         return project(basis, f)
 
-    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
+    monkeypatch.setattr(norms, "_extended_coefficients", counting_transform)
     monkeypatch.setattr(DtnBasis, "project", counting_project)
     cfg = ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
                                basis_j_max=2, basis_k_max=2)
@@ -377,13 +377,13 @@ def test_pair_sweep_transforms_each_run_of_one_truth_once(monkeypatch):
     a, b = _sine(grid, 0.2), _sine(grid, 0.1)
     truths = [a, Potential(grid, a.values.copy()), b, a]
     transforms = []
-    torus_coefficients = norms.torus_coefficients
+    extended_coefficients = norms._extended_coefficients
 
-    def counting_transform(values, lengths):
+    def counting_transform(values, shape, *args):
         transforms.append(values.tobytes())
-        return torus_coefficients(values, lengths)
+        return extended_coefficients(values, shape, *args)
 
-    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
+    monkeypatch.setattr(norms, "_extended_coefficients", counting_transform)
     stability_sweep(grid, None, ReconstructionConfig(rho=4.0, R=4.0),
                     ModulusParams("single_log", 0.15, 1), pair_truths=truths)
     # records of one truth in a row share its target; a truth met again later
@@ -534,6 +534,22 @@ def test_factor_solve_is_columnwise_bitwise(n, nx):
                               block[:, j])
 
 
+def _answers(m, questions, keys=None):
+    """Each (g, u0) question's traces as `DtnMap.answer` hands them over
+    level by level, collected into one block per question."""
+    keys = [None] * len(questions) if keys is None else keys
+    blocks = [np.empty(np.shape(g), dtype=np.complex128) for g, _ in questions]
+
+    def filling(out):
+        def consume(level, traces):
+            out[:, level] = traces
+        return consume
+
+    m.answer([(g, u, key) for (g, u), key in zip(questions, keys)],
+             lambda: [filling(out) for out in blocks])
+    return blocks
+
+
 @pytest.mark.parametrize("n,nx", [(2, 9), (1, 17)])
 def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
     # in 1-d the march multiplies through dense BLAS products, whose rounding
@@ -546,7 +562,7 @@ def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
     u1 = rng.standard_normal((3,) + grid.space_shape)
     for q in (_sine(grid, 0.3, varying=True), _sine(grid, 0.3)):
         m = DtnMap(grid, q)
-        stacked = list(m.stacked_traces([(g1, u1), (g2, None)]))
+        stacked = _answers(m, [(g1, u1), (g2, None)])
         assert np.array_equal(stacked[0], m.traces(g1, u1))
         assert np.array_equal(stacked[1], m.traces(g2))
 
@@ -564,7 +580,7 @@ def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
     u1 = rng.standard_normal((3,) + grid.space_shape)
     questions = [(g1, u1), (g2, None)]
     keys = [_digest(g, u) for g, u in questions]
-    for (g, u), answer in zip(questions, shared.stacked_traces(questions, keys)):
+    for (g, u), answer in zip(questions, _answers(shared, questions, keys)):
         assert np.array_equal(answer, private.traces(g, u))
     assert len(shared._answers) == 1
     for g, u in questions:

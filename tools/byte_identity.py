@@ -9,10 +9,10 @@ pair sweep, a 1-d noise sweep and a 2-d partial-data noise sweep along an
 oblique direction, whose truths differ from the reference, and that partial
 sweep without the hermitian inverse, from a level on the trivial branch),
 a small 2-d partial-data noisy reconstruct whose reference is its truth,
-four small nonlinearity recoveries with cubic truths (1-d, 2-d, 2-d with
-noise, and 2-d half-boundary data with noise), one 1-d cubic semilinear
-solve whose line search halves,
-one 2-d boundary-map matrix with initial modes, one 2-d forward solve, a
+the same kind of reconstruct at an explicit rho whose reference differs
+from its truth, four small nonlinearity recoveries with cubic truths (1-d,
+2-d, 2-d with noise, and 2-d half-boundary data with noise), one 1-d cubic
+semilinear solve whose line search halves, one 2-d boundary-map matrix with initial modes, one 2-d forward solve, a
 1-d pairing check, a 2-d weighted-inequality check along an oblique
 direction and a 2-d probe-decay check, through
 `cgolab.cli.run` once with BASE_TREE/src and once with HEAD_TREE/src
@@ -108,6 +108,17 @@ def cases() -> list:
         "potential": sine,
         "potential_ref": dict(sine),
         "reconstruct": {"mode": "partial", "rho": "auto", "base_direction": [0.6, 0.8],
+                        "basis_j_max": 2, "basis_k_max": 2},
+        "noise": {"delta": 1e-3, "seed": 5},
+    }))
+    # a noisy partial reconstruct whose private reference map differs from its
+    # truth: the reference's traces are masked and subtracted level by level
+    out.append(("recon2d-partial-ref", "reconstruct", {
+        "threads": 1,
+        "grid": {"n": 2, "nx": 13, "nt": 33, "T": 1.0},
+        "potential": {"family": "sine", "amplitude": 0.05, "space": [1, 2], "time": 0},
+        "potential_ref": {"family": "sine", "amplitude": 0.03, "space": [2, 1], "time": 0},
+        "reconstruct": {"mode": "partial", "rho": 4.0, "base_direction": [0.6, 0.8],
                         "basis_j_max": 2, "basis_k_max": 2},
         "noise": {"delta": 1e-3, "seed": 5},
     }))
