@@ -233,9 +233,6 @@ class ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls(raw)
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 

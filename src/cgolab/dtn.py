@@ -3,19 +3,21 @@
 The Dirichlet-to-Neumann action is a forward solve plus a normal-derivative
 trace.  Two layers answer every question put to a map.  A `DtnMap` is the
 noiseless map of one potential: k data columns march as one block through
-its `ThetaScheme`, which hands over the traces level by level.  A
+its `ThetaScheme`, and the map hands the traces, level by level or as a
+stored answer, to a plain list of consumers, one per question.  A
 `DtnOracle` holds the masks and the calibrated noise and asks maps:
 `DtnOracle.differences` is the column engine under every matrix assembly and
-pairing; it writes the noisy, masked measurement into one block and
-subtracts the masked reference traces from it as they come, so a
-difference holds one answer-sized block.  A sweep shares one map per
-distinct potential among its oracles, so each distinct question marches
-once, and one noise basis, which projects each distinct question once.  For
-operator-level work (norm estimation, calibrated noise) the map is
-discretized in an orthonormal boundary basis: per-face sine profiles in
-space tensored with Fourier modes in time, which the trapezoid quadrature
-keeps exactly orthonormal and which diagonalize the anisotropic Sobolev
-weights.  A basis holds its lateral modes as the rows of one dense
+pairing.  Its measuring consumer starts its block, the question's noise, on
+its first call and writes the noisy, masked measurement into it; the masked
+reference traces are subtracted from it as they come.  So a difference holds
+one answer-sized block, and a stored answer is formed before any block.  A
+sweep shares one map per distinct potential among its oracles, so each
+distinct question marches once, and one noise basis, which projects each
+distinct question once.  For operator-level work (norm estimation,
+calibrated noise) the map is discretized in an orthonormal boundary basis:
+per-face sine profiles in space tensored with Fourier modes in time, which
+the trapezoid quadrature keeps exactly orthonormal and which diagonalize the
+anisotropic Sobolev weights.  A basis holds its lateral modes as the rows of one dense
 matrix, so projection and synthesis are one matrix product each.  Matrices
 and fields serialize to one container: a JSON header line, complex64 bytes.
 """
@@ -184,13 +186,6 @@ class DtnBasis:
     def lateral_size(self) -> int:
         return len(self.lateral_modes)
 
-    def mode_data(self, i: int):
-        """(lateral BoundaryField, initial slice or None) of input mode i."""
-        initial = None
-        if i >= self.lateral_size:
-            initial = self._initial[i].astype(np.complex128)
-        return BoundaryField(self.grid, self._lateral[i]), initial
-
     def inputs(self):
         """Every input mode as a column of one block: (lateral data
         (size, nt, nb), initial slices (size, *space_shape) or None), both
@@ -207,23 +202,17 @@ class DtnBasis:
     def project(self, f):
         """Coefficients of the lateral modes (orthonormal, so inner products):
         (modes,) of a BoundaryField, or (k, modes) of a (k, nt, nb) block.
-        f is left as it is: the weights go to a copy."""
+        f is left as it is: `_project_block` works on a copy."""
         single = isinstance(f, BoundaryField)
-        values = np.asarray(f.values if single else f)
-        coeffs = self._coefficients(values.reshape(-1, self._weights.size) * self._weights)
+        values = np.asarray(f.values[None] if single else f)
+        coeffs = self._project_block(values.astype(np.result_type(values, self._weights)))
         return coeffs[0] if single else coeffs
 
     def _project_block(self, block) -> np.ndarray:
         """`project` of a (k, nt, nb) block that is not kept: the block is
-        weighted and conjugated in place, by the operations `project` runs
-        on its copy."""
+        weighted and conjugated in place."""
         flat = np.asarray(block).reshape(len(block), -1)
         flat *= self._weights
-        return self._coefficients(flat)
-
-    def _coefficients(self, flat) -> np.ndarray:
-        """(k, modes) coefficients of weighted data flat (k, nt*nb), which is
-        overwritten."""
         # conj(conj(w f) M^T) is the conjugated product without a conjugated
         # copy of M; the weighted data is conjugated in place
         coeffs = np.conjugate(flat, out=flat) @ self._modes.T
@@ -475,22 +464,6 @@ class DtnMap:
     def keeps_answers(self) -> bool:
         return self._answers is not None
 
-    def traces(self, g, u0=None, key: str | None = None) -> np.ndarray:
-        """Neumann traces (k, nt, nb) of data columns g (k, nt, nb) and
-        initial slices u0 (k, *space_shape) or None.  key is the question's
-        digest, `_digest(g, u0)`, where the caller has it already.  A map
-        that keeps its answers returns the stored answer itself, which is
-        read-only; a private map returns a new array the caller owns."""
-        if self._answers is None:
-            return self.scheme.neumann_traces(g, u0)
-        if key is None:
-            key = _digest(g, u0)
-        if key not in self._answers:
-            answer = self.scheme.neumann_traces(g, u0)
-            answer.flags.writeable = False
-            self._answers[key] = answer
-        return self._answers[key]
-
     def stacks(self, count: int) -> bool:
         """Whether `answer` marches `count` questions as one stacked block.
         A time-varying scheme factors every step of every march, so where
@@ -501,17 +474,18 @@ class DtnMap:
         return count > 1 and not scheme.time_invariant and scheme.columns_independent
 
     def answer(self, questions, consumers) -> None:
-        """Hand each (g, u0, key) question's traces to its consumer, read-only
-        and valid during the call only: consume(levels, traces) gets the
-        traces at some time levels, (k, nb) at one level or (k, L, nb) at a
-        slice of them.  key is the question's digest or None.  `consumers`
-        is called, with no arguments, for the list of consumers once the
-        map is about to hand over: a private map then hands over each level
-        of its march in turn; a map that keeps its answers first forms the
-        answers it lacks, then hands over each at once, as the slice of
-        every level.  Where the map `stacks` the questions, they march as
-        one block, whose key comes from its parts' digests so no block is
-        hashed twice, and each level is split among the consumers."""
+        """Hand each (g, u0, key) question's traces to its consumer in the
+        list `consumers`, read-only and valid during the call only:
+        consume(levels, traces) gets the traces at some time levels, (k, nb)
+        at one level or (k, L, nb) at a slice of them.  key is the digest
+        `_digest(g, u0)` of the question, or None.  A private map hands over
+        each level of its march in turn.  A map that keeps its answers first
+        forms every stored answer it lacks, read-only and keyed by the
+        digest, then hands over each at once, as the slice of every level;
+        so no consumer is called before the last stored answer is formed.
+        Where the map `stacks` the questions, they march as one block, whose
+        key comes from its parts' digests so no block is hashed twice, and
+        each level is split among the consumers."""
         if self.stacks(len(questions)):
             g = np.concatenate([g for g, _, _ in questions])
             u0 = None
@@ -522,31 +496,28 @@ class DtnMap:
                 ])
             keys = [key for _, _, key in questions]
             key = None if None in keys else hashlib.sha256("".join(keys).encode()).hexdigest()
-            consumers = _split(consumers, np.cumsum([0] + [len(gi) for gi, _, _ in questions]))
-            questions = [(g, u0, key)]
+            bounds = np.cumsum([0] + [len(gi) for gi, _, _ in questions])
+            parts = list(zip(consumers, bounds[:-1], bounds[1:]))
+
+            def split(levels, traces):
+                for consume, start, stop in parts:
+                    consume(levels, traces[start:stop])
+
+            consumers, questions = [split], [(g, u0, key)]
         if self._answers is None:
-            for (g, u0, _), consume in zip(questions, consumers()):
+            for (g, u0, _), consume in zip(questions, consumers):
                 self.scheme.trace_levels(g, u0, consume)
             return
-        answers = [self.traces(g, u0, key) for g, u0, key in questions]
-        for answer, consume in zip(answers, consumers()):
-            consume(slice(None), answer)
-
-
-def _split(consumers, bounds):
-    """`DtnMap.answer`'s consumers of a stacked question: one consumer that
-    hands the columns from bounds[i] to bounds[i + 1] to the i-th of
-    `consumers()`."""
-    def stacked():
-        parts = list(zip(consumers(), bounds[:-1], bounds[1:]))
-
-        def split(levels, traces):
-            for consume, start, stop in parts:
-                consume(levels, traces[start:stop])
-
-        return [split]
-
-    return stacked
+        keys = []
+        for g, u0, key in questions:
+            key = _digest(g, u0) if key is None else key
+            if key not in self._answers:
+                answer = self.scheme.neumann_traces(g, u0)
+                answer.flags.writeable = False
+                self._answers[key] = answer
+            keys.append(key)
+        for key, consume in zip(keys, consumers):
+            consume(slice(None), self._answers[key])
 
 
 class DtnOracle:
@@ -624,79 +595,13 @@ class DtnOracle:
             return None
         return np.tile(self.obs_mask.values.astype(np.complex128), (self.grid.nt, 1))
 
-    def _measuring(self, asked, blocks: list, mask, same: bool = False):
-        """`DtnMap.answer`'s consumers of the asked (g, u0, key) questions'
-        measurements: called, it starts each question's block, a fresh noise
-        block or an empty one without noise, appends it to `blocks` and
-        returns its `_measure` consumer.  A map that keeps its answers calls
-        it once they are formed, so a stored answer's march never holds a
-        block beside it."""
-        def consumers():
-            for g, _, key in asked:
-                if self._noise_matrix is None:
-                    blocks.append(np.empty(g.shape, dtype=np.complex128))
-                else:
-                    coeffs = self._noise_basis.projection(g, key) @ self._noise_matrix.T
-                    blocks.append(self._noise_basis.synthesize(coeffs))
-            return [self._measure(out, mask, same) for out in blocks]
-
-        return consumers
-
-    def _measure(self, out: np.ndarray, mask, same: bool = False):
-        """consume(levels, traces) that writes the measurement at those levels
-        into out: the traces are added to the noise block already there and
-        the sum is masked, or without noise the masked traces are written.
-        With `same`, the traces are also the reference's, and `_subtract`
-        takes them off again."""
-        noisy = self._noise_matrix is not None
-        subtract = self._subtract(out, mask) if same else None
-
-        def consume(levels, traces):
-            rows = out[:, levels]
-            if noisy:
-                rows += traces
-                if mask is not None:
-                    rows *= mask[levels]
-            elif mask is None:
-                rows[...] = traces
-            else:
-                np.multiply(traces, mask[levels], out=rows)
-            if subtract is not None:
-                subtract(levels, traces)
-
-        return consume
-
-    def _subtract(self, out: np.ndarray, mask):
-        """consume(levels, traces) that subtracts the observed reference
-        traces at those levels from out.  The masked traces are formed a few
-        columns at a time, in one scratch array of at most _SCRATCH_BYTES (or
-        one column), so no reference block is formed."""
-        scratch = None
-
-        def consume(levels, traces):
-            nonlocal scratch
-            rows = out[:, levels]
-            if mask is None:
-                rows -= traces
-                return
-            weight = mask[levels]
-            if scratch is None:
-                column = traces.itemsize * math.prod(traces.shape[1:])
-                step = max(1, min(_SCRATCH_BYTES // column, len(traces)))
-                scratch = np.empty((step,) + traces.shape[1:], dtype=np.complex128)
-            for start in range(0, len(traces), len(scratch)):
-                part = traces[start:start + len(scratch)]
-                rows[start:start + len(part)] -= np.multiply(part, weight,
-                                                             out=scratch[:len(part)])
-
-        return consume
-
     def apply_many(self, g, u0=None) -> np.ndarray:
         """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
         initial slices u0 (k, *space_shape) or None, in a new array."""
-        asked, blocks = [self._question((g, u0), self.map.keeps_answers)], []
-        self.map.answer(asked, self._measuring(asked, blocks, self._mask()))
-        return blocks[0]
+        question = self._question((g, u0), self.map.keeps_answers)
+        measure = _Measurement(self, question, self._mask())
+        self.map.answer([question], [measure])
+        return measure.block
 
     def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
         u0 = None if u0 is None else np.asarray(u0)[None]
@@ -711,12 +616,13 @@ class DtnOracle:
 
         Each question is asked alone, and dropped before its difference is
         handed over, unless a map `stacks` the questions: then all of them
-        are asked at once.  The truth's map writes the measurement into the
-        difference block level by level (`_measure`), and the reference's
-        map hands over its traces level by level too, which are masked and
-        subtracted as they come (`_subtract`), so no reference block is
-        formed or copied.  When the reference is the truth, one march serves
-        both sides.  Each question is hashed at most once (a basis's only
+        are asked at once.  The truth's map hands its traces to one
+        `_Measurement` per question, which starts the difference block on
+        its first call and writes the measurement into it, and the
+        reference's map hands over its traces level by level too, which are
+        masked and subtracted as they come (`_subtracting`), so no reference
+        block is formed or copied.  When the reference is the truth, one
+        march serves both sides.  Each question is hashed at most once (a basis's only
         once in its life), and only where a map asked keeps its answers; its
         digest keys both the stored answers of the maps and the noise basis's
         projections."""
@@ -730,13 +636,12 @@ class DtnOracle:
         while pending:
             count = len(pending) if any(m.stacks(len(pending)) for m in maps) else 1
             asked = [self._question(pending.pop(), keyed) for _ in range(count)]
-            blocks = []
-            self.map.answer(asked, self._measuring(asked, blocks, mask, same))
+            measures = [_Measurement(self, question, mask, same) for question in asked]
+            self.map.answer(asked, measures)
             if not same:
-                reference_map.answer(asked, lambda: [self._subtract(out, mask)
-                                                     for out in blocks])
-            del asked
-            blocks.reverse()
+                reference_map.answer(asked, [_subtracting(m.block, mask) for m in measures])
+            blocks = [m.block for m in reversed(measures)]
+            del asked, measures
             while blocks:
                 yield blocks.pop()
 
@@ -746,6 +651,76 @@ class DtnOracle:
         the lateral integral of [(map_q - map_ref) g] * h."""
         diff = next(self.differences(q_ref, [(g.values[None], None)]))
         return complex(pairings(self.grid, diff, h.values[None])[0, 0])
+
+
+class _Measurement:
+    """A consumer, consume(levels, traces), that writes the measurement of
+    one (g, u0, key) question of an oracle at those levels into its `block`:
+    the traces are added to the noise block already there and the sum is
+    masked, or without noise the masked traces are written.  The first call
+    starts the block, the question's noise synthesized then or an empty
+    block without noise; a map that keeps its answers forms them all before
+    it calls a consumer, so the march of a stored answer never holds a block
+    beside it.  With `same`, the traces are also the reference's, and
+    `_subtracting` takes them off again."""
+
+    def __init__(self, oracle: DtnOracle, question, mask, same: bool = False):
+        self._oracle = oracle
+        self._g, _, self._key = question
+        self._mask = mask
+        self._same = same
+        self.block = self._subtract = None
+
+    def _start(self) -> None:
+        oracle = self._oracle
+        if oracle._noise_matrix is None:
+            self.block = np.empty(self._g.shape, dtype=np.complex128)
+        else:
+            coeffs = oracle._noise_basis.projection(self._g, self._key) @ oracle._noise_matrix.T
+            self.block = oracle._noise_basis.synthesize(coeffs)
+        if self._same:
+            self._subtract = _subtracting(self.block, self._mask)
+
+    def __call__(self, levels, traces) -> None:
+        if self.block is None:
+            self._start()
+        rows, mask = self.block[:, levels], self._mask
+        if self._oracle._noise_matrix is not None:
+            rows += traces
+            if mask is not None:
+                rows *= mask[levels]
+        elif mask is None:
+            rows[...] = traces
+        else:
+            np.multiply(traces, mask[levels], out=rows)
+        if self._subtract is not None:
+            self._subtract(levels, traces)
+
+
+def _subtracting(out: np.ndarray, mask):
+    """consume(levels, traces) that subtracts the observed reference
+    traces at those levels from out.  The masked traces are formed a few
+    columns at a time, in one scratch array of at most _SCRATCH_BYTES (or
+    one column), so no reference block is formed."""
+    scratch = None
+
+    def consume(levels, traces):
+        nonlocal scratch
+        rows = out[:, levels]
+        if mask is None:
+            rows -= traces
+            return
+        weight = mask[levels]
+        if scratch is None:
+            column = traces.itemsize * math.prod(traces.shape[1:])
+            step = max(1, min(_SCRATCH_BYTES // column, len(traces)))
+            scratch = np.empty((step,) + traces.shape[1:], dtype=np.complex128)
+        for start in range(0, len(traces), len(scratch)):
+            part = traces[start:start + len(scratch)]
+            rows[start:start + len(part)] -= np.multiply(part, weight,
+                                                         out=scratch[:len(part)])
+
+    return consume
 
 
 def shared_maps(grid: Grid, potentials, theta: float = 0.5) -> list:

@@ -242,11 +242,6 @@ class DirectionMask:
     def complement(self) -> "DirectionMask":
         return DirectionMask(self.grid, ~self.values)
 
-    def union(self, other: "DirectionMask") -> "DirectionMask":
-        if other.grid is not self.grid and not self.grid.same_layout(other.grid):
-            raise ValueError("masks live on different grids")
-        return DirectionMask(self.grid, self.values | other.values)
-
 
 def unit_direction(omega, n: int) -> np.ndarray:
     """omega as a float vector, checked to have shape (n,) and unit norm; the

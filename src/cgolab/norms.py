@@ -239,7 +239,7 @@ def _corner(shape) -> tuple:
     return tuple(slice(0, s) for s in shape)
 
 
-def torus_coefficients(values: np.ndarray, lengths, at=None) -> np.ndarray:
+def torus_coefficients(values: np.ndarray, lengths, at=None, shape=None) -> np.ndarray:
     """Normalized Fourier coefficients (2pi)^{-d/2} * integral p e^{-i zeta.z}.
 
     The integral is the left-endpoint Riemann sum, which makes Parseval exact
@@ -248,6 +248,11 @@ def torus_coefficients(values: np.ndarray, lengths, at=None) -> np.ndarray:
     but the lines holding only zero bits (all of a zero field) are
     transformed once per axis and the result is copied to the others.
 
+    With `shape`, the lattice is that larger shape and the values fill its
+    leading corner, zeros elsewhere, as `zero_extend` writes cylinder values
+    into the padded box: the coefficients are bitwise those of the
+    zero-extended array, which is never formed.
+
     With `at`, an index tuple of integer arrays (one per axis, as np.nonzero
     returns), only the coefficients at those nodes are returned, as a 1-d
     array: after each axis only the indices some node reaches are kept, so
@@ -255,13 +260,7 @@ def torus_coefficients(values: np.ndarray, lengths, at=None) -> np.ndarray:
     transform.
     """
     values = np.asarray(values)
-    return _extended_coefficients(values, values.shape, lengths, at)
-
-
-def _extended_coefficients(values: np.ndarray, shape, lengths, at=None) -> np.ndarray:
-    """`torus_coefficients` of the values zero-extended to the lattice
-    `shape`, bitwise, without forming the zero-extended array."""
-    shape = tuple(shape)
+    shape = values.shape if shape is None else tuple(shape)
     cell = np.prod([L / npts for npts, L in zip(shape, lengths)])
     if at is None:
         coeffs = _lattice_transform(values, np.fft.fft, _corner(shape), shape)
@@ -330,9 +329,8 @@ class Hminus1Target:
     """Order -1 distances from one cylinder field to lattice coefficients.
 
     The field's zero-extension is transformed once, from the cylinder values
-    (`_lattice_transform` with the padded shape), so the padded array is
-    never formed; the transform is bitwise `torus_coefficients` of
-    `zero_extend`.  The target keeps the transform and, in place of the
+    (`torus_coefficients` with the padded shape), so the padded array is
+    never formed.  The target keeps the transform and, in place of the
     lattice's order -1 weight, each entry's term of the weighted sum against
     a zero coefficient, weight * |transform|^2, formed in place.
     A distance recomputes only the entries at the positions it is given,
@@ -347,7 +345,7 @@ class Hminus1Target:
         if values.shape != grid.field_shape:
             raise ValueError("values do not match the grid")
         self.lengths = box_lengths(grid)
-        self.transform = _extended_coefficients(values, padded_shape(grid), self.lengths)
+        self.transform = torus_coefficients(values, self.lengths, shape=padded_shape(grid))
         terms = np.abs(self.transform)
         terms **= 2
         terms *= _weight_sq(self.transform.shape, self.lengths, -1.0)

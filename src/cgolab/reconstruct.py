@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .norms import (
     fit_modulus_constant,
     padded_shape,
     torus_coefficients,
-    zero_extend,
 )
 
 __all__ = [
@@ -133,12 +133,6 @@ class FrequencyGrid:
 
     def canonical_nodes(self):
         return [nd for nd in self.nodes if nd.canonical]
-
-    def node_at(self, index) -> FrequencyNode:
-        for nd in self.nodes:
-            if nd.index == tuple(index):
-                return nd
-        raise KeyError(f"no node at lattice index {index}")
 
     def to_coefficients(self, hermitian: bool = True):
         """(values, positions): the canonical values, their conjugate mirrors
@@ -326,15 +320,16 @@ def _slice_values(oracle: DtnOracle, q_ref: Potential | None, nodes, rho: float,
 
 def exact_slice_values(grid: Grid, p_values: np.ndarray, freq: FrequencyGrid) -> None:
     """Fill feasible nodes with the exact lattice transform of p (bypassing
-    the measurement maps entirely); infeasible nodes get zero.  Only the
-    lattice lines that lead to a feasible node are transformed, so the
-    values are bitwise the full transform's at the nodes."""
+    the measurement maps entirely); infeasible nodes get zero.  The values
+    are transformed from the cylinder, and only the lattice lines that lead
+    to a feasible node, so they are bitwise the full transform's of the
+    zero-extended values at the nodes."""
     feasible = [nd for nd in freq.nodes if nd.feasible]
     for nd in freq.nodes:
         nd.value = 0.0
     if feasible:
         at = tuple(np.array([nd.index for nd in feasible], dtype=np.intp).T)
-        coeffs = torus_coefficients(zero_extend(grid, p_values), box_lengths(grid), at)
+        coeffs = torus_coefficients(p_values, box_lengths(grid), at, padded_shape(grid))
         for nd, value in zip(feasible, coeffs):
             nd.value = complex(value)
 
@@ -478,15 +473,18 @@ class ReconstructionResult:
         return self._inverse[1]
 
 
-def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig):
+def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig,
+                       initial_modes: int = 0):
+    """(in, out) bases of cfg's sizes on the faces within the oracle's
+    support and observation masks; the input basis carries `initial_modes`."""
     faces_in = None
     faces_out = None
     if oracle.support_mask is not None:
         faces_in = faces_within(grid, oracle.support_mask)
     if oracle.obs_mask is not None:
         faces_out = faces_within(grid, oracle.obs_mask)
-    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_in)
-    if faces_out == faces_in:
+    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_in, initial_modes)
+    if faces_out == faces_in and not initial_modes:
         return basis_in, basis_in
     return basis_in, DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_out)
 
@@ -606,8 +604,12 @@ class StabilityRecord:
 
 
 def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0):
-    """`_estimate`'s result for each run (truth, reference, noise level), in
-    turn; a run's oracle is made when the run is reached.
+    """(oracle, `_estimate`'s result) for each run (truth, reference, noise
+    level), in turn; a run's oracle is made when the run is reached, and a
+    caller may ask it more questions before it takes the next run.  A caller
+    that keeps an oracle while it takes the next run keeps its noise matrix
+    alive through that run.  This is the one place where the maps of a loop
+    of runs are made.
 
     The runs share one noiseless map per distinct potential, which keeps its
     answers where several runs ask it, so each distinct question marches
@@ -625,7 +627,7 @@ def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int
                                     noise_basis, maps)
         if bases is None and cfg.measure_delta:
             bases = _measurement_bases(grid, oracle, cfg)
-        yield _estimate(oracle, q_ref, cfg, bases)
+        yield oracle, _estimate(oracle, q_ref, cfg, bases)
 
 
 def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConfig,
@@ -654,7 +656,9 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
         runs = [(noise_truth, q_ref, lvl) for lvl in levels]
 
-    results = list(reconstructions(grid, runs, cfg, noise_seed))
+    # map holds no run's oracle while the next run is measured, as a loop
+    # variable would
+    results = list(map(itemgetter(1), reconstructions(grid, runs, cfg, noise_seed)))
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
     target = target_truth = None
@@ -706,9 +710,9 @@ def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
     ):
         raise ConfigError("frequency is not on the padded lattice")
     p = q.values - (0.0 if q_ref is None else q_ref.values)
-    coeffs = torus_coefficients(zero_extend(grid, p), box_lengths(grid))
-    index = tuple(j % m for j, m in zip([jt] + jx, padded_shape(grid)))
-    target = complex(coeffs[index])
+    shape = padded_shape(grid)
+    index = tuple(np.array([j % m]) for j, m in zip([jt] + jx, shape))
+    target = complex(torus_coefficients(p, box_lengths(grid), index, shape)[0])
 
     omega = choose_direction(xi)
     if omega is None:

@@ -12,9 +12,12 @@ a(0) = 0 rebuilds a itself on the probed range.
 
 from __future__ import annotations
 
+import dataclasses
+from operator import itemgetter
+
 import numpy as np
 
-from .dtn import DtnBasis, DtnOracle, assemble_difference_matrix, operator_norm, shared_maps
+from .dtn import assemble_difference_matrix, operator_norm
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear_many
@@ -22,10 +25,10 @@ from .grid import Grid
 from .norms import ModulusParams, fit_modulus_constant
 from .reconstruct import (
     ReconstructionConfig,
+    _measurement_bases,
     build_frequency_grid,
     exact_slice_values,
     invert_cutoff,
-    reconstruct,
     reconstructions,
 )
 
@@ -315,7 +318,9 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
             for p_true, p_ref in zip(potentials[:len(levels)], potentials[len(levels):])]
     rows = []
     gain = None
-    for s, res in zip(levels, reconstructions(grid, runs, cfg, data.noise_seed)):
+    # map holds no level's oracle while the next level is measured
+    estimates = map(itemgetter(1), reconstructions(grid, runs, cfg, data.noise_seed))
+    for s, res in zip(levels, estimates):
         if res.trivial:
             raw, d_prime = 0.0, 0.0
         else:
@@ -379,24 +384,26 @@ def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
     Its weighted-basis operator norm stands in for a quotient norm that has
     no computable form; every report carries the weighted_surrogate flag to
     make the substitution explicit.  Solves and maps run at cfg.theta and the
-    bases take cfg's sizes.  The members' oracles carry no masks, in partial
-    mode too, and share one map of the reference, which marches each question
-    once.
+    bases take cfg's sizes.  Each member is a run (p_true, p_ref, 0.0) of
+    `reconstruct.reconstructions`, whose oracle carries cfg's masks and is
+    asked the extended question, on the faces within the masks, beside its
+    estimate.  The records read no measured distance of the estimate, so at
+    an explicit rho none is measured.
     """
     if len(family) < 2:
         raise ConfigError("degenerate sweep: need at least 2 family members")
     # the reference's level and every member's level form one Newton block
     p_ref, *p_trues = _level_potentials(
         grid, [(a, level) for a in [a_ref, *family]], cfg.theta)
-    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, initial_modes=initial_modes)
-    basis_out = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max)
-    maps = shared_maps(grid, [p_ref] * len(p_trues), cfg.theta)
+    if cfg.rho != "auto":
+        cfg = dataclasses.replace(cfg, measure_delta=False)
+    bases = None
     records = []
-    for p_true in p_trues:
-        oracle = DtnOracle(grid, p_true, theta=cfg.theta, maps=maps)
-        diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
-        delta = operator_norm(diff)
-        res = reconstruct(oracle, p_ref, cfg)
+    runs = [(p_true, p_ref, 0.0) for p_true in p_trues]
+    for p_true, (oracle, res) in zip(p_trues, reconstructions(grid, runs, cfg)):
+        if bases is None:
+            bases = _measurement_bases(grid, oracle, cfg, initial_modes)
+        delta = operator_norm(assemble_difference_matrix(oracle, p_ref, *bases))
         err = float(np.abs(res.estimate.values.real
                            - (p_true.values - p_ref.values)).max())
         records.append({"delta": delta, "err": err, "rho": res.rho, "R": res.R})

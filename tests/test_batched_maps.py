@@ -55,12 +55,14 @@ def _column_difference(oracle, q, q_ref, basis_in, basis_out):
     noise_modes = None
     if oracle._noise_matrix is not None:
         nb = oracle._noise_basis
-        noise_modes = [nb.mode_data(j)[0].values for j in range(nb.lateral_size)]
-    out_modes = [basis_out.mode_data(j)[0].values for j in range(basis_out.lateral_size)]
+        noise_modes = nb.inputs()[0][:nb.lateral_size]
+    out_modes = basis_out.inputs()[0][:basis_out.lateral_size]
     mask = 1.0 if oracle.obs_mask is None else oracle.obs_mask.values
     diff_cols, meas_cols = [], []
+    lateral, initial = basis_in.inputs()
     for i in range(basis_in.size):
-        g, u0 = basis_in.mode_data(i)
+        g = BoundaryField(grid, lateral[i])
+        u0 = None if initial is None or i < basis_in.lateral_size else initial[i] + 0j
         measured = _column_trace(grid, q, g, u0, theta)
         if noise_modes is not None:
             coeffs = oracle._noise_matrix @ [_inner(grid, g.values, m) for m in noise_modes]

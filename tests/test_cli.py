@@ -34,7 +34,7 @@ def test_defaults_fill_and_round_trip():
     assert cfg["grid"]["nx"] == 33
     assert cfg["reconstruct"]["rho"] == "auto"
     assert cfg["noise"]["seed"] is None
-    clone = ExperimentConfig(cfg.to_dict())
+    clone = ExperimentConfig(json.loads(cfg.to_json()))
     assert clone.to_json() == cfg.to_json()
 
 

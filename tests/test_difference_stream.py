@@ -24,7 +24,6 @@ from cgolab import Potential, SolverError, build_grid, direction_mask
 from cgolab import cli
 from cgolab.dtn import (
     DtnBasis,
-    DtnMap,
     DtnOracle,
     assemble_difference_matrix,
     faces_within,
@@ -37,6 +36,7 @@ from cgolab.norms import (
     Hminus1Target,
     box_lengths,
     lattice_frequencies,
+    padded_shape,
     torus_coefficients,
     zero_extend,
 )
@@ -275,7 +275,7 @@ def test_stored_answers_stay_read_only_and_unchanged_through_differences():
     for m, q in zip(maps, (truth, ref)):
         (answer,) = m._answers.values()
         assert not answer.flags.writeable
-        assert answer.tobytes() == DtnMap(grid, q).traces(g).tobytes()
+        assert answer.tobytes() == ThetaScheme(grid, q).neumann_traces(g).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             answer[0, 0, 0] = 0.0
 
@@ -303,6 +303,12 @@ def test_error_target_from_cylinder_values_is_the_zero_extended_construction_bit
     lengths = box_lengths(grid)
     transform = torus_coefficients(zero_extend(grid, values), lengths)
     assert target.transform.tobytes() == transform.tobytes()
+    # the transform from the cylinder values, whole or at a few nodes
+    shape = padded_shape(grid)
+    assert torus_coefficients(values, lengths, shape=shape).tobytes() == transform.tobytes()
+    at = tuple(rng.integers(0, m, 5) for m in shape)
+    assert torus_coefficients(values, lengths, at, shape).tobytes() == torus_coefficients(
+        zero_extend(grid, values), lengths, at).tobytes()
     zeta_sq = sum(f**2 for f in lattice_frequencies(transform.shape, lengths))
     terms = (1.0 + zeta_sq) ** -1.0 * np.abs(transform) ** 2
     assert target._terms.tobytes() == terms.tobytes()
@@ -332,17 +338,27 @@ def test_two_dimensional_pairing_gap_falls_under_refinement(tmp_path):
     assert fine == pytest.approx(0.1678, rel=0.03)
 
 
-def test_a_stored_answer_is_formed_before_the_blocks_it_is_read_into():
-    # a map that keeps its answers marches before it asks for its consumers,
-    # so the march never holds the measurement block beside the answer
+def test_a_stored_answer_is_formed_before_the_blocks_it_is_read_into(monkeypatch):
+    # a map that keeps its answers marches before it hands any over, and a
+    # measurement starts its block (here the question's noise) when it is
+    # first handed traces, so the march never holds a block beside the answer
     grid = build_grid(2, 9, 13, 1.0)
-    (shared,) = shared_maps(grid, [_sine(grid, 0.3)] * 2)
-    g = DtnBasis(grid, 2, 2).inputs()[0]
-    stored = []
+    q = _sine(grid, 0.3)
+    maps = shared_maps(grid, [q, q])
+    basis = DtnBasis(grid, 2, 2)
+    events = []
+    neumann_traces, synthesize = ThetaScheme.neumann_traces, DtnBasis.synthesize
 
-    def consumers():
-        stored.append(len(shared._answers))
-        return [lambda levels, traces: None]
+    def marching(scheme, *args):
+        events.append("march")
+        return neumann_traces(scheme, *args)
 
-    shared.answer([(g, None, "question")], consumers)
-    assert stored == [1]
+    def synthesizing(basis, *args):
+        events.append("block")
+        return synthesize(basis, *args)
+
+    monkeypatch.setattr(ThetaScheme, "neumann_traces", marching)
+    monkeypatch.setattr(DtnBasis, "synthesize", synthesizing)
+    oracle = DtnOracle(grid, q, noise_delta=1e-3, noise_basis=DtnBasis(grid), maps=maps)
+    next(oracle.differences(None, [basis]))
+    assert events == ["march", "block"]

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cgolab import (
     BoundaryField,
     ConfigError,
+    DirectionMask,
     Potential,
     ScalarField,
     build_grid,
@@ -58,10 +60,10 @@ def test_lateral_basis_is_orthonormal():
     basis = DtnBasis(g, j_max=2, k_max=1)
     assert basis.lateral_size == 4 * 2 * 3
     gram = np.empty((basis.lateral_size, basis.lateral_size), dtype=np.complex128)
+    lateral, init = basis.inputs()
+    assert init is None
     for i in range(basis.lateral_size):
-        f, init = basis.mode_data(i)
-        assert init is None
-        gram[:, i] = basis.project(f)
+        gram[:, i] = basis.project(BoundaryField(g, lateral[i]))
     assert np.abs(gram - np.eye(basis.lateral_size)).max() < 1e-12
 
 
@@ -81,8 +83,8 @@ def test_initial_modes_extend_the_input_side():
     g = build_grid(2, 17, 17, 1.0)
     basis = DtnBasis(g, j_max=1, k_max=0, initial_modes=2)
     assert basis.size == basis.lateral_size + 2
-    lateral, init = basis.mode_data(basis.lateral_size)
-    assert np.all(lateral.values == 0)
+    lateral, init = (block[basis.lateral_size] for block in basis.inputs())
+    assert np.all(lateral == 0)
     # first initial mode is the (1,1) sine product with unit L2 norm
     X, Y = g.space_coordinates()
     expected = 2.0 * np.sin(np.pi * X) * np.sin(np.pi * Y)
@@ -136,7 +138,8 @@ def test_faces_within_direction_mask():
     g = build_grid(2, 17, 33, 1.0)
     plus_x = direction_mask(g, [1.0, 0.0], 0.25, sign=1)
     assert faces_within(g, plus_x) == [1]
-    everything = plus_x.union(plus_x.complement())
+    everything = DirectionMask(g, plus_x.values | plus_x.complement().values)
+    assert everything.values.all()
     assert faces_within(g, everything) == [0, 1, 2, 3]
 
 
@@ -445,13 +448,10 @@ def test_a_lateral_only_basis_has_no_initial_block():
     assert initial is None and basis._initial is None
     assert lateral.shape == (basis.size, g.nt, g.n_boundary) and not lateral.flags.writeable
     assert basis.digest() == _digest(lateral, None)
-    assert basis.mode_data(basis.size - 1)[1] is None
     extended = DtnBasis(g, 2, 2, initial_modes=2)
     _, initial = extended.inputs()
     assert initial.shape == (extended.size,) + g.space_shape and not initial.flags.writeable
     assert not np.any(initial[:extended.lateral_size])
-    assert np.array_equal(extended.mode_data(extended.size - 1)[1],
-                          initial[-1].astype(np.complex128))
 
 
 # trace entries: zeros of either sign beside ordinary values
@@ -467,8 +467,8 @@ def _same_reference_problems(draw):
     rows = draw(st.lists(st.integers(0, basis.size - 1), min_size=1, max_size=3))
     q = basis.inputs()[0][rows] if draw(st.booleans()) else np.zeros(
         (len(rows), g.nt, g.n_boundary), dtype=np.complex128)
-    parts = draw(st.lists(_TRACE_PARTS, min_size=2 * q.size, max_size=2 * q.size))
-    traces = np.array(parts).view(np.complex128).reshape(q.shape)
+    traces = draw(arrays(np.float64, 2 * q.size, elements=_TRACE_PARTS))
+    traces = traces.view(np.complex128).reshape(q.shape)
     obs = direction_mask(g, [1.0] + [0.0] * (n - 1), 0.3, sign=1) if draw(st.booleans()) \
         else None
     delta = draw(st.sampled_from([0.0, 1e-3, 0.5]))
@@ -492,34 +492,43 @@ class _GivenMap:
         return False
 
     def answer(self, questions, consumers):
-        for consume in consumers():
+        for consume in consumers:
             for level in range(self._traces.shape[1]):
                 consume(level, self._traces[:, level])
 
 
+def _signed_zero_problem(delta, masked):
+    """A 1-d problem whose traces mix +0.0, -0.0 and ordinary values."""
+    g = build_grid(1, 7, 5, 1.0)
+    basis = DtnBasis(g)
+    q = basis.inputs()[0][[0, 1]]
+    parts = np.resize([0.0, -0.0, 1.5, -0.0, -2.25, 0.0, -0.0], 2 * q.size)
+    obs = direction_mask(g, [1.0], 0.3, sign=1) if masked else None
+    return g, basis, q, parts.view(np.complex128).reshape(q.shape), obs, delta
+
+
 @settings(max_examples=80, deadline=None)
 @given(_same_reference_problems())
+@example(_signed_zero_problem(0.0, False))
+@example(_signed_zero_problem(1e-3, True))
 def test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise(problem):
     # the noise is synthesized first and the traces are added to it; the
-    # result is (M + S) w - M w with M added first, bit for bit
+    # result is (M + S) w - M w with M added first, bit for bit.  Without a
+    # mask nothing multiplies: a complex product by 1.0 can flip a zero's
+    # sign, so it is no identity here
     g, basis, q, traces, obs, delta = problem
     oracle = DtnOracle(g, None, obs_mask=obs, noise_delta=delta, noise_seed=4,
                        noise_basis=basis, maps=[_GivenMap(traces)])
-    w = 1.0 if obs is None else obs.values
-    want = traces.copy()
-    if delta:
-        want += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
-    want = want * w
-    want -= traces * w
-    got = next(oracle.differences(None, [(q, None)]))
-    assert got.tobytes() == want.tobytes()
-    # every other measurement takes the same path: (M + S) w, M added first,
-    # and no mask leaves it unmultiplied
     measured = traces.copy()
     if delta:
         measured += basis.synthesize(basis.project(q) @ basis.noise(delta, 4).T)
+    observed = traces
     if obs is not None:
-        measured *= w
+        measured *= obs.values
+        observed = traces * obs.values
+    got = next(oracle.differences(None, [(q, None)]))
+    assert got.tobytes() == (measured - observed).tobytes()
+    # every other measurement takes the same path: (M + S) w, M added first
     assert oracle.apply_many(q).tobytes() == measured.tobytes()
 
 

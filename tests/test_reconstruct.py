@@ -98,11 +98,12 @@ def test_frequency_grid_counts_and_mirrors():
     # |zeta| <= 5 on the lattice: the origin plus 18 signed unit nodes
     assert len(freq.nodes) == 19
     assert len(freq.canonical_nodes()) == 10
+    by_index = {nd.index: nd for nd in freq.nodes}
+    assert len(by_index) == len(freq.nodes)
     for nd in freq.nodes:
         if not nd.canonical:
-            assert freq.node_at(nd.mirror).canonical
-    with pytest.raises(KeyError):
-        freq.node_at((3, 3, 3))
+            assert by_index[nd.mirror].canonical
+    assert (3, 3, 3) not in by_index
     with pytest.raises(ConfigError):
         build_frequency_grid(g, -1.0)
 

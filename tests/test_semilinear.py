@@ -7,7 +7,14 @@ import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
 from cgolab import dtn, forward, semilinear
-from cgolab.dtn import DtnBasis, DtnOracle, add_noise, assemble_difference_matrix, operator_norm
+from cgolab.dtn import (
+    DtnBasis,
+    DtnOracle,
+    add_noise,
+    assemble_difference_matrix,
+    faces_within,
+    operator_norm,
+)
 from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
 from cgolab.norms import ModulusParams
 from cgolab.reconstruct import ReconstructionConfig, measurement_oracle, reconstruct
@@ -213,44 +220,55 @@ def test_newton_reuses_the_accepted_residual():
 
 
 def test_semilinear_sweep_solves_each_level_once(monkeypatch):
-    g = build_grid(1, 17, 17, 1.0)
-    family = [_linear(0.9), _linear(0.95), _linear(0.98)]
-    ref = _linear(1.0)
-    cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
-    mod = ModulusParams("double_log", 0.25, 1)
-    level = 0.4
+    # in full mode, and in partial mode, where the members' oracles carry the
+    # masks and the extended bases take the faces within them
+    for n, nx, cfg in [
+        (1, 17, ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)),
+        (2, 9, ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
+                                    basis_j_max=2, basis_k_max=2)),
+    ]:
+        g = build_grid(n, nx, 17, 1.0)
+        family = [_linear(0.9), _linear(0.95), _linear(0.98)]
+        ref = _linear(1.0)
+        mod = ModulusParams("double_log", 0.25, n)
+        level = 0.4
 
-    # the records against the sweep's parts composed one by one
-    bdata = BoundaryField.constant(g, level)
-    p_ref = linearized_potential(g, ref, bdata, np.full(g.space_shape, level))
-    basis_in = DtnBasis(g, None, 2, initial_modes=2)
-    basis_out = DtnBasis(g, None, 2)
-    want = []
-    for a in family:
-        data = SemilinearOracle(g, a)
-        (p_true,) = data.level_potentials([level])
-        oracle = DtnOracle(g, p_true)
-        diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
-        res = reconstruct(oracle, p_ref, cfg)
-        want.append({
-            "delta": operator_norm(diff),
-            "err": float(np.abs(res.estimate.values.real
-                                - (p_true.values - p_ref.values)).max()),
-            "rho": res.rho, "R": res.R,
-        })
+        # the records against a per-member reconstruct on a fresh oracle
+        bdata = BoundaryField.constant(g, level)
+        p_ref = linearized_potential(g, ref, bdata, np.full(g.space_shape, level))
+        want = []
+        for a in family:
+            data = SemilinearOracle(g, a)
+            (p_true,) = data.level_potentials([level])
+            oracle = measurement_oracle(g, p_true, cfg)
+            faces_in = faces_out = None
+            if cfg.mode == "partial":
+                faces_in = faces_within(g, oracle.support_mask)
+                faces_out = faces_within(g, oracle.obs_mask)
+            basis_in = DtnBasis(g, cfg.basis_j_max, 2, faces_in, initial_modes=2)
+            basis_out = DtnBasis(g, cfg.basis_j_max, 2, faces_out)
+            diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
+            res = reconstruct(oracle, p_ref, cfg)
+            want.append({
+                "delta": operator_norm(diff),
+                "err": float(np.abs(res.estimate.values.real
+                                    - (p_true.values - p_ref.values)).max()),
+                "rho": res.rho, "R": res.R,
+            })
 
-    calls = []
-    solve = semilinear.semilinear_solutions
+        calls = []
+        solve = semilinear.semilinear_solutions
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(semilinear, "semilinear_solutions", counting)
-    out = semilinear_stability_sweep(g, family, ref, level, cfg, mod)
-    # the reference's level and every member's level form one Newton block
-    assert len(calls) == 1
-    assert out["records"] == want
+        with monkeypatch.context() as patch:
+            patch.setattr(semilinear, "semilinear_solutions", counting)
+            out = semilinear_stability_sweep(g, family, ref, level, cfg, mod)
+        # the reference's level and every member's level form one Newton block
+        assert len(calls) == 1
+        assert out["records"] == want
 
 
 def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
@@ -550,10 +568,13 @@ def test_linear_recovery_builds_its_measurement_bases_once(monkeypatch):
 
 def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
     # three members and one reference: four maps, not one reference map per
-    # member, and the shared one factors once
+    # member, and the shared one factors once.  measure_delta is on, as by
+    # default: the members share their measurement bases, and at an explicit
+    # rho none is built, since the records read the extended distance only
     g = build_grid(1, 17, 17, 1.0)
-    maps, factors = [], []
+    maps, factors, bases = [], [], []
     init, factor = dtn.DtnMap.__init__, forward.ThetaScheme._factor
+    basis_init = DtnBasis.__init__
 
     def counting_init(m, *args, **kwargs):
         init(m, *args, **kwargs)
@@ -563,12 +584,25 @@ def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
         factors.append(1)
         return factor(scheme, *args, **kwargs)
 
+    def counting_basis(basis, *args, **kwargs):
+        basis_init(basis, *args, **kwargs)
+        bases.append(basis)
+
     monkeypatch.setattr(dtn.DtnMap, "__init__", counting_init)
     monkeypatch.setattr(forward.ThetaScheme, "_factor", counting_factor)
+    monkeypatch.setattr(DtnBasis, "__init__", counting_basis)
     family = [_linear(0.9), _linear(0.95), _linear(0.98)]
-    cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
-    semilinear_stability_sweep(g, family, _linear(1.0), 0.4, cfg,
-                               ModulusParams("double_log", 0.25, 1))
-    assert len(maps) == 4
-    assert [m.keeps_answers for m in maps] == [True, False, False, False]
-    assert len(factors) == 8
+    for rho, radius in ((4.0, 3.0), ("auto", None)):
+        for seen in (maps, factors, bases):
+            seen.clear()
+        cfg = ReconstructionConfig(rho=rho, R=radius, basis_k_max=2)
+        semilinear_stability_sweep(g, family, _linear(1.0), 0.4, cfg,
+                                   ModulusParams("double_log", 0.25, 1))
+        # made in the order the runs name them: a member, the reference, the
+        # other members
+        assert len(maps) == 4
+        assert [m.keeps_answers for m in maps] == [False, True, False, False]
+        assert len(factors) == 8
+        # the extended input basis and the output basis, and at rho "auto"
+        # the measurement basis
+        assert len(bases) == (2 if rho != "auto" else 3)

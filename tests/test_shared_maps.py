@@ -6,9 +6,11 @@ pin the traffic (factorizations, marches, block solves); the bitwise tests
 hold the shared path to the results of one fresh oracle per record.
 """
 
+import ast
 import gc
 import importlib
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,19 +164,19 @@ def test_noise_sweep_transforms_its_truth_once_and_projects_each_question_once(m
     grid = build_grid(2, 9, 17, 1.0)
     truth = _sine(grid, 0.2)
     transforms, projected = [], []
-    extended_coefficients, project = norms._extended_coefficients, DtnBasis.project
+    transform, project = norms.torus_coefficients, DtnBasis.project
     noise_modes = DtnBasis(grid).lateral_modes
 
-    def counting_transform(values, shape, *args):
+    def counting_transform(values, lengths, at=None, shape=None):
         transforms.append(tuple(shape))
-        return extended_coefficients(values, shape, *args)
+        return transform(values, lengths, at, shape)
 
     def counting_project(basis, f):
         if basis.lateral_modes == noise_modes:
             projected.append(np.asarray(f).tobytes())
         return project(basis, f)
 
-    monkeypatch.setattr(norms, "_extended_coefficients", counting_transform)
+    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
     monkeypatch.setattr(DtnBasis, "project", counting_project)
     cfg = ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
                                basis_j_max=2, basis_k_max=2)
@@ -220,16 +222,18 @@ def test_noise_sweep_builds_its_measurement_bases_once_and_hashes_their_question
 def test_noise_sweep_builds_its_error_target_once_its_levels_are_gone(monkeypatch,
                                                                       ref_is_truth):
     # the levels run first; by the time the error target is built the
-    # sweep's noise basis, measurement bases and shared maps are freed (by
-    # reference counting alone, so the cycle collector is off)
+    # sweep's noise basis, measurement bases and shared maps are freed, and
+    # each level's oracle, with its noise matrix, is freed before the next
+    # level is measured (by reference counting alone, so the cycle collector
+    # is off)
     grid = build_grid(2, 9, 17, 1.0)
     truth = _sine(grid, 0.08)
     ref = Potential(grid, truth.values.copy(), m=truth.m) if ref_is_truth else None
-    built, alive = [], []
-    basis_init, map_init = DtnBasis.__init__, DtnMap.__init__
+    built, alive, oracles, measured = [], [], [], []
+    basis_init, map_init, oracle_init = DtnBasis.__init__, DtnMap.__init__, DtnOracle.__init__
     # the package exports the function `reconstruct` under the module's name
     reconstruct_module = importlib.import_module("cgolab.reconstruct")
-    target = reconstruct_module.Hminus1Target
+    target, estimate = reconstruct_module.Hminus1Target, reconstruct_module._estimate
 
     def tracked_basis(basis, *args, **kwargs):
         basis_init(basis, *args, **kwargs)
@@ -239,14 +243,24 @@ def test_noise_sweep_builds_its_error_target_once_its_levels_are_gone(monkeypatc
         map_init(m, *args, **kwargs)
         built.append(weakref.ref(m))
 
+    def tracked_oracle(oracle, *args, **kwargs):
+        oracle_init(oracle, *args, **kwargs)
+        oracles.append(weakref.ref(oracle))
+
     def checked_target(*args):
         if not alive:
             alive.append([tracked() is not None for tracked in built])
         return target(*args)
 
+    def checked_estimate(*args):
+        measured.append(sum(tracked() is not None for tracked in oracles))
+        return estimate(*args)
+
     monkeypatch.setattr(DtnBasis, "__init__", tracked_basis)
     monkeypatch.setattr(DtnMap, "__init__", tracked_map)
+    monkeypatch.setattr(DtnOracle, "__init__", tracked_oracle)
     monkeypatch.setattr(reconstruct_module, "Hminus1Target", checked_target)
+    monkeypatch.setattr(reconstruct_module, "_estimate", checked_estimate)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -258,6 +272,7 @@ def test_noise_sweep_builds_its_error_target_once_its_levels_are_gone(monkeypatc
     assert len(out["records"]) == len(NOISE_LEVELS) and out["records"][-1].err > 0
     # a noise basis, two measurement bases and one or two maps
     assert len(built) >= 4 and alive == [[False] * len(built)]
+    assert measured == [1] * len(NOISE_LEVELS)
 
 
 def _has_lattice_array(value, size) -> bool:
@@ -377,13 +392,13 @@ def test_pair_sweep_transforms_each_run_of_one_truth_once(monkeypatch):
     a, b = _sine(grid, 0.2), _sine(grid, 0.1)
     truths = [a, Potential(grid, a.values.copy()), b, a]
     transforms = []
-    extended_coefficients = norms._extended_coefficients
+    transform = norms.torus_coefficients
 
-    def counting_transform(values, shape, *args):
+    def counting_transform(values, lengths, at=None, shape=None):
         transforms.append(values.tobytes())
-        return extended_coefficients(values, shape, *args)
+        return transform(values, lengths, at, shape)
 
-    monkeypatch.setattr(norms, "_extended_coefficients", counting_transform)
+    monkeypatch.setattr(norms, "torus_coefficients", counting_transform)
     stability_sweep(grid, None, ReconstructionConfig(rho=4.0, R=4.0),
                     ModulusParams("single_log", 0.15, 1), pair_truths=truths)
     # records of one truth in a row share its target; a truth met again later
@@ -446,6 +461,23 @@ def test_pair_sweep_records_equal_per_record_reconstruct_bitwise(n, nx, cfg):
             res.delta, res.error, res.rho, res.R)
 
 
+def test_shared_maps_are_made_only_by_reconstructions():
+    # one builder of maps for every loop of runs: a call of shared_maps
+    # anywhere else in the package would share answers apart from it
+    package = Path(importlib.import_module("cgolab").__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "shared_maps"):
+                    callers.append((path.name, node.name))
+    assert callers == [("reconstruct.py", "reconstructions")]
+
+
 def test_stored_answers_are_never_written_by_noise_or_mask():
     grid = build_grid(2, 9, 13, 1.0)
     q = _sine(grid, 0.3)
@@ -460,8 +492,10 @@ def test_stored_answers_are_never_written_by_noise_or_mask():
         answers.append(answer.copy())
         answer[...] = np.nan
     assert np.array_equal(answers[0], answers[1])
-    assert np.array_equal(answers[2], DtnMap(grid, q).traces(g) * oracle.obs_mask.values)
-    assert np.array_equal(shared.traces(g), DtnMap(grid, q).traces(g))
+    traces = ThetaScheme(grid, q).neumann_traces(g)
+    assert np.array_equal(answers[2], traces * oracle.obs_mask.values)
+    (stored,) = shared._answers.values()
+    assert np.array_equal(stored, traces)
     # the key is a digest of the question, not a copy of it
     assert [len(k) for k in shared._answers] == [64]
 
@@ -475,7 +509,8 @@ def test_shared_map_answers_like_a_private_one():
     g, u0 = DtnBasis(grid, k_max=2, initial_modes=2).inputs()
     for _ in range(2):
         for u in (u0, None, 2 * u0):
-            assert np.array_equal(shared.traces(g, u), private.traces(g, u))
+            assert np.array_equal(_answers(shared, [(g, u)])[0],
+                                  ThetaScheme(grid, q).neumann_traces(g, u))
     assert len(shared._answers) == 3
     # a different theta or different values is a different map
     assert not shared.is_map_of(grid, q, 0.6)
@@ -495,7 +530,7 @@ def test_basis_question_marches_its_distinct_real_columns_only(monkeypatch):
     g, u0 = DtnBasis(grid, RECON2D_FULL.basis_j_max, RECON2D_FULL.basis_k_max).inputs()
     assert g.shape[0] == 40
     traffic = Traffic(monkeypatch)
-    DtnMap(grid, _sine(grid, 0.08)).traces(g, u0)
+    ThetaScheme(grid, _sine(grid, 0.08)).neumann_traces(g, u0)
     assert traffic.marches == traffic.factorizations == 1
     assert traffic.columns == 40 * (grid.nt - 1)
 
@@ -546,7 +581,7 @@ def _answers(m, questions, keys=None):
         return consume
 
     m.answer([(g, u, key) for (g, u), key in zip(questions, keys)],
-             lambda: [filling(out) for out in blocks])
+             [filling(out) for out in blocks])
     return blocks
 
 
@@ -563,8 +598,8 @@ def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
     for q in (_sine(grid, 0.3, varying=True), _sine(grid, 0.3)):
         m = DtnMap(grid, q)
         stacked = _answers(m, [(g1, u1), (g2, None)])
-        assert np.array_equal(stacked[0], m.traces(g1, u1))
-        assert np.array_equal(stacked[1], m.traces(g2))
+        assert np.array_equal(stacked[0], ThetaScheme(grid, q).neumann_traces(g1, u1))
+        assert np.array_equal(stacked[1], ThetaScheme(grid, q).neumann_traces(g2))
 
 
 def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
@@ -573,7 +608,7 @@ def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
     grid = build_grid(2, 9, 13, 1.0)
     q = _sine(grid, 0.3, varying=True)
     (shared,) = shared_maps(grid, [q, q])
-    private = DtnMap(grid, q)
+    private = ThetaScheme(grid, q)
     rng = np.random.default_rng(6)
     shape = (grid.nt, grid.n_boundary)
     g1, g2 = rng.standard_normal((3,) + shape), rng.standard_normal((1,) + shape)
@@ -581,10 +616,10 @@ def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
     questions = [(g1, u1), (g2, None)]
     keys = [_digest(g, u) for g, u in questions]
     for (g, u), answer in zip(questions, _answers(shared, questions, keys)):
-        assert np.array_equal(answer, private.traces(g, u))
+        assert np.array_equal(answer, private.neumann_traces(g, u))
     assert len(shared._answers) == 1
     for g, u in questions:
-        assert np.array_equal(shared.traces(g, u), private.traces(g, u))
+        assert np.array_equal(_answers(shared, [(g, u)])[0], private.neumann_traces(g, u))
 
 
 def _marched_alone(scheme, g, u0):
