@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -324,6 +323,8 @@ def exact_slice_values(grid: Grid, p_values: np.ndarray, freq: FrequencyGrid) ->
     are transformed from the cylinder, and only the lattice lines that lead
     to a feasible node, so they are bitwise the full transform's of the
     zero-extended values at the nodes."""
+    if np.shape(p_values) != grid.field_shape:
+        raise ValueError("values do not match the grid")
     feasible = [nd for nd in freq.nodes if nd.feasible]
     for nd in freq.nodes:
         nd.value = 0.0
@@ -435,7 +436,8 @@ class ReconstructionResult:
     The estimate on the cylinder and its imaginary residue are computed on
     first access, by `invert_cutoff` of the written values (the zero field
     and 0.0 on the trivial branch), so a run that reads only the values,
-    such as a stability sweep, inverts nothing.
+    such as a stability sweep, inverts nothing.  `extended_delta` is the
+    distance of the extended maps where `reconstructions` was asked it.
     """
 
     values: np.ndarray
@@ -449,6 +451,7 @@ class ReconstructionResult:
     saturated: bool
     error: float | None
     node_records: list = dc_field(default_factory=list)
+    extended_delta: float | None = None
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -473,18 +476,15 @@ class ReconstructionResult:
         return self._inverse[1]
 
 
-def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig,
-                       initial_modes: int = 0):
-    """(in, out) bases of cfg's sizes on the faces within the oracle's
-    support and observation masks; the input basis carries `initial_modes`."""
+def _measurement_bases(grid: Grid, oracle: DtnOracle, cfg: ReconstructionConfig):
     faces_in = None
     faces_out = None
     if oracle.support_mask is not None:
         faces_in = faces_within(grid, oracle.support_mask)
     if oracle.obs_mask is not None:
         faces_out = faces_within(grid, oracle.obs_mask)
-    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_in, initial_modes)
-    if faces_out == faces_in and not initial_modes:
+    basis_in = DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_in)
+    if faces_out == faces_in:
         return basis_in, basis_in
     return basis_in, DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, faces_out)
 
@@ -603,13 +603,16 @@ class StabilityRecord:
             raise ValueError("distance and error must be nonnegative")
 
 
-def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0):
-    """(oracle, `_estimate`'s result) for each run (truth, reference, noise
-    level), in turn; a run's oracle is made when the run is reached, and a
-    caller may ask it more questions before it takes the next run.  A caller
-    that keeps an oracle while it takes the next run keeps its noise matrix
-    alive through that run.  This is the one place where the maps of a loop
-    of runs are made.
+def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0,
+                    initial_modes: int = 0):
+    """`_estimate`'s result for each run (truth, reference, noise level), in
+    turn; a run's oracle is made when the run is reached.  This is the one
+    place where the maps of a loop of runs are made.
+
+    With `initial_modes`, each run's oracle is also asked the extended
+    question: the lateral input modes of the measurement input basis and
+    that many initial-data modes.  The result's `extended_delta` is the
+    operator norm of that difference in the measurement output basis.
 
     The runs share one noiseless map per distinct potential, which keeps its
     answers where several runs ask it, so each distinct question marches
@@ -621,13 +624,20 @@ def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int
     runs = list(runs)
     maps = shared_maps(grid, [q for truth, ref, _ in runs for q in (truth, ref)], cfg.theta)
     noise_basis = DtnBasis(grid) if any(level != 0 for *_, level in runs) else None
-    bases = None
+    bases = extended = None
     for truth, q_ref, level in runs:
         oracle = measurement_oracle(grid, truth, cfg, float(level), noise_seed,
                                     noise_basis, maps)
-        if bases is None and cfg.measure_delta:
+        if bases is None and (cfg.measure_delta or initial_modes):
             bases = _measurement_bases(grid, oracle, cfg)
-        yield oracle, _estimate(oracle, q_ref, cfg, bases)
+            if initial_modes:
+                extended = (DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, bases[0].faces,
+                                     initial_modes), bases[1])
+        res = _estimate(oracle, q_ref, cfg, bases)
+        if extended is not None:
+            res.extended_delta = operator_norm(assemble_difference_matrix(oracle, q_ref,
+                                                                          *extended))
+        yield res
 
 
 def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConfig,
@@ -656,9 +666,7 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
             raise ConfigError("degenerate sweep: need at least 2 distinct levels")
         runs = [(noise_truth, q_ref, lvl) for lvl in levels]
 
-    # map holds no run's oracle while the next run is measured, as a loop
-    # variable would
-    results = list(map(itemgetter(1), reconstructions(grid, runs, cfg, noise_seed)))
+    results = list(reconstructions(grid, runs, cfg, noise_seed))
     records = []
     zero_truth = Potential(grid, np.zeros(grid.field_shape))
     target = target_truth = None

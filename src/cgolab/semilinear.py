@@ -12,12 +12,8 @@ a(0) = 0 rebuilds a itself on the probed range.
 
 from __future__ import annotations
 
-import dataclasses
-from operator import itemgetter
-
 import numpy as np
 
-from .dtn import assemble_difference_matrix, operator_norm
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear_many
@@ -25,7 +21,6 @@ from .grid import Grid
 from .norms import ModulusParams, fit_modulus_constant
 from .reconstruct import (
     ReconstructionConfig,
-    _measurement_bases,
     build_frequency_grid,
     exact_slice_values,
     invert_cutoff,
@@ -318,9 +313,7 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
             for p_true, p_ref in zip(potentials[:len(levels)], potentials[len(levels):])]
     rows = []
     gain = None
-    # map holds no level's oracle while the next level is measured
-    estimates = map(itemgetter(1), reconstructions(grid, runs, cfg, data.noise_seed))
-    for s, res in zip(levels, estimates):
+    for s, res in zip(levels, reconstructions(grid, runs, cfg, data.noise_seed)):
         if res.trivial:
             raw, d_prime = 0.0, 0.0
         else:
@@ -387,26 +380,20 @@ def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
     bases take cfg's sizes.  Each member is a run (p_true, p_ref, 0.0) of
     `reconstruct.reconstructions`, whose oracle carries cfg's masks and is
     asked the extended question, on the faces within the masks, beside its
-    estimate.  The records read no measured distance of the estimate, so at
-    an explicit rho none is measured.
+    estimate; the extended distance is the result's `extended_delta`.
     """
     if len(family) < 2:
         raise ConfigError("degenerate sweep: need at least 2 family members")
     # the reference's level and every member's level form one Newton block
     p_ref, *p_trues = _level_potentials(
         grid, [(a, level) for a in [a_ref, *family]], cfg.theta)
-    if cfg.rho != "auto":
-        cfg = dataclasses.replace(cfg, measure_delta=False)
-    bases = None
     records = []
     runs = [(p_true, p_ref, 0.0) for p_true in p_trues]
-    for p_true, (oracle, res) in zip(p_trues, reconstructions(grid, runs, cfg)):
-        if bases is None:
-            bases = _measurement_bases(grid, oracle, cfg, initial_modes)
-        delta = operator_norm(assemble_difference_matrix(oracle, p_ref, *bases))
+    for p_true, res in zip(p_trues, reconstructions(grid, runs, cfg,
+                                                    initial_modes=initial_modes)):
         err = float(np.abs(res.estimate.values.real
                            - (p_true.values - p_ref.values)).max())
-        records.append({"delta": delta, "err": err, "rho": res.rho, "R": res.R})
+        records.append({"delta": res.extended_delta, "err": err, "rho": res.rho, "R": res.R})
     c_fit, used = fit_modulus_constant([r["delta"] for r in records],
                                        [r["err"] for r in records], modulus)
     return {

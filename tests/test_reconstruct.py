@@ -172,6 +172,10 @@ def test_exact_slices_leave_only_the_parseval_tail():
     zsq = sum(np.broadcast_to(f, diff.shape) ** 2 for f in freqs)
     tail = math.sqrt(float(np.sum(np.abs(diff) ** 2 / (1.0 + zsq))) * lattice_measure(box_lengths(g)))
     assert err == pytest.approx(tail, rel=1e-12)
+    # values that fit inside the padded lattice but not on the grid are refused
+    for wrong in (p[:-1], p[:, :-1]):
+        with pytest.raises(ValueError, match="do not match the grid"):
+            exact_slice_values(g, wrong, freq)
 
 
 # ---------------------------------------------------------------------------

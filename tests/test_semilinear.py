@@ -256,19 +256,28 @@ def test_semilinear_sweep_solves_each_level_once(monkeypatch):
                 "rho": res.rho, "R": res.R,
             })
 
-        calls = []
+        calls, bases = [], []
         solve = semilinear.semilinear_solutions
+        basis_init = DtnBasis.__init__
 
         def counting(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
+        def counting_basis(basis, *args, **kwargs):
+            basis_init(basis, *args, **kwargs)
+            bases.append(basis)
+
         with monkeypatch.context() as patch:
             patch.setattr(semilinear, "semilinear_solutions", counting)
+            patch.setattr(DtnBasis, "__init__", counting_basis)
             out = semilinear_stability_sweep(g, family, ref, level, cfg, mod)
         # the reference's level and every member's level form one Newton block
         assert len(calls) == 1
         assert out["records"] == want
+        # the extended input basis and the measurement bases, whose output
+        # basis the extended difference shares: at most three for the members
+        assert len(bases) == (3 if cfg.mode == "partial" else 2)
 
 
 def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
@@ -569,8 +578,8 @@ def test_linear_recovery_builds_its_measurement_bases_once(monkeypatch):
 def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
     # three members and one reference: four maps, not one reference map per
     # member, and the shared one factors once.  measure_delta is on, as by
-    # default: the members share their measurement bases, and at an explicit
-    # rho none is built, since the records read the extended distance only
+    # default: the members share their measurement bases, whose output basis
+    # the extended difference reads too
     g = build_grid(1, 17, 17, 1.0)
     maps, factors, bases = [], [], []
     init, factor = dtn.DtnMap.__init__, forward.ThetaScheme._factor
@@ -603,6 +612,6 @@ def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
         assert len(maps) == 4
         assert [m.keeps_answers for m in maps] == [False, True, False, False]
         assert len(factors) == 8
-        # the extended input basis and the output basis, and at rho "auto"
-        # the measurement basis
-        assert len(bases) == (2 if rho != "auto" else 3)
+        # the measurement basis, which is its own output basis, and the
+        # extended input basis
+        assert len(bases) == 2
