@@ -14,7 +14,7 @@ import numpy as np
 
 from cgolab import Potential, build_grid
 from cgolab.dtn import DtnOracle
-from cgolab.norms import box_lengths, hminus1_distance, torus_coefficients, zero_extend
+from cgolab.norms import hminus1_distance, hminus1_norm
 from cgolab.reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
@@ -35,9 +35,7 @@ def main() -> None:
     cfg = ReconstructionConfig(rho=8.0, R=10.0, basis_k_max=4)
     res = reconstruct(oracle, None, cfg, truth=truth)
 
-    zero_coeffs = torus_coefficients(
-        zero_extend(grid, np.zeros(grid.field_shape)), box_lengths(grid))
-    truth_norm = hminus1_distance(grid, truth_vals, zero_coeffs)
+    truth_norm = hminus1_norm(truth)
 
     # what a perfect slice oracle would achieve with the same cutoff
     freq = build_frequency_grid(grid, cfg.R)
@@ -45,7 +43,7 @@ def main() -> None:
     _, _, exact_coeffs = invert_cutoff(grid, freq)
     tail = hminus1_distance(grid, truth_vals, exact_coeffs)
 
-    print(f"nodes probed:       {len(res.node_records)}")
+    print(f"nodes probed:       {len(res.frequencies.probed(res.hermitian))}")
     print(f"truth norm:         {truth_norm:.4e}")
     print(f"cutoff tail:        {tail:.4e}  ({tail / truth_norm:.1%} of the truth)")
     print(f"pipeline error:     {res.error:.4e}  ({res.error / truth_norm:.1%})")

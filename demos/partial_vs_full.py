@@ -13,13 +13,7 @@ Run:  python3 demos/partial_vs_full.py   (about a minute)
 import numpy as np
 
 from cgolab import Potential, build_grid
-from cgolab.norms import (
-    ModulusParams,
-    box_lengths,
-    hminus1_distance,
-    torus_coefficients,
-    zero_extend,
-)
+from cgolab.norms import ModulusParams, hminus1_norm
 from cgolab.reconstruct import ReconstructionConfig, stability_sweep
 
 ALPHAS = [0.08, 0.025, 0.008]
@@ -29,8 +23,6 @@ def main() -> None:
     grid = build_grid(2, 17, 65, 1.0)
     x1 = grid.space_coordinates()[0]
     shape = np.broadcast_to(np.sin(2 * np.pi * x1)[None], grid.field_shape).copy()
-    zero_coeffs = torus_coefficients(
-        zero_extend(grid, np.zeros(grid.field_shape)), box_lengths(grid))
     truths = [Potential(grid, a * shape, m=a) for a in ALPHAS]
     modulus = ModulusParams("double_log", 0.25, 2)
 
@@ -45,9 +37,9 @@ def main() -> None:
 
     print(f"\n{'alpha':>8} {'delta full':>12} {'err full':>10} "
           f"{'err partial':>12} {'ratio':>7}")
-    for alpha, full, part in zip(ALPHAS, results["full"]["records"],
-                                 results["partial"]["records"]):
-        norm = hminus1_distance(grid, alpha * shape, zero_coeffs)
+    for alpha, truth, full, part in zip(ALPHAS, truths, results["full"]["records"],
+                                        results["partial"]["records"]):
+        norm = hminus1_norm(truth)
         print(f"{alpha:>8.4f} {full.delta:>12.3e} {full.err / norm:>10.4f} "
               f"{part.err / norm:>12.4f} {part.err / full.err:>7.2f}")
 

@@ -10,6 +10,7 @@ outputs.  Exit codes: 0 success, 2 config problems, 3 numerical failures.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
@@ -51,12 +52,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# field spec: (type tag, default).  Tags: int, float, bool, str, list,
-# "nonempty_list", "number_or_auto", "opt_<tag>" for nullable.
+# field spec: (type tag, default).  Tags: int, "positive_int", float, bool,
+# str, list, "nonempty_list", "number_or_auto", "opt_<tag>" for nullable.
 SCHEMA = {
     "seed": ("int", 0),
     "out_dir": ("str", "cgolab-out"),
-    "threads": ("int", 1),
+    "threads": ("positive_int", 1),
     "grid": {
         "n": ("int", 1),
         "nx": ("int", 33),
@@ -158,9 +159,11 @@ def _check_leaf(tag: str, value, path: str):
         if value is None:
             return None
         tag = tag[4:]
-    if tag == "int":
+    if tag in ("int", "positive_int"):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if tag == "positive_int" and value < 1:
+            raise ConfigError(f"{path}: expected an integer >= 1, got {value!r}")
         return value
     if tag == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -189,6 +192,13 @@ def _check_leaf(tag: str, value, path: str):
     raise AssertionError(f"unknown schema tag {tag}")
 
 
+def _filled(spec, given: dict, key: str, path: str):
+    """given[key] checked against the (tag, default) spec, or a copy of the
+    default, which no config may share with the schema or another config."""
+    tag, default = spec
+    return _check_leaf(tag, given[key], path) if key in given else copy.deepcopy(default)
+
+
 class ExperimentConfig:
     """Validated, default-filled experiment description."""
 
@@ -208,17 +218,10 @@ class ExperimentConfig:
                 for sub in section:
                     if sub not in spec:
                         raise ConfigError(f"unknown config key {key}.{sub!r}")
-                data[key] = {
-                    sub: _check_leaf(tag, section.get(sub, default), f"{key}.{sub}")
-                    if sub in section
-                    else default
-                    for sub, (tag, default) in spec.items()
-                }
+                data[key] = {sub: _filled(leaf, section, sub, f"{key}.{sub}")
+                             for sub, leaf in spec.items()}
             else:
-                tag, default = spec
-                data[key] = (
-                    _check_leaf(tag, raw[key], key) if key in raw else default
-                )
+                data[key] = _filled(spec, raw, key, key)
         self.data = data
 
     @classmethod
@@ -232,9 +235,6 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls(raw)
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
     def __getitem__(self, key):
         return self.data[key]
@@ -503,7 +503,7 @@ def _cmd_pairing_check(cfg: ExperimentConfig, emit: _Emitter) -> dict:
         rhs = pairing_volume(grid, q, q_ref, g, h, theta)
         return lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
-    workers = max(1, int(cfg["threads"]))
+    workers = cfg["threads"]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, cases))
@@ -610,14 +610,14 @@ def _cmd_reconstruct(cfg: ExperimentConfig, emit: _Emitter) -> dict:
         ["index", "xi", "tau", "feasible", "value_re", "value_im"],
         [
             [
-                " ".join(str(i) for i in r["index"]),
-                " ".join("%.12e" % v for v in r["xi"]),
-                r["tau"],
-                r["feasible"],
-                complex(r["value"]).real,
-                complex(r["value"]).imag,
+                " ".join(str(i) for i in nd.index),
+                " ".join("%.12e" % v for v in nd.xi.tolist()),
+                nd.tau,
+                nd.feasible,
+                complex(nd.value).real,
+                complex(nd.value).imag,
             ]
-            for r in res.node_records
+            for nd in res.frequencies.probed(res.hermitian)
         ],
     )
     return {
@@ -800,9 +800,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.data["out_dir"] = str(args.out)
         if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be >= 1")
-            cfg.data["threads"] = int(args.threads)
+            cfg.data["threads"] = _check_leaf(SCHEMA["threads"][0], args.threads, "threads")
     except ConfigError as exc:
         print(f"config error [cli]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -620,8 +620,8 @@ class DtnOracle:
         `_Measurement` per question, which starts the difference block on
         its first call and writes the measurement into it, and the
         reference's map hands over its traces level by level too, which are
-        masked and subtracted as they come (`_subtracting`), so no reference
-        block is formed or copied.  When the reference is the truth, one
+        masked and subtracted as they come (`_Measurement.subtract`), so no
+        reference block is formed or copied.  When the reference is the truth, one
         march serves both sides.  Each question is hashed at most once (a basis's only
         once in its life), and only where a map asked keeps its answers; its
         digest keys both the stored answers of the maps and the noise basis's
@@ -639,7 +639,7 @@ class DtnOracle:
             measures = [_Measurement(self, question, mask, same) for question in asked]
             self.map.answer(asked, measures)
             if not same:
-                reference_map.answer(asked, [_subtracting(m.block, mask) for m in measures])
+                reference_map.answer(asked, [m.subtract for m in measures])
             blocks = [m.block for m in reversed(measures)]
             del asked, measures
             while blocks:
@@ -661,15 +661,15 @@ class _Measurement:
     starts the block, the question's noise synthesized then or an empty
     block without noise; a map that keeps its answers forms them all before
     it calls a consumer, so the march of a stored answer never holds a block
-    beside it.  With `same`, the traces are also the reference's, and
-    `_subtracting` takes them off again."""
+    beside it.  `subtract` is the reference's consumer; with `same`, the
+    traces are also the reference's, and it takes them off again."""
 
     def __init__(self, oracle: DtnOracle, question, mask, same: bool = False):
         self._oracle = oracle
         self._g, _, self._key = question
         self._mask = mask
         self._same = same
-        self.block = self._subtract = None
+        self.block = self._scratch = None
 
     def _start(self) -> None:
         oracle = self._oracle
@@ -678,8 +678,6 @@ class _Measurement:
         else:
             coeffs = oracle._noise_basis.projection(self._g, self._key) @ oracle._noise_matrix.T
             self.block = oracle._noise_basis.synthesize(coeffs)
-        if self._same:
-            self._subtract = _subtracting(self.block, self._mask)
 
     def __call__(self, levels, traces) -> None:
         if self.block is None:
@@ -693,34 +691,28 @@ class _Measurement:
             rows[...] = traces
         else:
             np.multiply(traces, mask[levels], out=rows)
-        if self._subtract is not None:
-            self._subtract(levels, traces)
+        if self._same:
+            self.subtract(levels, traces)
 
-
-def _subtracting(out: np.ndarray, mask):
-    """consume(levels, traces) that subtracts the observed reference
-    traces at those levels from out.  The masked traces are formed a few
-    columns at a time, in one scratch array of at most _SCRATCH_BYTES (or
-    one column), so no reference block is formed."""
-    scratch = None
-
-    def consume(levels, traces):
-        nonlocal scratch
-        rows = out[:, levels]
+    def subtract(self, levels, traces) -> None:
+        """Subtract the observed reference traces at those levels from the
+        started block.  The masked traces are formed a few columns at a
+        time, in one scratch array of at most _SCRATCH_BYTES (or one column),
+        so no reference block is formed."""
+        rows, mask = self.block[:, levels], self._mask
         if mask is None:
             rows -= traces
             return
         weight = mask[levels]
-        if scratch is None:
+        if self._scratch is None:
             column = traces.itemsize * math.prod(traces.shape[1:])
             step = max(1, min(_SCRATCH_BYTES // column, len(traces)))
-            scratch = np.empty((step,) + traces.shape[1:], dtype=np.complex128)
+            self._scratch = np.empty((step,) + traces.shape[1:], dtype=np.complex128)
+        scratch = self._scratch
         for start in range(0, len(traces), len(scratch)):
             part = traces[start:start + len(scratch)]
             rows[start:start + len(part)] -= np.multiply(part, weight,
                                                          out=scratch[:len(part)])
-
-    return consume
 
 
 def shared_maps(grid: Grid, potentials, theta: float = 0.5) -> list:

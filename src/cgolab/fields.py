@@ -56,9 +56,6 @@ class ScalarField:
         vals = self.values[(slice(None),) + self.grid.boundary_index]
         return BoundaryField(self.grid, vals)
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 class BoundaryField:
     """Complex samples on the lateral boundary cylinder, shape (nt, nb).
@@ -101,14 +98,6 @@ class BoundaryField:
 
     def max_abs(self) -> float:
         return float(np.abs(self.values).max())
-
-    def restricted(self, mask) -> "BoundaryField":
-        """Zero outside the mask (mask is a DirectionMask or boolean vector)."""
-        keep = getattr(mask, "values", mask)
-        return BoundaryField(self.grid, self.values * keep[None, :])
-
-    def copy(self) -> "BoundaryField":
-        return BoundaryField(self.grid, self.values.copy())
 
 
 class Potential:

@@ -178,10 +178,6 @@ class Grid:
             return (self.xs,)
         return (self.xs[:, None], self.xs[None, :])
 
-    def boundary_trace(self, space_values: np.ndarray) -> np.ndarray:
-        """Values of a space-shaped array at the single-counted boundary points."""
-        return space_values[self.boundary_index]
-
     # -- adjacency along the boundary ---------------------------------------
 
     def boundary_adjacency(self):

@@ -18,7 +18,7 @@ tail, which the tests pin to rounding accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -132,6 +132,12 @@ class FrequencyGrid:
 
     def canonical_nodes(self):
         return [nd for nd in self.nodes if nd.canonical]
+
+    def probed(self, hermitian: bool) -> list:
+        """The nodes a reconstruction probes: for a hermitian inverse, which
+        fills each mirror with the conjugate of its canonical node, the
+        canonical ones; otherwise every node of the ball."""
+        return self.canonical_nodes() if hermitian else self.nodes
 
     def to_coefficients(self, hermitian: bool = True):
         """(values, positions): the canonical values, their conjugate mirrors
@@ -430,7 +436,8 @@ class ReconstructionConfig:
 class ReconstructionResult:
     """One reconstruction: the coefficient values it wrote and their
     padded-lattice positions (`FrequencyGrid.to_coefficients`), the
-    frequencies and the chosen parameters.  It holds no lattice array: the
+    frequencies, whose probed nodes (`FrequencyGrid.probed`) hold the
+    slices, and the chosen parameters.  It holds no lattice array: the
     `coefficients` property scatters the values into a new one.
 
     The estimate on the cylinder and its imaginary residue are computed on
@@ -450,7 +457,6 @@ class ReconstructionResult:
     trivial: bool
     saturated: bool
     error: float | None
-    node_records: list = dc_field(default_factory=list)
     extended_delta: float | None = None
 
     @property
@@ -549,12 +555,11 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
     freq = build_frequency_grid(grid, radius, cfg.mode, base, cfg.half_width)
     vanish_plus = vanish_minus = None
     if cfg.mode == "partial":
-        vanish_plus = direction_mask(grid, base, cfg.mask_delta, sign=-1)
-        vanish_minus = direction_mask(grid, base, cfg.mask_delta, sign=1)
+        # each probe vanishes where its side of the data is hidden
+        support, obs = partial_masks(grid, base, cfg.mask_delta)
+        vanish_plus, vanish_minus = support.complement(), obs.complement()
 
-    # a hermitian inverse fills each mirror node with the conjugate of its
-    # canonical node; otherwise every node of the ball is probed
-    nodes = freq.canonical_nodes() if cfg.use_hermitian else freq.nodes
+    nodes = freq.probed(cfg.use_hermitian)
     feasible = [nd for nd in nodes if nd.feasible]
     # an explicit rho is known before the data distance, which is then
     # measured here, in one request with the slices; bases the run does not
@@ -574,22 +579,12 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
                           "Fourier slices are not finite")
     for nd, value in zip(feasible, values):
         nd.value = complex(value)
-    records = []
     for nd in nodes:
         if not nd.feasible:
             nd.value = 0.0
-        records.append(
-            {
-                "index": nd.index,
-                "xi": nd.xi.tolist(),
-                "tau": nd.tau,
-                "feasible": nd.feasible,
-                "value": nd.value,
-            }
-        )
     values, positions = freq.to_coefficients(cfg.use_hermitian)
     return ReconstructionResult(values, positions, freq, cfg.use_hermitian, delta, rho,
-                                radius, False, saturated, None, records)
+                                radius, False, saturated, None)
 
 
 @dataclass

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import cgolab
-from cgolab import ConfigError, SolverError, cli
-from cgolab.cli import ExperimentConfig, main, run
+from cgolab import ConfigError, SolverError, build_grid, cli
+from cgolab.cli import SCHEMA, ExperimentConfig, main, run
 from cgolab.dtn import DtnMatrix, load_field
+from cgolab.reconstruct import build_frequency_grid
 
 SMALL_GRID = {"grid": {"n": 1, "nx": 17, "nt": 17, "T": 1.0}}
 
@@ -34,8 +35,25 @@ def test_defaults_fill_and_round_trip():
     assert cfg["grid"]["nx"] == 33
     assert cfg["reconstruct"]["rho"] == "auto"
     assert cfg["noise"]["seed"] is None
-    clone = ExperimentConfig(json.loads(cfg.to_json()))
-    assert clone.to_json() == cfg.to_json()
+    text = json.dumps(cfg.data, sort_keys=True)
+    clone = ExperimentConfig(json.loads(text))
+    assert json.dumps(clone.data, sort_keys=True) == text
+
+
+def test_a_config_owns_its_default_lists():
+    cfg = ExperimentConfig()
+    cfg["carleman"]["rhos"].append(64.0)
+    assert SCHEMA["carleman"]["rhos"][1] == [4.0, 8.0, 16.0, 32.0]
+    assert ExperimentConfig()["carleman"]["rhos"] == [4.0, 8.0, 16.0, 32.0]
+
+
+def test_threads_below_one_are_rejected_where_the_config_is_read(tmp_path):
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="threads: expected an integer >= 1"):
+            ExperimentConfig({"threads": bad})
+    path = _write_config(tmp_path, {**SMALL_GRID, "pairing": {"cases": 1}, "threads": 0})
+    assert main(["pairing-check", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_keys_are_rejected():
@@ -129,15 +147,25 @@ def test_cgo_check_reports_decay_and_svg(tmp_path):
     assert root.tag.endswith("svg")
 
 
-def test_reconstruct_emits_slice_table(tmp_path):
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_reconstruct_emits_slice_table(tmp_path, hermitian):
     cfg = ExperimentConfig({**SMALL_GRID, "reconstruct": {
-        "rho": 4.0, "R": 4.0, "measure_delta": False, "basis_k_max": 2}})
+        "rho": 4.0, "R": 4.0, "measure_delta": False, "basis_k_max": 2,
+        "use_hermitian": hermitian}})
     summary = run("reconstruct", cfg, tmp_path / "out")
     assert summary["error"] == pytest.approx(0.0473, abs=2e-3)
     assert summary["delta"] is None
     rows = (tmp_path / "out" / "slices.csv").read_text().splitlines()
     assert rows[0] == "index,xi,tau,feasible,value_re,value_im"
-    assert len(rows) > 1
+    # one row per probed node, in the nodes' order; an infeasible slice is zero
+    freq = build_frequency_grid(build_grid(1, 17, 17, 1.0), 4.0)
+    probed = freq.probed(hermitian)
+    assert (len(probed) < len(freq.nodes)) == hermitian
+    cells = [row.split(",") for row in rows[1:]]
+    assert [c[0] for c in cells] == [" ".join(map(str, nd.index)) for nd in probed]
+    assert [c[3] for c in cells] == [str(nd.feasible).lower() for nd in probed]
+    assert {c[3] for c in cells} == {"true", "false"}
+    assert all(float(c[4]) == float(c[5]) == 0.0 for c in cells if c[3] == "false")
     load_field(tmp_path / "out" / "estimate.field")
 
 

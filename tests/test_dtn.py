@@ -386,7 +386,7 @@ def test_partial_apply_enforces_support():
     oracle = DtnOracle(g, None, support_mask=support, obs_mask=obs)
     with pytest.raises(ConfigError, match="support"):
         oracle.apply(gdat)
-    inside = gdat.restricted(support)
+    inside = BoundaryField(g, gdat.values * support.values[None, :])
     resp = oracle.apply(inside)
     assert np.all(resp.values[:, ~obs.values] == 0)
 

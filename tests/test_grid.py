@@ -114,10 +114,10 @@ def test_boundary_adjacency_1d_isolated():
 def test_boundary_trace_selects_points():
     g = build_grid(2, 9, 5, 1.0)
     xs = g.space_coordinates()
-    field = xs[0] + 10.0 * xs[1]
-    tr = g.boundary_trace(field)
+    field = ScalarField(g, np.broadcast_to(xs[0] + 10.0 * xs[1], g.field_shape))
+    tr = field.boundary_trace().values
     want = g.boundary_points[:, 0] + 10.0 * g.boundary_points[:, 1]
-    assert np.allclose(tr, want)
+    assert np.allclose(tr, want[None])
 
 
 def test_faces_partition_boundary():

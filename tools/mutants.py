@@ -65,6 +65,10 @@ MUTANTS = [
            "if mask is None:\n            rows -= traces",
            "if True:\n            rows -= traces",
            (_STREAM,)),
+    Mutant("same-reference-not-subtracted", "dtn.py",
+           "if self._same:\n            self.subtract(levels, traces)",
+           "if False:\n            self.subtract(levels, traces)",
+           (_STREAM,)),
     Mutant("no-per-level-finite-check", "forward.py",
            "if not np.isfinite(parts).all():",
            "if False:",
@@ -93,8 +97,8 @@ MUTANTS = [
            ("tests/test_difference_stream.py::"
             "test_stored_answers_stay_read_only_and_unchanged_through_differences",)),
     Mutant("block-before-stored-answer", "dtn.py",
-           "self.block = self._subtract = None\n",
-           "self.block = self._subtract = None\n        self._start()\n",
+           "self.block = self._scratch = None\n",
+           "self.block = self._scratch = None\n        self._start()\n",
            ("tests/test_difference_stream.py::"
             "test_a_stored_answer_is_formed_before_the_blocks_it_is_read_into",)),
     Mutant("support-check-kept-without-its-mask", "dtn.py",
