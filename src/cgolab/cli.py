@@ -13,6 +13,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._svg import write_line_chart
+from ._svg import render_line_chart
 from .carleman import carleman_report, sample_family
 from .cgo import remainder_decay_report
 from .dtn import (
@@ -53,7 +54,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # field spec: (type tag, default).  Tags: int, "positive_int", float, bool,
-# str, list, "nonempty_list", "number_or_auto", "opt_<tag>" for nullable.
+# str, "number_or_auto", "<tag>_list" for a list whose every entry has that
+# tag, "nonempty_<tag>_list", and "opt_<tag>" for nullable.
 SCHEMA = {
     "seed": ("int", 0),
     "out_dir": ("str", "cgolab-out"),
@@ -68,7 +70,7 @@ SCHEMA = {
         "family": ("str", "sine"),
         "amplitude": ("float", 0.3),
         "value": ("float", 0.0),
-        "space": ("list", [1]),
+        "space": ("int_list", [1]),
         "time": ("int", 1),
         "bound": ("opt_float", None),
     },
@@ -76,7 +78,7 @@ SCHEMA = {
         "family": ("str", "zero"),
         "amplitude": ("float", 0.0),
         "value": ("float", 0.0),
-        "space": ("list", [1]),
+        "space": ("int_list", [1]),
         "time": ("int", 0),
         "bound": ("opt_float", None),
     },
@@ -96,7 +98,7 @@ SCHEMA = {
         "c": ("opt_float", None),
         "rho_floor": ("float", 2.05),
         "probe_delta": ("float", 0.25),
-        "base_direction": ("opt_list", None),
+        "base_direction": ("opt_float_list", None),
         "half_width": ("float", 0.3),
         "mask_delta": ("float", 0.3),
         "basis_j_max": ("opt_int", None),
@@ -111,24 +113,24 @@ SCHEMA = {
     },
     "sweep": {
         "kind": ("str", "noise"),
-        "noise_levels": ("list", [5e-2, 1.3e-2, 3.6e-3, 9.6e-4, 2.6e-4, 5e-5]),
-        "pair_scales": ("list", [1.0, 0.5, 0.25, 0.125, 0.0625]),
+        "noise_levels": ("float_list", [5e-2, 1.3e-2, 3.6e-3, 9.6e-4, 2.6e-4, 5e-5]),
+        "pair_scales": ("float_list", [1.0, 0.5, 0.25, 0.125, 0.0625]),
         "modulus_family": ("str", "single_log"),
         "modulus_s": ("float", 0.15),
         "modulus_rho_max": ("float", math.exp(-2)),
     },
     "carleman": {
-        "rhos": ("nonempty_list", [4.0, 8.0, 16.0, 32.0]),
+        "rhos": ("nonempty_float_list", [4.0, 8.0, 16.0, 32.0]),
         "samples": ("int", 20),
         "epsilon": ("int", 1),
-        "omega": ("opt_list", None),
+        "omega": ("opt_float_list", None),
     },
     "cgo": {
-        "xi": ("opt_list", None),
+        "xi": ("opt_float_list", None),
         "tau": ("float", 0.0),
-        "rhos": ("list", [4.0, 6.0, 8.0, 10.0]),
+        "rhos": ("float_list", [4.0, 6.0, 8.0, 10.0]),
         "delta": ("float", 0.25),
-        "omega": ("opt_list", None),
+        "omega": ("opt_float_list", None),
     },
     "pairing": {
         "cases": ("int", 10),
@@ -147,7 +149,7 @@ SCHEMA = {
         "ref_family": ("str", "linear"),
         "ref_slope": ("float", 0.5),
         "ref_cubic": ("float", 0.0),
-        "levels": ("list", [-0.5, 0.0, 0.5]),
+        "levels": ("float_list", [-0.5, 0.0, 0.5]),
         "level_bound": ("float", 1.0),
         "window_layers": ("int", 3),
     },
@@ -177,11 +179,15 @@ def _check_leaf(tag: str, value, path: str):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
-    if tag in ("list", "nonempty_list"):
+    if tag.endswith("_list"):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        if tag == "nonempty_list" and not value:
+        if tag.startswith("nonempty_") and not value:
             raise ConfigError(f"{path}: expected at least one entry")
+        # each entry is checked, and kept as it was given
+        entry = tag.removeprefix("nonempty_").removesuffix("_list")
+        for i, item in enumerate(value):
+            _check_leaf(entry, item, f"{path}[{i}]")
         return list(value)
     if tag == "number_or_auto":
         if value == "auto":
@@ -355,29 +361,41 @@ def _fmt_cell(value) -> str:
 
 
 class _Emitter:
-    """Collects artifacts; creates the output directory on first write.
+    """Collects artifacts and the SHA-256 of the bytes each one wrote; sets
+    up the output directory on first write.
 
-    The first write also removes a manifest left in the directory by an
+    Setting it up also removes a manifest left in the directory by an
     earlier run, so a run that fails part way leaves no manifest vouching for
     its partial files."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
-        self.files = []
+        self.hashes = {}
+        self._ready = False
 
     def _path(self, name: str) -> Path:
-        if not self.files:
+        if not self._ready:
             self.out.mkdir(parents=True, exist_ok=True)
             (self.out / "manifest.json").unlink(missing_ok=True)
-        self.files.append(name)
+            self._ready = True
         return self.out / name
 
+    def _write(self, name: str, data: bytes) -> None:
+        self._path(name).write_bytes(data)
+        self.hashes[name] = hashlib.sha256(data).hexdigest()
+
+    def _written(self, name: str, writer) -> None:
+        """An artifact that `writer` writes to its path, hashed as read back."""
+        path = self._path(name)
+        writer(path)
+        self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+
     def csv(self, name: str, header, rows) -> None:
-        with open(self._path(name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt_cell(v) for v in row])
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+        self._write(name, text.getvalue().encode("utf-8"))
 
     def json(self, name: str, payload) -> None:
         def default(obj):
@@ -392,25 +410,20 @@ class _Emitter:
             raise TypeError(f"cannot serialize {type(obj)}")
 
         text = json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
-        self._path(name).write_text(text, encoding="utf-8")
+        self._write(name, text.encode("utf-8"))
 
     def svg(self, name: str, series, **kwargs) -> None:
-        write_line_chart(self._path(name), series, **kwargs)
+        self._write(name, render_line_chart(series, **kwargs).encode("utf-8"))
 
     def field(self, name: str, fld: ScalarField) -> None:
-        save_field(self._path(name), fld)
+        self._written(name, lambda path: save_field(path, fld))
 
     def raw(self, name: str, writer) -> None:
-        writer(self._path(name))
+        self._written(name, writer)
 
     def manifest(self, command: str, cfg: ExperimentConfig) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        hashes = {}
-        for rel in sorted(self.files):
-            digest = hashlib.sha256((self.out / rel).read_bytes()).hexdigest()
-            hashes[rel] = digest
-        payload = {"command": command, "config": cfg.data, "files": hashes}
-        (self.out / "manifest.json").write_text(
+        payload = {"command": command, "config": cfg.data, "files": self.hashes}
+        self._path("manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 

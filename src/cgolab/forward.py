@@ -577,9 +577,6 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             raise ValueError("semilinear solver expects real initial data")
     bvals = np.stack([bdata.values.real for bdata in bdatas])
     op, ht = scheme._op, grid.ht
-    # one lift product per column, (nt, k, ndof): the dense 1-d product
-    # rounds by block width
-    lift = np.stack([(scheme._lift @ bdata.values.real.T).T for bdata in bdatas], axis=1)
     xint = tuple(_interior(np.broadcast_to(c, grid.space_shape), grid.n)
                  for c in grid.space_coordinates())
 
@@ -591,23 +588,40 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             out[rows] = getattr(a, method)(*xint, grid.ts[level], v[rows])
         return out
 
+    def lift(level):
+        """The lateral data's part of the equation at `level`, (k, ndof): one
+        product of the level's k columns, bitwise each column's own."""
+        return (scheme._lift @ bvals[:, level].T).T
+
     def half(level, v):
         """The spatial part op @ v + lift - a(v) of the equation at `level`."""
-        return (op @ v.T).T + lift[level] - evaluate("value", level, v)
+        return (op @ v.T).T + level_lift - evaluate("value", level, v)
 
-    x = np.empty((k, grid.nt, scheme._ndof))
+    # each column's field, written level by level as Newton accepts it, its
+    # boundary values once the march is done; one array per column, so a
+    # caller can drop each solution on its own
+    fields = [np.empty(grid.field_shape, dtype=np.complex128) for _ in range(k)]
+    inner = (slice(1, -1),) * grid.n
+
+    def store(level, v):
+        for u, row in zip(fields, v):
+            u[(level, *inner)] = row.reshape((grid.nx - 2,) * grid.n)
+
     first = None
     if any(u0 is not None for u0 in u0s):
         first = np.stack([np.zeros(grid.space_shape) if u0 is None else np.asarray(u0)
                           for u0 in u0s])
-    x[:, 0] = scheme._initial_interior(bvals, first, warn_incompatible).real
+    v = scheme._initial_interior(bvals, first, warn_incompatible).real.copy()
+    store(0, v)
     # the implicit half of an accepted level is the explicit half of the next step
-    explicit = half(0, x[:, 0])
+    level_lift = lift(0)
+    explicit = half(0, v)
     iterations = [[] for _ in range(k)]
     # each column's latest factor, as (du row bytes, factor)
     factors = [None] * k
     for level in range(1, grid.nt):
-        xk = x[:, level - 1]
+        xk = v
+        level_lift = lift(level)
         weighted_explicit = (1 - theta) * explicit
 
         def residual(v):
@@ -671,13 +685,11 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
                 alpha[pending] *= 0.5
         for c in range(k):
             iterations[c].append(count[c])
-        x[:, level] = v
+        store(level, v)
         explicit = implicit
-    # the lift block is as large as the solution; it is not held while the
-    # fields are built
-    del lift
-    return [SemilinearResult(scheme._field(x[c], bvals[c]), iterations[c])
-            for c in range(k)]
+    for u, b in zip(fields, bvals):
+        u[(slice(None), *grid.boundary_index)] = b
+    return [SemilinearResult(ScalarField(grid, u), its) for u, its in zip(fields, iterations)]
 
 
 def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float = 0.5,

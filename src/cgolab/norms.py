@@ -29,6 +29,7 @@ __all__ = [
     "lattice_measure",
     "torus_coefficients",
     "coefficients_to_field",
+    "written_to_field",
     "periodic_sobolev_norm",
     "sobolev_norm",
     "hminus1_norm",
@@ -172,23 +173,60 @@ def _occupied_lines(values: np.ndarray) -> np.ndarray:
     entry counts): a boolean array of the other axes' shape."""
     values = np.ascontiguousarray(values)
     words = values.view(np.uint64 if values.itemsize % 8 == 0 else np.uint8)
-    return words.reshape(values.shape[:-1] + (-1,)).any(axis=-1)
+    return words.any(axis=-1)
 
 
-def _lattice_transform(values: np.ndarray, transform, keep, shape=None) -> np.ndarray:
+def _scanned_lines(values: np.ndarray, n) -> tuple:
+    """(rows, data) of `values` in the leading corner of a lattice of shape
+    n: the occupied lines along the last axis, found by a scan, cast to
+    complex and zero-extended to n[-1], and their flat indices over the
+    lattice's other axes."""
+    # flat indices, over the values' other axes, of the occupied lines along
+    # the last, and the lines themselves, a copy already
+    lines = np.flatnonzero(_occupied_lines(values))
+    gathered = values.reshape(-1, values.shape[-1])[lines]
+    if n == values.shape:
+        return lines, gathered.astype(np.complex128, copy=False)
+    # the same lines' flat indices over the lattice's other axes
+    rows = np.ravel_multi_index(np.unravel_index(lines, values.shape[:-1]), n[:-1])
+    data = np.zeros((lines.size, n[-1]), dtype=np.complex128)
+    data[:, :values.shape[-1]] = gathered
+    return rows, data
+
+
+def _written_lines(values: np.ndarray, positions, n) -> tuple:
+    """(rows, data) of the lattice of shape n that holds `values` at
+    `positions`, an index tuple of integer arrays, and zeros elsewhere: the
+    lines along the last axis that a scan of that lattice finds occupied,
+    and their flat indices over the other axes.  Only the lines some
+    position reaches are formed; a repeated position keeps its last value,
+    as an assignment does, and a line whose values are all +0.0 is blank."""
+    line, col = np.divmod(np.ravel_multi_index(positions, n), n[-1])
+    touched, row = np.unique(line, return_inverse=True)
+    data = np.zeros((touched.size, n[-1]), dtype=np.complex128)
+    data[row, col] = values
+    occupied = _occupied_lines(data)
+    return touched[occupied], data[occupied]
+
+
+def _lattice_transform(values: np.ndarray, transform, keep, shape=None,
+                       positions=None) -> np.ndarray:
     """`transform` (np.fft.fft or np.fft.ifft) along every axis, last axis
     first as np.fft.fftn and ifftn run it.  Once an axis's 1-D transforms are
     done, only its indices `keep[axis]` are kept: a slice (the crop to a
     corner) or an integer array (the axis's coordinates of wanted nodes).
-    The result is a complex128 array of the function's own (a view of it
-    when cropped), which the caller may scale in place.  With `shape`, the
+    The result is a complex128 array of the function's own, which the caller
+    may scale in place.  With `shape`, the
     lattice is that larger shape and the values fill its leading corner,
     zeros elsewhere, as `zero_extend` writes them; the zero-extended array
-    is never formed.
+    is never formed.  With `positions` as well, an index tuple of integer
+    arrays, `values` are written there instead, as an assignment writes
+    them, and the lattice array is never formed either.
 
     Only the lines along the last axis that hold a nonzero bit pattern (a
     -0.0 entry counts) are cast to complex, zero-extended where the lattice
-    is longer, and transformed.  Before each further axis, every index tuple
+    is longer, and transformed: a scan of the values finds them, or the
+    written positions do.  Before each further axis, every index tuple
     of the axes not yet transformed that leads to no such line carries the
     same slab, `blank`: what the earlier axes made of zeros.  So the slab is
     transformed once per axis and stands in for all of them; it is a
@@ -199,19 +237,10 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None) -> np.nd
     bitwise the kept part of the full transform.
     """
     n = values.shape if shape is None else tuple(shape)
-    # flat indices, over the values' other axes, of the occupied lines along
-    # the last, and the lines themselves, a copy already
-    lines = np.flatnonzero(_occupied_lines(values))
-    gathered = values.reshape(-1, values.shape[-1])[lines]
-    if n == values.shape:
-        rows, data = lines, gathered.astype(np.complex128, copy=False)
+    if positions is None:
+        rows, data = _scanned_lines(values, n)
     else:
-        # the same lines' flat indices over the lattice's other axes
-        rows = np.ravel_multi_index(np.unravel_index(lines, values.shape[:-1]), n[:-1])
-        data = np.zeros((lines.size, n[-1]), dtype=np.complex128)
-        data[:, :values.shape[-1]] = gathered
-    # the gathered copy is not held while the slabs are formed
-    del gathered
+        rows, data = _written_lines(values, positions, n)
     data = transform(data, axis=-1, out=data)[:, keep[-1]]
     blank = transform(np.zeros(n[-1], dtype=np.complex128))[keep[-1]]
     for axis in reversed(range(len(n) - 1)):
@@ -219,10 +248,8 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None) -> np.nd
         # position of each row in their slabs
         outer, inner = np.divmod(rows, n[axis])
         prefixes, slab = np.unique(outer, return_inverse=True)
-        slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=np.complex128)
-        slabs[...] = blank
-        slabs[slab, inner] = data
-        data = transform(slabs, axis=1, out=slabs)[:, keep[axis]]
+        data = _slab_transform(data, (slab, inner), (prefixes.size, n[axis]), blank,
+                               transform, keep[axis])
         if prefixes.size < math.prod(n[:axis]):
             # the broadcast input is read in place; the output is laid out in
             # C order, as the full transform's is, since sums over it follow
@@ -232,6 +259,42 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None) -> np.nd
             blank = blank[keep[axis]]
         rows = prefixes
     return data[0] if rows.size else blank
+
+
+# the most entries of the slabs that are formed and transformed at once; the
+# slabs of a last transformed axis can hold as many as the lattice has
+_SLAB_ENTRIES = 1 << 14
+
+
+def _slab_transform(data, at, shape, blank, transform, keep) -> np.ndarray:
+    """`transform` along axis 1 of the slabs of shape `shape` +
+    data.shape[1:] that hold data's rows at the index pair `at` (slab,
+    position) and `blank` everywhere else, kept at `keep` on that axis, as a
+    new C-order array.  The slabs are formed and transformed a few whole
+    slabs at a time, or a block of one slab's trailing entries at a time
+    where a slab alone is larger, so that no more than about _SLAB_ENTRIES
+    of them are held.  Each line still goes through the same 1-D transform.
+    `at` is sorted by slab, as the rows of `_lattice_transform` are."""
+    rest = data.shape[1:]
+    width = math.prod(rest)
+    data = data.reshape(data.shape[0], width)
+    blank = np.broadcast_to(blank, rest).reshape(width)
+    slab, inner = at
+    count, n = shape
+    out = np.empty((count, np.arange(n)[keep].size, width), dtype=np.complex128)
+    slabs_step = max(1, _SLAB_ENTRIES // max(1, n * width))
+    width_step = max(1, _SLAB_ENTRIES // n)
+    for first in range(0, count, slabs_step):
+        last = min(first + slabs_step, count)
+        lo, hi = np.searchsorted(slab, [first, last])
+        for start in range(0, width, width_step):
+            block = slice(start, start + width_step)
+            slabs = np.empty((last - first, n, min(width_step, width - start)),
+                             dtype=np.complex128)
+            slabs[...] = blank[block]
+            slabs[slab[lo:hi] - first, inner[lo:hi]] = data[lo:hi, block]
+            out[first:last, :, block] = transform(slabs, axis=1, out=slabs)[:, keep]
+    return out.reshape(out.shape[:2] + rest)
 
 
 def _corner(shape) -> tuple:
@@ -282,10 +345,26 @@ def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray
     other line runs the same 1-D transform as the full inverse.  So the
     corner is bitwise the crop of np.fft.ifftn, at a fraction of the work.
     """
-    d = coeffs.ndim
-    cell = np.prod([L / npts for npts, L in zip(coeffs.shape, lengths)])
-    shape = coeffs.shape if shape is None else shape
-    field = _lattice_transform(coeffs, np.fft.ifft, _corner(shape)) * (2 * math.pi) ** (d / 2)
+    return _to_field(coeffs, None, coeffs.shape, lengths, shape)
+
+
+def written_to_field(values, positions, lattice, lengths, shape=None) -> np.ndarray:
+    """`coefficients_to_field` of the array of shape `lattice` that holds
+    `values` at `positions` (an index tuple of integer arrays, one per axis,
+    as np.nonzero returns) and zeros elsewhere, bitwise.  A repeated position
+    takes its last value, as an assignment does.  That array is never
+    formed: only the lines along the last axis that a position reaches are
+    gathered, and those that hold a nonzero bit pattern are transformed."""
+    return _to_field(np.asarray(values), positions, tuple(lattice), lengths, shape)
+
+
+def _to_field(values, positions, lattice, lengths, shape) -> np.ndarray:
+    """The inverse of both functions above: `_lattice_transform` of the
+    lattice (the values, or the values written at `positions`), scaled."""
+    cell = np.prod([L / npts for npts, L in zip(lattice, lengths)])
+    keep = _corner(lattice if shape is None else shape)
+    field = _lattice_transform(values, np.fft.ifft, keep, lattice, positions)
+    field *= (2 * math.pi) ** (len(lattice) / 2)
     return np.divide(field, cell, out=field)
 
 

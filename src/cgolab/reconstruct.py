@@ -41,10 +41,10 @@ from .norms import (
     Hminus1Target,
     ModulusParams,
     box_lengths,
-    coefficients_to_field,
     fit_modulus_constant,
     padded_shape,
     torus_coefficients,
+    written_to_field,
 )
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "fourier_slice",
     "exact_slice_values",
     "select_parameters",
+    "invert_written",
     "invert_cutoff",
     "reconstruct",
     "reconstructions",
@@ -380,11 +381,26 @@ def select_parameters(delta: float, s: float, c: float,
     return SelectionResult(trivial=False, rho=rho, R=rho**s, saturated=saturated)
 
 
+def invert_written(grid: Grid, values, positions) -> tuple:
+    """(real-part estimate, imaginary residue) of coefficient values written
+    at padded-lattice positions, as `FrequencyGrid.to_coefficients` returns
+    them: the inverse transform of the lattice that holds them, zeros
+    elsewhere, restricted to the cylinder.  Only the lattice lines that the
+    values occupy are formed (`written_to_field`), never the lattice."""
+    crop = written_to_field(values, positions, padded_shape(grid), box_lengths(grid),
+                            grid.field_shape)
+    imag_residue = float(np.abs(crop.imag).max())
+    # the real part as complex, +0.0 imaginary parts, in the crop's own array
+    crop.imag = 0.0
+    return ScalarField(grid, crop), imag_residue
+
+
 def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, written=None):
     """Inverse transform of the collected slices, restricted to the cylinder.
 
-    Returns (real-part estimate, imaginary residue, coefficient array).  The
-    coefficient array is the lattice object used for exact error evaluation;
+    Returns (real-part estimate, imaginary residue, coefficient array): the
+    first two are `invert_written`'s, and the coefficient array, the lattice
+    object used for exact error evaluation, is scattered for the caller.
     `written` is `freq.to_coefficients(hermitian)` where the caller has it
     already.
     """
@@ -392,10 +408,7 @@ def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, writt
         raise ConfigError("empty frequency set")
     if written is None:
         written = freq.to_coefficients(hermitian)
-    coeffs = _scatter(grid, *written)
-    crop = coefficients_to_field(coeffs, box_lengths(grid), grid.field_shape)
-    imag_residue = float(np.abs(crop.imag).max())
-    return ScalarField(grid, crop.real.astype(np.complex128)), imag_residue, coeffs
+    return (*invert_written(grid, *written), _scatter(grid, *written))
 
 
 @dataclass
@@ -441,7 +454,7 @@ class ReconstructionResult:
     `coefficients` property scatters the values into a new one.
 
     The estimate on the cylinder and its imaginary residue are computed on
-    first access, by `invert_cutoff` of the written values (the zero field
+    first access, by `invert_written` of the written values (the zero field
     and 0.0 on the trivial branch), so a run that reads only the values,
     such as a stability sweep, inverts nothing.  `extended_delta` is the
     distance of the extended maps where `reconstructions` was asked it.
@@ -470,8 +483,7 @@ class ReconstructionResult:
         grid = self.frequencies.grid
         if self.trivial:
             return ScalarField.zeros(grid), 0.0
-        return invert_cutoff(grid, self.frequencies, self.hermitian,
-                             (self.values, self.positions))[:2]
+        return invert_written(grid, self.values, self.positions)
 
     @property
     def estimate(self) -> ScalarField:

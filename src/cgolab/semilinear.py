@@ -23,7 +23,7 @@ from .reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
     exact_slice_values,
-    invert_cutoff,
+    invert_written,
     reconstructions,
 )
 
@@ -277,7 +277,7 @@ def _cutoff_gain(grid: Grid, cfg: ReconstructionConfig, radius: float,
     freq = build_frequency_grid(grid, radius, cfg.mode, cfg.direction(grid.n),
                                 cfg.half_width)
     exact_slice_values(grid, np.ones(grid.field_shape), freq)
-    low, _, _ = invert_cutoff(grid, freq, cfg.use_hermitian)
+    low, _ = invert_written(grid, *freq.to_coefficients(cfg.use_hermitian))
     gain = _window_average(grid, low.values, layers)
     if abs(gain) < 1e-8:
         raise SolverError("cutoff annihilates constants; widen the frequency ball")

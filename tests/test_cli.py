@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -280,6 +281,26 @@ def test_main_rejects_empty_carleman_rhos_before_writing(tmp_path, capsys):
     assert rc == 2
     assert "carleman.rhos" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, where", [
+    # a string rho used to pass the schema and die in carleman.py with a
+    # TypeError traceback and exit 1
+    ("carleman-check", {"carleman": {"rhos": [4.0, "x"]}}, "carleman.rhos[1]"),
+    ("carleman-check", {"carleman": {"rhos": [True]}}, "carleman.rhos[0]"),
+    ("forward", {"potential": {"family": "sine", "space": ["a"]}}, "potential.space[0]"),
+    ("forward", {"potential": {"family": "sine", "space": [1.5]}}, "potential.space[0]"),
+])
+def test_main_rejects_bad_list_entries_where_the_config_is_read(tmp_path, capsys, command,
+                                                                section, where):
+    path = _write_config(tmp_path, {**SMALL_GRID, **section})
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        ExperimentConfig(section)
 
 
 @pytest.mark.parametrize("j_max", [-1, 0, 1])

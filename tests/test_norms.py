@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
+from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, norms, sobolev_norm
 from cgolab.errors import ConfigError
 from cgolab.norms import (
     Hminus1Target,
@@ -21,6 +21,7 @@ from cgolab.norms import (
     modulus_eval,
     periodic_sobolev_norm,
     torus_coefficients,
+    written_to_field,
     zero_extend,
 )
 
@@ -250,6 +251,26 @@ def test_line_restricted_transforms_are_the_plain_transforms_bitwise(problem):
         assert _bits(got) == _bits(want) and got.strides == want.strides
 
 
+@pytest.mark.parametrize("entries", [1, 64, 256])
+def test_slabs_transformed_in_blocks_are_the_plain_transforms_bitwise(monkeypatch, entries):
+    # each further axis forms and transforms its slabs a few whole slabs at a
+    # time, or a block of one slab's trailing entries at a time; neither the
+    # blocks nor the blank lines between them may change a bit
+    monkeypatch.setattr(norms, "_SLAB_ENTRIES", entries)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((6, 10, 8)) + 1j * rng.standard_normal((6, 10, 8))
+    values[2] = 0.0
+    values[:, 3] = 0.0
+    values[4, 5] = complex(-0.0, -0.0)
+    lengths, corner = (1.0, 2.0, 3.0), (4, 7, 5)
+    at = (np.array([0, 5, 2, 0]), np.array([9, 3, 3, 9]), np.array([1, 7, 0, 1]))
+    want = _plain_forward(values, lengths)
+    assert _bits(torus_coefficients(values, lengths)) == _bits(want)
+    assert _bits(torus_coefficients(values, lengths, at)) == _bits(want[at])
+    assert _bits(coefficients_to_field(values, lengths, corner)) == _bits(
+        _plain_inverse(values, lengths, corner))
+
+
 @st.composite
 def _node_problems(draw):
     """(array, lengths, nodes): a `_lattice_arrays` array and an index tuple
@@ -273,6 +294,54 @@ def test_node_restricted_coefficients_are_the_full_transform_bitwise(problem):
     values, lengths, at = problem
     got = torus_coefficients(values, lengths, at)
     assert _bits(got) == _bits(_plain_forward(values, lengths)[at])
+
+
+_SIGNED_ZEROS = {"+0": complex(0.0, 0.0), "-0": complex(-0.0, -0.0), "mixed": complex(0.0, -0.0)}
+
+
+@st.composite
+def _written_problems(draw):
+    """(values, positions, shape, lengths, corner) on a `_lattice_arrays`
+    lattice: up to a dozen values at random positions, repeats allowed, each
+    random, +0.0, -0.0 or a zero of mixed signs, in random order; now and
+    then one whole line along the last axis is written with -0.0 as well."""
+    array, lengths, corner = draw(_lattice_arrays())
+    shape = array.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["value", *_SIGNED_ZEROS]), max_size=12))
+    values = [_SIGNED_ZEROS[k] if k in _SIGNED_ZEROS else complex(rng.normal(), rng.normal())
+              for k in kinds]
+    flat = list(rng.integers(array.size, size=len(kinds)))
+    if draw(st.booleans()):
+        start = int(rng.integers(array.size // shape[-1])) * shape[-1]
+        flat += range(start, start + shape[-1])
+        values += [complex(-0.0, -0.0)] * shape[-1]
+    order = rng.permutation(len(flat))
+    positions = np.unravel_index(np.array(flat, dtype=np.intp)[order], shape)
+    return np.array(values, dtype=np.complex128)[order], positions, shape, lengths, corner
+
+
+@settings(max_examples=150, deadline=None)
+@given(_written_problems())
+# a whole line of -0.0 entries is occupied, not blank
+@example((np.full(4, complex(-0.0, -0.0)), (np.arange(4),), (4,), (1.0,), (3,)))
+@example((np.full(6, complex(-0.0, -0.0)), (np.full(6, 1), np.arange(6)), (4, 6),
+          (1.0, 2.0), (3, 4)))
+# a repeated position takes its last value
+@example((np.array([1 + 1j, 2 - 1j]), (np.array([1, 1]), np.array([2, 2])), (4, 6),
+          (1.0, 2.0), (3, 4)))
+# nothing written: the blank lattice
+@example((np.zeros(0, dtype=np.complex128), (np.zeros(0, dtype=np.intp),) * 2, (4, 6),
+          (1.0, 2.0), (3, 4)))
+def test_written_values_invert_as_their_scattered_lattice_bitwise(problem):
+    # the inverse from written values gathers only the lines they reach and
+    # forms no lattice; it is the scanned lattice's inverse, layout included
+    values, positions, shape, lengths, corner = problem
+    lattice = np.zeros(shape, dtype=np.complex128)
+    lattice[positions] = values
+    got = written_to_field(values, positions, shape, lengths, corner)
+    want = coefficients_to_field(lattice, lengths, corner)
+    assert _bits(got) == _bits(want) and got.strides == want.strides
 
 
 def _plain_hminus1_distance(grid, values, coeffs):

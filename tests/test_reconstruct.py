@@ -1,6 +1,7 @@
 """Frequency bookkeeping, parameter rule, and the inversion pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cgolab.norms import (
     ModulusParams,
     box_lengths,
     coefficients_to_field,
+    padded_shape,
     periodic_sobolev_norm,
     zero_extend,
 )
@@ -23,7 +25,9 @@ from cgolab.reconstruct import (
     choose_direction,
     exact_slice_values,
     fourier_slice,
+    _scatter,
     invert_cutoff,
+    invert_written,
     measurement_oracle,
     partial_masks,
     probe_rho_cap,
@@ -518,3 +522,52 @@ def test_sweep_axis_validation():
         stability_sweep(g, None, cfg, mod, pair_truths=[_sine_potential(g, 0.2)])
     with pytest.raises(ConfigError, match="degenerate"):
         stability_sweep(g, None, cfg, mod, noise_levels=[1e-3, 1e-3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 5, 5), (1, 9, 17), (2, 5, 5), (2, 7, 9)]),
+       st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_written_inverse_is_the_scattered_lattices_bitwise(shape, seed, count):
+    # the estimate and its residue, inverted from written values alone, are
+    # those of the scattered lattice; some values are zeros of either sign,
+    # some positions repeat (the last value stands) and the set may be empty
+    grid = build_grid(*shape, T=1.0)
+    rng = np.random.default_rng(seed)
+    flat = rng.integers(math.prod(padded_shape(grid)), size=count)
+    flat = np.concatenate([flat, flat[: count // 3]])
+    values = rng.standard_normal(flat.size) + 1j * rng.standard_normal(flat.size)
+    values[rng.uniform(size=flat.size) < 0.2] = 0.0
+    values[rng.uniform(size=flat.size) < 0.2] = complex(-0.0, -0.0)
+    positions = np.unravel_index(flat, padded_shape(grid))
+    estimate, residue = invert_written(grid, values, positions)
+    crop = coefficients_to_field(_scatter(grid, values, positions), box_lengths(grid),
+                                 grid.field_shape)
+    assert _bits(estimate.values) == _bits(crop.real.astype(np.complex128))
+    assert residue == float(np.abs(crop.imag).max())
+
+
+def test_estimate_at_the_nonlinearity_workloads_shape_forms_no_lattice():
+    # the estimate is inverted from its written values: neither the padded
+    # lattice (4 MiB at this shape) nor a whole slab along the time axis
+    # (2 MiB) is formed, and the field is the largest thing held
+    grid = build_grid(1, 65, 1025, 2.0)
+    cfg = ReconstructionConfig(rho=16.0, R=2.0)
+    freq = build_frequency_grid(grid, cfg.R, cfg.mode, cfg.direction(1), cfg.half_width)
+    exact_slice_values(grid, np.ones(grid.field_shape), freq)
+    values, positions = freq.to_coefficients(True)
+
+    def result():
+        return ReconstructionResult(values, positions, freq, True, None, cfg.rho, cfg.R,
+                                    False, False, None)
+
+    want = result().estimate
+    res = result()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = res.estimate
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert _bits(got.values) == _bits(want.values)
+    assert peak < 2 * 2**20

@@ -1,6 +1,7 @@
 """Derivative boundary maps and level-by-level nonlinearity recovery."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cgolab.dtn import (
     faces_within,
     operator_norm,
 )
-from cgolab.forward import neumann_trace, solve_forward, solve_semilinear
+from cgolab.forward import neumann_trace, solve_forward, solve_semilinear, solve_semilinear_many
 from cgolab.norms import ModulusParams
 from cgolab.reconstruct import ReconstructionConfig, measurement_oracle, reconstruct
 from cgolab.semilinear import (
@@ -615,3 +616,25 @@ def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
         # the measurement basis, which is its own output basis, and the
         # extended input basis
         assert len(bases) == 2
+
+
+def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields():
+    # each accepted level goes straight into its columns' fields: no solution
+    # block and no lift block (3.1 MiB each at this shape) is held beside them
+    grid = build_grid(1, 65, 1025, 2.0)
+    columns = [(a, s) for a in (_linear(1.0), _linear(0.5)) for s in (0.3, 0.6, 0.9)]
+    nonlinearities = [a for a, _ in columns]
+    bdatas = [BoundaryField.constant(grid, s) for _, s in columns]
+    u0s = [np.full(grid.space_shape, s) for _, s in columns]
+    solve_semilinear_many(grid, nonlinearities, bdatas, u0s, warn_incompatible=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = solve_semilinear_many(grid, nonlinearities, bdatas, u0s,
+                                        warn_incompatible=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    fields = sum(r.field.values.nbytes for r in results)
+    assert fields > 6 * 2**20
+    assert peak < 7.5 * 2**20

@@ -328,13 +328,13 @@ def test_noise_sweep_inverts_no_estimate_and_scans_no_lattice(monkeypatch):
     inverses = []
     # the package exports the function `reconstruct` under the module's name
     reconstruct_module = importlib.import_module("cgolab.reconstruct")
-    to_field = reconstruct_module.coefficients_to_field
+    to_field = reconstruct_module.written_to_field
 
     def counting_to_field(*args, **kwargs):
-        inverses.append(args[0].shape)
+        inverses.append(np.shape(args[0]))
         return to_field(*args, **kwargs)
 
-    monkeypatch.setattr(reconstruct_module, "coefficients_to_field", counting_to_field)
+    monkeypatch.setattr(reconstruct_module, "written_to_field", counting_to_field)
     scans = _count_lattice_scans(monkeypatch, grid)
     out = stability_sweep(grid, truth, PARTIAL_AUTO, ModulusParams("single_log", 0.15, 2),
                           noise_levels=NOISE_LEVELS, noise_truth=truth, noise_seed=7)

@@ -435,6 +435,27 @@ def test_newton_norm_is_numpys_norm_bitwise(size, seed, scale):
         assert forward._norm(row) == np.linalg.norm(row)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 4, 5), (1, 9, 5), (1, 17, 9), (1, 65, 9), (2, 5, 5), (2, 7, 9)]),
+       st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_level_lift_is_each_columns_block_product_bitwise(shape, k, seed, signed_zeros):
+    # Newton lifts each level's k data columns in one product; in 1-d that is
+    # a dense BLAS product, whose rounding could depend on the block's width,
+    # so each entry is held to the product of its column's whole block
+    g = build_grid(*shape, T=1.0)
+    lift = forward.ThetaScheme(g, None, 0.5)._lift
+    rng = np.random.default_rng(seed)
+    bvals = rng.standard_normal((k, g.nt, g.n_boundary)) * rng.choice([1e-3, 1.0, 1e3],
+                                                                     size=(k, 1, 1))
+    if signed_zeros:
+        bvals[rng.uniform(size=bvals.shape) < 0.3] = 0.0
+        bvals[rng.uniform(size=bvals.shape) < 0.3] = -0.0
+    columns = np.stack([(lift @ b.T).T for b in bvals], axis=1)
+    for level in range(g.nt):
+        got = (lift @ bvals[:, level].T).T
+        assert np.ascontiguousarray(got).tobytes() == columns[level].tobytes()
+
+
 def test_non_finite_newton_residual_raises():
     # a NaN residual passed the convergence test: the solve returned, every
     # level after the first a frozen copy of it

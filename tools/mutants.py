@@ -52,6 +52,8 @@ _PAIRING_SIZES = ("tests/test_difference_stream.py::"
                   "test_two_dimensional_pairing_gap_falls_under_refinement")
 _LINES = ("tests/test_norms.py::"
           "test_line_restricted_transforms_are_the_plain_transforms_bitwise")
+_WRITTEN = ("tests/test_norms.py::"
+            "test_written_values_invert_as_their_scattered_lattice_bitwise")
 _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
 
@@ -68,7 +70,8 @@ MUTANTS = [
     Mutant("same-reference-not-subtracted", "dtn.py",
            "if self._same:\n            self.subtract(levels, traces)",
            "if False:\n            self.subtract(levels, traces)",
-           (_STREAM,)),
+           ("tests/test_dtn.py::"
+            "test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise",)),
     Mutant("no-per-level-finite-check", "forward.py",
            "if not np.isfinite(parts).all():",
            "if False:",
@@ -106,6 +109,10 @@ MUTANTS = [
            "key = b'checked'",
            ("tests/test_dtn.py::test_a_basis_block_is_checked_against_each_support_mask",)),
     # the stepping kernel and the sampled fields
+    Mutant("newton-store-one-level-back", "forward.py",
+           "store(level, v)\n        explicit = implicit",
+           "store(level - 1, v)\n        explicit = implicit",
+           ("tests/test_stepping_kernel.py::test_semilinear_matches_plain_newton",)),
     Mutant("factor-keyed-by-level", "forward.py",
            "key = du[c].tobytes()",
            "key = level",
@@ -122,9 +129,22 @@ MUTANTS = [
            (_LINES, "tests/test_norms.py::"
                     "test_node_restricted_coefficients_are_the_full_transform_bitwise")),
     Mutant("negative-zero-counted-as-empty", "norms.py",
-           "return words.reshape(values.shape[:-1] + (-1,)).any(axis=-1)",
+           "return words.any(axis=-1)",
            "return (values != 0).any(axis=-1)",
            (_LINES,)),
+    Mutant("slab-block-offset", "norms.py",
+           "slabs[slab[lo:hi] - first, inner[lo:hi]]",
+           "slabs[slab[lo:hi] - lo, inner[lo:hi]]",
+           ("tests/test_norms.py::"
+            "test_slabs_transformed_in_blocks_are_the_plain_transforms_bitwise",)),
+    Mutant("written-gather-drops-negative-zero", "norms.py",
+           "occupied = _occupied_lines(data)",
+           "occupied = (data != 0).any(axis=-1)",
+           (_WRITTEN,)),
+    Mutant("written-gather-keeps-first-value", "norms.py",
+           "data[row, col] = values",
+           "data[row[::-1].copy(), col[::-1].copy()] = values[::-1].copy()",
+           (_WRITTEN,)),
     # the trace stencil (3, -4, 1)/(2h) of the march
     Mutant("stencil-middle-1pct", "forward.py", _STENCIL,
            _STENCIL.replace("-4.0", "-4.04"), (_PAIRING_SIZES,)),
