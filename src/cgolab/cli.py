@@ -13,7 +13,6 @@ import argparse
 import copy
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._svg import render_line_chart
+from ._svg import write_line_chart
 from .carleman import carleman_report, sample_family
 from .cgo import remainder_decay_report
 from .dtn import (
@@ -361,41 +360,29 @@ def _fmt_cell(value) -> str:
 
 
 class _Emitter:
-    """Collects artifacts and the SHA-256 of the bytes each one wrote; sets
-    up the output directory on first write.
+    """Collects artifacts; creates the output directory on first write.
 
-    Setting it up also removes a manifest left in the directory by an
+    The first write also removes a manifest left in the directory by an
     earlier run, so a run that fails part way leaves no manifest vouching for
     its partial files."""
 
     def __init__(self, out_dir: Path):
         self.out = Path(out_dir)
-        self.hashes = {}
-        self._ready = False
+        self.files = []
 
     def _path(self, name: str) -> Path:
-        if not self._ready:
+        if not self.files:
             self.out.mkdir(parents=True, exist_ok=True)
             (self.out / "manifest.json").unlink(missing_ok=True)
-            self._ready = True
+        self.files.append(name)
         return self.out / name
 
-    def _write(self, name: str, data: bytes) -> None:
-        self._path(name).write_bytes(data)
-        self.hashes[name] = hashlib.sha256(data).hexdigest()
-
-    def _written(self, name: str, writer) -> None:
-        """An artifact that `writer` writes to its path, hashed as read back."""
-        path = self._path(name)
-        writer(path)
-        self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-
     def csv(self, name: str, header, rows) -> None:
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
-        self._write(name, text.getvalue().encode("utf-8"))
+        with open(self._path(name), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt_cell(v) for v in row])
 
     def json(self, name: str, payload) -> None:
         def default(obj):
@@ -410,20 +397,25 @@ class _Emitter:
             raise TypeError(f"cannot serialize {type(obj)}")
 
         text = json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
-        self._write(name, text.encode("utf-8"))
+        self._path(name).write_text(text, encoding="utf-8")
 
     def svg(self, name: str, series, **kwargs) -> None:
-        self._write(name, render_line_chart(series, **kwargs).encode("utf-8"))
+        write_line_chart(self._path(name), series, **kwargs)
 
     def field(self, name: str, fld: ScalarField) -> None:
-        self._written(name, lambda path: save_field(path, fld))
+        save_field(self._path(name), fld)
 
     def raw(self, name: str, writer) -> None:
-        self._written(name, writer)
+        writer(self._path(name))
 
     def manifest(self, command: str, cfg: ExperimentConfig) -> None:
-        payload = {"command": command, "config": cfg.data, "files": self.hashes}
-        self._path("manifest.json").write_text(
+        self.out.mkdir(parents=True, exist_ok=True)
+        hashes = {}
+        for rel in sorted(self.files):
+            digest = hashlib.sha256((self.out / rel).read_bytes()).hexdigest()
+            hashes[rel] = digest
+        payload = {"command": command, "config": cfg.data, "files": hashes}
+        (self.out / "manifest.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 

@@ -264,13 +264,23 @@ class ThetaScheme:
                 )
         return _interior(first, grid.n)
 
-    def _field(self, interior, bvals) -> ScalarField:
+    def _write_interior(self, u, level, interior) -> None:
+        """Write interior values into the field array u at time index
+        `level`: (ndof,) values at one level, or (nt, ndof) at slice(None)."""
         grid = self.grid
-        u = np.empty(grid.field_shape, dtype=np.complex128)
-        u[(slice(None), *(slice(1, -1),) * grid.n)] = interior.reshape(
-            (grid.nt,) + (grid.nx - 2,) * grid.n)
-        u[(slice(None), *grid.boundary_index)] = bvals
-        return ScalarField(grid, u)
+        u[(level, *(slice(1, -1),) * grid.n)] = interior.reshape(
+            interior.shape[:-1] + (grid.nx - 2,) * grid.n)
+
+    def _bounded(self, u, bvals) -> ScalarField:
+        """The field of the array u, once the lateral data bvals (nt, nb) is
+        written on its boundary."""
+        u[(slice(None), *self.grid.boundary_index)] = bvals
+        return ScalarField(self.grid, u)
+
+    def _field(self, interior, bvals) -> ScalarField:
+        u = np.empty(self.grid.field_shape, dtype=np.complex128)
+        self._write_interior(u, slice(None), interior)
+        return self._bounded(u, bvals)
 
     def _march(self, bvals, x0, source, dtype, emit, columns=None):
         """March k data columns from t=0 to T as one block.
@@ -593,19 +603,19 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
         product of the level's k columns, bitwise each column's own."""
         return (scheme._lift @ bvals[:, level].T).T
 
-    def half(level, v):
-        """The spatial part op @ v + lift - a(v) of the equation at `level`."""
-        return (op @ v.T).T + level_lift - evaluate("value", level, v)
+    def half(level, v, lifted):
+        """The spatial part op @ v + lift - a(v) of the equation at `level`,
+        where `lifted` is that level's lift(level)."""
+        return (op @ v.T).T + lifted - evaluate("value", level, v)
 
     # each column's field, written level by level as Newton accepts it, its
     # boundary values once the march is done; one array per column, so a
     # caller can drop each solution on its own
     fields = [np.empty(grid.field_shape, dtype=np.complex128) for _ in range(k)]
-    inner = (slice(1, -1),) * grid.n
 
     def store(level, v):
         for u, row in zip(fields, v):
-            u[(level, *inner)] = row.reshape((grid.nx - 2,) * grid.n)
+            scheme._write_interior(u, level, row)
 
     first = None
     if any(u0 is not None for u0 in u0s):
@@ -614,18 +624,17 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
     v = scheme._initial_interior(bvals, first, warn_incompatible).real.copy()
     store(0, v)
     # the implicit half of an accepted level is the explicit half of the next step
-    level_lift = lift(0)
-    explicit = half(0, v)
+    explicit = half(0, v, lift(0))
     iterations = [[] for _ in range(k)]
     # each column's latest factor, as (du row bytes, factor)
     factors = [None] * k
     for level in range(1, grid.nt):
         xk = v
-        level_lift = lift(level)
+        lifted = lift(level)
         weighted_explicit = (1 - theta) * explicit
 
         def residual(v):
-            implicit = half(level, v)
+            implicit = half(level, v, lifted)
             return (v - xk) / ht - theta * implicit - weighted_explicit, implicit
 
         # A column leaves the loop when its residual passes the test, and its
@@ -687,9 +696,8 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             iterations[c].append(count[c])
         store(level, v)
         explicit = implicit
-    for u, b in zip(fields, bvals):
-        u[(slice(None), *grid.boundary_index)] = b
-    return [SemilinearResult(ScalarField(grid, u), its) for u, its in zip(fields, iterations)]
+    return [SemilinearResult(scheme._bounded(u, b), its)
+            for u, b, its in zip(fields, bvals, iterations)]
 
 
 def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float = 0.5,

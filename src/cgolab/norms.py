@@ -215,8 +215,8 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None,
     first as np.fft.fftn and ifftn run it.  Once an axis's 1-D transforms are
     done, only its indices `keep[axis]` are kept: a slice (the crop to a
     corner) or an integer array (the axis's coordinates of wanted nodes).
-    The result is a complex128 array of the function's own, which the caller
-    may scale in place.  With `shape`, the
+    The result is a complex128 array of the function's own (a view of it
+    when cropped), which the caller may scale in place.  With `shape`, the
     lattice is that larger shape and the values fill its leading corner,
     zeros elsewhere, as `zero_extend` writes them; the zero-extended array
     is never formed.  With `positions` as well, an index tuple of integer
@@ -248,8 +248,10 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None,
         # position of each row in their slabs
         outer, inner = np.divmod(rows, n[axis])
         prefixes, slab = np.unique(outer, return_inverse=True)
-        data = _slab_transform(data, (slab, inner), (prefixes.size, n[axis]), blank,
-                               transform, keep[axis])
+        slabs = np.empty((prefixes.size, n[axis]) + data.shape[1:], dtype=np.complex128)
+        slabs[...] = blank
+        slabs[slab, inner] = data
+        data = transform(slabs, axis=1, out=slabs)[:, keep[axis]]
         if prefixes.size < math.prod(n[:axis]):
             # the broadcast input is read in place; the output is laid out in
             # C order, as the full transform's is, since sums over it follow
@@ -259,42 +261,6 @@ def _lattice_transform(values: np.ndarray, transform, keep, shape=None,
             blank = blank[keep[axis]]
         rows = prefixes
     return data[0] if rows.size else blank
-
-
-# the most entries of the slabs that are formed and transformed at once; the
-# slabs of a last transformed axis can hold as many as the lattice has
-_SLAB_ENTRIES = 1 << 14
-
-
-def _slab_transform(data, at, shape, blank, transform, keep) -> np.ndarray:
-    """`transform` along axis 1 of the slabs of shape `shape` +
-    data.shape[1:] that hold data's rows at the index pair `at` (slab,
-    position) and `blank` everywhere else, kept at `keep` on that axis, as a
-    new C-order array.  The slabs are formed and transformed a few whole
-    slabs at a time, or a block of one slab's trailing entries at a time
-    where a slab alone is larger, so that no more than about _SLAB_ENTRIES
-    of them are held.  Each line still goes through the same 1-D transform.
-    `at` is sorted by slab, as the rows of `_lattice_transform` are."""
-    rest = data.shape[1:]
-    width = math.prod(rest)
-    data = data.reshape(data.shape[0], width)
-    blank = np.broadcast_to(blank, rest).reshape(width)
-    slab, inner = at
-    count, n = shape
-    out = np.empty((count, np.arange(n)[keep].size, width), dtype=np.complex128)
-    slabs_step = max(1, _SLAB_ENTRIES // max(1, n * width))
-    width_step = max(1, _SLAB_ENTRIES // n)
-    for first in range(0, count, slabs_step):
-        last = min(first + slabs_step, count)
-        lo, hi = np.searchsorted(slab, [first, last])
-        for start in range(0, width, width_step):
-            block = slice(start, start + width_step)
-            slabs = np.empty((last - first, n, min(width_step, width - start)),
-                             dtype=np.complex128)
-            slabs[...] = blank[block]
-            slabs[slab[lo:hi] - first, inner[lo:hi]] = data[lo:hi, block]
-            out[first:last, :, block] = transform(slabs, axis=1, out=slabs)[:, keep]
-    return out.reshape(out.shape[:2] + rest)
 
 
 def _corner(shape) -> tuple:
@@ -363,8 +329,9 @@ def _to_field(values, positions, lattice, lengths, shape) -> np.ndarray:
     lattice (the values, or the values written at `positions`), scaled."""
     cell = np.prod([L / npts for npts, L in zip(lattice, lengths)])
     keep = _corner(lattice if shape is None else shape)
-    field = _lattice_transform(values, np.fft.ifft, keep, lattice, positions)
-    field *= (2 * math.pi) ** (len(lattice) / 2)
+    # scaled into a new array, so that no slab the crop is a view of stays held
+    field = (_lattice_transform(values, np.fft.ifft, keep, lattice, positions)
+             * (2 * math.pi) ** (len(lattice) / 2))
     return np.divide(field, cell, out=field)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, norms, sobolev_norm
+from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
 from cgolab.errors import ConfigError
 from cgolab.norms import (
     Hminus1Target,
@@ -249,26 +249,6 @@ def test_line_restricted_transforms_are_the_plain_transforms_bitwise(problem):
         got, want = (coefficients_to_field(coeffs, lengths, corner),
                      _plain_inverse(coeffs, lengths, corner))
         assert _bits(got) == _bits(want) and got.strides == want.strides
-
-
-@pytest.mark.parametrize("entries", [1, 64, 256])
-def test_slabs_transformed_in_blocks_are_the_plain_transforms_bitwise(monkeypatch, entries):
-    # each further axis forms and transforms its slabs a few whole slabs at a
-    # time, or a block of one slab's trailing entries at a time; neither the
-    # blocks nor the blank lines between them may change a bit
-    monkeypatch.setattr(norms, "_SLAB_ENTRIES", entries)
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal((6, 10, 8)) + 1j * rng.standard_normal((6, 10, 8))
-    values[2] = 0.0
-    values[:, 3] = 0.0
-    values[4, 5] = complex(-0.0, -0.0)
-    lengths, corner = (1.0, 2.0, 3.0), (4, 7, 5)
-    at = (np.array([0, 5, 2, 0]), np.array([9, 3, 3, 9]), np.array([1, 7, 0, 1]))
-    want = _plain_forward(values, lengths)
-    assert _bits(torus_coefficients(values, lengths)) == _bits(want)
-    assert _bits(torus_coefficients(values, lengths, at)) == _bits(want[at])
-    assert _bits(coefficients_to_field(values, lengths, corner)) == _bits(
-        _plain_inverse(values, lengths, corner))
 
 
 @st.composite

@@ -132,11 +132,6 @@ MUTANTS = [
            "return words.any(axis=-1)",
            "return (values != 0).any(axis=-1)",
            (_LINES,)),
-    Mutant("slab-block-offset", "norms.py",
-           "slabs[slab[lo:hi] - first, inner[lo:hi]]",
-           "slabs[slab[lo:hi] - lo, inner[lo:hi]]",
-           ("tests/test_norms.py::"
-            "test_slabs_transformed_in_blocks_are_the_plain_transforms_bitwise",)),
     Mutant("written-gather-drops-negative-zero", "norms.py",
            "occupied = _occupied_lines(data)",
            "occupied = (data != 0).any(axis=-1)",
