@@ -264,13 +264,6 @@ class ThetaScheme:
                 )
         return _interior(first, grid.n)
 
-    def _write_interior(self, u, level, interior) -> None:
-        """Write interior values into the field array u at time index
-        `level`: (ndof,) values at one level, or (nt, ndof) at slice(None)."""
-        grid = self.grid
-        u[(level, *(slice(1, -1),) * grid.n)] = interior.reshape(
-            interior.shape[:-1] + (grid.nx - 2,) * grid.n)
-
     def _bounded(self, u, bvals) -> ScalarField:
         """The field of the array u, once the lateral data bvals (nt, nb) is
         written on its boundary."""
@@ -278,8 +271,12 @@ class ThetaScheme:
         return ScalarField(self.grid, u)
 
     def _field(self, interior, bvals) -> ScalarField:
-        u = np.empty(self.grid.field_shape, dtype=np.complex128)
-        self._write_interior(u, slice(None), interior)
+        """The field of the interior values (nt, ndof) and the lateral data
+        bvals (nt, nb)."""
+        grid = self.grid
+        u = np.empty(grid.field_shape, dtype=np.complex128)
+        u[(slice(None), *(slice(1, -1),) * grid.n)] = interior.reshape(
+            (grid.nt,) + (grid.nx - 2,) * grid.n)
         return self._bounded(u, bvals)
 
     def _march(self, bvals, x0, source, dtype, emit, columns=None):
@@ -518,7 +515,7 @@ def neumann_trace(u: ScalarField) -> BoundaryField:
 
 @dataclass
 class SemilinearResult:
-    field: ScalarField
+    field: ScalarField | None
     newton_iterations: list
 
     @property
@@ -547,7 +544,7 @@ def _row_groups(nonlinearities) -> list:
 
 
 def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: float = 0.5,
-                          warn_incompatible: bool = True) -> list:
+                          warn_incompatible: bool = True, store=None) -> list:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns, each
     with its own nonlinearity a, as one block; one SemilinearResult per column.
 
@@ -555,18 +552,31 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
     data, u0s is None or k initial slices (each None or an array).  Each
     nonlinearity needs vectorized methods value(*x, t, u) and du(*x, t, u)
     that broadcast the interior coordinates against a block of rows of
-    length ndof.  Each step runs a damped Newton iteration on the
-    theta-stepped equation down to residual NEWTON_TOL; the Jacobian is
-    ThetaScheme's step matrix with q = du, divided by ht.  Each Newton
-    iteration and each trial of its line search evaluates the spatial half
-    once on the whole block, and value (or du) once per distinct
-    nonlinearity object, on the rows of the columns that share it.  A column
-    solves with the factor of another column, or its own from an earlier
-    iteration, whose du row is bytewise its own, so each distinct Jacobian
-    is factored once; every column keeps only its latest factor.  Solve,
-    line-search halving and convergence stay per column, so each column
-    takes its single-column iterations and gets its single-column field bit
-    for bit.  A non-finite residual raises SolverError.  Data must be real.
+    length ndof; du's values are written into the Jacobian's rows as they
+    come, so it may return any shape that broadcasts to u's.  Each step runs
+    a damped Newton iteration on the theta-stepped equation down to residual
+    NEWTON_TOL; the Jacobian is ThetaScheme's step matrix with q = du,
+    divided by ht.  Each Newton iteration and each trial of its line search
+    evaluates value (or du) once per distinct nonlinearity object, on the
+    rows of the columns that share it, and each trial forms op @ v once on
+    the whole block.  The accepted block's op @ v, row-updated where only
+    some columns take a trial, is the next level's first, and a level whose
+    lateral data is bytewise the previous level's keeps that level's lift;
+    the sparse product and the lift treat each column on its own, so both
+    are bitwise what forming them again would give.  A column solves with
+    the factor of another column, or its own from an earlier iteration,
+    whose du row is bytewise its own, so each distinct Jacobian is factored
+    once; every column keeps only its latest factor.  Solve, line-search
+    halving and convergence stay per column, so each column takes its
+    single-column iterations and gets its single-column values bit for bit.
+    A non-finite residual raises SolverError.  Data must be real.
+
+    Each accepted level goes to store(level, v) in turn, v the (k, ndof)
+    interior values of the k columns, as `ThetaScheme.trace_levels` hands
+    its traces: v is the loop's own, so store copies what it keeps and
+    writes nothing into it.  By default store writes each column's complex
+    field, whose boundary takes the lateral data once the march is done, and
+    the results carry those fields; with a given store they carry None.
     """
     scheme = ThetaScheme(grid, None, theta)
     bdatas = list(bdatas)
@@ -603,19 +613,22 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
         product of the level's k columns, bitwise each column's own."""
         return (scheme._lift @ bvals[:, level].T).T
 
-    def half(level, v, lifted):
-        """The spatial part op @ v + lift - a(v) of the equation at `level`,
-        where `lifted` is that level's lift(level)."""
-        return (op @ v.T).T + lifted - evaluate("value", level, v)
+    # level l > 0 keeps level l - 1's lift where its data is the same bytes
+    words = bvals.view(np.int64)
+    same_data = [False] + (words[:, 1:] == words[:, :-1]).all(axis=(0, 2)).tolist()
 
-    # each column's field, written level by level as Newton accepts it, its
-    # boundary values once the march is done; one array per column, so a
-    # caller can drop each solution on its own
-    fields = [np.empty(grid.field_shape, dtype=np.complex128) for _ in range(k)]
+    fields = None
+    if store is None:
+        # each column's field, written level by level as Newton accepts it,
+        # its boundary values once the march is done; one array per column,
+        # so a caller can drop each solution on its own
+        fields = [np.empty(grid.field_shape, dtype=np.complex128) for _ in range(k)]
+        interiors = [u[(slice(None), *(slice(1, -1),) * grid.n)] for u in fields]
+        rows_shape = (k,) + (grid.nx - 2,) * grid.n
 
-    def store(level, v):
-        for u, row in zip(fields, v):
-            scheme._write_interior(u, level, row)
+        def store(level, v):
+            for interior, row in zip(interiors, v.reshape(rows_shape)):
+                interior[level] = row
 
     first = None
     if any(u0 is not None for u0 in u0s):
@@ -623,26 +636,32 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
                           for u0 in u0s])
     v = scheme._initial_interior(bvals, first, warn_incompatible).real.copy()
     store(0, v)
+    # op @ v of the accepted block, carried into the next level's residual
+    product = (op @ v.T).T
+    lifted = lift(0)
     # the implicit half of an accepted level is the explicit half of the next step
-    explicit = half(0, v, lift(0))
+    explicit = product + lifted - evaluate("value", 0, v)
     iterations = [[] for _ in range(k)]
     # each column's latest factor, as (du row bytes, factor)
     factors = [None] * k
     for level in range(1, grid.nt):
         xk = v
-        lifted = lift(level)
+        if not same_data[level]:
+            lifted = lift(level)
         weighted_explicit = (1 - theta) * explicit
 
-        def residual(v):
-            implicit = half(level, v, lifted)
+        def residual(v, product):
+            """The residual of the block v whose op @ v is product, and the
+            implicit half op @ v + lift - a(v)."""
+            implicit = product + lifted - evaluate("value", level, v)
             return (v - xk) / ht - theta * implicit - weighted_explicit, implicit
 
         # A column leaves the loop when its residual passes the test, and its
-        # rows of v, res and implicit stay as they are from then on.  The
-        # whole block is still evaluated, a column out of the line search at
-        # its current v (its step is zero).
+        # rows of v, product, res and implicit stay as they are from then
+        # on.  The whole block is still evaluated, a column out of the line
+        # search at its current v (its step is zero).
         v = xk.copy()
-        res, implicit = residual(v)
+        res, implicit = residual(v, product)
         count = [0] * k
         while True:
             err = np.abs(res).max(axis=1).tolist()
@@ -674,7 +693,8 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             pending = active
             for halving in range(NEWTON_MAX_HALVINGS + 1):
                 trial = v + alpha * step
-                trial_res, trial_implicit = residual(trial)
+                trial_product = (op @ trial.T).T
+                trial_res, trial_implicit = residual(trial, trial_product)
                 if halving == NEWTON_MAX_HALVINGS:
                     # out of halvings: the last trial is taken as it is
                     took = pending
@@ -683,10 +703,10 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
                     took = [c for c in pending if finite[c]
                             and _norm(trial_res[c]) <= base[c]]
                 if len(took) == k:
-                    v, res, implicit = trial, trial_res, trial_implicit
+                    v, product, res, implicit = trial, trial_product, trial_res, trial_implicit
                     break
-                v[took], res[took] = trial[took], trial_res[took]
-                implicit[took] = trial_implicit[took]
+                v[took], product[took] = trial[took], trial_product[took]
+                res[took], implicit[took] = trial_res[took], trial_implicit[took]
                 step[took] = 0.0
                 pending = [c for c in pending if c not in took]
                 if not pending:
@@ -696,6 +716,8 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
             iterations[c].append(count[c])
         store(level, v)
         explicit = implicit
+    if fields is None:
+        return [SemilinearResult(None, its) for its in iterations]
     return [SemilinearResult(scheme._bounded(u, b), its)
             for u, b, its in zip(fields, bvals, iterations)]
 

@@ -63,8 +63,12 @@ class Nonlinearity:
         return np.asarray(self._value(*args), dtype=float)
 
     def du(self, *args):
-        """da/du, broadcast to the shape of u as a read-only view."""
-        return np.broadcast_to(np.asarray(self._du(*args), dtype=float), np.shape(args[-1]))
+        """da/du with the shape of u: the callable's own float array where it
+        already has that shape, which the caller does not write into, and a
+        read-only broadcast view of it where it does not."""
+        d = np.asarray(self._du(*args), dtype=float)
+        shape = np.shape(args[-1])
+        return d if d.shape == shape else np.broadcast_to(d, shape)
 
     @classmethod
     def from_u(cls, f, fprime, **kw) -> "Nonlinearity":
@@ -117,7 +121,7 @@ def _check_solution(a: Nonlinearity, u: np.ndarray, bdata: BoundaryField, u0) ->
 
 
 def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
-                         theta: float = 0.5) -> list:
+                         theta: float = 0.5, out: np.ndarray | None = None) -> list:
     """Semilinear solves of k data columns, one nonlinearity per column, as
     one Newton block, plus the class and a-priori checks.
 
@@ -127,16 +131,35 @@ def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
     unconditionally.  Violations raise rather than warn: they mean the
     computed solution left the regime the estimates cover.  Returns the k
     `SemilinearResult`s (the solution field and its Newton iterations).
+
+    Given out, a real (k, *field_shape) array, the solutions go into its rows
+    and no field is formed: the Newton loop's consumer writes each accepted
+    level into the rows' interiors, the lateral data is written on their
+    boundaries, the checks read the rows, and the results carry field None.
     """
     nonlinearities = list(nonlinearities)
     for a in {id(a): a for a in nonlinearities}.values():
         a.check_class(grid.n)
     bdatas = list(bdatas)
     u0s = [None] * len(bdatas) if u0s is None else list(u0s)
+    store = None
+    if out is not None:
+        interior = out[(slice(None), slice(None), *(slice(1, -1),) * grid.n)]
+        rows_shape = interior.shape[:1] + interior.shape[2:]
+
+        def store(level, v):
+            interior[:, level] = v.reshape(rows_shape)
+
     results = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta,
-                                    warn_incompatible=False)
-    for a, bdata, u0, result in zip(nonlinearities, bdatas, u0s, results):
-        _check_solution(a, result.field.values.real, bdata, u0)
+                                    warn_incompatible=False, store=store)
+    if out is None:
+        solutions = [result.field.values.real for result in results]
+    else:
+        out[(slice(None), slice(None), *grid.boundary_index)] = np.stack(
+            [bdata.values.real for bdata in bdatas])
+        solutions = out
+    for a, bdata, u0, u in zip(nonlinearities, bdatas, u0s, solutions):
+        _check_solution(a, u, bdata, u0)
     return results
 
 
@@ -147,6 +170,13 @@ def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
     return semilinear_solutions(grid, [a], [bdata], [u0], theta)[0].field
 
 
+def _space_time(grid: Grid) -> tuple:
+    """The coordinates (*x, t) of the field's points, broadcastable to its
+    shape."""
+    coords = tuple(c[None] for c in grid.space_coordinates())
+    return coords + (grid.ts.reshape((grid.nt,) + (1,) * grid.n),)
+
+
 def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                          u0=None, theta: float = 0.5,
                          solution: ScalarField | None = None) -> Potential:
@@ -154,13 +184,7 @@ def linearized_potential(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
     derivative map."""
     if solution is None:
         solution = semilinear_solution(grid, a, bdata, u0, theta)
-    coords = grid.space_coordinates()
-    t = grid.ts.reshape((grid.nt,) + (1,) * grid.n)
-    if grid.n == 1:
-        args = (coords[0][None, :], t, solution.values.real)
-    else:
-        args = (coords[0][None], coords[1][None], t, solution.values.real)
-    return Potential(grid, np.array(a.du(*args)))
+    return Potential(grid, np.array(a.du(*_space_time(grid), solution.values.real)))
 
 
 def frechet_dtn(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
@@ -240,8 +264,9 @@ class SemilinearOracle:
 def _level_potentials(grid: Grid, columns, theta: float) -> list:
     """linearized_potential of a at the constant level s for each column
     (a, s), the columns solved as one block.  Every level is checked against
-    its nonlinearity's level_bound before any solve, and each solution is
-    dropped as soon as its potential is built."""
+    its nonlinearity's level_bound before any solve.  The solutions fill one
+    real block, and each row becomes its column's potential in place: a'(u)
+    is written over u, and the potential wraps the row."""
     for a, s in columns:
         if abs(s) > a.level_bound + 1e-12:
             raise ConfigError(f"level {s} outside the admissible range "
@@ -249,12 +274,13 @@ def _level_potentials(grid: Grid, columns, theta: float) -> list:
     nonlinearities = [a for a, _ in columns]
     bdatas = [BoundaryField.constant(grid, float(s)) for _, s in columns]
     u0s = [np.full(grid.space_shape, float(s)) for _, s in columns]
-    solutions = [r.field for r in semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta)]
+    block = np.empty((len(columns),) + grid.field_shape)
+    semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta, out=block)
+    where = _space_time(grid)
     potentials = []
-    for i, (a, bdata, u0) in enumerate(zip(nonlinearities, bdatas, u0s)):
-        potentials.append(linearized_potential(grid, a, bdata, u0, theta,
-                                               solution=solutions[i]))
-        solutions[i] = None
+    for a, row in zip(nonlinearities, block):
+        row[...] = a.du(*where, row)
+        potentials.append(Potential(grid, row))
     return potentials
 
 
@@ -307,6 +333,8 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
         raise ConfigError("need at least one level")
     if data.theta != cfg.theta:
         raise ConfigError(f"data theta {data.theta} differs from cfg.theta {cfg.theta}")
+    if window_layers < 0:
+        raise ConfigError(f"window_layers must be >= 0, got {window_layers}")
     # the truth's and the reference's levels form one Newton block
     potentials = data.level_potentials(levels, a_ref)
     runs = [(p_true, p_ref, data.noise_delta)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cgolab
-from cgolab import ConfigError, SolverError, build_grid, cli
+from cgolab import ConfigError, SolverError, build_grid, cli, semilinear
 from cgolab.cli import SCHEMA, ExperimentConfig, main, run
 from cgolab.dtn import DtnMatrix, load_field
 from cgolab.reconstruct import build_frequency_grid
@@ -378,6 +378,29 @@ def test_main_semilinear_solve_leaving_its_data_range_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "leaves the data range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [-1, -3])
+def test_main_rejects_negative_window_layers_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                              layers):
+    # -1 used to exit 1 with an IndexError once every level was solved and
+    # reconstructed; -3 exited 2 only through numpy's negative dimensions
+    solves = []
+    monkeypatch.setattr(semilinear, "solve_semilinear_many",
+                        lambda *args, **kwargs: solves.append(1))
+    path = _write_config(tmp_path, {**SMALL_GRID, "semilinear": {"window_layers": layers}})
+    out = tmp_path / "out"
+    rc = main(["recover-nonlinearity", "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert "config error [semilinear]: window_layers" in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()
+
+
+def test_main_accepts_zero_window_layers(tmp_path):
+    path = _write_config(tmp_path, {**SMALL_GRID, "semilinear": {"window_layers": 0},
+                                    "reconstruct": {"basis_k_max": 2}})
+    assert main(["recover-nonlinearity", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_main_rejects_unknown_subcommand():

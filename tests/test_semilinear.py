@@ -220,6 +220,50 @@ def test_newton_reuses_the_accepted_residual():
     assert len(calls) == 1 + 2 * (g.nt - 1)
 
 
+def test_newton_forms_one_product_per_trial_and_one_at_level_zero(monkeypatch):
+    # the accepted block's op @ v is the next level's first, so a block forms
+    # op @ v once at t=0 and once per line-search trial: with a linear a one
+    # per step, and with a cubic whose first column halves, one per value
+    # call after each level's first residual
+    products = []
+
+    class Counted:
+        def __init__(self, op):
+            self.op = op
+
+        def __matmul__(self, other):
+            products.append(1)
+            return self.op @ other
+
+    class Counting(forward.ThetaScheme):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._op = Counted(self._op)
+
+    monkeypatch.setattr(forward, "ThetaScheme", Counting)
+    g = build_grid(1, 17, 17, 1.0)
+    res = solve_semilinear(g, _linear(0.7), _sine_data(g))
+    assert res.newton_iterations == [1] * (g.nt - 1)
+    assert len(products) == 1 + (g.nt - 1)
+
+    g = build_grid(1, 9, 5, 1.0)
+    values = []
+
+    def value(u):
+        values.append(1)
+        return u + 20.0 * u**3
+
+    a = Nonlinearity.from_u(value, lambda u: 1.0 + 60.0 * u**2)
+    wave = lambda amp: BoundaryField.from_callable(
+        g, lambda p, t: amp * np.sin(np.pi * (p[:, 0] + 0.3)) * np.sin(3 * np.pi * t))
+    products.clear()
+    block = solve_semilinear_many(g, [a] * 2, [wave(6.0), wave(0.2)], warn_incompatible=False)
+    trials = len(values) - g.nt
+    # more trials than the block's Newton iterations: the line search halves
+    assert trials > sum(map(max, zip(*(r.newton_iterations for r in block))))
+    assert len(products) == 1 + trials
+
+
 def test_semilinear_sweep_solves_each_level_once(monkeypatch):
     # in full mode, and in partial mode, where the members' oracles carry the
     # masks and the extended bases take the faces within them
@@ -638,3 +682,37 @@ def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields(
     fields = sum(r.field.values.nbytes for r in results)
     assert fields > 6 * 2**20
     assert peak < 7.5 * 2**20
+
+
+@pytest.mark.parametrize("n,nx,nt", [(1, 17, 9), (2, 7, 9)])
+def test_level_potentials_are_the_linearized_potentials_bitwise(n, nx, nt):
+    # the potentials formed in place over the solution block are the
+    # potentials of the checked one-column solves, at both zeros too
+    g = build_grid(n, nx, nt, 1.0)
+    linear = _linear(0.5)
+    columns = [(_cubic(), s) for s in (-0.5, -0.0, 0.0, 0.8)] + [(linear, 0.3), (linear, -0.0)]
+    got = semilinear._level_potentials(g, columns, 0.5)
+    for (a, s), p in zip(columns, got):
+        bdata, u0 = BoundaryField.constant(g, s), np.full(g.space_shape, s)
+        want = linearized_potential(g, a, bdata, u0,
+                                    solution=semilinear_solution(g, a, bdata, u0))
+        assert p.values.tobytes() == want.values.tobytes()
+        assert p.m == want.m
+
+
+def test_level_potentials_at_the_nonlinearity_workloads_shape_hold_one_real_block():
+    # the six solutions fill one real block (3.05 MiB at this shape) whose
+    # rows become the potentials; six complex fields beside the potentials
+    # built from them held 7.32 MiB
+    grid = build_grid(1, 65, 1025, 2.0)
+    columns = [(a, s) for a in (_linear(1.0), _linear(0.5)) for s in (0.3, 0.6, 0.9)]
+    semilinear._level_potentials(grid, columns, 0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        potentials = semilinear._level_potentials(grid, columns, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(p.values.nbytes for p in potentials) > 3 * 2**20
+    assert peak < 4.5 * 2**20

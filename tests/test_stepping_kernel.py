@@ -470,3 +470,104 @@ def test_non_finite_newton_residual_raises():
     with pytest.raises(SolverError, match="non-finite Newton residual"):
         solve_semilinear_many(g, [a, a], [quiet, bd], [np.full(g.space_shape, 0.5), u0],
                               warn_incompatible=False)
+
+
+# ---------------------------------------------------------------------------
+# The Newton block against a plain Newton loop
+
+
+def _plain_newton(g, a, bd, u0=None, theta=0.5):
+    """The Newton loop of `solve_semilinear_many` for one column, with every
+    level's work done afresh: op @ v formed at every residual, the lift at
+    every level, du broadcast to u's shape.  Returns the real field and the
+    iterations."""
+    scheme = forward.ThetaScheme(g, None, theta)
+    op, ht = scheme._op, g.ht
+    xint = tuple(forward._interior(np.broadcast_to(c, g.space_shape), g.n)
+                 for c in g.space_coordinates())
+    bvals = bd.values.real[None]
+    first = None if u0 is None else np.asarray(u0)[None]
+    v = scheme._initial_interior(bvals, first, False).real.copy()
+
+    def half(level, v):
+        lifted = (scheme._lift @ bvals[:, level].T).T
+        return (op @ v.T).T + lifted - a.value(*xint, g.ts[level], v)
+
+    levels, iterations = [v], []
+    explicit = half(0, v)
+    for level in range(1, g.nt):
+        xk = v
+
+        def residual(v):
+            implicit = half(level, v)
+            return (v - xk) / ht - theta * implicit - (1 - theta) * explicit, implicit
+
+        res, implicit = residual(v)
+        count = 0
+        while np.abs(res).max() > forward.NEWTON_TOL:
+            assert count < forward.NEWTON_MAX_ITER
+            du = np.broadcast_to(a.du(*xint, g.ts[level], v), v.shape)
+            step = scheme._factor(du[0], level).solve(-ht * res[0])[None]
+            base, alpha = np.linalg.norm(res), 1.0
+            for halving in range(forward.NEWTON_MAX_HALVINGS + 1):
+                trial = v + alpha * step
+                trial_res, trial_implicit = residual(trial)
+                if halving == forward.NEWTON_MAX_HALVINGS or (
+                        np.isfinite(trial_res).all() and np.linalg.norm(trial_res) <= base):
+                    break
+                alpha *= 0.5
+            v, res, implicit = trial, trial_res, trial_implicit
+            count += 1
+        iterations.append(count)
+        levels.append(v)
+        explicit = implicit
+    u = np.empty(g.field_shape)
+    inner = u[(slice(None), *(slice(1, -1),) * g.n)]
+    inner[...] = np.concatenate(levels).reshape(inner.shape)
+    u[(slice(None), *g.boundary_index)] = bvals[0]
+    return u, iterations
+
+
+def _still(g, amp, level):
+    """Lateral data constant in time: every level's lift is the first's."""
+    return BoundaryField.from_callable(
+        g, lambda p, t: level + amp * np.sin(np.pi * (p[:, 0] + 0.3)) + 0 * t)
+
+
+# the lateral data of a column: constant, constant in time, changing at every level
+_DATA = {"level": lambda g, amp, level: BoundaryField.constant(g, level),
+         "still": _still, "wave": _wave}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(1, 9, 5), (1, 17, 9), (2, 5, 5), (2, 7, 9)]),
+       st.lists(st.tuples(st.floats(-6, 6), st.one_of(st.sampled_from([0.0, -0.0]),
+                                                      st.floats(-1, 1)),
+                          st.booleans(), st.sampled_from([0, 1]),
+                          st.sampled_from(sorted(_DATA))),
+                min_size=1, max_size=4))
+# constant data at both zeros and in time only: every level after the first keeps its lift
+@example(shape=(1, 9, 5), columns=[(0.0, -0.0, True, 1, "level"), (0.0, 0.0, True, 0, "level"),
+                                   (2.0, 0.3, True, 1, "still")])
+@example(shape=(2, 5, 5), columns=[(0.0, -0.0, True, 0, "level"), (3.0, -0.5, False, 1, "still")])
+# a halving cubic column beside linear ones that leave Newton first, data
+# changing at every level
+@example(shape=(1, 9, 5), columns=[(6.0, 0.0, False, 1, "wave"), (1.0, 0.3, True, 0, "wave"),
+                                   (0.2, 0.0, False, 1, "level"), (-2.0, 0.5, True, 0, "still")])
+@example(shape=(2, 7, 9), columns=[(1.0, 0.3, True, 0, "still"), (6.0, 0.0, False, 1, "wave"),
+                                   (4.0, -0.0, True, 1, "wave")])
+def test_newton_block_is_the_plain_newton_loop_bitwise(shape, columns):
+    # the block carries op @ v from level to level, keeps a lift while the
+    # data repeats and takes du as it comes; every column is still the loop
+    # that forms them afresh, field and iterations, bit for bit
+    g = build_grid(*shape, T=1.0)
+    polynomials = [_polynomial(*coefficients) for coefficients in _POLYNOMIALS]
+    nonlinearities = [polynomials[which] for _, _, _, which, _ in columns]
+    bdatas = [_DATA[kind](g, amp, level) for amp, level, _, _, kind in columns]
+    u0s = [np.full(g.space_shape, level) if initial else None
+           for _, level, initial, _, _ in columns]
+    block = solve_semilinear_many(g, nonlinearities, bdatas, u0s, warn_incompatible=False)
+    for got, a, bd, u0 in zip(block, nonlinearities, bdatas, u0s):
+        want, iterations = _plain_newton(g, a, bd, u0)
+        assert got.newton_iterations == iterations
+        assert got.field.values.tobytes() == want.astype(np.complex128).tobytes()

@@ -54,6 +54,8 @@ _LINES = ("tests/test_norms.py::"
           "test_line_restricted_transforms_are_the_plain_transforms_bitwise")
 _WRITTEN = ("tests/test_norms.py::"
             "test_written_values_invert_as_their_scattered_lattice_bitwise")
+_PLAIN_NEWTON = ("tests/test_stepping_kernel.py::"
+                 "test_newton_block_is_the_plain_newton_loop_bitwise")
 _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
 
@@ -113,6 +115,23 @@ MUTANTS = [
            "store(level, v)\n        explicit = implicit",
            "store(level - 1, v)\n        explicit = implicit",
            ("tests/test_stepping_kernel.py::test_semilinear_matches_plain_newton",)),
+    Mutant("carried-product-not-row-updated", "forward.py",
+           "v[took], product[took] = trial[took], trial_product[took]",
+           "v[took] = trial[took]",
+           (_PLAIN_NEWTON,)),
+    Mutant("lift-reused-without-comparing-data", "forward.py",
+           "if not same_data[level]:",
+           "if False:",
+           (_PLAIN_NEWTON,)),
+    Mutant("level-rows-without-boundary-values", "semilinear.py",
+           "out[(slice(None), slice(None), *grid.boundary_index)] = np.stack(",
+           "np.stack(",
+           ("tests/test_semilinear.py::"
+            "test_level_potentials_are_the_linearized_potentials_bitwise",)),
+    Mutant("window-layers-unchecked", "semilinear.py",
+           "if window_layers < 0:",
+           "if False:",
+           ("tests/test_cli.py::test_main_rejects_negative_window_layers_before_any_solve",)),
     Mutant("factor-keyed-by-level", "forward.py",
            "key = du[c].tobytes()",
            "key = level",
