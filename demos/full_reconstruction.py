@@ -14,12 +14,11 @@ import numpy as np
 
 from cgolab import Potential, build_grid
 from cgolab.dtn import DtnOracle
-from cgolab.norms import hminus1_distance, hminus1_norm
+from cgolab.norms import Hminus1Target, hminus1_norm
 from cgolab.reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
     exact_slice_values,
-    invert_cutoff,
     reconstruct,
 )
 
@@ -40,8 +39,7 @@ def main() -> None:
     # what a perfect slice oracle would achieve with the same cutoff
     freq = build_frequency_grid(grid, cfg.R)
     exact_slice_values(grid, truth_vals, freq)
-    _, _, exact_coeffs = invert_cutoff(grid, freq)
-    tail = hminus1_distance(grid, truth_vals, exact_coeffs)
+    tail = Hminus1Target(grid, truth_vals).distance(*freq.to_coefficients())
 
     print(f"nodes probed:       {len(res.frequencies.probed(res.hermitian))}")
     print(f"truth norm:         {truth_norm:.4e}")

@@ -7,7 +7,7 @@ potential equals a'(u) along the level solution; reconstructing that
 potential near t = 0, where the solution still equals s exactly, reads off
 a'(s).  Integrating from the anchor a(0) = 0 rebuilds the law itself.
 
-Run:  python3 demos/nonlinearity_recovery.py   (about half a minute)
+Run:  python3 demos/nonlinearity_recovery.py   (about a second)
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ picked out by a base direction.  Same probes, same cutoff, same modulus
 family; the only change is which boundary modes exist.  The per-record
 error ratio and the fitted stability constants quantify the cost.
 
-Run:  python3 demos/partial_vs_full.py   (about a minute)
+Run:  python3 demos/partial_vs_full.py   (about a second)
 """
 
 import numpy as np

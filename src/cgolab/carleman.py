@@ -11,12 +11,13 @@ ever forming the weight.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import fd
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .fields import Potential, ScalarField
 from .forward import neumann_trace
 from .grid import Grid, unit_direction
@@ -143,6 +144,8 @@ def carleman_parts(b: ScalarField, q: Potential | None, omega, rho: float,
     )
     if rhs == 0.0:
         raise ConfigError("degenerate sample: vanishing right-hand side")
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise SolverError(f"weighted inequality sides are not finite: lhs {lhs}, rhs {rhs}")
     return lhs, rhs
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import Grid
 
 __all__ = [
@@ -28,13 +28,11 @@ __all__ = [
     "lattice_frequencies",
     "lattice_measure",
     "torus_coefficients",
-    "coefficients_to_field",
     "written_to_field",
     "periodic_sobolev_norm",
     "sobolev_norm",
     "hminus1_norm",
     "Hminus1Target",
-    "hminus1_distance",
     "boundary_sobolev_weights",
 ]
 
@@ -300,37 +298,22 @@ def torus_coefficients(values: np.ndarray, lengths, at=None, shape=None) -> np.n
     return np.multiply((2 * math.pi) ** (-len(shape) / 2) * cell, coeffs, out=coeffs)
 
 
-def coefficients_to_field(coeffs: np.ndarray, lengths, shape=None) -> np.ndarray:
-    """Inverse of torus_coefficients; with `shape`, only the leading corner of
-    that shape (the cylinder inside the padded box).
-
-    The field is inverted axis by axis in the order np.fft.ifftn uses, last
-    axis first, and each axis is cropped as soon as it is done.  Lines that
-    hold only zero bits (all but the few that meet the frequency ball) are
-    inverted once per axis and the result is copied to the others; every
-    other line runs the same 1-D transform as the full inverse.  So the
-    corner is bitwise the crop of np.fft.ifftn, at a fraction of the work.
-    """
-    return _to_field(coeffs, None, coeffs.shape, lengths, shape)
-
-
 def written_to_field(values, positions, lattice, lengths, shape=None) -> np.ndarray:
-    """`coefficients_to_field` of the array of shape `lattice` that holds
-    `values` at `positions` (an index tuple of integer arrays, one per axis,
-    as np.nonzero returns) and zeros elsewhere, bitwise.  A repeated position
-    takes its last value, as an assignment does.  That array is never
-    formed: only the lines along the last axis that a position reaches are
-    gathered, and those that hold a nonzero bit pattern are transformed."""
-    return _to_field(np.asarray(values), positions, tuple(lattice), lengths, shape)
+    """Inverse of torus_coefficients of the lattice of shape `lattice` that
+    holds `values` at `positions` (an index tuple of integer arrays, one per
+    axis, as np.nonzero returns) and zeros elsewhere; with `shape`, only the
+    leading corner of that shape (the cylinder inside the padded box).  A
+    repeated position takes its last value, as an assignment does.
 
-
-def _to_field(values, positions, lattice, lengths, shape) -> np.ndarray:
-    """The inverse of both functions above: `_lattice_transform` of the
-    lattice (the values, or the values written at `positions`), scaled."""
+    That lattice is never formed: only the lines along the last axis that a
+    position reaches are gathered, and those that hold a nonzero bit pattern
+    are inverted, axis by axis in np.fft.ifftn's order, each axis cropped as
+    soon as it is done.  So the corner is bitwise the crop of np.fft.ifftn.
+    """
     cell = np.prod([L / npts for npts, L in zip(lattice, lengths)])
     keep = _corner(lattice if shape is None else shape)
     # scaled into a new array, so that no slab the crop is a view of stays held
-    field = (_lattice_transform(values, np.fft.ifft, keep, lattice, positions)
+    field = (_lattice_transform(np.asarray(values), np.fft.ifft, keep, lattice, positions)
              * (2 * math.pi) ** (len(lattice) / 2))
     return np.divide(field, cell, out=field)
 
@@ -416,23 +399,9 @@ class Hminus1Target:
             total = float(np.sum(self._terms))
         finally:
             self._terms[positions] = kept
+        if not math.isfinite(total):
+            raise SolverError(f"order -1 distance is not finite: weighted sum {total}")
         return math.sqrt(total * lattice_measure(self.lengths))
-
-
-def hminus1_distance(grid: Grid, values, coeffs: np.ndarray) -> float:
-    """Order -1 distance between a cylinder field and a lattice coefficient array.
-
-    The field is zero-extended and transformed; the coefficient array must
-    already live on the padded lattice (as produced by the inversion sweep),
-    and may be any such array: its nonzero entries are found by a scan.
-    Comparing on the lattice keeps Parseval exact, so with truncated exact
-    coefficients the distance equals the tail norm to rounding.  Distances of
-    one field to several coefficient sets share one `Hminus1Target`.
-    """
-    if coeffs.shape != padded_shape(grid):
-        raise ValueError("coefficient array does not match the padded lattice")
-    positions = np.nonzero(coeffs)
-    return Hminus1Target(grid, values).distance(coeffs[positions], positions)
 
 
 # ---------------------------------------------------------------------------

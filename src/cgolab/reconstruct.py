@@ -62,7 +62,6 @@ __all__ = [
     "exact_slice_values",
     "select_parameters",
     "invert_written",
-    "invert_cutoff",
     "reconstruct",
     "reconstructions",
     "stability_sweep",
@@ -144,8 +143,7 @@ class FrequencyGrid:
         """(values, positions): the canonical values, their conjugate mirrors
         (for real fields) and, without the mirrors, the other nodes' values,
         and the index tuple (one integer array per axis) of the padded-lattice
-        entry each is written to, zero values and mirrors included.
-        `_scatter` writes them into the lattice."""
+        entry each is written to, zero values and mirrors included."""
         values, written = [], []
         for nd in self.canonical_nodes():
             if nd.value is None:
@@ -162,14 +160,6 @@ class FrequencyGrid:
                     written.append(nd.index)
         positions = np.array(written, dtype=np.intp).reshape(-1, len(self.padded_shape))
         return np.array(values, dtype=np.complex128), tuple(positions.T)
-
-
-def _scatter(grid: Grid, values: np.ndarray, positions) -> np.ndarray:
-    """The padded-lattice coefficient array holding `values` at `positions`
-    (as `FrequencyGrid.to_coefficients` returns them) and zeros elsewhere."""
-    out = np.zeros(padded_shape(grid), dtype=np.complex128)
-    out[positions] = values
-    return out
 
 
 def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
@@ -395,22 +385,6 @@ def invert_written(grid: Grid, values, positions) -> tuple:
     return ScalarField(grid, crop), imag_residue
 
 
-def invert_cutoff(grid: Grid, freq: FrequencyGrid, hermitian: bool = True, written=None):
-    """Inverse transform of the collected slices, restricted to the cylinder.
-
-    Returns (real-part estimate, imaginary residue, coefficient array): the
-    first two are `invert_written`'s, and the coefficient array, the lattice
-    object used for exact error evaluation, is scattered for the caller.
-    `written` is `freq.to_coefficients(hermitian)` where the caller has it
-    already.
-    """
-    if not freq.nodes:
-        raise ConfigError("empty frequency set")
-    if written is None:
-        written = freq.to_coefficients(hermitian)
-    return (*invert_written(grid, *written), _scatter(grid, *written))
-
-
 @dataclass
 class ReconstructionConfig:
     s: float = 0.15
@@ -450,8 +424,7 @@ class ReconstructionResult:
     """One reconstruction: the coefficient values it wrote and their
     padded-lattice positions (`FrequencyGrid.to_coefficients`), the
     frequencies, whose probed nodes (`FrequencyGrid.probed`) hold the
-    slices, and the chosen parameters.  It holds no lattice array: the
-    `coefficients` property scatters the values into a new one.
+    slices, and the chosen parameters.  It holds no lattice array.
 
     The estimate on the cylinder and its imaginary residue are computed on
     first access, by `invert_written` of the written values (the zero field
@@ -471,12 +444,6 @@ class ReconstructionResult:
     saturated: bool
     error: float | None
     extended_delta: float | None = None
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The padded-lattice coefficient array: the values at their
-        positions, zeros elsewhere."""
-        return _scatter(self.frequencies.grid, self.values, self.positions)
 
     @cached_property
     def _inverse(self) -> tuple:

@@ -24,9 +24,10 @@ from cgolab.dtn import DtnOracle, pairing_volume
 from cgolab.fields import ScalarField
 from cgolab.forward import neumann_trace, solve_backward, solve_forward
 from cgolab.norms import (
+    Hminus1Target,
     ModulusParams,
     box_lengths,
-    hminus1_distance,
+    hminus1_norm,
     lattice_frequencies,
     lattice_measure,
     torus_coefficients,
@@ -36,7 +37,6 @@ from cgolab.reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
     exact_slice_values,
-    invert_cutoff,
     slice_error_report,
     stability_sweep,
 )
@@ -298,8 +298,10 @@ def test_07_exact_slice_distance_is_parseval_tail():
     ):
         freq = build_frequency_grid(grid, 7.0, mode=mode_name, **kwargs)
         exact_slice_values(grid, p, freq)
-        _, _, coeffs = invert_cutoff(grid, freq)
-        err = hminus1_distance(grid, p, coeffs)
+        values, positions = freq.to_coefficients()
+        err = Hminus1Target(grid, p).distance(values, positions)
+        coeffs = np.zeros(full.shape, dtype=np.complex128)
+        coeffs[positions] = values
         tail = math.sqrt(
             float((np.abs(full - coeffs) ** 2 / (1.0 + zeta_sq)).sum())
             * lattice_measure(lengths))
@@ -343,8 +345,6 @@ def test_08_stability_noise_and_partial_data():
     grid2 = build_grid(2, 25, 81, 1.0)
     x1 = grid2.space_coordinates()[0]
     shape = np.broadcast_to(np.sin(2 * np.pi * x1)[None], grid2.field_shape).copy()
-    zero_coeffs = torus_coefficients(
-        zero_extend(grid2, np.zeros(grid2.field_shape)), box_lengths(grid2))
     alphas = [0.08, 0.025, 0.008, 0.0025, 0.0008]
     truths = [Potential(grid2, a * shape, m=a) for a in alphas]
     modulus = ModulusParams("double_log", 0.25, 2)
@@ -359,8 +359,7 @@ def test_08_stability_noise_and_partial_data():
 
     rel = {}
     for mode, sw in sweeps.items():
-        rels = [rec.err / hminus1_distance(grid2, a * shape, zero_coeffs)
-                for a, rec in zip(alphas, sw["records"])]
+        rels = [rec.err / hminus1_norm(truth) for truth, rec in zip(truths, sw["records"])]
         # near-linear in the truth: relative error flat up to the O(alpha^2)
         # remainder of the boundary-map linearization
         assert max(rels) == pytest.approx(min(rels), rel=1e-3)

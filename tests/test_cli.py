@@ -366,6 +366,36 @@ def test_main_non_finite_slice_exits_3(tmp_path, capsys, monkeypatch, command, s
     assert not out.exists()
 
 
+def _constant_potential(value):
+    return {"grid": {"n": 1, "nx": 17, "nt": 17},
+            "potential": {"family": "constant", "value": value}}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "stability-sweep"])
+def test_main_non_finite_error_exits_3(tmp_path, capsys, command):
+    # the truth's order -1 norm overflows; reconstruct used to exit 0 with
+    # "error": Infinity in its summary, and the sweep wrote inf errors to its
+    # CSV and then exited 1 with an OverflowError from the chart writer
+    path = _write_config(tmp_path, {**_constant_potential(1e300),
+                                    "reconstruct": {"rho": 4.0}})
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure [norms]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_non_finite_carleman_side_exits_3(tmp_path, capsys):
+    # the right-hand side overflows; every ratio used to read 0 and the run
+    # exited 0 with a max_ratio of 0.0
+    path = _write_config(tmp_path, _constant_potential(-1e300))
+    out = tmp_path / "out"
+    rc = main(["carleman-check", "--config", path, "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure [carleman]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_semilinear_solve_leaving_its_data_range_exits_3(tmp_path, capsys):
     # two time steps are too coarse for the Crank-Nicolson step to keep the
     # maximum principle: constant data 1 from a zero start overshoots to about

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgolab import ScalarField, build_grid, hminus1_distance, hminus1_norm, sobolev_norm
+from cgolab import ScalarField, build_grid, hminus1_norm, sobolev_norm
 from cgolab.errors import ConfigError
 from cgolab.norms import (
     Hminus1Target,
     ModulusParams,
     boundary_sobolev_weights,
     box_lengths,
-    coefficients_to_field,
     fit_modulus_constant,
     lattice_frequencies,
     lattice_measure,
@@ -45,6 +44,16 @@ def _direct_dft_oracle(values, lengths):
     return (2 * math.pi) ** (-d / 2) * out
 
 
+def _everywhere(coeffs):
+    """(values, positions): every entry of the array, written at its index."""
+    return coeffs.ravel(), np.unravel_index(np.arange(coeffs.size), coeffs.shape)
+
+
+def _inverse(coeffs, lengths, corner=None):
+    """written_to_field of the whole array."""
+    return written_to_field(*_everywhere(coeffs), coeffs.shape, lengths, corner)
+
+
 def test_torus_coefficients_match_direct_sum():
     rng = np.random.default_rng(4)
     values = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
@@ -58,7 +67,7 @@ def test_transform_round_trip():
     rng = np.random.default_rng(5)
     values = rng.normal(size=(8, 10)) + 1j * rng.normal(size=(8, 10))
     lengths = (1.5, 2.0)
-    back = coefficients_to_field(torus_coefficients(values, lengths), lengths)
+    back = _inverse(torus_coefficients(values, lengths), lengths)
     assert np.abs(back - values).max() < 1e-12
 
 
@@ -90,7 +99,7 @@ def test_parseval_and_inversion_on_random_padded_lattices(halves, lengths, real,
     lhs = (np.abs(coeffs) ** 2).sum() * lattice_measure(lengths)
     rhs = (np.abs(values) ** 2).sum() * cell
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    back = coefficients_to_field(coeffs, lengths)
+    back = _inverse(coeffs, lengths)
     assert np.abs(back - values).max() <= 1e-12 * np.abs(values).max()
 
 
@@ -137,7 +146,8 @@ def test_hminus1_distance_is_parseval_tail():
     vals = rng.normal(size=g.field_shape)
     lengths = box_lengths(g)
     coeffs = torus_coefficients(zero_extend(g, vals), lengths)
-    assert hminus1_distance(g, vals, coeffs) < 1e-13
+    target = Hminus1Target(g, vals)
+    assert target.distance(*_everywhere(coeffs)) < 1e-13
 
     cut = coeffs.copy()
     freqs = lattice_frequencies(cut.shape, lengths)
@@ -148,13 +158,15 @@ def test_hminus1_distance_is_parseval_tail():
         float(((1 + zsq) ** (-1.0) * np.abs(coeffs) ** 2)[drop].sum())
         * lattice_measure(lengths)
     )
-    assert hminus1_distance(g, vals, cut) == pytest.approx(tail, rel=1e-12)
+    kept = np.nonzero(cut)
+    assert target.distance(cut[kept], kept) == pytest.approx(tail, rel=1e-12)
 
 
 def test_hminus1_distance_shape_guard():
+    # the distance is taken from cylinder values, which must fit the grid
     g = build_grid(1, 9, 9, T=1.0)
-    with pytest.raises(ValueError):
-        hminus1_distance(g, np.zeros(g.field_shape), np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="do not match the grid"):
+        Hminus1Target(g, np.zeros((4, 4)))
 
 
 def _bits(a):
@@ -173,7 +185,7 @@ def _plain_forward(values, lengths):
 
 
 def _plain_inverse(coeffs, lengths, corner):
-    """coefficients_to_field as the corner of one np.fft.ifftn of the lattice."""
+    """written_to_field as the corner of one np.fft.ifftn of the lattice."""
     crop = np.fft.ifftn(coeffs)[tuple(slice(0, c) for c in corner)]
     return crop * (2 * math.pi) ** (coeffs.ndim / 2) / _cell(coeffs.shape, lengths)
 
@@ -194,7 +206,9 @@ def test_cropped_inversion_is_the_crop_of_the_full_inverse(halves, lengths, spar
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     if sparse:
         coeffs[rng.uniform(size=shape) > 0.1] = 0.0
-    got = coefficients_to_field(coeffs, lengths, corner)
+    # written at the nonzero entries alone, as a reconstruction writes them
+    positions = np.nonzero(coeffs)
+    got = written_to_field(coeffs[positions], positions, shape, lengths, corner)
     assert got.shape == corner
     assert _bits(got) == _bits(_plain_inverse(coeffs, lengths, corner))
 
@@ -244,9 +258,10 @@ def test_line_restricted_transforms_are_the_plain_transforms_bitwise(problem):
     values, lengths, corner = problem
     got, want = torus_coefficients(values, lengths), _plain_forward(values, lengths)
     assert _bits(got) == _bits(want) and got.strides == want.strides
-    # a real array inverts to complex values, as np.fft.ifftn's do
+    # the inverse writes every entry, so a line of -0.0 entries must count
+    # as occupied; a real array inverts to complex values, as np.fft.ifftn's do
     for coeffs in (values, values.real):
-        got, want = (coefficients_to_field(coeffs, lengths, corner),
+        got, want = (_inverse(coeffs, lengths, corner),
                      _plain_inverse(coeffs, lengths, corner))
         assert _bits(got) == _bits(want) and got.strides == want.strides
 
@@ -315,12 +330,13 @@ def _written_problems(draw):
           (1.0, 2.0), (3, 4)))
 def test_written_values_invert_as_their_scattered_lattice_bitwise(problem):
     # the inverse from written values gathers only the lines they reach and
-    # forms no lattice; it is the scanned lattice's inverse, layout included
+    # forms no lattice; it is the written lattice's plain inverse, layout
+    # included
     values, positions, shape, lengths, corner = problem
     lattice = np.zeros(shape, dtype=np.complex128)
     lattice[positions] = values
     got = written_to_field(values, positions, shape, lengths, corner)
-    want = coefficients_to_field(lattice, lengths, corner)
+    want = _plain_inverse(lattice, lengths, corner)
     assert _bits(got) == _bits(want) and got.strides == want.strides
 
 
@@ -371,7 +387,6 @@ def test_error_target_is_the_whole_lattice_sum_bitwise(problem):
         want = _plain_hminus1_distance(grid, values, coeffs)
         positions = np.nonzero(coeffs)
         assert target.distance(coeffs[positions], positions) == want
-        assert hminus1_distance(grid, values, coeffs) == want
 
 
 @settings(max_examples=80, deadline=None)

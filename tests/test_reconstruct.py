@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from cgolab import ConfigError, Potential, build_grid
 from cgolab.dtn import DtnBasis, DtnOracle
 from cgolab.norms import (
+    Hminus1Target,
     ModulusParams,
     box_lengths,
-    coefficients_to_field,
     padded_shape,
     periodic_sobolev_norm,
     zero_extend,
@@ -25,8 +25,6 @@ from cgolab.reconstruct import (
     choose_direction,
     exact_slice_values,
     fourier_slice,
-    _scatter,
-    invert_cutoff,
     invert_written,
     measurement_oracle,
     partial_masks,
@@ -141,21 +139,14 @@ def test_hermitian_fill_and_single_mode_inversion():
         if abs(nd.tau - math.pi) < 1e-12 and abs(nd.xi[0] - math.pi) < 1e-12 \
                 and abs(nd.xi[1]) < 1e-12:
             nd.value = a
-    est, residue, coeffs = invert_cutoff(g, freq)
+    values, positions = freq.to_coefficients()
+    est, residue = invert_written(g, values, positions)
     assert residue < 1e-12
     x, _ = g.space_coordinates()
     phase = np.exp(1j * (math.pi * g.ts[:, None, None] / g.T + math.pi * x[None]))
     expected = (2 * math.pi) ** 1.5 / (2 * g.T * 4) * 2 * np.real(a * phase)
     assert np.abs(est.values.real - expected).max() < 1e-12
-    assert coeffs[freq.canonical_nodes()[0].index] == 0.0
-
-
-def test_invert_rejects_empty_set():
-    g = build_grid(1, 9, 9, 1.0)
-    freq = build_frequency_grid(g, 5.0)
-    freq.nodes = []
-    with pytest.raises(ConfigError):
-        invert_cutoff(g, freq)
+    assert _scattered(g, values, positions)[freq.canonical_nodes()[0].index] == 0.0
 
 
 def test_exact_slices_leave_only_the_parseval_tail():
@@ -166,12 +157,12 @@ def test_exact_slices_leave_only_the_parseval_tail():
     p = rng.normal(size=g.field_shape)
     freq = build_frequency_grid(g, 9.0)
     exact_slice_values(g, p, freq)
-    _, _, coeffs = invert_cutoff(g, freq, hermitian=False)
-    from cgolab.norms import hminus1_distance, lattice_frequencies, lattice_measure, torus_coefficients
+    values, positions = freq.to_coefficients(hermitian=False)
+    from cgolab.norms import lattice_frequencies, lattice_measure, torus_coefficients
 
-    err = hminus1_distance(g, p, coeffs)
+    err = Hminus1Target(g, p).distance(values, positions)
     full = torus_coefficients(zero_extend(g, p), box_lengths(g))
-    diff = full - coeffs
+    diff = full - _scattered(g, values, positions)
     freqs = lattice_frequencies(diff.shape, box_lengths(g))
     zsq = sum(np.broadcast_to(f, diff.shape) ** 2 for f in freqs)
     tail = math.sqrt(float(np.sum(np.abs(diff) ** 2 / (1.0 + zsq))) * lattice_measure(box_lengths(g)))
@@ -363,6 +354,21 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _scattered(grid, values, positions):
+    """The padded lattice holding `values` at `positions`, zeros elsewhere."""
+    out = np.zeros(padded_shape(grid), dtype=np.complex128)
+    out[positions] = values
+    return out
+
+
+def _plain_crop(grid, lattice):
+    """The cylinder corner of one np.fft.ifftn of a padded lattice, scaled
+    as torus_coefficients' inverse."""
+    cell = np.prod([L / n for n, L in zip(lattice.shape, box_lengths(grid))])
+    crop = np.fft.ifftn(lattice)[tuple(slice(0, s) for s in grid.field_shape)]
+    return crop * (2 * math.pi) ** (lattice.ndim / 2) / cell
+
+
 @pytest.mark.parametrize("n,nx,mode,hermitian,noise", [
     (1, 33, "full", True, 0.0), (2, 9, "full", False, 0.0),
     (2, 9, "partial", True, 0.0), (2, 9, "partial", False, 0.0),
@@ -370,8 +376,8 @@ def _bits(a):
 ])
 def test_deferred_estimate_is_the_eager_inverse_bitwise(n, nx, mode, hermitian, noise):
     # a result inverts its coefficients when the estimate is first read;
-    # that is the cropped inverse of the coefficient array the error reads,
-    # which holds nothing outside the positions it was written at
+    # that is the cropped inverse of the lattice its values are written into,
+    # and the inverse of the frequency grid's values at that moment
     g = build_grid(n, nx, 17, 1.0)
     q = _sine_potential(g, 0.02) if n == 1 else Potential(
         g, 0.02 * np.sin(np.pi * g.space_coordinates()[0])[None] * np.ones(g.field_shape))
@@ -379,15 +385,14 @@ def test_deferred_estimate_is_the_eager_inverse_bitwise(n, nx, mode, hermitian, 
     oracle = measurement_oracle(g, q, cfg, noise, 3, DtnBasis(g) if noise else None)
     res = reconstruct(oracle, None, cfg, truth=q)
     assert res.trivial == (noise > 0)
-    rest = res.coefficients.copy()
-    rest[res.positions] = 0.0
-    assert not np.any(rest)
-    crop = coefficients_to_field(res.coefficients, box_lengths(g), g.field_shape)
+    crop = _plain_crop(g, _scattered(g, res.values, res.positions))
     assert _bits(res.estimate.values) == _bits(crop.real.astype(np.complex128))
     assert res.imag_residue == float(np.abs(crop.imag).max())
     if not res.trivial:
-        estimate, residue, coeffs = invert_cutoff(g, res.frequencies, hermitian)
-        assert _bits(coeffs) == _bits(res.coefficients)
+        values, positions = res.frequencies.to_coefficients(hermitian)
+        assert _bits(values) == _bits(res.values)
+        assert all(_bits(i) == _bits(j) for i, j in zip(positions, res.positions))
+        estimate, residue = invert_written(g, values, positions)
         assert _bits(estimate.values) == _bits(res.estimate.values)
         assert residue == res.imag_residue
     assert res.estimate is res.estimate
@@ -434,18 +439,13 @@ def _valued_frequency_grids(draw):
 @settings(max_examples=120, deadline=None)
 @given(_valued_frequency_grids())
 def test_written_values_scatter_to_the_node_lattice_bitwise(problem):
-    # a result keeps the values and positions the frequency grid hands out;
-    # scattered, they are the lattice written node by node, signed zeros
-    # included, and invert_cutoff scatters the same array
+    # the values and positions the frequency grid hands out, scattered, are
+    # the lattice written node by node, signed zeros included
     freq, hermitian = problem
     values, positions = freq.to_coefficients(hermitian)
     assert all(i.shape == values.shape == (values.size,) for i in positions)
-    res = ReconstructionResult(values, positions, freq, hermitian, None, 0.0, 0.0,
-                               not freq.nodes, False, None)
-    want = _bits(_node_lattice(freq, hermitian))
-    assert _bits(res.coefficients) == want
-    if freq.nodes:
-        assert _bits(invert_cutoff(freq.grid, freq, hermitian)[2]) == want
+    assert _bits(_scattered(freq.grid, values, positions)) == _bits(
+        _node_lattice(freq, hermitian))
 
 
 @pytest.mark.parametrize("hermitian", [True, False])
@@ -454,9 +454,7 @@ def test_zero_slices_leave_signed_zeros_at_their_mirrors(hermitian):
     freq = build_frequency_grid(g, 6.0)
     for nd in freq.nodes:
         nd.value = 0j if nd.feasible else 0.0
-    res = ReconstructionResult(*freq.to_coefficients(hermitian), freq, hermitian, None,
-                               0.0, 0.0, False, False, None)
-    coeffs = res.coefficients
+    coeffs = _scattered(g, *freq.to_coefficients(hermitian))
     assert _bits(coeffs) == _bits(_node_lattice(freq, hermitian))
     assert np.any(np.signbit(coeffs.imag)) == hermitian
 
@@ -473,7 +471,8 @@ def test_result_coefficients_are_the_node_lattice_bitwise(mode, hermitian, level
     res = reconstruct(oracle, None, cfg, truth=q)
     assert res.trivial == (level > 0)
     assert res.values.shape == res.positions[0].shape == (len(res.positions[0]),)
-    assert _bits(res.coefficients) == _bits(_node_lattice(res.frequencies, hermitian))
+    assert _bits(_scattered(g, res.values, res.positions)) == _bits(
+        _node_lattice(res.frequencies, hermitian))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +539,7 @@ def test_written_inverse_is_the_scattered_lattices_bitwise(shape, seed, count):
     values[rng.uniform(size=flat.size) < 0.2] = complex(-0.0, -0.0)
     positions = np.unravel_index(flat, padded_shape(grid))
     estimate, residue = invert_written(grid, values, positions)
-    crop = coefficients_to_field(_scatter(grid, values, positions), box_lengths(grid),
-                                 grid.field_shape)
+    crop = _plain_crop(grid, _scattered(grid, values, positions))
     assert _bits(estimate.values) == _bits(crop.real.astype(np.complex128))
     assert residue == float(np.abs(crop.imag).max())
 

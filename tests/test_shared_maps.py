@@ -134,7 +134,8 @@ def test_single_reconstruct_keeps_no_answers(monkeypatch):
     marches = traffic.marches
     second = reconstruct(oracle, None, cfg)
     assert traffic.marches == 2 * marches
-    assert np.array_equal(first.coefficients, second.coefficients)
+    assert np.array_equal(first.values, second.values)
+    assert all(np.array_equal(i, j) for i, j in zip(first.positions, second.positions))
 
 
 @pytest.mark.parametrize("rho,factorizations,marches", [
@@ -289,8 +290,8 @@ def _has_lattice_array(value, size) -> bool:
 ])
 @pytest.mark.parametrize("level", [0.0, 1.0])
 def test_a_result_holds_no_lattice_array(cfg, level):
-    # a result keeps the values it wrote and their positions; the lattice
-    # array is scattered when it is asked for, and the estimate is smaller
+    # a result keeps the values it wrote and their positions, and its
+    # estimate is smaller than the lattice
     grid = build_grid(2, 9, 17, 1.0)
     truth = _sine(grid, 0.08)
     basis = DtnBasis(grid) if level else None
@@ -300,7 +301,6 @@ def test_a_result_holds_no_lattice_array(cfg, level):
     assert res.trivial == (level > 0 and cfg.rho == "auto")
     assert res.estimate is not None and res.error > 0
     size = int(np.prod(norms.padded_shape(grid)))
-    assert res.coefficients.size == size
     assert not [name for name, value in vars(res).items() if _has_lattice_array(value, size)]
 
 

@@ -159,6 +159,15 @@ MUTANTS = [
            "data[row, col] = values",
            "data[row[::-1].copy(), col[::-1].copy()] = values[::-1].copy()",
            (_WRITTEN,)),
+    # non-finite results fail as numerical failures
+    Mutant("distance-not-checked-finite", "norms.py",
+           "if not math.isfinite(total):",
+           "if False:",
+           ("tests/test_cli.py::test_main_non_finite_error_exits_3",)),
+    Mutant("carleman-sides-not-checked-finite", "carleman.py",
+           "if not (math.isfinite(lhs) and math.isfinite(rhs)):",
+           "if False:",
+           ("tests/test_cli.py::test_main_non_finite_carleman_side_exits_3",)),
     # the trace stencil (3, -4, 1)/(2h) of the march
     Mutant("stencil-middle-1pct", "forward.py", _STENCIL,
            _STENCIL.replace("-4.0", "-4.04"), (_PAIRING_SIZES,)),
