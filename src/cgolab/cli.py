@@ -166,10 +166,21 @@ def _check_leaf(tag: str, value, path: str):
         if tag == "positive_int" and value < 1:
             raise ConfigError(f"{path}: expected an integer >= 1, got {value!r}")
         return value
-    if tag == "float":
+    if tag == "number_or_auto" and value == "auto":
+        return "auto"
+    if tag in ("float", "number_or_auto"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+            what = "a number" if tag == "float" else "a number or 'auto'"
+            raise ConfigError(f"{path}: expected {what}, got {value!r}")
+        # json reads NaN and Infinity, and a comparison with NaN is never true;
+        # an integer past float's range is as unusable
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if tag == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -188,12 +199,6 @@ def _check_leaf(tag: str, value, path: str):
         for i, item in enumerate(value):
             _check_leaf(entry, item, f"{path}[{i}]")
         return list(value)
-    if tag == "number_or_auto":
-        if value == "auto":
-            return "auto"
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number or 'auto', got {value!r}")
-        return float(value)
     raise AssertionError(f"unknown schema tag {tag}")
 
 
@@ -694,12 +699,11 @@ def _cmd_semilinear(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     grid = _build_grid(cfg)
     a = _build_nonlinearity(cfg["semilinear"], "")
     g = _build_bdata(grid, cfg["data"])
-    (result,) = semilinear_solutions(grid, [a], [g], None, cfg["reconstruct"]["theta"])
-    _emit_solution(emit, result.field)
-    return {
-        "max_abs": result.field.max_abs(),
-        "max_newton_iterations": result.max_iterations,
-    }
+    solutions, iterations = semilinear_solutions(grid, [a], [g], None,
+                                                 cfg["reconstruct"]["theta"])
+    u = ScalarField(grid, solutions[0])
+    _emit_solution(emit, u)
+    return {"max_abs": u.max_abs(), "max_newton_iterations": max(iterations[0], default=0)}
 
 
 def _cmd_recover_nonlinearity(cfg: ExperimentConfig, emit: _Emitter) -> dict:

@@ -19,7 +19,6 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,10 +31,8 @@ from .grid import Grid
 
 __all__ = [
     "ThetaScheme",
-    "SemilinearResult",
     "solve_forward",
     "solve_backward",
-    "solve_semilinear",
     "solve_semilinear_many",
     "neumann_trace",
 ]
@@ -264,12 +261,6 @@ class ThetaScheme:
                 )
         return _interior(first, grid.n)
 
-    def _bounded(self, u, bvals) -> ScalarField:
-        """The field of the array u, once the lateral data bvals (nt, nb) is
-        written on its boundary."""
-        u[(slice(None), *self.grid.boundary_index)] = bvals
-        return ScalarField(self.grid, u)
-
     def _field(self, interior, bvals) -> ScalarField:
         """The field of the interior values (nt, ndof) and the lateral data
         bvals (nt, nb)."""
@@ -277,7 +268,8 @@ class ThetaScheme:
         u = np.empty(grid.field_shape, dtype=np.complex128)
         u[(slice(None), *(slice(1, -1),) * grid.n)] = interior.reshape(
             (grid.nt,) + (grid.nx - 2,) * grid.n)
-        return self._bounded(u, bvals)
+        u[(slice(None), *grid.boundary_index)] = bvals
+        return ScalarField(grid, u)
 
     def _march(self, bvals, x0, source, dtype, emit, columns=None):
         """March k data columns from t=0 to T as one block.
@@ -513,16 +505,6 @@ def neumann_trace(u: ScalarField) -> BoundaryField:
                          / (2 * grid.hx))
 
 
-@dataclass
-class SemilinearResult:
-    field: ScalarField | None
-    newton_iterations: list
-
-    @property
-    def max_iterations(self) -> int:
-        return max(self.newton_iterations) if self.newton_iterations else 0
-
-
 def _norm(r) -> float:
     """Euclidean norm of a real 1-d vector, bitwise what np.linalg.norm
     computes for one (its own path is sqrt(r.dot(r))), without its dispatch."""
@@ -544,9 +526,11 @@ def _row_groups(nonlinearities) -> list:
 
 
 def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: float = 0.5,
-                          warn_incompatible: bool = True, store=None) -> list:
+                          warn_incompatible: bool = True) -> tuple:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns, each
-    with its own nonlinearity a, as one block; one SemilinearResult per column.
+    with its own nonlinearity a, as one block.  Returns (solutions,
+    iterations): the real (k, *field_shape) block of the k solutions and, per
+    column, the Newton iterations of each step.
 
     nonlinearities holds one nonlinearity per column, bdatas the k lateral
     data, u0s is None or k initial slices (each None or an array).  Each
@@ -571,12 +555,9 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
     single-column iterations and gets its single-column values bit for bit.
     A non-finite residual raises SolverError.  Data must be real.
 
-    Each accepted level goes to store(level, v) in turn, v the (k, ndof)
-    interior values of the k columns, as `ThetaScheme.trace_levels` hands
-    its traces: v is the loop's own, so store copies what it keeps and
-    writes nothing into it.  By default store writes each column's complex
-    field, whose boundary takes the lateral data once the march is done, and
-    the results carry those fields; with a given store they carry None.
+    Each accepted level is written into the rows' interiors as Newton
+    accepts it, and the lateral data onto their boundaries once the march is
+    done.
     """
     scheme = ThetaScheme(grid, None, theta)
     bdatas = list(bdatas)
@@ -617,25 +598,15 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
     words = bvals.view(np.int64)
     same_data = [False] + (words[:, 1:] == words[:, :-1]).all(axis=(0, 2)).tolist()
 
-    fields = None
-    if store is None:
-        # each column's field, written level by level as Newton accepts it,
-        # its boundary values once the march is done; one array per column,
-        # so a caller can drop each solution on its own
-        fields = [np.empty(grid.field_shape, dtype=np.complex128) for _ in range(k)]
-        interiors = [u[(slice(None), *(slice(1, -1),) * grid.n)] for u in fields]
-        rows_shape = (k,) + (grid.nx - 2,) * grid.n
-
-        def store(level, v):
-            for interior, row in zip(interiors, v.reshape(rows_shape)):
-                interior[level] = row
-
+    solutions = np.empty((k,) + grid.field_shape)
+    interior = solutions[(slice(None), slice(None), *(slice(1, -1),) * grid.n)]
+    rows_shape = (k,) + (grid.nx - 2,) * grid.n
     first = None
     if any(u0 is not None for u0 in u0s):
         first = np.stack([np.zeros(grid.space_shape) if u0 is None else np.asarray(u0)
                           for u0 in u0s])
     v = scheme._initial_interior(bvals, first, warn_incompatible).real.copy()
-    store(0, v)
+    interior[:, 0] = v.reshape(rows_shape)
     # op @ v of the accepted block, carried into the next level's residual
     product = (op @ v.T).T
     lifted = lift(0)
@@ -714,19 +685,7 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
                 alpha[pending] *= 0.5
         for c in range(k):
             iterations[c].append(count[c])
-        store(level, v)
+        interior[:, level] = v.reshape(rows_shape)
         explicit = implicit
-    if fields is None:
-        return [SemilinearResult(None, its) for its in iterations]
-    return [SemilinearResult(scheme._bounded(u, b), its)
-            for u, b, its in zip(fields, bvals, iterations)]
-
-
-def solve_semilinear(grid: Grid, a, bdata: BoundaryField, u0=None, theta: float = 0.5,
-                     warn_incompatible: bool = True) -> SemilinearResult:
-    """Solve (d_t - Laplacian) u + a(x, t, u) = 0 with data on the parabolic boundary.
-
-    The one-column call of `solve_semilinear_many`, which holds the Newton
-    loop and its conventions.
-    """
-    return solve_semilinear_many(grid, [a], [bdata], [u0], theta, warn_incompatible)[0]
+    solutions[(slice(None), slice(None), *grid.boundary_index)] = bvals
+    return solutions, iterations

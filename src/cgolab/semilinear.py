@@ -121,7 +121,7 @@ def _check_solution(a: Nonlinearity, u: np.ndarray, bdata: BoundaryField, u0) ->
 
 
 def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
-                         theta: float = 0.5, out: np.ndarray | None = None) -> list:
+                         theta: float = 0.5) -> tuple:
     """Semilinear solves of k data columns, one nonlinearity per column, as
     one Newton block, plus the class and a-priori checks.
 
@@ -129,45 +129,27 @@ def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
     For a monotone-class nonlinearity a solution's range may not leave its
     data range (up to a solver tolerance); a configured sup_bound is enforced
     unconditionally.  Violations raise rather than warn: they mean the
-    computed solution left the regime the estimates cover.  Returns the k
-    `SemilinearResult`s (the solution field and its Newton iterations).
-
-    Given out, a real (k, *field_shape) array, the solutions go into its rows
-    and no field is formed: the Newton loop's consumer writes each accepted
-    level into the rows' interiors, the lateral data is written on their
-    boundaries, the checks read the rows, and the results carry field None.
+    computed solution left the regime the estimates cover.  Returns
+    `solve_semilinear_many`'s (solutions, iterations): the real block of the
+    k solutions, one row per column, and each column's Newton iterations.
     """
     nonlinearities = list(nonlinearities)
     for a in {id(a): a for a in nonlinearities}.values():
         a.check_class(grid.n)
     bdatas = list(bdatas)
     u0s = [None] * len(bdatas) if u0s is None else list(u0s)
-    store = None
-    if out is not None:
-        interior = out[(slice(None), slice(None), *(slice(1, -1),) * grid.n)]
-        rows_shape = interior.shape[:1] + interior.shape[2:]
-
-        def store(level, v):
-            interior[:, level] = v.reshape(rows_shape)
-
-    results = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta,
-                                    warn_incompatible=False, store=store)
-    if out is None:
-        solutions = [result.field.values.real for result in results]
-    else:
-        out[(slice(None), slice(None), *grid.boundary_index)] = np.stack(
-            [bdata.values.real for bdata in bdatas])
-        solutions = out
+    solutions, iterations = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta,
+                                                  warn_incompatible=False)
     for a, bdata, u0, u in zip(nonlinearities, bdatas, u0s, solutions):
         _check_solution(a, u, bdata, u0)
-    return results
+    return solutions, iterations
 
 
 def semilinear_solution(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
                         u0=None, theta: float = 0.5) -> ScalarField:
     """Semilinear solve plus the class and a-priori checks: the one-column
     call of `semilinear_solutions`."""
-    return semilinear_solutions(grid, [a], [bdata], [u0], theta)[0].field
+    return ScalarField(grid, semilinear_solutions(grid, [a], [bdata], [u0], theta)[0][0])
 
 
 def _space_time(grid: Grid) -> tuple:
@@ -221,8 +203,8 @@ def fd_frechet_report(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
             pu0 = base0 + eps * dir0
         perturbed0.append(pu0)
     # the base datum and every perturbed datum share a: one Newton block
-    base_solution, *solutions = (r.field for r in semilinear_solutions(
-        grid, [a] * (1 + len(perturbed)), [bdata] + perturbed, [u0] + perturbed0, theta))
+    base_solution, *solutions = (ScalarField(grid, u) for u in semilinear_solutions(
+        grid, [a] * (1 + len(perturbed)), [bdata] + perturbed, [u0] + perturbed0, theta)[0])
     base_trace = neumann_trace(base_solution)
     deriv = frechet_dtn(grid, a, bdata, h, u0, h0, theta, solution=base_solution)
     errs = []
@@ -274,8 +256,7 @@ def _level_potentials(grid: Grid, columns, theta: float) -> list:
     nonlinearities = [a for a, _ in columns]
     bdatas = [BoundaryField.constant(grid, float(s)) for _, s in columns]
     u0s = [np.full(grid.space_shape, float(s)) for _, s in columns]
-    block = np.empty((len(columns),) + grid.field_shape)
-    semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta, out=block)
+    block, _ = semilinear_solutions(grid, nonlinearities, bdatas, u0s, theta)
     where = _space_time(grid)
     potentials = []
     for a, row in zip(nonlinearities, block):

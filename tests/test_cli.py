@@ -10,6 +10,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgolab
@@ -103,6 +104,21 @@ def test_forward_emits_artifacts_and_valid_manifest(tmp_path):
     assert field.grid.nx == 17
     header = (out / "neumann_trace.csv").read_text().splitlines()[0]
     assert header == "t,p0000,p0001"
+
+
+def test_semilinear_writes_the_checked_solution_row_bitwise(tmp_path):
+    # the command's field file holds the complex64 cast of its one-column
+    # solution row, and its iteration count is the most Newton iterations of
+    # any step
+    cfg = ExperimentConfig({**SMALL_GRID, "semilinear": {"family": "cubic", "cubic": 2.0}})
+    summary = run("semilinear", cfg, tmp_path / "out")
+    grid = cli._build_grid(cfg)
+    solutions, iterations = semilinear.semilinear_solutions(
+        grid, [cli._build_nonlinearity(cfg["semilinear"], "")],
+        [cli._build_bdata(grid, cfg["data"])], None, cfg["reconstruct"]["theta"])
+    payload = (tmp_path / "out" / "solution.field").read_bytes().split(b"\n", 1)[1]
+    assert payload == solutions[0].astype(np.complex64).tobytes()
+    assert summary["max_newton_iterations"] == max(iterations[0]) >= 2
 
 
 def test_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
@@ -393,6 +409,28 @@ def test_main_non_finite_carleman_side_exits_3(tmp_path, capsys):
     rc = main(["carleman-check", "--config", path, "--out", str(out)])
     assert rc == 3
     assert "numerical failure [carleman]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,payload", [
+    # a NaN threshold passed every identity check: the run exited 0
+    ("pairing-check", {"grid": {"n": 1, "nx": 9, "nt": 9},
+                       "pairing": {"cases": 1, "threshold": float("nan")}}),
+    # a NaN slope exited 3 as a numerical failure of the solve
+    ("semilinear", {**SMALL_GRID, "semilinear": {"slope": float("nan")}}),
+    ("stability-sweep", {**SMALL_GRID, "sweep": {"noise_levels": [float("nan"), 0.01]}}),
+    ("reconstruct", {**SMALL_GRID, "reconstruct": {"rho": float("inf")}}),
+    # an integer past float's range exited 1 with an OverflowError
+    ("reconstruct", {**SMALL_GRID, "reconstruct": {"R": 10**400}}),
+], ids=["threshold-nan", "slope-nan", "noise-level-nan", "rho-inf", "huge-integer"])
+def test_main_non_finite_config_number_exits_2(tmp_path, capsys, command, payload):
+    # json reads NaN and Infinity, so the config check must turn them away
+    path = _write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error [cli]" in err and "expected a finite number" in err
     assert not out.exists()
 
 

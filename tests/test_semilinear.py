@@ -16,7 +16,7 @@ from cgolab.dtn import (
     faces_within,
     operator_norm,
 )
-from cgolab.forward import neumann_trace, solve_forward, solve_semilinear, solve_semilinear_many
+from cgolab.forward import neumann_trace, solve_forward, solve_semilinear_many
 from cgolab.norms import ModulusParams
 from cgolab.reconstruct import ReconstructionConfig, measurement_oracle, reconstruct
 from cgolab.semilinear import (
@@ -215,8 +215,8 @@ def test_newton_reuses_the_accepted_residual():
         return 0.7 * u
 
     a = Nonlinearity.from_u(value, lambda u: 0.7 * np.ones_like(u))
-    res = solve_semilinear(g, a, _sine_data(g))
-    assert res.newton_iterations == [1] * (g.nt - 1)
+    _, (iterations,) = solve_semilinear_many(g, [a], [_sine_data(g)])
+    assert iterations == [1] * (g.nt - 1)
     assert len(calls) == 1 + 2 * (g.nt - 1)
 
 
@@ -242,8 +242,8 @@ def test_newton_forms_one_product_per_trial_and_one_at_level_zero(monkeypatch):
 
     monkeypatch.setattr(forward, "ThetaScheme", Counting)
     g = build_grid(1, 17, 17, 1.0)
-    res = solve_semilinear(g, _linear(0.7), _sine_data(g))
-    assert res.newton_iterations == [1] * (g.nt - 1)
+    _, (iterations,) = solve_semilinear_many(g, [_linear(0.7)], [_sine_data(g)])
+    assert iterations == [1] * (g.nt - 1)
     assert len(products) == 1 + (g.nt - 1)
 
     g = build_grid(1, 9, 5, 1.0)
@@ -257,10 +257,11 @@ def test_newton_forms_one_product_per_trial_and_one_at_level_zero(monkeypatch):
     wave = lambda amp: BoundaryField.from_callable(
         g, lambda p, t: amp * np.sin(np.pi * (p[:, 0] + 0.3)) * np.sin(3 * np.pi * t))
     products.clear()
-    block = solve_semilinear_many(g, [a] * 2, [wave(6.0), wave(0.2)], warn_incompatible=False)
+    _, iterations = solve_semilinear_many(g, [a] * 2, [wave(6.0), wave(0.2)],
+                                          warn_incompatible=False)
     trials = len(values) - g.nt
     # more trials than the block's Newton iterations: the line search halves
-    assert trials > sum(map(max, zip(*(r.newton_iterations for r in block))))
+    assert trials > sum(map(max, zip(*iterations)))
     assert len(products) == 1 + trials
 
 
@@ -382,8 +383,9 @@ def test_recovery_rejects_a_reference_level_before_any_solve(monkeypatch):
 
 
 def _newton_blocks(monkeypatch):
-    """(factorizations, results) of every Newton block, its `_factor` calls
-    counted while it runs; also returns the list of every `_factor` call."""
+    """(factorizations, (solutions, iterations)) of every Newton block, its
+    `_factor` calls counted while it runs; also returns the list of every
+    `_factor` call."""
     blocks, factors = [], []
     factor, solve = forward.ThetaScheme._factor, semilinear.solve_semilinear_many
 
@@ -413,9 +415,9 @@ def test_cubic_recovery_factors_once_per_column_and_iteration(monkeypatch):
                               name="cubic_ref", monotone=True)
     recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [-0.5, 0.4, 0.8], cfg)
     assert len(blocks) == 1
-    factorizations, results = blocks[0]
-    assert factorizations == sum(sum(r.newton_iterations) for r in results)
-    assert factorizations > len(results) * (g.nt - 1)
+    factorizations, (_, iterations) = blocks[0]
+    assert factorizations == sum(map(sum, iterations))
+    assert factorizations > len(iterations) * (g.nt - 1)
 
 
 def test_nonlin1d_recovery_runs_one_block_and_four_factorizations(monkeypatch):
@@ -429,7 +431,8 @@ def test_nonlin1d_recovery_runs_one_block_and_four_factorizations(monkeypatch):
     cfg = ReconstructionConfig(rho=16.0, R=2.0, measure_delta=False)
     recover_nonlinearity(SemilinearOracle(grid, _linear(1.0, monotone=True)),
                          _linear(0.5, monotone=True), [0.3, 0.6, 0.9], cfg)
-    assert [(factorizations, len(results)) for factorizations, results in blocks] == [(2, 6)]
+    assert [(factorizations, len(solutions))
+            for factorizations, (solutions, _) in blocks] == [(2, 6)]
     assert len(factors) == 4
 
 
@@ -663,8 +666,9 @@ def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
 
 
 def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields():
-    # each accepted level goes straight into its columns' fields: no solution
-    # block and no lift block (3.1 MiB each at this shape) is held beside them
+    # each accepted level goes straight into the rows of one real block (3.05
+    # MiB at this shape): no complex field (1.02 MiB per column) and no lift
+    # block is held beside it; six complex fields peaked at 6.38 MiB
     grid = build_grid(1, 65, 1025, 2.0)
     columns = [(a, s) for a in (_linear(1.0), _linear(0.5)) for s in (0.3, 0.6, 0.9)]
     nonlinearities = [a for a, _ in columns]
@@ -674,14 +678,15 @@ def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields(
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = solve_semilinear_many(grid, nonlinearities, bdatas, u0s,
-                                        warn_incompatible=False)
+        solutions, _ = solve_semilinear_many(grid, nonlinearities, bdatas, u0s,
+                                             warn_incompatible=False)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    fields = sum(r.field.values.nbytes for r in results)
-    assert fields > 6 * 2**20
+    assert solutions.dtype == np.float64
+    assert solutions.nbytes > 3 * 2**20
     assert peak < 7.5 * 2**20
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n,nx,nt", [(1, 17, 9), (2, 7, 9)])

@@ -19,8 +19,7 @@ from cgolab import (BoundaryField, Nonlinearity, Potential, ScalarField, SolverE
                     build_grid)
 from cgolab import forward
 from cgolab.dtn import DtnOracle
-from cgolab.forward import (solve_backward, solve_forward, solve_semilinear,
-                            solve_semilinear_many)
+from cgolab.forward import solve_backward, solve_forward, solve_semilinear_many
 
 RTOL = 1e-13
 
@@ -255,11 +254,11 @@ def test_semilinear_matches_plain_newton(n, nx, nt):
         g, lambda p, t: 0.8 * np.sin(np.pi * t) * (1 + 0.3 * p[:, 0]))
     a = Nonlinearity.from_u(lambda u: u + u**3, lambda u: 1 + 3 * u**2,
                             monotone=True, level_bound=1.0)
-    res = solve_semilinear(g, a, bd)
+    (u,), (got,) = solve_semilinear_many(g, [a], [bd])
     want, iterations = _plain_semilinear(g, a, bd)
-    assert res.newton_iterations == iterations
+    assert got == iterations
     assert max(iterations) >= 2
-    assert _rel_diff(res.field.values, want) <= RTOL
+    assert _rel_diff(u, want) <= RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +347,15 @@ def _wave(g, amp, level):
 
 
 def _assert_block_equals_single_solves(g, nonlinearities, bdatas, u0s):
-    block = solve_semilinear_many(g, nonlinearities, bdatas, u0s, warn_incompatible=False)
-    assert len(block) == len(bdatas)
-    for got, a, bd, u0 in zip(block, nonlinearities, bdatas, u0s):
-        want = solve_semilinear(g, a, bd, u0, warn_incompatible=False)
-        assert got.newton_iterations == want.newton_iterations
-        assert got.field.values.tobytes() == want.field.values.tobytes()
-    return block
+    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s,
+                                                  warn_incompatible=False)
+    assert len(solutions) == len(iterations) == len(bdatas)
+    for u, its, a, bd, u0 in zip(solutions, iterations, nonlinearities, bdatas, u0s):
+        (want,), (want_its,) = solve_semilinear_many(g, [a], [bd], [u0],
+                                                     warn_incompatible=False)
+        assert its == want_its
+        assert u.tobytes() == want.tobytes()
+    return iterations
 
 
 def test_semilinear_block_with_a_halving_column_equals_single_solves():
@@ -365,12 +366,12 @@ def test_semilinear_block_with_a_halving_column_equals_single_solves():
     a = _polynomial(1.0, 20.0, calls)
     bdatas = [_wave(g, 6.0, 0.0), _wave(g, 1.0, 0.3), _wave(g, 0.2, 0.0)]
     u0s = [None, np.full(g.space_shape, 0.3), None]
-    block = _assert_block_equals_single_solves(g, [a] * 3, bdatas, u0s)
-    assert block[0].newton_iterations != block[2].newton_iterations
+    iterations = _assert_block_equals_single_solves(g, [a] * 3, bdatas, u0s)
+    assert iterations[0] != iterations[2]
     calls.clear()
-    single = solve_semilinear(g, a, bdatas[0], warn_incompatible=False)
+    _, (single,) = solve_semilinear_many(g, [a], bdatas[:1], warn_incompatible=False)
     # a value call per step start, per Newton iteration and per halving, plus one
-    halvings = len(calls) - g.nt - sum(single.newton_iterations)
+    halvings = len(calls) - g.nt - sum(single)
     assert halvings > 0
 
 
@@ -419,9 +420,9 @@ def test_semilinear_block_factors_each_distinct_jacobian_once(monkeypatch):
               _wave(g, 2.0, 0.1)]
     # distinct levels, so no two cubic iterates start equal
     u0s = [np.full(g.space_shape, level) for level in (0.3, 0.0, -0.2, 0.1)]
-    block = solve_semilinear_many(g, [cubic, linear, cubic, linear], bdatas, u0s,
-                                  warn_incompatible=False)
-    cubic_iterations = sum(sum(block[c].newton_iterations) for c in (0, 2))
+    _, iterations = solve_semilinear_many(g, [cubic, linear, cubic, linear], bdatas, u0s,
+                                          warn_incompatible=False)
+    cubic_iterations = sum(sum(iterations[c]) for c in (0, 2))
     assert len(calls) == 1 + cubic_iterations
     assert len(set(calls)) == len(calls)
 
@@ -464,7 +465,7 @@ def test_non_finite_newton_residual_raises():
     bd = BoundaryField.from_callable(g, lambda p, t: 1.4 + 10 * t + 0 * p[:, 0])
     u0 = np.full(g.space_shape, 1.4)
     with pytest.raises(SolverError, match="non-finite Newton residual"):
-        solve_semilinear(g, a, bd, u0, warn_incompatible=False)
+        solve_semilinear_many(g, [a], [bd], [u0], warn_incompatible=False)
     # in a block, the failing column raises although its neighbour converges
     quiet = BoundaryField.constant(g, 0.5)
     with pytest.raises(SolverError, match="non-finite Newton residual"):
@@ -566,8 +567,9 @@ def test_newton_block_is_the_plain_newton_loop_bitwise(shape, columns):
     bdatas = [_DATA[kind](g, amp, level) for amp, level, _, _, kind in columns]
     u0s = [np.full(g.space_shape, level) if initial else None
            for _, level, initial, _, _ in columns]
-    block = solve_semilinear_many(g, nonlinearities, bdatas, u0s, warn_incompatible=False)
-    for got, a, bd, u0 in zip(block, nonlinearities, bdatas, u0s):
-        want, iterations = _plain_newton(g, a, bd, u0)
-        assert got.newton_iterations == iterations
-        assert got.field.values.tobytes() == want.astype(np.complex128).tobytes()
+    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s,
+                                                  warn_incompatible=False)
+    for u, its, a, bd, u0 in zip(solutions, iterations, nonlinearities, bdatas, u0s):
+        want, want_its = _plain_newton(g, a, bd, u0)
+        assert its == want_its
+        assert u.tobytes() == want.tobytes()

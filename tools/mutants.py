@@ -112,9 +112,14 @@ MUTANTS = [
            ("tests/test_dtn.py::test_a_basis_block_is_checked_against_each_support_mask",)),
     # the stepping kernel and the sampled fields
     Mutant("newton-store-one-level-back", "forward.py",
-           "store(level, v)\n        explicit = implicit",
-           "store(level - 1, v)\n        explicit = implicit",
+           "interior[:, level] = v.reshape(rows_shape)\n        explicit = implicit",
+           "interior[:, level - 1] = v.reshape(rows_shape)\n        explicit = implicit",
            ("tests/test_stepping_kernel.py::test_semilinear_matches_plain_newton",)),
+    Mutant("level-rows-without-boundary-values", "forward.py",
+           "    solutions[(slice(None), slice(None), *grid.boundary_index)] = bvals\n",
+           "",
+           ("tests/test_stepping_kernel.py::test_semilinear_matches_plain_newton",
+            _PLAIN_NEWTON)),
     Mutant("carried-product-not-row-updated", "forward.py",
            "v[took], product[took] = trial[took], trial_product[took]",
            "v[took] = trial[took]",
@@ -123,11 +128,6 @@ MUTANTS = [
            "if not same_data[level]:",
            "if False:",
            (_PLAIN_NEWTON,)),
-    Mutant("level-rows-without-boundary-values", "semilinear.py",
-           "out[(slice(None), slice(None), *grid.boundary_index)] = np.stack(",
-           "np.stack(",
-           ("tests/test_semilinear.py::"
-            "test_level_potentials_are_the_linearized_potentials_bitwise",)),
     Mutant("window-layers-unchecked", "semilinear.py",
            "if window_layers < 0:",
            "if False:",
@@ -159,7 +159,8 @@ MUTANTS = [
            "data[row, col] = values",
            "data[row[::-1].copy(), col[::-1].copy()] = values[::-1].copy()",
            (_WRITTEN,)),
-    # non-finite results fail as numerical failures
+    # non-finite results fail as numerical failures, non-finite config numbers
+    # as config errors
     Mutant("distance-not-checked-finite", "norms.py",
            "if not math.isfinite(total):",
            "if False:",
@@ -168,6 +169,10 @@ MUTANTS = [
            "if not (math.isfinite(lhs) and math.isfinite(rhs)):",
            "if False:",
            ("tests/test_cli.py::test_main_non_finite_carleman_side_exits_3",)),
+    Mutant("config-numbers-not-checked-finite", "cli.py",
+           "if not math.isfinite(number):",
+           "if False:",
+           ("tests/test_cli.py::test_main_non_finite_config_number_exits_2",)),
     # the trace stencil (3, -4, 1)/(2h) of the march
     Mutant("stencil-middle-1pct", "forward.py", _STENCIL,
            _STENCIL.replace("-4.0", "-4.04"), (_PAIRING_SIZES,)),
