@@ -26,7 +26,6 @@ __all__ = [
     "conjugated_apply",
     "poincare_ratio",
     "carleman_parts",
-    "carleman_ratio",
     "sample_family",
     "energy_cross_term",
     "CarlemanReport",
@@ -149,20 +148,14 @@ def carleman_parts(b: ScalarField, q: Potential | None, omega, rho: float,
     return lhs, rhs
 
 
-def carleman_ratio(b: ScalarField, q: Potential | None, omega, rho: float,
-                   epsilon: int = 1) -> float:
-    """Left/right ratio of the weighted energy inequality; boundedness of
-    this ratio uniformly in rho is the inequality's content."""
-    lhs, rhs = carleman_parts(b, q, omega, rho, epsilon)
-    return lhs / rhs
-
-
 def sample_family(grid: Grid, count: int, seed: int, epsilon: int = 1) -> list:
     """Admissible test samples: sine modes in space, polynomials in time,
     then seeded random sine mixtures.  All vanish on the lateral boundary
     and on the starting slice."""
     if epsilon not in (1, -1):
         raise ConfigError(f"epsilon must be +1 or -1, got {epsilon}")
+    if count < 1:
+        raise ConfigError(f"sample count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     coords = grid.space_coordinates()
     tt = grid.ts / grid.T if epsilon == 1 else (grid.T - grid.ts) / grid.T
@@ -183,7 +176,7 @@ def sample_family(grid: Grid, count: int, seed: int, epsilon: int = 1) -> list:
     powers = [1, 1, 1, 2, 3]
     for js, p in zip(mode_sets, powers):
         structured.append(spatial_mode(js) * (tt**p).reshape(tshape))
-    for vals in structured[: min(count, len(structured))]:
+    for vals in structured[:count]:
         samples.append(ScalarField(grid, vals.astype(np.complex128)))
     while len(samples) < count:
         if grid.n == 1:

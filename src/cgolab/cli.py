@@ -120,7 +120,7 @@ SCHEMA = {
     },
     "carleman": {
         "rhos": ("nonempty_float_list", [4.0, 8.0, 16.0, 32.0]),
-        "samples": ("int", 20),
+        "samples": ("positive_int", 20),
         "epsilon": ("int", 1),
         "omega": ("opt_float_list", None),
     },
@@ -132,7 +132,7 @@ SCHEMA = {
         "omega": ("opt_float_list", None),
     },
     "pairing": {
-        "cases": ("int", 10),
+        "cases": ("positive_int", 10),
         "bound": ("float", 1.0),
         "threshold": ("float", 0.05),
     },
@@ -523,7 +523,7 @@ def _cmd_pairing_check(cfg: ExperimentConfig, emit: _Emitter) -> dict:
         [case, lhs.real, lhs.imag, rhs.real, rhs.imag, gap]
         for case, (lhs, rhs, gap) in enumerate(results)
     ]
-    worst = max((r[5] for r in rows), default=0.0)
+    worst = max(r[5] for r in rows)
     emit.csv(
         "pairing.csv",
         ["case", "boundary_re", "boundary_im", "volume_re", "volume_im", "rel_gap"],

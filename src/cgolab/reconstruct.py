@@ -429,8 +429,7 @@ class ReconstructionResult:
     The estimate on the cylinder and its imaginary residue are computed on
     first access, by `invert_written` of the written values (the zero field
     and 0.0 on the trivial branch), so a run that reads only the values,
-    such as a stability sweep, inverts nothing.  `extended_delta` is the
-    distance of the extended maps where `reconstructions` was asked it.
+    such as a stability sweep, inverts nothing.
     """
 
     values: np.ndarray
@@ -443,7 +442,6 @@ class ReconstructionResult:
     trivial: bool
     saturated: bool
     error: float | None
-    extended_delta: float | None = None
 
     @cached_property
     def _inverse(self) -> tuple:
@@ -577,16 +575,10 @@ class StabilityRecord:
             raise ValueError("distance and error must be nonnegative")
 
 
-def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0,
-                    initial_modes: int = 0):
+def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int = 0):
     """`_estimate`'s result for each run (truth, reference, noise level), in
     turn; a run's oracle is made when the run is reached.  This is the one
     place where the maps of a loop of runs are made.
-
-    With `initial_modes`, each run's oracle is also asked the extended
-    question: the lateral input modes of the measurement input basis and
-    that many initial-data modes.  The result's `extended_delta` is the
-    operator norm of that difference in the measurement output basis.
 
     The runs share one noiseless map per distinct potential, which keeps its
     answers where several runs ask it, so each distinct question marches
@@ -598,20 +590,13 @@ def reconstructions(grid: Grid, runs, cfg: ReconstructionConfig, noise_seed: int
     runs = list(runs)
     maps = shared_maps(grid, [q for truth, ref, _ in runs for q in (truth, ref)], cfg.theta)
     noise_basis = DtnBasis(grid) if any(level != 0 for *_, level in runs) else None
-    bases = extended = None
+    bases = None
     for truth, q_ref, level in runs:
         oracle = measurement_oracle(grid, truth, cfg, float(level), noise_seed,
                                     noise_basis, maps)
-        if bases is None and (cfg.measure_delta or initial_modes):
+        if bases is None and cfg.measure_delta:
             bases = _measurement_bases(grid, oracle, cfg)
-            if initial_modes:
-                extended = (DtnBasis(grid, cfg.basis_j_max, cfg.basis_k_max, bases[0].faces,
-                                     initial_modes), bases[1])
-        res = _estimate(oracle, q_ref, cfg, bases)
-        if extended is not None:
-            res.extended_delta = operator_norm(assemble_difference_matrix(oracle, q_ref,
-                                                                          *extended))
-        yield res
+        yield _estimate(oracle, q_ref, cfg, bases)
 
 
 def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConfig,

@@ -18,7 +18,6 @@ from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import neumann_trace, solve_forward, solve_semilinear_many
 from .grid import Grid
-from .norms import ModulusParams, fit_modulus_constant
 from .reconstruct import (
     ReconstructionConfig,
     build_frequency_grid,
@@ -36,7 +35,6 @@ __all__ = [
     "frechet_dtn",
     "fd_frechet_report",
     "recover_nonlinearity",
-    "semilinear_stability_sweep",
 ]
 
 
@@ -375,41 +373,3 @@ def recover_nonlinearity(data: SemilinearOracle, a_ref: Nonlinearity, levels,
         )
     return report
 
-
-def semilinear_stability_sweep(grid: Grid, family, a_ref: Nonlinearity,
-                               level: float, cfg: ReconstructionConfig,
-                               modulus: ModulusParams, *, initial_modes: int = 2) -> dict:
-    """Sup-norm recovery error of the linearized-potential difference vs the
-    measured distance of the extended derivative maps, fitted to a modulus.
-
-    The extended-map distance includes initial-data modes in the input basis.
-    Its weighted-basis operator norm stands in for a quotient norm that has
-    no computable form; every report carries the weighted_surrogate flag to
-    make the substitution explicit.  Solves and maps run at cfg.theta and the
-    bases take cfg's sizes.  Each member is a run (p_true, p_ref, 0.0) of
-    `reconstruct.reconstructions`, whose oracle carries cfg's masks and is
-    asked the extended question, on the faces within the masks, beside its
-    estimate; the extended distance is the result's `extended_delta`.
-    """
-    if len(family) < 2:
-        raise ConfigError("degenerate sweep: need at least 2 family members")
-    # the reference's level and every member's level form one Newton block
-    p_ref, *p_trues = _level_potentials(
-        grid, [(a, level) for a in [a_ref, *family]], cfg.theta)
-    records = []
-    runs = [(p_true, p_ref, 0.0) for p_true in p_trues]
-    for p_true, res in zip(p_trues, reconstructions(grid, runs, cfg,
-                                                    initial_modes=initial_modes)):
-        err = float(np.abs(res.estimate.values.real
-                           - (p_true.values - p_ref.values)).max())
-        records.append({"delta": res.extended_delta, "err": err, "rho": res.rho, "R": res.R})
-    c_fit, used = fit_modulus_constant([r["delta"] for r in records],
-                                       [r["err"] for r in records], modulus)
-    return {
-        "records": records,
-        "fit_constant": c_fit,
-        "fit_used": used,
-        "modulus_family": modulus.family,
-        "modulus_s": modulus.s,
-        "weighted_surrogate": True,
-    }

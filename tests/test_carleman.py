@@ -9,7 +9,6 @@ from cgolab import ConfigError, Potential, ScalarField, build_grid
 from cgolab.carleman import (
     CarlemanReport,
     carleman_parts,
-    carleman_ratio,
     carleman_report,
     conjugated_apply,
     energy_cross_term,
@@ -52,6 +51,12 @@ def test_sample_family_is_admissible_and_deterministic():
     again = sample_family(g, 8, 3, epsilon=1)
     for a, b in zip(fam, again):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_family_rejects_a_count_below_one(count):
+    with pytest.raises(ConfigError, match="at least 1"):
+        sample_family(build_grid(1, 17, 17, 1.0), count, 3)
 
 
 def test_backward_family_vanishes_at_final_slice():
@@ -109,7 +114,6 @@ def test_carleman_parts_positive_and_ratio_consistent():
     lhs, rhs = carleman_parts(v, q, [1.0], 8.0)
     assert lhs > 0.0 and rhs > 0.0
     assert np.isfinite(lhs) and np.isfinite(rhs)
-    assert carleman_ratio(v, q, [1.0], 8.0) == pytest.approx(lhs / rhs, rel=1e-13)
 
 
 def test_backward_parts_match_reflected_forward_parts():

@@ -17,6 +17,7 @@ from cgolab import (
     envelope_fit,
     exp_weight,
     principal_part,
+    probe_rho_cap,
     probe_trace,
     remainder_decay_report,
 )
@@ -104,15 +105,6 @@ def test_conjugation_identity_by_finite_differences():
     assert np.abs(lhs[inner] - rhs[inner]).max() < 2e-2 * scale
 
 
-def test_probe_vanishes_on_mask_exactly():
-    g = build_grid(2, 9, 9, T=1.0)
-    p = _params(eps=1, rho=4.0, xi=(0.0, 0.0), omega=(1.0, 0.0), n=2)
-    sol = build_cgo(g, p)
-    mask = direction_mask(g, p.omega, p.delta, sign=-1)
-    profile_trace = sol.profile.boundary_trace()
-    assert np.abs(profile_trace.values[:, mask.values]).max() < 1e-9
-
-
 def test_residual_orientation_parity():
     # q symmetric under t -> T-t makes the two orientations mirror images:
     # their conjugated residuals must coincide (regression for the eps sign)
@@ -196,6 +188,23 @@ def test_probe_trace_is_the_marched_probe_trace(problem):
     marched = build_cgo(grid, params, q, vanish_mask=mask, compute_residual=False)
     assert np.array_equal(probe_trace(grid, params, mask).values,
                           marched.boundary_trace().values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_probe_problems(), st.floats(0.0, 1.0))
+def test_probe_vanishes_on_mask_exactly(problem, share):
+    # on the default vanish mask (normals opposing omega going forward,
+    # following it going backward) the corrector's lateral values are minus
+    # the principal part, so the probe's trace is exactly zero there at any
+    # rho the grid hosts; the marched profile keeps those Dirichlet values
+    # to solver tolerance, whatever q does inside
+    grid, params, q, _ = problem
+    params.rho = 2.05 + share * (probe_rho_cap(grid) - 2.05)
+    mask = direction_mask(grid, params.omega, params.delta, sign=-params.epsilon).values
+    assert mask.any()
+    assert np.all(probe_trace(grid, params).values[:, mask] == 0.0)
+    profile = build_cgo(grid, params, q, compute_residual=False).profile.boundary_trace()
+    assert np.abs(profile.values[:, mask]).max() < 1e-9
 
 
 def _cylinder_probe_trace(grid, params, mask):

@@ -299,6 +299,25 @@ def test_main_rejects_empty_carleman_rhos_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, count", [
+    # a count below one is no check: pairing-check would report a worst gap
+    # of 0.0 over no cases, and a negative sample count would slice the
+    # structured samples from the end
+    ("pairing-check", "pairing.cases", 0),
+    ("pairing-check", "pairing.cases", -3),
+    ("carleman-check", "carleman.samples", 0),
+    ("carleman-check", "carleman.samples", -1),
+])
+def test_main_rejects_a_count_below_one_before_writing(tmp_path, capsys, command, key, count):
+    section, leaf = key.split(".")
+    path = _write_config(tmp_path, {**SMALL_GRID, section: {leaf: count}})
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc == 2
+    assert f"config error [cli]: {key}: expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, where", [
     # a string rho used to pass the schema and die in carleman.py with a
     # TypeError traceback and exit 1

@@ -8,16 +8,8 @@ import pytest
 
 from cgolab import BoundaryField, ConfigError, SolverError, build_grid
 from cgolab import dtn, forward, semilinear
-from cgolab.dtn import (
-    DtnBasis,
-    DtnOracle,
-    add_noise,
-    assemble_difference_matrix,
-    faces_within,
-    operator_norm,
-)
+from cgolab.dtn import DtnBasis, add_noise
 from cgolab.forward import neumann_trace, solve_forward, solve_semilinear_many
-from cgolab.norms import ModulusParams
 from cgolab.reconstruct import ReconstructionConfig, measurement_oracle, reconstruct
 from cgolab.semilinear import (
     Nonlinearity,
@@ -27,7 +19,6 @@ from cgolab.semilinear import (
     linearized_potential,
     recover_nonlinearity,
     semilinear_solution,
-    semilinear_stability_sweep,
 )
 
 # the module, which the package's `reconstruct` function shadows
@@ -186,23 +177,6 @@ def test_recovery_tracks_a_linear_gap_at_small_scale():
     assert rows[2]["a_value"] == pytest.approx(0.9 * rows[2]["a_prime"], rel=1e-9)
 
 
-def test_semilinear_sweep_fits_within_the_modulus_domain():
-    g = build_grid(1, 33, 33, 1.0)
-    family = [_linear(0.95), _linear(0.98)]
-    ref = _linear(1.0)
-    cfg = ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)
-    mod = ModulusParams("double_log", 0.25, 1)
-    out = semilinear_stability_sweep(g, family, ref, 0.4, cfg, mod)
-    assert out["weighted_surrogate"] is True
-    assert out["fit_used"] == 2
-    assert out["fit_constant"] == pytest.approx(0.0404, abs=2e-3)
-    deltas = [r["delta"] for r in out["records"]]
-    errs = [r["err"] for r in out["records"]]
-    assert deltas[0] > deltas[1] and errs[0] > errs[1]
-    with pytest.raises(ConfigError, match="degenerate"):
-        semilinear_stability_sweep(g, [ref], ref, 0.4, cfg, mod)
-
-
 def test_newton_reuses_the_accepted_residual():
     # a linear a converges in one Newton iteration per step; the step then
     # evaluates a at the start value and at the accepted trial only, and the
@@ -263,67 +237,6 @@ def test_newton_forms_one_product_per_trial_and_one_at_level_zero(monkeypatch):
     # more trials than the block's Newton iterations: the line search halves
     assert trials > sum(map(max, zip(*iterations)))
     assert len(products) == 1 + trials
-
-
-def test_semilinear_sweep_solves_each_level_once(monkeypatch):
-    # in full mode, and in partial mode, where the members' oracles carry the
-    # masks and the extended bases take the faces within them
-    for n, nx, cfg in [
-        (1, 17, ReconstructionConfig(rho=4.0, R=3.0, measure_delta=False, basis_k_max=2)),
-        (2, 9, ReconstructionConfig(mode="partial", rho=4.0, R=4.0, base_direction=(1.0, 0.0),
-                                    basis_j_max=2, basis_k_max=2)),
-    ]:
-        g = build_grid(n, nx, 17, 1.0)
-        family = [_linear(0.9), _linear(0.95), _linear(0.98)]
-        ref = _linear(1.0)
-        mod = ModulusParams("double_log", 0.25, n)
-        level = 0.4
-
-        # the records against a per-member reconstruct on a fresh oracle
-        bdata = BoundaryField.constant(g, level)
-        p_ref = linearized_potential(g, ref, bdata, np.full(g.space_shape, level))
-        want = []
-        for a in family:
-            data = SemilinearOracle(g, a)
-            (p_true,) = data.level_potentials([level])
-            oracle = measurement_oracle(g, p_true, cfg)
-            faces_in = faces_out = None
-            if cfg.mode == "partial":
-                faces_in = faces_within(g, oracle.support_mask)
-                faces_out = faces_within(g, oracle.obs_mask)
-            basis_in = DtnBasis(g, cfg.basis_j_max, 2, faces_in, initial_modes=2)
-            basis_out = DtnBasis(g, cfg.basis_j_max, 2, faces_out)
-            diff = assemble_difference_matrix(oracle, p_ref, basis_in, basis_out)
-            res = reconstruct(oracle, p_ref, cfg)
-            want.append({
-                "delta": operator_norm(diff),
-                "err": float(np.abs(res.estimate.values.real
-                                    - (p_true.values - p_ref.values)).max()),
-                "rho": res.rho, "R": res.R,
-            })
-
-        calls, bases = [], []
-        solve = semilinear.semilinear_solutions
-        basis_init = DtnBasis.__init__
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        def counting_basis(basis, *args, **kwargs):
-            basis_init(basis, *args, **kwargs)
-            bases.append(basis)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(semilinear, "semilinear_solutions", counting)
-            patch.setattr(DtnBasis, "__init__", counting_basis)
-            out = semilinear_stability_sweep(g, family, ref, level, cfg, mod)
-        # the reference's level and every member's level form one Newton block
-        assert len(calls) == 1
-        assert out["records"] == want
-        # the extended input basis and the measurement bases, whose output
-        # basis the extended difference shares: at most three for the members
-        assert len(bases) == (3 if cfg.mode == "partial" else 2)
 
 
 def test_recovery_solves_each_nonlinearity_as_one_block(monkeypatch):
@@ -598,9 +511,10 @@ def test_recovery_rows_equal_per_level_reconstructs_bitwise(n, nx, cfg, noise):
 
 def test_linear_recovery_builds_its_measurement_bases_once(monkeypatch):
     # measure_delta is on, as in the CLI: the three levels' oracles mask
-    # alike, so one basis serves every level's data distance, and the shared
-    # maps digest its read-only input block once
-    g = build_grid(1, 17, 33, 1.0)
+    # alike, so one set of bases serves every level's data distance (one
+    # basis in full mode, an in and an out basis on the faces within the
+    # masks in partial mode), and the shared maps digest its read-only input
+    # block once
     built, hashed = [], []
     init, digest = DtnBasis.__init__, dtn._digest
 
@@ -614,55 +528,49 @@ def test_linear_recovery_builds_its_measurement_bases_once(monkeypatch):
 
     monkeypatch.setattr(DtnBasis, "__init__", counting_init)
     monkeypatch.setattr(dtn, "_digest", counting_digest)
-    cfg = ReconstructionConfig(rho=8.0, R=2.0, basis_k_max=2)
-    out = recover_nonlinearity(SemilinearOracle(g, _linear(1.0)), _linear(0.5),
-                               [0.3, 0.6, 0.9], cfg)
-    assert all(row["delta"] > 0 for row in out["rows"])
-    assert len(built) == 1
-    asked = [a for a in hashed if a is built[0].inputs()[0]]
-    assert len(asked) == 1
+    for n, nx, nt, cfg, count in [
+        (1, 17, 33, ReconstructionConfig(rho=8.0, R=2.0, basis_k_max=2), 1),
+        (2, 9, 17, ReconstructionConfig(mode="partial", rho=4.0, R=4.0,
+                                        base_direction=(1.0, 0.0), basis_j_max=2,
+                                        basis_k_max=2), 2),
+    ]:
+        g = build_grid(n, nx, nt, 1.0)
+        built.clear()
+        hashed.clear()
+        out = recover_nonlinearity(SemilinearOracle(g, _linear(1.0)), _linear(0.5),
+                                   [0.3, 0.6, 0.9], cfg)
+        assert all(row["delta"] > 0 for row in out["rows"])
+        assert len(built) == count
+        assert len({tuple(basis.faces) for basis in built}) == count
+        asked = [a for a in hashed if any(a is b.inputs()[0] for b in built)]
+        assert len(asked) == 1 and asked[0] is built[0].inputs()[0]
 
 
-def test_semilinear_sweep_makes_one_map_of_its_reference(monkeypatch):
-    # three members and one reference: four maps, not one reference map per
-    # member, and the shared one factors once.  measure_delta is on, as by
-    # default: the members share their measurement bases, whose output basis
-    # the extended difference reads too
+def test_recovery_makes_one_map_of_a_reference_its_levels_share(monkeypatch):
+    # a cubic truth gives each level its own potential, a linear reference
+    # the same one at every level: four maps, not one reference map per
+    # level, made in the order the runs name them (a truth level, the
+    # reference, the other truth levels), and only the shared one keeps its
+    # answers, so it marches as often as one truth level's map
     g = build_grid(1, 17, 17, 1.0)
-    maps, factors, bases = [], [], []
-    init, factor = dtn.DtnMap.__init__, forward.ThetaScheme._factor
-    basis_init = DtnBasis.__init__
+    made = []
+    shared_maps = reconstruct_module.shared_maps
 
-    def counting_init(m, *args, **kwargs):
-        init(m, *args, **kwargs)
-        maps.append(m)
+    def recording(*args, **kwargs):
+        made.extend(shared_maps(*args, **kwargs))
+        return made
 
-    def counting_factor(scheme, *args, **kwargs):
-        factors.append(1)
-        return factor(scheme, *args, **kwargs)
-
-    def counting_basis(basis, *args, **kwargs):
-        basis_init(basis, *args, **kwargs)
-        bases.append(basis)
-
-    monkeypatch.setattr(dtn.DtnMap, "__init__", counting_init)
-    monkeypatch.setattr(forward.ThetaScheme, "_factor", counting_factor)
-    monkeypatch.setattr(DtnBasis, "__init__", counting_basis)
-    family = [_linear(0.9), _linear(0.95), _linear(0.98)]
+    monkeypatch.setattr(reconstruct_module, "shared_maps", recording)
+    marches = _count_marches(monkeypatch)
     for rho, radius in ((4.0, 3.0), ("auto", None)):
-        for seen in (maps, factors, bases):
-            seen.clear()
+        made.clear()
+        marches.clear()
         cfg = ReconstructionConfig(rho=rho, R=radius, basis_k_max=2)
-        semilinear_stability_sweep(g, family, _linear(1.0), 0.4, cfg,
-                                   ModulusParams("double_log", 0.25, 1))
-        # made in the order the runs name them: a member, the reference, the
-        # other members
-        assert len(maps) == 4
-        assert [m.keeps_answers for m in maps] == [False, True, False, False]
-        assert len(factors) == 8
-        # the measurement basis, which is its own output basis, and the
-        # extended input basis
-        assert len(bases) == 2
+        recover_nonlinearity(SemilinearOracle(g, _cubic()), _linear(0.5),
+                             [0.3, 0.6, 0.9], cfg)
+        assert [m.keeps_answers for m in made] == [False, True, False, False]
+        counts = [sum(s is m.scheme for s in marches) for m in made]
+        assert counts == [counts[0]] * 4
 
 
 def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields():

@@ -159,6 +159,19 @@ MUTANTS = [
            "data[row, col] = values",
            "data[row[::-1].copy(), col[::-1].copy()] = values[::-1].copy()",
            (_WRITTEN,)),
+    # counts below one are config errors, and the probe vanishes on its mask
+    Mutant("pairing-cases-any-int", "cli.py",
+           '"cases": ("positive_int", 10),',
+           '"cases": ("int", 10),',
+           ("tests/test_cli.py::test_main_rejects_a_count_below_one_before_writing",)),
+    Mutant("carleman-samples-any-int", "cli.py",
+           '"samples": ("positive_int", 20),',
+           '"samples": ("int", 20),',
+           ("tests/test_cli.py::test_main_rejects_a_count_below_one_before_writing",)),
+    Mutant("vanish-mask-flipped", "cgo.py",
+           "direction_mask(grid, params.omega, params.delta, sign=-params.epsilon)",
+           "direction_mask(grid, params.omega, params.delta, sign=params.epsilon)",
+           ("tests/test_cgo.py::test_probe_vanishes_on_mask_exactly",)),
     # non-finite results fail as numerical failures, non-finite config numbers
     # as config errors
     Mutant("distance-not-checked-finite", "norms.py",
