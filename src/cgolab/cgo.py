@@ -23,7 +23,7 @@ from . import fd
 from .errors import ConfigError, SolverError
 from .fields import BoundaryField, Potential, ScalarField
 from .forward import solve_backward, solve_forward
-from .grid import DirectionMask, Grid, direction_mask, neighborhood_mask, unit_direction
+from .grid import DirectionMask, Grid, direction_mask, unit_direction
 
 __all__ = [
     "CgoParams",
@@ -180,11 +180,19 @@ def corrector_source(grid: Grid, params: CgoParams, q: Potential | None = None) 
 
 
 def _taper_weights(grid: Grid, mask: DirectionMask) -> np.ndarray:
-    """1 on the mask, 1/2 on the one-cell boundary ring around it, else 0."""
-    w = np.zeros(grid.n_boundary)
+    """1 on the mask, 1/2 on the boundary points one index step away from it
+    along a space axis, else 0.  In 1-d no two boundary points are one step
+    apart, so the weights are the mask's."""
+    on = np.zeros(grid.space_shape, dtype=bool)
+    on[grid.boundary_index] = mask.values
+    near = on.copy()
+    for axis in range(grid.n):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        near[lower] |= on[upper]
+        near[upper] |= on[lower]
+    w = np.where(near[grid.boundary_index], 0.5, 0.0)
     w[mask.values] = 1.0
-    ring = neighborhood_mask(grid, mask, 1).values & ~mask.values
-    w[ring] = 0.5
     return w
 
 
@@ -289,7 +297,7 @@ def build_cgo(grid: Grid, params: CgoParams, q: Potential | None = None,
                                                    theta_field.boundary_trace().values))
     conv = -2.0 * params.epsilon * params.rho * params.omega
     solve = solve_forward if params.epsilon == 1 else solve_backward
-    w = solve(grid, q, bdata, None, source, theta, conv, warn_incompatible=False)
+    w = solve(grid, q, bdata, None, source, theta, conv)
 
     resid = math.nan
     if compute_residual:

@@ -390,18 +390,7 @@ class _Emitter:
                 writer.writerow([_fmt_cell(v) for v in row])
 
     def json(self, name: str, payload) -> None:
-        def default(obj):
-            if isinstance(obj, (np.integer,)):
-                return int(obj)
-            if isinstance(obj, (np.floating,)):
-                return float(obj)
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, complex):
-                return {"re": obj.real, "im": obj.imag}
-            raise TypeError(f"cannot serialize {type(obj)}")
-
-        text = json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         self._path(name).write_text(text, encoding="utf-8")
 
     def svg(self, name: str, series, **kwargs) -> None:
@@ -442,7 +431,7 @@ def _cmd_forward(cfg: ExperimentConfig, emit: _Emitter) -> dict:
     q = _build_potential(grid, cfg["potential"])
     g = _build_bdata(grid, cfg["data"])
     theta = cfg["reconstruct"]["theta"]
-    u = solve_forward(grid, q, g, None, None, theta, warn_incompatible=False)
+    u = solve_forward(grid, q, g, None, None, theta)
     _emit_solution(emit, u)
     return {"max_abs": u.max_abs(), "l2": u.l2_norm()}
 

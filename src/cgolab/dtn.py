@@ -164,6 +164,8 @@ class DtnBasis:
         self._supports = set()
 
     def _initial_mode_indices(self, count: int):
+        if count < 0:
+            raise ConfigError(f"initial_modes must be >= 0, got {count}")
         if count == 0:
             return []
         if self.grid.n == 1:
@@ -409,8 +411,8 @@ def pairing_volume(grid: Grid, q: Potential | None, q_ref: Potential | None,
     to verify the boundary identity."""
     qv = 0.0 if q is None else q.values
     rv = 0.0 if q_ref is None else q_ref.values
-    u_fwd = solve_forward(grid, q, g, None, None, theta, warn_incompatible=False)
-    u_bwd = solve_backward(grid, q_ref, h, None, None, theta, warn_incompatible=False)
+    u_fwd = solve_forward(grid, q, g, None, None, theta)
+    u_bwd = solve_backward(grid, q_ref, h, None, None, theta)
     return complex(grid.integrate_volume((qv - rv) * u_fwd.values * u_bwd.values))
 
 

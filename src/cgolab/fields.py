@@ -134,6 +134,3 @@ class Potential:
     @classmethod
     def zero(cls, grid: Grid) -> "Potential":
         return cls(grid, np.zeros(grid.field_shape), m=0.0)
-
-    def __sub__(self, other: "Potential") -> "Potential":
-        return Potential(self.grid, self.values - other.values)

@@ -9,16 +9,14 @@ on interior vectors only.  One kernel, `ThetaScheme`, makes the linear
 marches (one solution, or the Neumann traces of a block of data columns) and
 the Newton steps of the semilinear solver, which also marches a block of
 data columns.  Where the lateral data at t=0 disagrees with the initial slice
-on the boundary, the lateral value wins and a warning is emitted (the
-discrepancy lives on the corner of the cylinder).
+on the boundary, the lateral value wins, with no warning (the discrepancy
+lives on the corner of the cylinder).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -235,10 +233,10 @@ class ThetaScheme:
         return (_boundary_part(full[:, self._inner], grid),
                 _boundary_part(full[:, self._outer], grid))
 
-    def _initial_interior(self, bvals, u0, warn_incompatible: bool):
+    def _initial_interior(self, bvals, u0):
         """Interior values (k, ndof) of the initial slices u0 (k, *space) of k
         marches with lateral data bvals (k, nt, nb); the lateral data at t=0
-        wins on the boundary, with a warning when the two disagree."""
+        wins on the boundary."""
         grid = self.grid
         first = np.zeros((bvals.shape[0],) + grid.space_shape, dtype=np.complex128)
         if u0 is not None:
@@ -246,19 +244,6 @@ class ThetaScheme:
             if u0.shape != first.shape:
                 raise ValueError("initial slice has the wrong shape")
             first[...] = u0
-        if warn_incompatible:
-            clash = np.abs(first[(slice(None), *grid.boundary_index)] - bvals[:, 0])
-            scale = max(np.abs(first).max(), np.abs(bvals).max(), 1.0)
-            if clash.max() > 1e-10 * scale:
-                # name the caller's line: the first frame outside this module
-                frame, level = sys._getframe(), 1
-                while frame is not None and frame.f_code.co_filename == __file__:
-                    frame, level = frame.f_back, level + 1
-                warnings.warn(
-                    "lateral data and initial slice disagree at t=0; "
-                    "keeping the lateral value",
-                    stacklevel=level,
-                )
         return _interior(first, grid.n)
 
     def _field(self, interior, bvals) -> ScalarField:
@@ -327,8 +312,8 @@ class ThetaScheme:
                 x = step
                 emit(level, x, data[1])
 
-    def solve(self, bdata: BoundaryField, u0=None, source: ScalarField | None = None,
-              warn_incompatible: bool = True) -> ScalarField:
+    def solve(self, bdata: BoundaryField, u0=None,
+              source: ScalarField | None = None) -> ScalarField:
         grid = self.grid
         if not grid.same_layout(bdata.grid):
             raise ValueError("boundary data lives on a different grid")
@@ -337,7 +322,7 @@ class ThetaScheme:
         bvals = bdata.values[None]
         if u0 is not None:
             u0 = np.asarray(u0)[None]
-        x0 = self._initial_interior(bvals, u0, warn_incompatible)
+        x0 = self._initial_interior(bvals, u0)
         f = None if source is None else _interior(source.values, grid.n)[None]
         dtype = _block_dtype(bvals, x0, f)
         x = np.empty((grid.nt, self._ndof), dtype=dtype)
@@ -407,7 +392,7 @@ class ThetaScheme:
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
             raise ValueError("lateral data block must have shape (k, nt, nb)")
-        x0 = self._initial_interior(bvals, u0, warn_incompatible=False)
+        x0 = self._initial_interior(bvals, u0)
         dtype = _block_dtype(bvals, x0)
         width = 1 if dtype is np.float64 else 2
         trace_int, trace_bnd = self._trace
@@ -458,9 +443,9 @@ class ThetaScheme:
 
 def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None,
                   source: ScalarField | None = None, theta: float = 0.5,
-                  convection=None, warn_incompatible: bool = True) -> ScalarField:
+                  convection=None) -> ScalarField:
     """Solve (d_t - Laplacian + convection . grad + q) u = source, u(0) = u0."""
-    return ThetaScheme(grid, q, theta, convection).solve(bdata, u0, source, warn_incompatible)
+    return ThetaScheme(grid, q, theta, convection).solve(bdata, u0, source)
 
 
 def _reversed_potential(q: Potential | None):
@@ -471,7 +456,7 @@ def _reversed_potential(q: Potential | None):
 
 def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=None,
                    source: ScalarField | None = None, theta: float = 0.5,
-                   convection=None, warn_incompatible: bool = True) -> ScalarField:
+                   convection=None) -> ScalarField:
     """Solve (-d_t - Laplacian + convection . grad + q) u = source, u(T) = uT.
 
     Realized by reflecting time, solving forward, and reflecting back, so the
@@ -487,7 +472,6 @@ def solve_backward(grid: Grid, q: Potential | None, bdata: BoundaryField, uT=Non
         rev_f,
         theta,
         convection,
-        warn_incompatible=warn_incompatible,
     )
     return ScalarField(grid, out.values[::-1])
 
@@ -525,8 +509,8 @@ def _row_groups(nonlinearities) -> list:
     return groups
 
 
-def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: float = 0.5,
-                          warn_incompatible: bool = True) -> tuple:
+def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None,
+                          theta: float = 0.5) -> tuple:
     """Solve (d_t - Laplacian) u + a(x, t, u) = 0 for k data columns, each
     with its own nonlinearity a, as one block.  Returns (solutions,
     iterations): the real (k, *field_shape) block of the k solutions and, per
@@ -605,7 +589,7 @@ def solve_semilinear_many(grid: Grid, nonlinearities, bdatas, u0s=None, theta: f
     if any(u0 is not None for u0 in u0s):
         first = np.stack([np.zeros(grid.space_shape) if u0 is None else np.asarray(u0)
                           for u0 in u0s])
-    v = scheme._initial_interior(bvals, first, warn_incompatible).real.copy()
+    v = scheme._initial_interior(bvals, first).real.copy()
     interior[:, 0] = v.reshape(rows_shape)
     # op @ v of the accepted block, carried into the next level's residual
     product = (op @ v.T).T

@@ -32,7 +32,6 @@ __all__ = [
     "build_grid",
     "unit_direction",
     "direction_mask",
-    "neighborhood_mask",
 ]
 
 
@@ -91,7 +90,6 @@ class Grid:
         self._enumerate_boundary()
         self.lateral_weights = self.time_weights[:, None] * self.boundary_weights
         self.lateral_weights.flags.writeable = False
-        self._adjacency = None
 
     # -- construction -------------------------------------------------------
 
@@ -141,7 +139,6 @@ class Grid:
             [[self.xs[pt[a]] for a in range(self.n)] for pt in order]
         )
         self.boundary_weights = np.array([weight[pt] for pt in order])
-        self._boundary_lookup = {pt: i for i, pt in enumerate(order)}
         self.n_boundary = nb
 
     # -- quadrature ---------------------------------------------------------
@@ -177,28 +174,6 @@ class Grid:
         if self.n == 1:
             return (self.xs,)
         return (self.xs[:, None], self.xs[None, :])
-
-    # -- adjacency along the boundary ---------------------------------------
-
-    def boundary_adjacency(self):
-        """Neighbor lists of the boundary graph (index Manhattan distance one).
-
-        In 1-d the two boundary points are isolated; in 2-d the graph is the
-        closed curve of 4*nx-4 points.
-        """
-        if self._adjacency is None:
-            pts = list(self._boundary_lookup)
-            adj = [[] for _ in pts]
-            for i, pt in enumerate(pts):
-                for a in range(self.n):
-                    for step in (-1, 1):
-                        nb_pt = list(pt)
-                        nb_pt[a] += step
-                        j = self._boundary_lookup.get(tuple(nb_pt))
-                        if j is not None:
-                            adj[i].append(j)
-            self._adjacency = adj
-        return self._adjacency
 
     # -- misc ---------------------------------------------------------------
 
@@ -267,27 +242,3 @@ def direction_mask(grid: Grid, omega, delta: float, sign: int = 1) -> DirectionM
     values = sign * (grid.boundary_normals @ omega) > delta
     return DirectionMask(grid, values)
 
-
-def neighborhood_mask(grid: Grid, base: DirectionMask, fatten: int) -> DirectionMask:
-    """Dilate a boundary mask by `fatten` rings of the boundary graph.
-
-    A point enters the fattened mask when its graph distance to the base set
-    is at most `fatten`.  In 1-d the two boundary points are isolated, so the
-    mask is returned unchanged.
-    """
-    if fatten < 0:
-        raise ValueError("fatten must be nonnegative")
-    values = base.values.copy()
-    adj = grid.boundary_adjacency()
-    frontier = list(np.flatnonzero(values))
-    for _ in range(fatten):
-        new_frontier = []
-        for i in frontier:
-            for j in adj[i]:
-                if not values[j]:
-                    values[j] = True
-                    new_frontier.append(j)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return DirectionMask(grid, values)

@@ -248,8 +248,7 @@ def measurement_oracle(grid: Grid, truth: Potential | None, cfg: ReconstructionC
 
 
 def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
-                  omega, rho: float, *, probe_delta: float = 0.25,
-                  vanish_plus=None, vanish_minus=None) -> complex:
+                  omega, rho: float, *, probe_delta: float = 0.25) -> complex:
     """One normalized transform sample of (truth - reference) at (xi, tau).
 
     The forward probe carries the oscillation, the backward one does not.
@@ -258,8 +257,7 @@ def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
     potential, so no probe is marched.
     """
     _, values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho,
-                              probe_delta=probe_delta, vanish_plus=vanish_plus,
-                              vanish_minus=vanish_minus)
+                              probe_delta=probe_delta, vanish_plus=None, vanish_minus=None)
     return complex(values[0])
 
 

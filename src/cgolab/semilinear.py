@@ -74,13 +74,14 @@ class Nonlinearity:
         value = lambda *args: np.asarray(f(args[-1]), dtype=float) + 0.0 * args[-1]
         return cls(value, lambda *args: fprime(args[-1]), **kw)
 
-    def check_class(self, n: int, u_range=None, samples: int = 101) -> None:
-        """Spot-check the monotone-class properties on the probed range."""
+    def check_class(self, n: int) -> None:
+        """Spot-check the monotone-class properties at 101 levels spanning
+        [-level_bound, level_bound]."""
         if not self.monotone:
             return
-        lo, hi = (-self.level_bound, self.level_bound) if u_range is None else u_range
-        us = np.linspace(lo, hi, samples)
-        probe = tuple(np.full(samples, 0.5) for _ in range(n)) + (0.0, us)
+        lo, hi = -self.level_bound, self.level_bound
+        us = np.linspace(lo, hi, 101)
+        probe = tuple(np.full(us.size, 0.5) for _ in range(n)) + (0.0, us)
         at_zero = tuple(np.full(1, 0.5) for _ in range(n)) + (0.0, np.zeros(1))
         if np.abs(self.value(*at_zero)).max() > 1e-12:
             raise ConfigError(f"nonlinearity {self.name!r} violates a(0)=0")
@@ -136,8 +137,7 @@ def semilinear_solutions(grid: Grid, nonlinearities, bdatas, u0s=None,
         a.check_class(grid.n)
     bdatas = list(bdatas)
     u0s = [None] * len(bdatas) if u0s is None else list(u0s)
-    solutions, iterations = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta,
-                                                  warn_incompatible=False)
+    solutions, iterations = solve_semilinear_many(grid, nonlinearities, bdatas, u0s, theta)
     for a, bdata, u0, u in zip(nonlinearities, bdatas, u0s, solutions):
         _check_solution(a, u, bdata, u0)
     return solutions, iterations
@@ -176,7 +176,7 @@ def frechet_dtn(grid: Grid, a: Nonlinearity, bdata: BoundaryField,
     returns its Neumann trace.
     """
     p = linearized_potential(grid, a, bdata, u0, theta, solution)
-    v = solve_forward(grid, p, h, h0, None, theta, warn_incompatible=False)
+    v = solve_forward(grid, p, h, h0, None, theta)
     return neumann_trace(v)
 
 

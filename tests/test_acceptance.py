@@ -412,7 +412,7 @@ def test_09_derivative_map_consistency():
             grid, lambda p, t: 0.2 * np.sin(2 * np.pi * t) * (1.0 - p[:, 0]))
         via_map = frechet_dtn(grid, ac, gd, hd)
         v = solve_forward(grid, linearized_potential(grid, ac, gd), hd,
-                          None, None, 0.5, warn_incompatible=False)
+                          None, None, 0.5)
         worst = max(worst, np.abs(via_map.values - neumann_trace(v).values).max())
     assert worst <= 1e-12
     _report("derivative map", f"fd slope {rep['slope']:.3f}, cross-path gap {worst:.1e}")

@@ -41,7 +41,7 @@ def _potential(grid, rng, varying):
 
 
 def _column_trace(grid, q, g, u0, theta):
-    u = solve_forward(grid, q, g, u0, theta=theta, warn_incompatible=False)
+    u = solve_forward(grid, q, g, u0, theta=theta)
     return neumann_trace(u).values
 
 

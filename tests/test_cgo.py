@@ -21,7 +21,7 @@ from cgolab import (
     probe_trace,
     remainder_decay_report,
 )
-from cgolab.cgo import _corrector_lateral, _nonnegative_fit
+from cgolab.cgo import _corrector_lateral, _nonnegative_fit, _taper_weights
 from cgolab.errors import ConfigError, SolverError
 from cgolab.fd import diff1, diff2
 
@@ -205,6 +205,34 @@ def test_probe_vanishes_on_mask_exactly(problem, share):
     assert np.all(probe_trace(grid, params).values[:, mask] == 0.0)
     profile = build_cgo(grid, params, q, compute_residual=False).profile.boundary_trace()
     assert np.abs(profile.values[:, mask]).max() < 1e-9
+
+
+def _bfs_adjacency_oracle(g):
+    """Neighbors at index Manhattan distance one, found by brute force."""
+    pts = list(zip(*(a.tolist() for a in g.boundary_index)))
+    where = {pt: i for i, pt in enumerate(pts)}
+    nbrs = [set() for _ in pts]
+    for i, p in enumerate(pts):
+        for q, j in where.items():
+            if sum(abs(a - b) for a, b in zip(p, q)) == 1:
+                nbrs[i].add(j)
+    return nbrs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(3, 12), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_taper_is_the_mask_and_half_on_its_brute_force_neighbours(n, nx, share, seed):
+    # the probe's lateral taper is 1 on the vanish mask and 1/2 on the
+    # boundary points one index step from it; in 1-d the two boundary points
+    # are never one step apart, so the taper is the mask itself
+    grid = build_grid(n, nx, 3, 1.0)
+    mask = np.random.default_rng(seed).random(grid.n_boundary) < share
+    want = mask.astype(float)
+    for i, nbrs in enumerate(_bfs_adjacency_oracle(grid)):
+        if not mask[i] and any(mask[j] for j in nbrs):
+            want[i] = 0.5
+    assert np.array_equal(_taper_weights(grid, DirectionMask(grid, mask)), want)
 
 
 def _cylinder_probe_trace(grid, params, mask):

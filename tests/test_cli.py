@@ -349,6 +349,19 @@ def test_main_rejects_j_max_on_a_1d_grid(tmp_path, capsys, j_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [-1, -5])
+def test_main_rejects_negative_initial_modes_before_writing(tmp_path, capsys, count):
+    # a negative count used to slice the mode pool from its end and write an
+    # 18x32 (-1) or 18x28 (-5) matrix on this grid
+    path = _write_config(tmp_path, {**SMALL_GRID, "dtn": {"initial_modes": count}})
+    out = tmp_path / "out"
+    rc = main(["dtn", "--config", path, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error [dtn]: initial_modes must be >= 0, got {count}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, section, message", [
     # the xi of a 1-d frequency on a 2-d grid used to crash with IndexError
     ("cgo-check", {"cgo": {"xi": [3.0]}}, "xi must have shape (2,)"),

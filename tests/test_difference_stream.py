@@ -56,7 +56,7 @@ def _full_width(scheme, g, u0):
     """Traces of every real column of g marched as they are, none left out
     and none copied: a 2-d march treats each column on its own, bit for bit."""
     trace_int, trace_bnd = scheme._trace
-    x0 = scheme._initial_interior(g, u0, warn_incompatible=False)
+    x0 = scheme._initial_interior(g, u0)
     out = np.empty(g.shape, dtype=np.complex128)
 
     def trace(level, state, lateral):
@@ -185,7 +185,7 @@ def test_a_non_finite_reference_level_fails_at_the_level_the_block_path_names(ma
         finite.append(bool(np.isfinite(trace_int @ state + trace_bnd @ lateral).all()))
 
     with np.errstate(all="ignore"):
-        scheme._march(g, scheme._initial_interior(g, None, False), None, np.complex128, check)
+        scheme._march(g, scheme._initial_interior(g, None), None, np.complex128, check)
     level = finite.index(False)
     assert 0 < level < grid.nt - 1
     with pytest.raises(SolverError) as block:

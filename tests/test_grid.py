@@ -1,4 +1,4 @@
-"""Geometry of the space-time grid: boundary enumeration, quadrature, adjacency."""
+"""Geometry of the space-time grid: boundary enumeration and quadrature."""
 
 import numpy as np
 import pytest
@@ -81,34 +81,6 @@ def test_boundary_quadrature_constant():
     g = build_grid(2, 13, 9, T=3.0)
     ones = np.ones((g.nt, g.n_boundary))
     assert g.integrate_boundary(ones) == pytest.approx(3.0 * 4.0)
-
-
-def _bfs_adjacency_oracle(g):
-    """Neighbors at index Manhattan distance one, found by brute force."""
-    pts = list(zip(*(a.tolist() for a in g.boundary_index)))
-    where = {pt: i for i, pt in enumerate(pts)}
-    nbrs = [set() for _ in pts]
-    for i, p in enumerate(pts):
-        for q, j in where.items():
-            if sum(abs(a - b) for a, b in zip(p, q)) == 1:
-                nbrs[i].add(j)
-    return nbrs
-
-
-def test_boundary_adjacency_matches_bruteforce():
-    g = build_grid(2, 7, 5, 1.0)
-    got = g.boundary_adjacency()
-    want = _bfs_adjacency_oracle(g)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert set(a) == b
-    # the 2-d boundary graph is a single closed curve: every degree is 2
-    assert all(len(a) == 2 for a in got)
-
-
-def test_boundary_adjacency_1d_isolated():
-    g = build_grid(1, 7, 5, 1.0)
-    assert [len(a) for a in g.boundary_adjacency()] == [0, 0]
 
 
 def test_boundary_trace_selects_points():

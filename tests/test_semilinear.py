@@ -111,7 +111,7 @@ def test_derivative_map_matches_frozen_potential_path():
     sol = semilinear_solution(g, a, data)
     via_map = frechet_dtn(g, a, data, h, solution=sol)
     p = linearized_potential(g, a, data, solution=sol)
-    v = solve_forward(g, p, h, None, None, 0.5, warn_incompatible=False)
+    v = solve_forward(g, p, h, None, None, 0.5)
     assert np.array_equal(via_map.values, neumann_trace(v).values)
 
 
@@ -231,8 +231,7 @@ def test_newton_forms_one_product_per_trial_and_one_at_level_zero(monkeypatch):
     wave = lambda amp: BoundaryField.from_callable(
         g, lambda p, t: amp * np.sin(np.pi * (p[:, 0] + 0.3)) * np.sin(3 * np.pi * t))
     products.clear()
-    _, iterations = solve_semilinear_many(g, [a] * 2, [wave(6.0), wave(0.2)],
-                                          warn_incompatible=False)
+    _, iterations = solve_semilinear_many(g, [a] * 2, [wave(6.0), wave(0.2)])
     trials = len(values) - g.nt
     # more trials than the block's Newton iterations: the line search halves
     assert trials > sum(map(max, zip(*iterations)))
@@ -582,12 +581,11 @@ def test_newton_block_at_the_nonlinearity_workloads_shape_holds_only_its_fields(
     nonlinearities = [a for a, _ in columns]
     bdatas = [BoundaryField.constant(grid, s) for _, s in columns]
     u0s = [np.full(grid.space_shape, s) for _, s in columns]
-    solve_semilinear_many(grid, nonlinearities, bdatas, u0s, warn_incompatible=False)
+    solve_semilinear_many(grid, nonlinearities, bdatas, u0s)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        solutions, _ = solve_semilinear_many(grid, nonlinearities, bdatas, u0s,
-                                             warn_incompatible=False)
+        solutions, _ = solve_semilinear_many(grid, nonlinearities, bdatas, u0s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -628,8 +628,7 @@ def _marched_alone(scheme, g, u0):
     trace_int, trace_bnd = scheme._trace
     out = np.empty(g.shape, dtype=np.complex128)
     for c in range(len(g)):
-        x0 = scheme._initial_interior(g[c:c + 1], None if u0 is None else u0[c:c + 1],
-                                      warn_incompatible=False)
+        x0 = scheme._initial_interior(g[c:c + 1], None if u0 is None else u0[c:c + 1])
 
         def trace(level, state, lateral):
             out[c, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128)[:, 0]

@@ -182,8 +182,7 @@ CASES = [
 def test_kernel_matches_plain_stepper(n, nx, nt, case, theta):
     rng = np.random.default_rng(7 * n + nx)
     g, q, bd, u0, src, conv = _random_case(rng, n, nx, nt, **case)
-    got = solve_forward(g, q, bd, u0=u0, source=src, theta=theta, convection=conv,
-                        warn_incompatible=False)
+    got = solve_forward(g, q, bd, u0=u0, source=src, theta=theta, convection=conv)
     want = _plain_solve(g, q, bd, u0, src, theta, conv)
     assert _rel_diff(got.values, want) <= RTOL
 
@@ -197,7 +196,7 @@ def test_cached_scheme_reused_across_solves_matches_plain(n, nx, nt):
     scheme = forward.ThetaScheme(g, q, 0.5, conv)
     for scale in (1.0, -2.0):
         data = BoundaryField(g, scale * bd.values)
-        got = scheme.solve(data, source=src, warn_incompatible=False)
+        got = scheme.solve(data, source=src)
         want = _plain_solve(g, q, data, None, src, 0.5, conv)
         assert _rel_diff(got.values, want) <= RTOL
 
@@ -218,10 +217,10 @@ def test_time_invariant_march_factors_once(monkeypatch, n, nx, nt):
     rng = np.random.default_rng(1)
     q = Potential(g, np.broadcast_to(rng.uniform(0, 1, g.space_shape), g.field_shape).copy())
     bd = BoundaryField(g, rng.standard_normal((g.nt, g.n_boundary)) + 0j)
-    solve_forward(g, q, bd, warn_incompatible=False)
+    solve_forward(g, q, bd)
     assert calls == ["_Tridiagonal" if n == 1 else "splu"]
     calls.clear()
-    solve_forward(g, None, bd, warn_incompatible=False)
+    solve_forward(g, None, bd)
     assert len(calls) == 1
 
 
@@ -241,8 +240,8 @@ def test_time_varying_march_keeps_no_factor(monkeypatch):
     q = Potential(g, rng.uniform(0, 1, g.field_shape))
     scheme = forward.ThetaScheme(g, q)
     bd = BoundaryField(g, rng.standard_normal((g.nt, g.n_boundary)) + 0j)
-    first = scheme.solve(bd, warn_incompatible=False)
-    second = scheme.solve(bd, warn_incompatible=False)
+    first = scheme.solve(bd)
+    second = scheme.solve(bd)
     assert len(calls) == 2 * (g.nt - 1)
     assert np.array_equal(first.values, second.values)
 
@@ -347,12 +346,10 @@ def _wave(g, amp, level):
 
 
 def _assert_block_equals_single_solves(g, nonlinearities, bdatas, u0s):
-    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s,
-                                                  warn_incompatible=False)
+    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s)
     assert len(solutions) == len(iterations) == len(bdatas)
     for u, its, a, bd, u0 in zip(solutions, iterations, nonlinearities, bdatas, u0s):
-        (want,), (want_its,) = solve_semilinear_many(g, [a], [bd], [u0],
-                                                     warn_incompatible=False)
+        (want,), (want_its,) = solve_semilinear_many(g, [a], [bd], [u0])
         assert its == want_its
         assert u.tobytes() == want.tobytes()
     return iterations
@@ -369,7 +366,7 @@ def test_semilinear_block_with_a_halving_column_equals_single_solves():
     iterations = _assert_block_equals_single_solves(g, [a] * 3, bdatas, u0s)
     assert iterations[0] != iterations[2]
     calls.clear()
-    _, (single,) = solve_semilinear_many(g, [a], bdatas[:1], warn_incompatible=False)
+    _, (single,) = solve_semilinear_many(g, [a], bdatas[:1])
     # a value call per step start, per Newton iteration and per halving, plus one
     halvings = len(calls) - g.nt - sum(single)
     assert halvings > 0
@@ -420,8 +417,7 @@ def test_semilinear_block_factors_each_distinct_jacobian_once(monkeypatch):
               _wave(g, 2.0, 0.1)]
     # distinct levels, so no two cubic iterates start equal
     u0s = [np.full(g.space_shape, level) for level in (0.3, 0.0, -0.2, 0.1)]
-    _, iterations = solve_semilinear_many(g, [cubic, linear, cubic, linear], bdatas, u0s,
-                                          warn_incompatible=False)
+    _, iterations = solve_semilinear_many(g, [cubic, linear, cubic, linear], bdatas, u0s)
     cubic_iterations = sum(sum(iterations[c]) for c in (0, 2))
     assert len(calls) == 1 + cubic_iterations
     assert len(set(calls)) == len(calls)
@@ -465,12 +461,11 @@ def test_non_finite_newton_residual_raises():
     bd = BoundaryField.from_callable(g, lambda p, t: 1.4 + 10 * t + 0 * p[:, 0])
     u0 = np.full(g.space_shape, 1.4)
     with pytest.raises(SolverError, match="non-finite Newton residual"):
-        solve_semilinear_many(g, [a], [bd], [u0], warn_incompatible=False)
+        solve_semilinear_many(g, [a], [bd], [u0])
     # in a block, the failing column raises although its neighbour converges
     quiet = BoundaryField.constant(g, 0.5)
     with pytest.raises(SolverError, match="non-finite Newton residual"):
-        solve_semilinear_many(g, [a, a], [quiet, bd], [np.full(g.space_shape, 0.5), u0],
-                              warn_incompatible=False)
+        solve_semilinear_many(g, [a, a], [quiet, bd], [np.full(g.space_shape, 0.5), u0])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +483,7 @@ def _plain_newton(g, a, bd, u0=None, theta=0.5):
                  for c in g.space_coordinates())
     bvals = bd.values.real[None]
     first = None if u0 is None else np.asarray(u0)[None]
-    v = scheme._initial_interior(bvals, first, False).real.copy()
+    v = scheme._initial_interior(bvals, first).real.copy()
 
     def half(level, v):
         lifted = (scheme._lift @ bvals[:, level].T).T
@@ -567,8 +562,7 @@ def test_newton_block_is_the_plain_newton_loop_bitwise(shape, columns):
     bdatas = [_DATA[kind](g, amp, level) for amp, level, _, _, kind in columns]
     u0s = [np.full(g.space_shape, level) if initial else None
            for _, level, initial, _, _ in columns]
-    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s,
-                                                  warn_incompatible=False)
+    solutions, iterations = solve_semilinear_many(g, nonlinearities, bdatas, u0s)
     for u, its, a, bd, u0 in zip(solutions, iterations, nonlinearities, bdatas, u0s):
         want, want_its = _plain_newton(g, a, bd, u0)
         assert its == want_its

@@ -56,6 +56,8 @@ _WRITTEN = ("tests/test_norms.py::"
             "test_written_values_invert_as_their_scattered_lattice_bitwise")
 _PLAIN_NEWTON = ("tests/test_stepping_kernel.py::"
                  "test_newton_block_is_the_plain_newton_loop_bitwise")
+_TAPER = ("tests/test_cgo.py::"
+          "test_taper_is_the_mask_and_half_on_its_brute_force_neighbours")
 _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
 
@@ -159,7 +161,8 @@ MUTANTS = [
            "data[row, col] = values",
            "data[row[::-1].copy(), col[::-1].copy()] = values[::-1].copy()",
            (_WRITTEN,)),
-    # counts below one are config errors, and the probe vanishes on its mask
+    # counts below their least value are config errors, and the probe
+    # vanishes on its mask, tapered over one index step
     Mutant("pairing-cases-any-int", "cli.py",
            '"cases": ("positive_int", 10),',
            '"cases": ("int", 10),',
@@ -172,6 +175,18 @@ MUTANTS = [
            "direction_mask(grid, params.omega, params.delta, sign=-params.epsilon)",
            "direction_mask(grid, params.omega, params.delta, sign=params.epsilon)",
            ("tests/test_cgo.py::test_probe_vanishes_on_mask_exactly",)),
+    Mutant("taper-ring-two-steps", "cgo.py",
+           "near[upper] |= on[lower]",
+           "near[upper] |= on[lower]\n        near[lower] |= near[upper]",
+           (_TAPER,)),
+    Mutant("taper-ring-dropped", "cgo.py",
+           "w = np.where(near[grid.boundary_index], 0.5, 0.0)",
+           "w = np.where(on[grid.boundary_index], 0.5, 0.0)",
+           (_TAPER,)),
+    Mutant("initial-modes-any-int", "dtn.py",
+           "if count < 0:",
+           "if False:",
+           ("tests/test_cli.py::test_main_rejects_negative_initial_modes_before_writing",)),
     # non-finite results fail as numerical failures, non-finite config numbers
     # as config errors
     Mutant("distance-not-checked-finite", "norms.py",
