@@ -12,6 +12,7 @@ __all__ = ["render_line_chart", "write_line_chart"]
 
 _PALETTE = ("#1f6fb2", "#c0392b", "#1e8449", "#8e44ad", "#b7950b", "#34495e")
 _MARGIN = {"left": 64.0, "right": 16.0, "top": 28.0, "bottom": 46.0}
+_WIDTH, _HEIGHT = 640, 420
 
 
 def _transform(value: float, lo: float, hi: float, log: bool) -> float:
@@ -48,8 +49,7 @@ def _fmt(v: float) -> str:
 
 
 def render_line_chart(series, *, title: str = "", x_label: str = "",
-                      y_label: str = "", log_x: bool = False, log_y: bool = False,
-                      width: int = 640, height: int = 420) -> str:
+                      y_label: str = "", log_x: bool = False, log_y: bool = False) -> str:
     """series: iterable of {"label": str, "x": [...], "y": [...]}."""
     series = [dict(s) for s in series]
     xs = [float(v) for s in series for v in s["x"]]
@@ -68,8 +68,8 @@ def render_line_chart(series, *, title: str = "", x_label: str = "",
         pad = 0.5 if not log_y else 0.0
         y_lo, y_hi = (y_lo / 2, y_hi * 2) if log_y else (y_lo - pad, y_hi + pad)
 
-    inner_w = width - _MARGIN["left"] - _MARGIN["right"]
-    inner_h = height - _MARGIN["top"] - _MARGIN["bottom"]
+    inner_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    inner_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
 
     def px(v: float) -> float:
         return _MARGIN["left"] + inner_w * _transform(v, x_lo, x_hi, log_x)
@@ -78,10 +78,10 @@ def render_line_chart(series, *, title: str = "", x_label: str = "",
         return _MARGIN["top"] + inner_h * (1.0 - _transform(v, y_lo, y_hi, log_y))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     axis = (
@@ -119,7 +119,7 @@ def render_line_chart(series, *, title: str = "", x_label: str = "",
         )
 
     parts.append(
-        f'<text x="{_MARGIN["left"] + inner_w / 2:.1f}" y="{height - 8:.1f}" '
+        f'<text x="{_MARGIN["left"] + inner_w / 2:.1f}" y="{_HEIGHT - 8:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">{x_label}</text>'
     )
     parts.append(

@@ -331,6 +331,8 @@ def remainder_decay_report(grid: Grid, q: Potential | None, xi, tau: float,
             sol = build_cgo(grid, params, q, theta=theta)
             norms[eps].append(sol.remainder.l2_norm())
             residuals[eps].append(sol.residual_norm)
+    if not np.isfinite([norms[1], norms[-1], residuals[1], residuals[-1]]).all():
+        raise SolverError("a probe's remainder norm or residual is not finite")
     logs = np.log(rhos)
     slope_plus = float(np.polyfit(logs, np.log(norms[1]), 1)[0])
     slope_minus = float(np.polyfit(logs, np.log(norms[-1]), 1)[0])
@@ -345,8 +347,7 @@ def remainder_decay_report(grid: Grid, q: Potential | None, xi, tau: float,
     }
 
 
-def envelope_fit(grid: Grid, q: Potential | None, rhos, zetas, omega=None,
-                 delta: float = 0.25, theta: float = 0.5):
+def envelope_fit(grid: Grid, q: Potential | None, rhos, zetas):
     """Fit ||w_forward|| <= A rho^{-1/4} + B rho^{-1} <zeta>^2 over a (rho, zeta) grid.
 
     Nonnegative least squares on the two-column design; returns (A, B, records)
@@ -356,14 +357,15 @@ def envelope_fit(grid: Grid, q: Potential | None, rhos, zetas, omega=None,
     for rho in np.asarray(rhos, dtype=float):
         for xi, tau in zetas:
             xi = np.asarray(xi, dtype=float)
-            om = _default_omega(grid.n, xi) if omega is None else omega
-            params = CgoParams(1, om, xi, tau, rho, delta)
-            sol = build_cgo(grid, params, q, theta=theta, compute_residual=False)
+            params = CgoParams(1, _default_omega(grid.n, xi), xi, tau, rho)
+            sol = build_cgo(grid, params, q, compute_residual=False)
             wnorm = sol.remainder.l2_norm()
             bracket = params.zeta_bracket_sq
             rows.append([rho**-0.25, bracket / rho])
             rhs.append(wnorm)
             records.append({"rho": float(rho), "bracket_sq": bracket, "w_plus": wnorm})
+    if not np.isfinite(rhs).all():
+        raise SolverError("a forward probe's remainder norm is not finite")
     coeffs = _nonnegative_fit(np.asarray(rows), np.asarray(rhs))
     return float(coeffs[0]), float(coeffs[1]), records
 

@@ -546,6 +546,10 @@ class DtnOracle:
         self.grid = grid
         self.support_mask = support_mask
         self.obs_mask = obs_mask
+        # (nb,) complex128: a complex product casts the boolean mask to these
+        # very values, so multiplying by it is bitwise the same, and it
+        # broadcasts against the traces of one level and of a slice alike
+        self._observed = None if obs_mask is None else obs_mask.values.astype(np.complex128)
         self.theta = theta
         self.noise_delta = float(noise_delta)
         self.noise_seed = int(noise_seed)
@@ -587,27 +591,16 @@ class DtnOracle:
             _check_support(g, self.support_mask)
         return g, u0, _digest(g, u0) if keyed else None
 
-    def _mask(self):
-        """The observation mask at every time level, (nt, nb) complex128, or
-        None.  Indexed by the levels a consumer gets, it broadcasts against
-        their traces without a broadcast axis of its own, and a complex
-        product casts the boolean mask to these very values, so multiplying
-        by it is bitwise the same."""
-        if self.obs_mask is None:
-            return None
-        return np.tile(self.obs_mask.values.astype(np.complex128), (self.grid.nt, 1))
-
     def apply_many(self, g, u0=None) -> np.ndarray:
         """Measured responses (k, nt, nb) of data columns g (k, nt, nb) and
         initial slices u0 (k, *space_shape) or None, in a new array."""
         question = self._question((g, u0), self.map.keeps_answers)
-        measure = _Measurement(self, question, self._mask())
+        measure = _Measurement(self, question)
         self.map.answer([question], [measure])
         return measure.block
 
-    def apply(self, g: BoundaryField, u0=None) -> BoundaryField:
-        u0 = None if u0 is None else np.asarray(u0)[None]
-        return BoundaryField(self.grid, self.apply_many(g.values[None], u0)[0])
+    def apply(self, g: BoundaryField) -> BoundaryField:
+        return BoundaryField(self.grid, self.apply_many(g.values[None])[0])
 
     def differences(self, q_ref: Potential | None, questions):
         """(measured map - simulated reference map) responses (k, nt, nb) to
@@ -632,13 +625,12 @@ class DtnOracle:
         same = reference_map is self.map
         maps = [self.map] if same else [self.map, reference_map]
         keyed = any(m.keeps_answers for m in maps)
-        mask = self._mask()
         pending = list(questions)[::-1]
         del questions
         while pending:
             count = len(pending) if any(m.stacks(len(pending)) for m in maps) else 1
             asked = [self._question(pending.pop(), keyed) for _ in range(count)]
-            measures = [_Measurement(self, question, mask, same) for question in asked]
+            measures = [_Measurement(self, question, same) for question in asked]
             self.map.answer(asked, measures)
             if not same:
                 reference_map.answer(asked, [m.subtract for m in measures])
@@ -666,10 +658,9 @@ class _Measurement:
     beside it.  `subtract` is the reference's consumer; with `same`, the
     traces are also the reference's, and it takes them off again."""
 
-    def __init__(self, oracle: DtnOracle, question, mask, same: bool = False):
+    def __init__(self, oracle: DtnOracle, question, same: bool = False):
         self._oracle = oracle
         self._g, _, self._key = question
-        self._mask = mask
         self._same = same
         self.block = self._scratch = None
 
@@ -684,15 +675,15 @@ class _Measurement:
     def __call__(self, levels, traces) -> None:
         if self.block is None:
             self._start()
-        rows, mask = self.block[:, levels], self._mask
+        rows, mask = self.block[:, levels], self._oracle._observed
         if self._oracle._noise_matrix is not None:
             rows += traces
             if mask is not None:
-                rows *= mask[levels]
+                rows *= mask
         elif mask is None:
             rows[...] = traces
         else:
-            np.multiply(traces, mask[levels], out=rows)
+            np.multiply(traces, mask, out=rows)
         if self._same:
             self.subtract(levels, traces)
 
@@ -701,11 +692,10 @@ class _Measurement:
         started block.  The masked traces are formed a few columns at a
         time, in one scratch array of at most _SCRATCH_BYTES (or one column),
         so no reference block is formed."""
-        rows, mask = self.block[:, levels], self._mask
+        rows, mask = self.block[:, levels], self._oracle._observed
         if mask is None:
             rows -= traces
             return
-        weight = mask[levels]
         if self._scratch is None:
             column = traces.itemsize * math.prod(traces.shape[1:])
             step = max(1, min(_SCRATCH_BYTES // column, len(traces)))
@@ -713,7 +703,7 @@ class _Measurement:
         scratch = self._scratch
         for start in range(0, len(traces), len(scratch)):
             part = traces[start:start + len(scratch)]
-            rows[start:start + len(part)] -= np.multiply(part, weight,
+            rows[start:start + len(part)] -= np.multiply(part, mask,
                                                          out=scratch[:len(part)])
 
 

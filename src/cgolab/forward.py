@@ -119,10 +119,10 @@ def _boundary_part(matrix, grid: Grid):
     return matrix.toarray() if grid.n == 1 else matrix.tocsr()
 
 
-def _check_finite(values, level_axis: int, what: str) -> None:
-    """Raise at the first time level (along level_axis) holding a non-finite value."""
-    others = tuple(a for a in range(values.ndim) if a != level_axis)
-    finite = np.isfinite(values).all(axis=others)
+def _check_finite(values, what: str) -> None:
+    """Raise at the first time level, a row of values (nt, ndof), holding a
+    non-finite value."""
+    finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise SolverError(f"non-finite {what} at time level {int(np.argmin(finite))}")
 
@@ -172,7 +172,6 @@ class ThetaScheme:
                 raise ValueError(f"convection must have shape ({grid.n},)")
         self.grid = grid
         self.theta = theta
-        self.convection = convection
         q_values = np.zeros((1,) + grid.space_shape) if q is None else q.values
         self.time_invariant = bool(np.all(q_values == q_values[0]))
 
@@ -332,7 +331,7 @@ class ThetaScheme:
             levels[level] = state
 
         self._march(bvals, x0, f, dtype, keep)
-        _check_finite(x, 0, "solution")
+        _check_finite(x, "solution")
         return self._field(x, bdata.values)
 
     @staticmethod

@@ -120,10 +120,6 @@ class FrequencyNode:
 @dataclass
 class FrequencyGrid:
     grid: Grid
-    R: float
-    mode: str
-    base_direction: np.ndarray
-    half_width: float
     nodes: list
 
     @property
@@ -209,7 +205,7 @@ def build_frequency_grid(grid: Grid, R: float, mode: str = "full",
                 mirror=mirror,
             )
         )
-    return FrequencyGrid(grid, float(R), mode, base, float(half_width), nodes)
+    return FrequencyGrid(grid, nodes)
 
 
 def partial_masks(grid: Grid, base_direction, mask_delta: float):
@@ -248,7 +244,7 @@ def measurement_oracle(grid: Grid, truth: Potential | None, cfg: ReconstructionC
 
 
 def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
-                  omega, rho: float, *, probe_delta: float = 0.25) -> complex:
+                  omega, rho: float) -> complex:
     """One normalized transform sample of (truth - reference) at (xi, tau).
 
     The forward probe carries the oscillation, the backward one does not.
@@ -257,7 +253,7 @@ def fourier_slice(oracle: DtnOracle, q_ref: Potential | None, xi, tau: float,
     potential, so no probe is marched.
     """
     _, values = _slice_values(oracle, q_ref, [(xi, tau, omega)], rho,
-                              probe_delta=probe_delta, vanish_plus=None, vanish_minus=None)
+                              probe_delta=CgoParams.delta, vanish_plus=None, vanish_minus=None)
     return complex(values[0])
 
 
@@ -522,7 +518,7 @@ def _estimate(oracle: DtnOracle, q_ref: Potential | None, cfg: ReconstructionCon
         radius = cfg.R if cfg.R is not None else rho**cfg.s
 
     if trivial:
-        freq = FrequencyGrid(grid, 0.0, cfg.mode, base, cfg.half_width, [])
+        freq = FrequencyGrid(grid, [])
         values, positions = freq.to_coefficients(cfg.use_hermitian)
         return ReconstructionResult(values, positions, freq, cfg.use_hermitian, delta,
                                     0.0, 0.0, True, False, None)
@@ -641,8 +637,6 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
                     "rho": res.rho,
                     "R": res.R,
                     "trivial": res.trivial,
-                    "saturated": res.saturated,
-                    "mode": cfg.mode,
                 },
             )
         )
@@ -659,8 +653,7 @@ def stability_sweep(grid: Grid, q_ref: Potential | None, cfg: ReconstructionConf
 
 
 def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
-                       xi, tau: float, rhos, *, probe_delta: float = 0.25,
-                       theta: float = 0.5) -> dict:
+                       xi, tau: float, rhos) -> dict:
     """Gap between measured slices and the exact lattice transform across rho.
 
     The frequency must sit on the padded lattice.  The pairing reads only the
@@ -682,11 +675,10 @@ def slice_error_report(grid: Grid, q: Potential, q_ref: Potential | None,
     omega = choose_direction(xi)
     if omega is None:
         raise ConfigError("no admissible direction for this frequency")
-    oracle = DtnOracle(grid, q, theta=theta)
+    oracle = DtnOracle(grid, q)
     gaps, values = [], []
     for rho in rhos:
-        val = fourier_slice(oracle, q_ref, xi, tau, omega, float(rho),
-                            probe_delta=probe_delta)
+        val = fourier_slice(oracle, q_ref, xi, tau, omega, float(rho))
         values.append(val)
         gaps.append(abs(val - target))
     return {

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgolab import ConfigError, Potential, ScalarField, build_grid
 from cgolab.carleman import (
@@ -15,6 +17,7 @@ from cgolab.carleman import (
     poincare_ratio,
     sample_family,
 )
+from cgolab.reconstruct import probe_rho_cap
 
 
 def _cosine_potential(grid, amp):
@@ -116,21 +119,44 @@ def test_carleman_parts_positive_and_ratio_consistent():
     assert np.isfinite(lhs) and np.isfinite(rhs)
 
 
-def test_backward_parts_match_reflected_forward_parts():
+@st.composite
+def _reflection_problems(draw):
+    """A 1-d or 2-d grid, a unit omega, rho within the grid's cap, a seeded
+    backward sample family and a smooth time-varying q."""
+    n = draw(st.sampled_from([1, 2]))
+    # at least 5 points per axis, so that no structured sample mode
+    # (sin(j pi x), j <= 3) vanishes on the nodes
+    g = build_grid(n, draw(st.integers(5, 17)), draw(st.integers(3, 33)),
+                   draw(st.floats(0.5, 2.0)))
+    if n == 1:
+        omega = np.array([draw(st.sampled_from([1.0, -1.0]))])
+    else:
+        angle = draw(st.floats(0.0, 2 * np.pi))
+        omega = np.array([np.cos(angle), np.sin(angle)])
+    rho = 2.05 + draw(st.floats(0.0, 1.0)) * (probe_rho_cap(g) - 2.05)
+    samples = sample_family(g, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1)),
+                            epsilon=-1)
+    space = np.ones(g.space_shape)
+    for x in g.space_coordinates():
+        space = space * np.sin(draw(st.integers(1, 3)) * np.pi * x)
+    time = np.cos(draw(st.integers(0, 3)) * np.pi * g.ts / g.T + draw(st.floats(0.0, np.pi)))
+    qv = (draw(st.floats(-1.0, 1.0)) * time.reshape((-1,) + (1,) * n) * space[None]
+          + draw(st.floats(-1.0, 1.0)))
+    return g, omega, rho, samples, qv
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reflection_problems())
+def test_backward_parts_match_reflected_forward_parts(problem):
     # time reflection maps the backward conjugation onto the forward one with
     # the direction negated; the one-sided difference stencils reflect exactly,
     # so the identity holds at machine precision
-    g = build_grid(2, 17, 33, 1.0)
-    X, _ = g.space_coordinates()
-    qv = (0.4 * np.sin(np.pi * X)[None]
-          * np.cos(np.pi * g.ts / g.T)[:, None, None] * np.ones(g.field_shape))
-    q = Potential(g, qv, m=0.4)
-    q_flip = Potential(g, qv[::-1].copy(), m=0.4)
-    omega = np.array([0.6, 0.8])
-    for b in sample_family(g, 3, 5, epsilon=-1):
+    g, omega, rho, samples, qv = problem
+    q, q_flip = Potential(g, qv), Potential(g, qv[::-1].copy())
+    for b in samples:
         reflected = ScalarField(g, b.values[::-1].copy())
-        lb, rb = carleman_parts(b, q, omega, 6.0, epsilon=-1)
-        lf, rf = carleman_parts(reflected, q_flip, -omega, 6.0, epsilon=1)
+        lb, rb = carleman_parts(b, q, omega, rho, epsilon=-1)
+        lf, rf = carleman_parts(reflected, q_flip, -omega, rho, epsilon=1)
         assert lb == pytest.approx(lf, rel=1e-12)
         assert rb == pytest.approx(rf, rel=1e-12)
 

@@ -145,6 +145,19 @@ def test_default_direction_rejects_a_xi_of_the_wrong_length(entry):
             envelope_fit(g, None, [4.0], [([3.0], 0.0)])
 
 
+@pytest.mark.parametrize("entry", ["report", "envelope"])
+def test_a_non_finite_remainder_norm_fails_before_the_fit(monkeypatch, entry):
+    # an inf norm used to reach the log-log slope and the envelope fit, and
+    # the cgo-check chart writer then failed on it
+    g = build_grid(1, 17, 17, T=1.0)
+    monkeypatch.setattr(ScalarField, "l2_norm", lambda self: np.inf)
+    with pytest.raises(SolverError, match="not finite"):
+        if entry == "report":
+            remainder_decay_report(g, None, [0.0], 0.0, [4.0, 5.0, 6.0, 7.0])
+        else:
+            envelope_fit(g, None, [4.0, 5.0], [([0.0], 0.0)])
+
+
 def test_field_assembly_guard():
     g = build_grid(1, 17, 513, T=1.0)
     sol = build_cgo(g, _params(rho=30.0), compute_residual=False)

@@ -444,6 +444,44 @@ def test_main_non_finite_carleman_side_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_non_finite_probe_norm_exits_3(tmp_path, capsys):
+    # the backward probe's residual overflows on the default grid; the run
+    # used to write inf rows to its CSV and then exit 1 with an
+    # OverflowError from the chart writer, leaving a truncated chart
+    path = _write_config(tmp_path, {"potential": {"amplitude": -1e200}})
+    out = tmp_path / "out"
+    rc = main(["cgo-check", "--config", path, "--out", str(out)])
+    assert rc == 3
+    assert "numerical failure [cgo]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every command on a potential whose solves overflow: the command either
+# survives it or fails with a config error or a numerical failure
+OVERFLOWING = {"grid": {"n": 1, "nx": 17, "nt": 17, "T": 1.0},
+               "potential": {"amplitude": -1e200},
+               "cgo": {"rhos": [4.0, 5.0, 6.0, 7.0]},
+               "pairing": {"cases": 1}, "carleman": {"samples": 1},
+               "sweep": {"noise_levels": [1e-2, 1e-3]}}
+
+
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_every_command_exits_0_2_or_3_and_leaves_a_manifest_only_on_success(
+        tmp_path, capsys, command):
+    path = _write_config(tmp_path, OVERFLOWING)
+    out = tmp_path / "out"
+    rc = main([command, "--config", path, "--out", str(out)])
+    assert rc in (0, 2, 3), capsys.readouterr().err
+    manifest = out / "manifest.json"
+    if rc != 0:
+        assert not manifest.exists()
+        return
+    files = json.loads(manifest.read_text())["files"]
+    assert files
+    for name, digest in files.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command,payload", [
     # a NaN threshold passed every identity check: the run exited 0
     ("pairing-check", {"grid": {"n": 1, "nx": 9, "nt": 9},

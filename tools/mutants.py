@@ -183,6 +183,11 @@ MUTANTS = [
            "w = np.where(near[grid.boundary_index], 0.5, 0.0)",
            "w = np.where(on[grid.boundary_index], 0.5, 0.0)",
            (_TAPER,)),
+    # the backward Carleman parts are the reflected forward ones
+    Mutant("backward-drift-sign-flipped", "carleman.py",
+           ") + 2.0 * rho * sum(",
+           ") - 2.0 * rho * sum(",
+           ("tests/test_carleman.py::test_backward_parts_match_reflected_forward_parts",)),
     Mutant("initial-modes-any-int", "dtn.py",
            "if count < 0:",
            "if False:",
@@ -197,6 +202,10 @@ MUTANTS = [
            "if not (math.isfinite(lhs) and math.isfinite(rhs)):",
            "if False:",
            ("tests/test_cli.py::test_main_non_finite_carleman_side_exits_3",)),
+    Mutant("remainder-norm-not-checked-finite", "cgo.py",
+           "if not np.isfinite([norms[1], norms[-1], residuals[1], residuals[-1]]).all():",
+           "if False:",
+           ("tests/test_cli.py::test_main_non_finite_probe_norm_exits_3",)),
     Mutant("config-numbers-not-checked-finite", "cli.py",
            "if not math.isfinite(number):",
            "if False:",
