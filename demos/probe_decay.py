@@ -20,7 +20,8 @@ from cgolab import Potential, build_grid
 from cgolab._svg import write_line_chart
 from cgolab.cgo import envelope_fit, remainder_decay_report
 
-OUT = pathlib.Path(__file__).parent / "out"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "demos" / "out"
 RHOS = [8.0, 16.0, 32.0, 64.0]
 
 
@@ -60,7 +61,8 @@ def main() -> None:
         x_label="rho", y_label="weighted L2 norm",
         log_x=True, log_y=True,
     )
-    print(f"wrote {path}")
+    # relative to the repository root, so every checkout prints the same line
+    print(f"wrote ./{path.relative_to(ROOT).as_posix()}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ stored answer, to a plain list of consumers, one per question.  A
 `DtnOracle.differences` is the column engine under every matrix assembly and
 pairing.  Its measuring consumer starts its block, the question's noise, on
 its first call and writes the noisy, masked measurement into it; the masked
-reference traces are subtracted from it as they come.  So a difference holds
+reference traces are subtracted from it as they come.  Where the truth's and
+the reference's maps must both march a question, they march it in lock-step,
+the truth's level handed over before the reference's.  So a difference holds
 one answer-sized block, and a stored answer is formed before any block.  A
 sweep shares one map per distinct potential among its oracles, so each
 distinct question marches once, and one noise basis, which projects each
@@ -447,7 +449,9 @@ class DtnMap:
     level, from one march of the map's `ThetaScheme`.  A map shared by
     several oracles keeps its answers, keyed by a digest of the question, so
     each distinct question marches once; a map that one oracle owns alone
-    keeps nothing, and its march holds no block of traces.
+    keeps nothing, and its march holds no block of traces.  Two maps asked
+    the same question (a truth's and a reference's) march it in one
+    lock-step loop where both must march it.
     """
 
     def __init__(self, grid: Grid, q: Potential | None, theta: float = 0.5, *,
@@ -475,7 +479,7 @@ class DtnMap:
         scheme = self.scheme
         return count > 1 and not scheme.time_invariant and scheme.columns_independent
 
-    def answer(self, questions, consumers) -> None:
+    def answer(self, questions, consumers, partner=None) -> None:
         """Hand each (g, u0, key) question's traces to its consumer in the
         list `consumers`, read-only and valid during the call only:
         consume(levels, traces) gets the traces at some time levels, (k, nb)
@@ -487,8 +491,23 @@ class DtnMap:
         so no consumer is called before the last stored answer is formed.
         Where the map `stacks` the questions, they march as one block, whose
         key comes from its parts' digests so no block is hashed twice, and
-        each level is split among the consumers."""
-        if self.stacks(len(questions)):
+        each level is split among the consumers.
+
+        partner, where given, is a (map, consumers) pair: another map of the
+        same grid and theta, asked the same questions.  Where both maps are
+        private, or both keep answers, and they stack alike, the two march
+        each question in lock-step (`ThetaScheme.trace_levels` with a
+        partner) where both must march it, and every consumer of this map is
+        called at a level, or with a stored answer, before the partner's.
+        Otherwise the partner answers once this map has answered."""
+        count = len(questions)
+        if partner is not None and (partner[0].keeps_answers != self.keeps_answers
+                                    or partner[0].stacks(count) != self.stacks(count)):
+            self.answer(questions, consumers)
+            partner[0].answer(questions, partner[1])
+            return
+        other, others = (None, None) if partner is None else partner
+        if self.stacks(count):
             g = np.concatenate([g for g, _, _ in questions])
             u0 = None
             if any(u is not None for _, u, _ in questions):
@@ -499,27 +518,39 @@ class DtnMap:
             keys = [key for _, _, key in questions]
             key = None if None in keys else hashlib.sha256("".join(keys).encode()).hexdigest()
             bounds = np.cumsum([0] + [len(gi) for gi, _, _ in questions])
-            parts = list(zip(consumers, bounds[:-1], bounds[1:]))
 
-            def split(levels, traces):
-                for consume, start, stop in parts:
-                    consume(levels, traces[start:stop])
+            def split(consumers):
+                parts = list(zip(consumers, bounds[:-1], bounds[1:]))
 
-            consumers, questions = [split], [(g, u0, key)]
+                def consume(levels, traces):
+                    for each, start, stop in parts:
+                        each(levels, traces[start:stop])
+                return [consume]
+
+            consumers, questions = split(consumers), [(g, u0, key)]
+            if other is not None:
+                others = split(others)
         if self._answers is None:
-            for (g, u0, _), consume in zip(questions, consumers):
-                self.scheme.trace_levels(g, u0, consume)
+            for i, (g, u0, _) in enumerate(questions):
+                self.scheme.trace_levels(g, u0, consumers[i],
+                                         None if other is None else (other.scheme, others[i]))
             return
         keys = []
         for g, u0, key in questions:
             key = _digest(g, u0) if key is None else key
-            if key not in self._answers:
-                answer = self.scheme.neumann_traces(g, u0)
+            lacking = [m for m in (self, other) if m is not None and key not in m._answers]
+            if len(lacking) == 2:
+                answers = self.scheme.neumann_traces(g, u0, other.scheme)
+            else:
+                answers = [m.scheme.neumann_traces(g, u0) for m in lacking]
+            for m, answer in zip(lacking, answers):
                 answer.flags.writeable = False
-                self._answers[key] = answer
+                m._answers[key] = answer
             keys.append(key)
-        for key, consume in zip(keys, consumers):
-            consume(slice(None), self._answers[key])
+        for m, handed in ((self, consumers), (other, others)):
+            if m is not None:
+                for key, consume in zip(keys, handed):
+                    consume(slice(None), m._answers[key])
 
 
 class DtnOracle:
@@ -616,11 +647,17 @@ class DtnOracle:
         its first call and writes the measurement into it, and the
         reference's map hands over its traces level by level too, which are
         masked and subtracted as they come (`_Measurement.subtract`), so no
-        reference block is formed or copied.  When the reference is the truth, one
-        march serves both sides.  Each question is hashed at most once (a basis's only
-        once in its life), and only where a map asked keeps its answers; its
-        digest keys both the stored answers of the maps and the noise basis's
-        projections."""
+        reference block is formed or copied.  The two maps answer together
+        (`DtnMap.answer` with a partner): where both are private, or both
+        keep answers and neither holds the question's, they march it in
+        lock-step, and at each level the measurement is written before the
+        reference's traces are subtracted.  When the reference is the truth,
+        one march serves both sides.  No name of this frame holds a
+        measurement or its block across a yield, so a block the caller drops
+        is freed before the next question is formed.  Each question is
+        hashed at most once (a basis's only once in its life), and only
+        where a map asked keeps its answers; its digest keys both the stored
+        answers of the maps and the noise basis's projections."""
         reference_map = self._map_of(q_ref)
         same = reference_map is self.map
         maps = [self.map] if same else [self.map, reference_map]
@@ -631,9 +668,10 @@ class DtnOracle:
             count = len(pending) if any(m.stacks(len(pending)) for m in maps) else 1
             asked = [self._question(pending.pop(), keyed) for _ in range(count)]
             measures = [_Measurement(self, question, same) for question in asked]
-            self.map.answer(asked, measures)
-            if not same:
-                reference_map.answer(asked, [m.subtract for m in measures])
+            if same:
+                self.map.answer(asked, measures)
+            else:
+                self.map.answer(asked, measures, (reference_map, [m.subtract for m in measures]))
             blocks = [m.block for m in reversed(measures)]
             del asked, measures
             while blocks:

@@ -8,9 +8,11 @@ that lifts the lateral values into the interior equations, so a march steps
 on interior vectors only.  One kernel, `ThetaScheme`, makes the linear
 marches (one solution, or the Neumann traces of a block of data columns) and
 the Newton steps of the semilinear solver, which also marches a block of
-data columns.  Where the lateral data at t=0 disagrees with the initial slice
-on the boundary, the lateral value wins, with no warning (the discrepancy
-lives on the corner of the cylinder).
+data columns.  Two schemes of different potentials on one grid can march the
+same data in lock-step, each with its own state and factor, so the data's
+share of each step is formed once for both.  Where the lateral data at t=0
+disagrees with the initial slice on the boundary, the lateral value wins,
+with no warning (the discrepancy lives on the corner of the cylinder).
 """
 
 from __future__ import annotations
@@ -159,6 +161,14 @@ class ThetaScheme:
     column of a block marches independently of the others, bit for bit, so
     only the distinct nonzero ones march and the traces of the rest are
     copied or negated; a 1-d block marches at its full width.
+
+    A step forms nothing twice: the march holds one right-hand side buffer,
+    converts each level's data once, and in 2-d multiplies the lift on the
+    rows the data reaches and the trace on the rows its stencil reads only.
+    Two schemes asked the same question march it in lock-step
+    (`trace_levels` with a partner): the data, its lift, the column choice
+    and the boundary part of the traces are formed once, and each scheme
+    solves with its own factor from its own state.
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
@@ -185,6 +195,13 @@ class ThetaScheme:
         # the data of both levels of a step, stacked, enter through one product
         self._lift_pair = _boundary_part(
             sp.hstack([(1 - theta) * ht * lift, theta * ht * lift]), grid)
+        # In 2-d the product is formed on the rows the data reaches only.  On
+        # the others the whole product is a CSR row's +0.0, which a step adds
+        # as a pass of += 0.0 (it turns a -0.0 into +0.0).
+        self._lift_rows = None
+        if grid.n > 1:
+            self._lift_rows = np.flatnonzero(np.diff(self._lift_pair.indptr))
+            self._lift_pair = self._lift_pair[self._lift_rows]
         self._ndof = self._inner.size
         # Sparse products and the LU solves treat each column of a block on
         # its own, so in 2-d a column's traces do not depend on the block it
@@ -232,6 +249,21 @@ class ThetaScheme:
         return (_boundary_part(full[:, self._inner], grid),
                 _boundary_part(full[:, self._outer], grid))
 
+    @functools.cached_property
+    def _trace_touched(self):
+        """(rows, part): in 2-d the interior rows the trace's stencil reads
+        and the trace's interior part on those rows alone, whose CSR rows sum
+        the same stored entries in the same order, so its product with those
+        rows of a state is bitwise the whole product; in 1-d (None, the
+        dense interior part)."""
+        trace_int = self._trace[0]
+        if self.grid.n == 1:
+            return None, trace_int
+        rows = np.unique(trace_int.indices)
+        part = sp.csr_matrix((trace_int.data, np.searchsorted(rows, trace_int.indices),
+                              trace_int.indptr), shape=(trace_int.shape[0], rows.size))
+        return rows, part
+
     def _initial_interior(self, bvals, u0):
         """Interior values (k, ndof) of the initial slices u0 (k, *space) of k
         marches with lateral data bvals (k, nt, nb); the lateral data at t=0
@@ -255,7 +287,16 @@ class ThetaScheme:
         u[(slice(None), *grid.boundary_index)] = bvals
         return ScalarField(grid, u)
 
-    def _march(self, bvals, x0, source, dtype, emit, columns=None):
+    def _dq(self):
+        """(nt-1, ndof, 1) changes of (1-theta)*ht*q over each step, or None
+        for a time-invariant q."""
+        if self.time_invariant:
+            return None
+        dq = np.diff(self._q_int, axis=0)[:, :, None]
+        dq *= (1 - self.theta) * self.grid.ht
+        return dq
+
+    def _march(self, bvals, x0, source, dtype, emit, columns=None, partner=None):
         """March k data columns from t=0 to T as one block.
 
         bvals holds the lateral data (k, nt, nb), x0 the initial interior
@@ -265,9 +306,17 @@ class ThetaScheme:
         march out of those k or 2k, level by level, and every other column is
         left out.  emit(level, state, lateral) sees the real blocks of every
         level, the state as (ndof, m) and the lateral data as (nb, m), with m
-        the number of marched real columns.
+        the number of marched real columns; both are the march's own.
+
+        partner, where given, is a (scheme, emit) pair: a scheme on the same
+        grid with the same theta and convection, which marches the same data
+        in lock-step from the same initial values, with its own state, factor
+        and dq.  The data of each level is converted once and lifted
+        once for both, and at each level this scheme's emit runs before the
+        partner's.
         """
         theta, ht = self.theta, self.grid.ht
+        steppers = [(self, emit)] if partner is None else [(self, emit), partner]
 
         def block(a):
             a = a.real if dtype is np.float64 else a
@@ -280,10 +329,7 @@ class ThetaScheme:
         # c = (1-theta)/theta, so each step is one solve and no product with A:
         #   x_next = M^-1 (x/theta + dq*x + lift + forcing) - c*x
         c = (1 - theta) / theta
-        dq = None
-        if not self.time_invariant:
-            dq = np.diff(self._q_int, axis=0)[:, :, None]
-            dq *= (1 - theta) * ht
+        dqs = [scheme._dq() for scheme, _ in steppers]
         forcing = None
         if source is not None:
             f = block(np.moveaxis(source, 0, -1))
@@ -293,23 +339,43 @@ class ThetaScheme:
         # The factors return F-ordered blocks, and the right-hand side inherits
         # the state's order.  Through the 25x25 LU an 82-column block solved
         # in 0.94 ms F-ordered against 1.76 ms C-ordered (2-core host, one
-        # BLAS thread), so the state starts F-ordered too.
+        # BLAS thread), so the state starts F-ordered too.  No state is
+        # written in place, so every scheme starts from the one block.
         x = np.asfortranarray(block(x0.T))
+        states = [x] * len(steppers)
+        # one buffer for each step's right-hand side and, once the factor has
+        # copied it, for c*x; the data of the step's two levels in two slots
+        rhs = np.empty_like(x)
+        data = np.empty((2, self.grid.n_boundary, x.shape[1]))
+        data[1] = block(bvals[:, 0].T)
+        lift, rows = self._lift_pair, self._lift_rows
         with np.errstate(invalid="ignore", over="ignore"):
-            emit(0, x, block(bvals[:, 0].T))
+            for (_, emit), state in zip(steppers, states):
+                emit(0, state, data[1])
             for level in range(1, self.grid.nt):
-                data = block(bvals[:, level - 1:level + 1].transpose(1, 2, 0))
-                rhs = x / theta
-                if dq is not None:
-                    rhs += dq[level - 1] * x
-                rhs += self._lift_pair @ data.reshape(-1, data.shape[-1])
-                if forcing is not None:
-                    rhs += forcing[level - 1]
-                step = self._lu(level).solve(rhs)
-                if c:
-                    step -= c * x
-                x = step
-                emit(level, x, data[1])
+                data[0] = data[1]
+                data[1] = block(bvals[:, level].T)
+                lifted = lift @ data.reshape(-1, data.shape[-1])
+                for i, (scheme, _) in enumerate(steppers):
+                    x = states[i]
+                    np.divide(x, theta, out=rhs)
+                    if dqs[i] is not None:
+                        rhs += dqs[i][level - 1] * x
+                    if rows is None:
+                        rhs += lifted
+                    else:
+                        rhs += 0.0
+                        rhs[rows] += lifted
+                    if forcing is not None:
+                        rhs += forcing[level - 1]
+                    states[i] = scheme._lu(level).solve(rhs)
+                    if c:
+                        states[i] -= np.multiply(x, c, out=rhs)
+                # neither the last old state nor the lift is alive while the
+                # levels are handed over, which is where a difference peaks
+                del x, lifted
+                for (_, emit), state in zip(steppers, states):
+                    emit(level, state, data[1])
 
     def solve(self, bdata: BoundaryField, u0=None,
               source: ScalarField | None = None) -> ScalarField:
@@ -372,7 +438,7 @@ class ThetaScheme:
                 kept.append(j)
         return np.array(kept, dtype=np.intp), repeats
 
-    def trace_levels(self, bvals, u0, consume) -> None:
+    def trace_levels(self, bvals, u0, consume, partner=None) -> None:
         """March the k solutions with lateral data bvals (k, nt, nb) and
         initial slices u0 (k, *space_shape) or None, and hand
         consume(level, traces) the (k, nb) Neumann traces of each time level
@@ -386,7 +452,15 @@ class ThetaScheme:
         to a marched one, or to its negation, copies or negates its traces at
         every level, which is bitwise what marching it would give.  Where the
         lateral data at t=0 and an initial slice disagree on the boundary,
-        the lateral value wins silently."""
+        the lateral value wins silently.
+
+        partner, where given, is a (scheme, consume) pair: a scheme on the
+        same grid at the same theta whose traces of the same solutions go to
+        its own consumer.  The two march in lock-step (`_march`), and the
+        initial values, the column choice and each level's boundary part of
+        the traces are formed once for both.  At each level this scheme's
+        consumer is called before the partner's, and each scheme's traces
+        are bitwise those of its own march."""
         grid = self.grid
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
@@ -394,10 +468,8 @@ class ThetaScheme:
         x0 = self._initial_interior(bvals, u0)
         dtype = _block_dtype(bvals, x0)
         width = 1 if dtype is np.float64 else 2
-        trace_int, trace_bnd = self._trace
-        traces = np.zeros((bvals.shape[0], grid.n_boundary), dtype=np.complex128)
-        # (k, nb, re/im): real column j is parts[j // width, :, j % width]
-        parts = traces.view(np.float64).reshape(traces.shape + (2,))
+        trace_bnd = self._trace[1]
+        touched, trace_int = self._trace_touched
         columns, repeats = None, []
         marched = np.arange(width * bvals.shape[0])
         if self.columns_independent:
@@ -409,35 +481,64 @@ class ThetaScheme:
             # the (data column, part) pairs of the copies and of their sources
             target, source = np.divmod(target, width), np.divmod(source, width)
             negated = negated[:, None]
+        # a level's boundary part of the traces, formed by the first scheme's
+        # tracer and dropped by the last one's
+        boundary = []
 
-        def trace(level, state, lateral):
-            parts[data_column, :, part] = (trace_int @ state + trace_bnd @ lateral).T
-            if repeats:
-                copied = parts[source[0], :, source[1]]
-                # 0.0 - t keeps the march's +0.0 where -t would flip it to -0.0
-                np.subtract(0.0, copied, out=copied, where=negated)
-                parts[target[0], :, target[1]] = copied
-            if not np.isfinite(parts).all():
-                raise SolverError(f"non-finite trace at time level {level}")
-            consume(level, traces)
+        # one traces array serves every scheme: each level rewrites every
+        # column that is not zero before its consumer is called
+        traces = np.zeros((bvals.shape[0], grid.n_boundary), dtype=np.complex128)
+        # (k, nb, re/im): real column j is parts[j // width, :, j % width]
+        parts = traces.view(np.float64).reshape(traces.shape + (2,))
 
-        if marched.size:
-            self._march(bvals, x0, None, dtype, trace, columns)
-        else:
-            for level in range(grid.nt):
+        def tracer(consume, first, last):
+            def trace(level, state, lateral):
+                if first:
+                    boundary.append(trace_bnd @ lateral)
+                level_traces = trace_int @ (state if touched is None else state[touched])
+                level_traces += boundary[0]
+                parts[data_column, :, part] = level_traces.T
+                if last:
+                    boundary.clear()
+                if repeats:
+                    copied = parts[source[0], :, source[1]]
+                    # 0.0 - t keeps the march's +0.0 where -t would flip it to -0.0
+                    np.subtract(0.0, copied, out=copied, where=negated)
+                    parts[target[0], :, target[1]] = copied
+                if not np.isfinite(parts).all():
+                    raise SolverError(f"non-finite trace at time level {level}")
                 consume(level, traces)
 
-    def neumann_traces(self, bvals, u0=None) -> np.ndarray:
+            return trace
+
+        if marched.size:
+            if partner is not None:
+                partner = (partner[0], tracer(partner[1], False, True))
+            self._march(bvals, x0, None, dtype, tracer(consume, True, partner is None),
+                        columns, partner=partner)
+        else:
+            consumers = [consume] if partner is None else [consume, partner[1]]
+            for level in range(grid.nt):
+                for each in consumers:
+                    each(level, traces)
+
+    def neumann_traces(self, bvals, u0=None, partner=None):
         """Neumann traces (k, nt, nb) of the k solutions with lateral data
         bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None:
-        `trace_levels` with a consumer that fills one new block."""
-        out = np.empty(np.shape(bvals), dtype=np.complex128)
+        `trace_levels` with a consumer that fills one new block.  With a
+        partner scheme, the two march in lock-step, and the pair (this
+        scheme's block, the partner's block) is returned."""
+        schemes = [self] if partner is None else [self, partner]
+        out = [np.empty(np.shape(bvals), dtype=np.complex128) for _ in schemes]
 
-        def keep(level, traces):
-            out[:, level] = traces
+        def keeper(block):
+            def keep(level, traces):
+                block[:, level] = traces
+            return keep
 
-        self.trace_levels(bvals, u0, keep)
-        return out
+        self.trace_levels(bvals, u0, keeper(out[0]),
+                          None if partner is None else (partner, keeper(out[1])))
+        return out[0] if partner is None else tuple(out)
 
 
 def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None,

@@ -236,6 +236,45 @@ def test_explicit_rho_reconstruct_drops_its_measurement_bases_before_the_probes(
     assert alive == [[False] * len(built)]
 
 
+@pytest.mark.parametrize("rho", [4.0, "auto"])
+def test_no_distance_block_is_alive_when_the_probes_are_formed(monkeypatch, rho):
+    # the distance question's difference block goes to map_matrix; by the
+    # time the first forward probe trace is formed it is freed, by reference
+    # counting alone (the cycle collector is off), also where the distance
+    # and the probes are asked in one request
+    grid = build_grid(2, 9, 17, 1.0)
+    # small enough that rho "auto" stays off the trivial branch
+    truth = _sine(grid, 0.02)
+    cfg = ReconstructionConfig(rho=rho, R=4.0 if rho != "auto" else None,
+                               basis_j_max=2, basis_k_max=2)
+    dtn_module = importlib.import_module("cgolab.dtn")
+    reconstruct_module = importlib.import_module("cgolab.reconstruct")
+    matrix, probe_trace = dtn_module.map_matrix, reconstruct_module.probe_trace
+    blocks, alive = [], []
+
+    def tracked(responses, *args):
+        blocks.append(weakref.ref(responses))
+        return matrix(responses, *args)
+
+    def checked(grid, params, vanish_mask=None):
+        if params.epsilon == 1 and not alive:
+            alive.append([b() is not None for b in blocks])
+        return probe_trace(grid, params, vanish_mask)
+
+    for module in (dtn_module, reconstruct_module):
+        monkeypatch.setattr(module, "map_matrix", tracked)
+    monkeypatch.setattr(reconstruct_module, "probe_trace", checked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = reconstruct(DtnOracle(grid, truth), None, cfg, truth=truth)
+    finally:
+        if enabled:
+            gc.enable()
+    assert res.delta > 0 and not res.trivial
+    assert alive == [[False]]
+
+
 @pytest.mark.parametrize("masked", [False, True])
 def test_a_difference_holds_one_answer_block(masked):
     # the measurement is written into the one block handed back; the

@@ -398,11 +398,14 @@ def test_noisy_levels_share_one_noise_basis(monkeypatch):
 
 
 def _count_marches(monkeypatch):
+    """The schemes each march steps: (scheme,) or, in lock-step,
+    (scheme, partner's scheme)."""
     marches = []
     march = forward.ThetaScheme._march
 
     def counting(scheme, *args, **kwargs):
-        marches.append(scheme)
+        partner = kwargs.get("partner")
+        marches.append((scheme,) if partner is None else (scheme, partner[0]))
         return march(scheme, *args, **kwargs)
 
     monkeypatch.setattr(forward.ThetaScheme, "_march", counting)
@@ -411,14 +414,14 @@ def _count_marches(monkeypatch):
 
 def test_linear_recovery_levels_share_their_maps(monkeypatch):
     # a linear family gives every truth level the same potential, and every
-    # reference level too: the three levels ask two maps, and each map answers
-    # the one probe question once
+    # reference level too: the three levels ask two maps, and the two answer
+    # the one probe question once, in one lock-step march
     g = build_grid(1, 17, 33, 1.0)
     marches = _count_marches(monkeypatch)
     cfg = ReconstructionConfig(rho=8.0, R=2.0, measure_delta=False, basis_k_max=2)
     out = recover_nonlinearity(SemilinearOracle(g, _linear(1.0)), _linear(0.5),
                                [0.3, 0.6, 0.9], cfg)
-    assert len(marches) == 2 and len(set(map(id, marches))) == 2
+    assert len(marches) == 1 and len({id(s) for march in marches for s in march}) == 2
     assert len({row["raw_window"] for row in out["rows"]}) == 1
 
 
@@ -441,7 +444,8 @@ def test_cubic_recovery_keeps_one_private_map_per_level(monkeypatch):
                               name="cubic_ref", monotone=True)
     recover_nonlinearity(SemilinearOracle(g, _cubic()), ref, [-0.5, 0.4, 0.8], cfg)
     assert len(made) == 6 and not any(m.keeps_answers for m in made)
-    assert sorted(map(id, marches)) == sorted(map(id, (m.scheme for m in made)))
+    stepped = [s for march in marches for s in march]
+    assert sorted(map(id, stepped)) == sorted(map(id, (m.scheme for m in made)))
 
 
 def test_noisy_levels_draw_their_noise_once(monkeypatch):
@@ -568,7 +572,7 @@ def test_recovery_makes_one_map_of_a_reference_its_levels_share(monkeypatch):
         recover_nonlinearity(SemilinearOracle(g, _cubic()), _linear(0.5),
                              [0.3, 0.6, 0.9], cfg)
         assert [m.keeps_answers for m in made] == [False, True, False, False]
-        counts = [sum(s is m.scheme for s in marches) for m in made]
+        counts = [sum(s is m.scheme for march in marches for s in march) for m in made]
         assert counts == [counts[0]] * 4
 
 

@@ -142,8 +142,10 @@ def test_single_reconstruct_keeps_no_answers(monkeypatch):
     # an explicit rho asks both questions together, and the time-varying truth
     # marches them as one block; the time-invariant reference marches each
     (4.0, 16 + 1, 1 + 2),
-    # at rho "auto" the probes wait for the data distance
-    ("auto", 2 * 16 + 1, 2 + 2),
+    # at rho "auto" the probes wait for the data distance; each question is
+    # asked alone, so the truth's and the reference's maps march it in
+    # lock-step, one march for both
+    ("auto", 2 * 16 + 1, 2),
 ])
 def test_time_varying_truth_marches_once_at_explicit_rho(monkeypatch, rho, factorizations,
                                                          marches):
@@ -538,7 +540,8 @@ def test_basis_question_marches_its_distinct_real_columns_only(monkeypatch):
 def test_full_reconstruct_solves_242_real_columns_per_step(monkeypatch):
     # recon2d-full: the truth's and the zero reference's map each march the
     # basis question (80 -> 40 real columns) and the 41 probe traces
-    # (82 -> 81 real columns), on one factor each
+    # (82 -> 81 real columns), on one factor each, in one lock-step march
+    # per question
     grid = build_grid(2, 25, 81, 1.0)
     truth = _sine(grid, 0.08)
     traffic = Traffic(monkeypatch)
@@ -546,7 +549,7 @@ def test_full_reconstruct_solves_242_real_columns_per_step(monkeypatch):
                       truth=truth)
     assert not res.trivial
     assert traffic.factorizations == traffic.distinct == 2
-    assert traffic.marches == 4
+    assert traffic.marches == 2
     assert traffic.columns == 2 * (40 + 81) * (grid.nt - 1)
 
 

@@ -60,6 +60,8 @@ _TAPER = ("tests/test_cgo.py::"
           "test_taper_is_the_mask_and_half_on_its_brute_force_neighbours")
 _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
+_LOCK_STEP = ("tests/test_stepping_kernel.py::"
+              "test_lock_step_march_is_each_schemes_plain_march_bitwise")
 
 MUTANTS = [
     # the map difference, streamed level by level
@@ -91,9 +93,18 @@ MUTANTS = [
            "if False:",
            ("tests/test_reconstruct.py::test_exact_slices_leave_only_the_parseval_tail",)),
     Mutant("whole-block-private-answer", "dtn.py",
-           "self.scheme.trace_levels(g, u0, consume)",
-           "consume(slice(None), self.scheme.neumann_traces(g, u0))",
+           "self.scheme.trace_levels(g, u0, consumers[i],\n"
+           "                                         None if other is None else "
+           "(other.scheme, others[i]))",
+           "consumers[i](slice(None), self.scheme.neumann_traces(g, u0))\n"
+           "                if other is not None:\n"
+           "                    others[i](slice(None), other.scheme.neumann_traces(g, u0))",
            ("tests/test_difference_stream.py::test_a_difference_holds_one_answer_block",)),
+    Mutant("measurement-kept-across-yield", "dtn.py",
+           "del asked, measures",
+           "del asked",
+           ("tests/test_difference_stream.py::"
+            "test_no_distance_block_is_alive_when_the_probes_are_formed",)),
     Mutant("map-matrix-weights-a-copy", "dtn.py",
            "basis_out._project_block(responses).T",
            "basis_out.project(responses).T",
@@ -112,6 +123,21 @@ MUTANTS = [
            "key = support_mask.values.tobytes()",
            "key = b'checked'",
            ("tests/test_dtn.py::test_a_basis_block_is_checked_against_each_support_mask",)),
+    # two schemes in lock-step: each steps from its own state, the +0.0 pass
+    # stands in for the lift's rows the data never reaches, and the first
+    # scheme's level goes out before the partner's
+    Mutant("partner-steps-from-first-state", "forward.py",
+           "x = states[i]",
+           "x = states[0]",
+           (_LOCK_STEP,)),
+    Mutant("lift-without-zero-pass", "forward.py",
+           "rhs += 0.0\n                        rhs[rows] += lifted",
+           "rhs[rows] += lifted",
+           (_LOCK_STEP,)),
+    Mutant("reference-level-before-measurement", "forward.py",
+           "zip(steppers, states):\n                    emit(level",
+           "zip(steppers[::-1], states[::-1]):\n                    emit(level",
+           (_LOCK_STEP,)),
     # the stepping kernel and the sampled fields
     Mutant("newton-store-one-level-back", "forward.py",
            "interior[:, level] = v.reshape(rows_shape)\n        explicit = implicit",
