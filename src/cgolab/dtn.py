@@ -449,9 +449,9 @@ class DtnMap:
     level, from one march of the map's `ThetaScheme`.  A map shared by
     several oracles keeps its answers, keyed by a digest of the question, so
     each distinct question marches once; a map that one oracle owns alone
-    keeps nothing, and its march holds no block of traces.  Two maps asked
-    the same question (a truth's and a reference's) march it in one
-    lock-step loop where both must march it.
+    keeps nothing, and its march holds no block of traces.  Maps asked the
+    same question together (a truth's and a reference's) march it in one
+    lock-step loop where more than one must march it.
     """
 
     def __init__(self, grid: Grid, q: Potential | None, theta: float = 0.5, *,
@@ -479,78 +479,86 @@ class DtnMap:
         scheme = self.scheme
         return count > 1 and not scheme.time_invariant and scheme.columns_independent
 
-    def answer(self, questions, consumers, partner=None) -> None:
-        """Hand each (g, u0, key) question's traces to its consumer in the
-        list `consumers`, read-only and valid during the call only:
-        consume(levels, traces) gets the traces at some time levels, (k, nb)
-        at one level or (k, L, nb) at a slice of them.  key is the digest
-        `_digest(g, u0)` of the question, or None.  A private map hands over
-        each level of its march in turn.  A map that keeps its answers first
-        forms every stored answer it lacks, read-only and keyed by the
-        digest, then hands over each at once, as the slice of every level;
-        so no consumer is called before the last stored answer is formed.
-        Where the map `stacks` the questions, they march as one block, whose
-        key comes from its parts' digests so no block is hashed twice, and
-        each level is split among the consumers.
+    @staticmethod
+    def answer(questions, asked) -> None:
+        """Hand each (g, u0, key) question's traces to the consumers of every
+        (map, consumers) pair of `asked`, maps of one grid and theta; it is
+        called on any map, or on the class.  consumers holds one consumer
+        per question, consume(levels, traces), which gets the traces,
+        read-only and valid during the call only, at some time levels:
+        (k, nb) at one level or (k, L, nb) at a slice of them.  key is the
+        digest `_digest(g, u0)` of the question, or None.
 
-        partner, where given, is a (map, consumers) pair: another map of the
-        same grid and theta, asked the same questions.  Where both maps are
-        private, or both keep answers, and they stack alike, the two march
-        each question in lock-step (`ThetaScheme.trace_levels` with a
-        partner) where both must march it, and every consumer of this map is
-        called at a level, or with a stored answer, before the partner's.
-        Otherwise the partner answers once this map has answered."""
+        A private map hands over each level of its march in turn.  A map that
+        keeps its answers first forms every stored answer it lacks, read-only
+        and keyed by the digest, then hands over each at once, as the slice
+        of every level; so no consumer is called before the last stored
+        answer is formed.  Where a map `stacks` the questions, they march as
+        one block (`_stacked`).  Maps that keep answers alike and stack alike
+        march each question in lock-step (`ThetaScheme.trace_levels`) where
+        more than one must march it; the others answer in turn, in the order
+        their first map is listed.  A map listed twice marches once, and the
+        consumers of a level or a stored answer are called in list order."""
         count = len(questions)
-        if partner is not None and (partner[0].keeps_answers != self.keeps_answers
-                                    or partner[0].stacks(count) != self.stacks(count)):
-            self.answer(questions, consumers)
-            partner[0].answer(questions, partner[1])
-            return
-        other, others = (None, None) if partner is None else partner
-        if self.stacks(count):
-            g = np.concatenate([g for g, _, _ in questions])
-            u0 = None
-            if any(u is not None for _, u, _ in questions):
-                u0 = np.concatenate([
-                    np.zeros((len(gi),) + self.grid.space_shape) if u is None else u
-                    for gi, u, _ in questions
-                ])
-            keys = [key for _, _, key in questions]
-            key = None if None in keys else hashlib.sha256("".join(keys).encode()).hexdigest()
-            bounds = np.cumsum([0] + [len(gi) for gi, _, _ in questions])
-
-            def split(consumers):
-                parts = list(zip(consumers, bounds[:-1], bounds[1:]))
-
-                def consume(levels, traces):
-                    for each, start, stop in parts:
-                        each(levels, traces[start:stop])
-                return [consume]
-
-            consumers, questions = split(consumers), [(g, u0, key)]
-            if other is not None:
-                others = split(others)
-        if self._answers is None:
-            for i, (g, u0, _) in enumerate(questions):
-                self.scheme.trace_levels(g, u0, consumers[i],
-                                         None if other is None else (other.scheme, others[i]))
-            return
-        keys = []
-        for g, u0, key in questions:
-            key = _digest(g, u0) if key is None else key
-            lacking = [m for m in (self, other) if m is not None and key not in m._answers]
-            if len(lacking) == 2:
-                answers = self.scheme.neumann_traces(g, u0, other.scheme)
-            else:
-                answers = [m.scheme.neumann_traces(g, u0) for m in lacking]
-            for m, answer in zip(lacking, answers):
-                answer.flags.writeable = False
-                m._answers[key] = answer
-            keys.append(key)
-        for m, handed in ((self, consumers), (other, others)):
-            if m is not None:
-                for key, consume in zip(keys, handed):
+        merged = {}
+        for m, consumers in asked:
+            merged.setdefault(id(m), (m, []))[1].append(consumers)
+        together = {}
+        for m, lists in merged.values():
+            together.setdefault((m.keeps_answers, m.stacks(count)), []).append(
+                (m, [_in_turn(each) for each in zip(*lists)]))
+        for (keeps, stacks), group in together.items():
+            maps, handed = [m for m, _ in group], [consumers for _, consumers in group]
+            marched = questions
+            if stacks:
+                marched, bounds = _stacked(maps[0].grid, questions)
+                handed = [[_in_turn(consumers, bounds)] for consumers in handed]
+            if not keeps:
+                for i, (g, u0, _) in enumerate(marched):
+                    ThetaScheme.trace_levels([(m.scheme, consumers[i])
+                                              for m, consumers in zip(maps, handed)], g, u0)
+                continue
+            keys = []
+            for g, u0, key in marched:
+                key = _digest(g, u0) if key is None else key
+                lacking = [m for m in maps if key not in m._answers]
+                if lacking:
+                    answers = ThetaScheme.neumann_traces([m.scheme for m in lacking], g, u0)
+                    for m, answer in zip(lacking, answers):
+                        answer.flags.writeable = False
+                        m._answers[key] = answer
+                keys.append(key)
+            for m, consumers in zip(maps, handed):
+                for key, consume in zip(keys, consumers):
                     consume(slice(None), m._answers[key])
+
+
+def _in_turn(consumers, bounds=None):
+    """One consumer that hands the traces to each of `consumers` in turn, or
+    with bounds, rows bounds[i]:bounds[i + 1] of the traces to consumer i."""
+    parts = ([(each, None, None) for each in consumers] if bounds is None
+             else list(zip(consumers, bounds[:-1], bounds[1:])))
+
+    def consume(levels, traces):
+        for each, start, stop in parts:
+            each(levels, traces[start:stop])
+    return consume
+
+
+def _stacked(grid: Grid, questions):
+    """The questions as a list of one (g, u0, key) block, whose key comes
+    from the parts' digests so no block is hashed twice, and the bounds of
+    each question's rows in it."""
+    g = np.concatenate([g for g, _, _ in questions])
+    u0 = None
+    if any(u is not None for _, u, _ in questions):
+        u0 = np.concatenate([
+            np.zeros((len(gi),) + grid.space_shape) if u is None else u
+            for gi, u, _ in questions
+        ])
+    keys = [key for _, _, key in questions]
+    key = None if None in keys else hashlib.sha256("".join(keys).encode()).hexdigest()
+    return [(g, u0, key)], np.cumsum([0] + [len(gi) for gi, _, _ in questions])
 
 
 class DtnOracle:
@@ -627,7 +635,7 @@ class DtnOracle:
         initial slices u0 (k, *space_shape) or None, in a new array."""
         question = self._question((g, u0), self.map.keeps_answers)
         measure = _Measurement(self, question)
-        self.map.answer([question], [measure])
+        self.map.answer([question], [(self.map, [measure])])
         return measure.block
 
     def apply(self, g: BoundaryField) -> BoundaryField:
@@ -647,31 +655,29 @@ class DtnOracle:
         its first call and writes the measurement into it, and the
         reference's map hands over its traces level by level too, which are
         masked and subtracted as they come (`_Measurement.subtract`), so no
-        reference block is formed or copied.  The two maps answer together
-        (`DtnMap.answer` with a partner): where both are private, or both
-        keep answers and neither holds the question's, they march it in
-        lock-step, and at each level the measurement is written before the
-        reference's traces are subtracted.  When the reference is the truth,
-        one march serves both sides.  No name of this frame holds a
+        reference block is formed or copied.  The two maps `answer`
+        [(truth's map, measurements), (reference's map, subtractions)]
+        together: where both are private, or both keep answers and neither
+        holds the question's, they march it in lock-step, and at each level
+        the measurement is written before the reference's traces are
+        subtracted.  A reference that is the truth is the truth's map listed
+        twice, so one march serves both sides.  No name of this frame holds a
         measurement or its block across a yield, so a block the caller drops
         is freed before the next question is formed.  Each question is
         hashed at most once (a basis's only once in its life), and only
         where a map asked keeps its answers; its digest keys both the stored
         answers of the maps and the noise basis's projections."""
         reference_map = self._map_of(q_ref)
-        same = reference_map is self.map
-        maps = [self.map] if same else [self.map, reference_map]
+        maps = (self.map, reference_map)
         keyed = any(m.keeps_answers for m in maps)
         pending = list(questions)[::-1]
         del questions
         while pending:
             count = len(pending) if any(m.stacks(len(pending)) for m in maps) else 1
             asked = [self._question(pending.pop(), keyed) for _ in range(count)]
-            measures = [_Measurement(self, question, same) for question in asked]
-            if same:
-                self.map.answer(asked, measures)
-            else:
-                self.map.answer(asked, measures, (reference_map, [m.subtract for m in measures]))
+            measures = [_Measurement(self, question) for question in asked]
+            self.map.answer(asked, [(self.map, measures),
+                                    (reference_map, [m.subtract for m in measures])])
             blocks = [m.block for m in reversed(measures)]
             del asked, measures
             while blocks:
@@ -693,13 +699,11 @@ class _Measurement:
     starts the block, the question's noise synthesized then or an empty
     block without noise; a map that keeps its answers forms them all before
     it calls a consumer, so the march of a stored answer never holds a block
-    beside it.  `subtract` is the reference's consumer; with `same`, the
-    traces are also the reference's, and it takes them off again."""
+    beside it.  `subtract` is the reference's consumer."""
 
-    def __init__(self, oracle: DtnOracle, question, same: bool = False):
+    def __init__(self, oracle: DtnOracle, question):
         self._oracle = oracle
         self._g, _, self._key = question
-        self._same = same
         self.block = self._scratch = None
 
     def _start(self) -> None:
@@ -722,8 +726,6 @@ class _Measurement:
             rows[...] = traces
         else:
             np.multiply(traces, mask, out=rows)
-        if self._same:
-            self.subtract(levels, traces)
 
     def subtract(self, levels, traces) -> None:
         """Subtract the observed reference traces at those levels from the

@@ -8,9 +8,9 @@ that lifts the lateral values into the interior equations, so a march steps
 on interior vectors only.  One kernel, `ThetaScheme`, makes the linear
 marches (one solution, or the Neumann traces of a block of data columns) and
 the Newton steps of the semilinear solver, which also marches a block of
-data columns.  Two schemes of different potentials on one grid can march the
-same data in lock-step, each with its own state and factor, so the data's
-share of each step is formed once for both.  Where the lateral data at t=0
+data columns.  Schemes of different potentials on one grid can march the same
+data in lock-step, each with its own state and factor, so the data's share of
+each step is formed once for all of them.  Where the lateral data at t=0
 disagrees with the initial slice on the boundary, the lateral value wins,
 with no warning (the discrepancy lives on the corner of the cylinder).
 """
@@ -165,10 +165,10 @@ class ThetaScheme:
     A step forms nothing twice: the march holds one right-hand side buffer,
     converts each level's data once, and in 2-d multiplies the lift on the
     rows the data reaches and the trace on the rows its stencil reads only.
-    Two schemes asked the same question march it in lock-step
-    (`trace_levels` with a partner): the data, its lift, the column choice
-    and the boundary part of the traces are formed once, and each scheme
-    solves with its own factor from its own state.
+    A march takes a list of (scheme, consumer) pairs and steps the schemes
+    in lock-step: the data, its lift, the column choice and the boundary part
+    of the traces are formed once, and each scheme solves with its own
+    factor from its own state.
     """
 
     def __init__(self, grid: Grid, q: Potential | None = None, theta: float = 0.5,
@@ -296,8 +296,11 @@ class ThetaScheme:
         dq *= (1 - self.theta) * self.grid.ht
         return dq
 
-    def _march(self, bvals, x0, source, dtype, emit, columns=None, partner=None):
-        """March k data columns from t=0 to T as one block.
+    @staticmethod
+    def _march(steppers, bvals, x0, source, dtype, columns=None):
+        """March k data columns from t=0 to T as one block, in lock-step for
+        every (scheme, emit) pair of steppers: schemes on one grid with one
+        theta and convection, each with its own state, factor and dq.
 
         bvals holds the lateral data (k, nt, nb), x0 the initial interior
         values (k, ndof) and source the interior source values (k, nt, ndof)
@@ -306,17 +309,12 @@ class ThetaScheme:
         march out of those k or 2k, level by level, and every other column is
         left out.  emit(level, state, lateral) sees the real blocks of every
         level, the state as (ndof, m) and the lateral data as (nb, m), with m
-        the number of marched real columns; both are the march's own.
-
-        partner, where given, is a (scheme, emit) pair: a scheme on the same
-        grid with the same theta and convection, which marches the same data
-        in lock-step from the same initial values, with its own state, factor
-        and dq.  The data of each level is converted once and lifted
-        once for both, and at each level this scheme's emit runs before the
-        partner's.
+        the number of marched real columns; both are the march's own.  The
+        data of each level is converted once and lifted once for every
+        scheme, and at each level the emits run in list order.
         """
-        theta, ht = self.theta, self.grid.ht
-        steppers = [(self, emit)] if partner is None else [(self, emit), partner]
+        lead = steppers[0][0]
+        theta, ht = lead.theta, lead.grid.ht
 
         def block(a):
             a = a.real if dtype is np.float64 else a
@@ -346,13 +344,13 @@ class ThetaScheme:
         # one buffer for each step's right-hand side and, once the factor has
         # copied it, for c*x; the data of the step's two levels in two slots
         rhs = np.empty_like(x)
-        data = np.empty((2, self.grid.n_boundary, x.shape[1]))
+        data = np.empty((2, lead.grid.n_boundary, x.shape[1]))
         data[1] = block(bvals[:, 0].T)
-        lift, rows = self._lift_pair, self._lift_rows
+        lift, rows = lead._lift_pair, lead._lift_rows
         with np.errstate(invalid="ignore", over="ignore"):
             for (_, emit), state in zip(steppers, states):
                 emit(0, state, data[1])
-            for level in range(1, self.grid.nt):
+            for level in range(1, lead.grid.nt):
                 data[0] = data[1]
                 data[1] = block(bvals[:, level].T)
                 lifted = lift @ data.reshape(-1, data.shape[-1])
@@ -396,7 +394,7 @@ class ThetaScheme:
         def keep(level, state, _):
             levels[level] = state
 
-        self._march(bvals, x0, f, dtype, keep)
+        ThetaScheme._march([(self, keep)], bvals, x0, f, dtype)
         _check_finite(x, "solution")
         return self._field(x, bdata.values)
 
@@ -438,42 +436,40 @@ class ThetaScheme:
                 kept.append(j)
         return np.array(kept, dtype=np.intp), repeats
 
-    def trace_levels(self, bvals, u0, consume, partner=None) -> None:
+    @staticmethod
+    def trace_levels(steppers, bvals, u0) -> None:
         """March the k solutions with lateral data bvals (k, nt, nb) and
-        initial slices u0 (k, *space_shape) or None, and hand
-        consume(level, traces) the (k, nb) Neumann traces of each time level
-        in turn.  The traces array is the march's own and is overwritten at
-        the next level, so consume copies what it keeps and writes nothing
-        into it.  A level holding a non-finite trace raises SolverError
-        before it is handed over.
+        initial slices u0 (k, *space_shape) or None, in lock-step for every
+        (scheme, consume) pair of steppers (`_march`), and hand
+        consume(level, traces) the scheme's (k, nb) Neumann traces of each
+        time level, a level's consumers in list order.  The initial values,
+        the column choice and each level's boundary part of the traces are
+        formed once for all the schemes, and each scheme's traces are bitwise
+        those of its own march.  The traces array is the march's own and is
+        overwritten at the next level, so consume copies what it keeps and
+        writes nothing into it.  A level holding a non-finite trace raises
+        SolverError before it is handed over.
 
         Where columns march independently (2-d), only the distinct nonzero
         real columns march: a zero column has zero traces, and a column equal
         to a marched one, or to its negation, copies or negates its traces at
         every level, which is bitwise what marching it would give.  Where the
         lateral data at t=0 and an initial slice disagree on the boundary,
-        the lateral value wins silently.
-
-        partner, where given, is a (scheme, consume) pair: a scheme on the
-        same grid at the same theta whose traces of the same solutions go to
-        its own consumer.  The two march in lock-step (`_march`), and the
-        initial values, the column choice and each level's boundary part of
-        the traces are formed once for both.  At each level this scheme's
-        consumer is called before the partner's, and each scheme's traces
-        are bitwise those of its own march."""
-        grid = self.grid
+        the lateral value wins silently."""
+        lead = steppers[0][0]
+        grid = lead.grid
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
             raise ValueError("lateral data block must have shape (k, nt, nb)")
-        x0 = self._initial_interior(bvals, u0)
+        x0 = lead._initial_interior(bvals, u0)
         dtype = _block_dtype(bvals, x0)
         width = 1 if dtype is np.float64 else 2
-        trace_bnd = self._trace[1]
-        touched, trace_int = self._trace_touched
+        trace_bnd = lead._trace[1]
+        touched, trace_int = lead._trace_touched
         columns, repeats = None, []
         marched = np.arange(width * bvals.shape[0])
-        if self.columns_independent:
-            columns, repeats = self._distinct_columns(bvals, x0, width)
+        if lead.columns_independent:
+            columns, repeats = lead._distinct_columns(bvals, x0, width)
             marched = columns
         data_column, part = np.divmod(marched, width)
         if repeats:
@@ -512,33 +508,31 @@ class ThetaScheme:
             return trace
 
         if marched.size:
-            if partner is not None:
-                partner = (partner[0], tracer(partner[1], False, True))
-            self._march(bvals, x0, None, dtype, tracer(consume, True, partner is None),
-                        columns, partner=partner)
+            last = len(steppers) - 1
+            ThetaScheme._march([(scheme, tracer(consume, i == 0, i == last))
+                                for i, (scheme, consume) in enumerate(steppers)],
+                               bvals, x0, None, dtype, columns)
         else:
-            consumers = [consume] if partner is None else [consume, partner[1]]
             for level in range(grid.nt):
-                for each in consumers:
-                    each(level, traces)
+                for _, consume in steppers:
+                    consume(level, traces)
 
-    def neumann_traces(self, bvals, u0=None, partner=None):
+    @staticmethod
+    def neumann_traces(schemes, bvals, u0=None) -> list:
         """Neumann traces (k, nt, nb) of the k solutions with lateral data
-        bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None:
-        `trace_levels` with a consumer that fills one new block.  With a
-        partner scheme, the two march in lock-step, and the pair (this
-        scheme's block, the partner's block) is returned."""
-        schemes = [self] if partner is None else [self, partner]
-        out = [np.empty(np.shape(bvals), dtype=np.complex128) for _ in schemes]
+        bvals (k, nt, nb) and initial slices u0 (k, *space_shape) or None,
+        one new block per scheme of the list: `trace_levels` with consumers
+        that fill the blocks, so the schemes march in lock-step."""
+        blocks = [np.empty(np.shape(bvals), dtype=np.complex128) for _ in schemes]
 
         def keeper(block):
             def keep(level, traces):
                 block[:, level] = traces
             return keep
 
-        self.trace_levels(bvals, u0, keeper(out[0]),
-                          None if partner is None else (partner, keeper(out[1])))
-        return out[0] if partner is None else tuple(out)
+        ThetaScheme.trace_levels([(scheme, keeper(block))
+                                  for scheme, block in zip(schemes, blocks)], bvals, u0)
+        return blocks
 
 
 def solve_forward(grid: Grid, q: Potential | None, bdata: BoundaryField, u0=None,

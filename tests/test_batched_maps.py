@@ -228,7 +228,7 @@ def test_block_march_hands_the_factor_fortran_ordered_blocks():
 
     scheme._lu = lambda level: Spy()
     data = np.random.default_rng(0).standard_normal((3, grid.nt, grid.n_boundary)) + 1j
-    scheme.neumann_traces(data)
+    ThetaScheme.neumann_traces([scheme], data)
     # the three imaginary parts are equal, so 3 + 1 of the 6 real columns march
     assert layouts == [((scheme._ndof, 4), True)] * (grid.nt - 1)
 

@@ -62,7 +62,7 @@ def _full_width(scheme, g, u0):
     def trace(level, state, lateral):
         out[:, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128).T
 
-    scheme._march(g, x0, None, np.complex128, trace)
+    ThetaScheme._march([(scheme, trace)], g, x0, None, np.complex128)
     return out
 
 
@@ -185,11 +185,12 @@ def test_a_non_finite_reference_level_fails_at_the_level_the_block_path_names(ma
         finite.append(bool(np.isfinite(trace_int @ state + trace_bnd @ lateral).all()))
 
     with np.errstate(all="ignore"):
-        scheme._march(g, scheme._initial_interior(g, None), None, np.complex128, check)
+        ThetaScheme._march([(scheme, check)], g, scheme._initial_interior(g, None), None,
+                           np.complex128)
     level = finite.index(False)
     assert 0 < level < grid.nt - 1
     with pytest.raises(SolverError) as block:
-        ThetaScheme(grid, ref).neumann_traces(g)
+        ThetaScheme.neumann_traces([ThetaScheme(grid, ref)], g)
     assert re.search(r"time level (\d+)$", str(block.value)).group(1) == str(level)
     obs = direction_mask(grid, [1.0, 0.0], 0.3, sign=1) if masked else None
     oracle = DtnOracle(grid, None, obs_mask=obs)
@@ -314,7 +315,8 @@ def test_stored_answers_stay_read_only_and_unchanged_through_differences():
     for m, q in zip(maps, (truth, ref)):
         (answer,) = m._answers.values()
         assert not answer.flags.writeable
-        assert answer.tobytes() == ThetaScheme(grid, q).neumann_traces(g).tobytes()
+        (traces,) = ThetaScheme.neumann_traces([ThetaScheme(grid, q)], g)
+        assert answer.tobytes() == traces.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             answer[0, 0, 0] = 0.0
 

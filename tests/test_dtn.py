@@ -491,10 +491,12 @@ class _GivenMap:
     def stacks(self, count):
         return False
 
-    def answer(self, questions, consumers):
-        for consume in consumers:
-            for level in range(self._traces.shape[1]):
-                consume(level, self._traces[:, level])
+    @staticmethod
+    def answer(questions, asked):
+        for m, consumers in asked:
+            for consume in consumers:
+                for level in range(m._traces.shape[1]):
+                    consume(level, m._traces[:, level])
 
 
 def _signed_zero_problem(delta, masked):

@@ -398,15 +398,14 @@ def test_noisy_levels_share_one_noise_basis(monkeypatch):
 
 
 def _count_marches(monkeypatch):
-    """The schemes each march steps: (scheme,) or, in lock-step,
-    (scheme, partner's scheme)."""
+    """The schemes each march steps, in lock-step where there are more than
+    one."""
     marches = []
     march = forward.ThetaScheme._march
 
-    def counting(scheme, *args, **kwargs):
-        partner = kwargs.get("partner")
-        marches.append((scheme,) if partner is None else (scheme, partner[0]))
-        return march(scheme, *args, **kwargs)
+    def counting(steppers, *args, **kwargs):
+        marches.append(tuple(scheme for scheme, _ in steppers))
+        return march(steppers, *args, **kwargs)
 
     monkeypatch.setattr(forward.ThetaScheme, "_march", counting)
     return marches

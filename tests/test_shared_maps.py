@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cgolab import Potential, build_grid
+from cgolab import Potential, build_grid, direction_mask
 from cgolab import dtn, forward, norms
 from cgolab.dtn import DtnBasis, DtnMap, DtnOracle, _digest, shared_maps
 from cgolab.forward import ThetaScheme
@@ -53,9 +53,9 @@ class Traffic:
                                   matrix.indptr.tobytes()))
             return CountingFactor(splu(matrix, *args, **kwargs))
 
-        def counting_march(scheme, *args, **kwargs):
+        def counting_march(steppers, *args, **kwargs):
             self.marches += 1
-            return march(scheme, *args, **kwargs)
+            return march(steppers, *args, **kwargs)
 
         monkeypatch.setattr(forward, "splu", counting_splu)
         monkeypatch.setattr(ThetaScheme, "_march", counting_march)
@@ -122,6 +122,59 @@ def test_reference_equal_in_value_to_the_truth_factors_once(monkeypatch):
     # one march per question serves both sides, and the difference cancels
     assert traffic.marches == 2
     assert res.delta == 0.0
+
+
+def _stepped(monkeypatch):
+    """The schemes each march steps, in lock-step where there are more than
+    one."""
+    marches = []
+    march = ThetaScheme._march
+
+    def recording(steppers, *args, **kwargs):
+        marches.append([scheme for scheme, _ in steppers])
+        return march(steppers, *args, **kwargs)
+
+    monkeypatch.setattr(ThetaScheme, "_march", recording)
+    return marches
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("varying", [False, True])
+def test_a_reference_that_is_the_truth_marches_each_question_once(monkeypatch, varying,
+                                                                  shared):
+    # the truth's map is listed twice, for the measurement and for the
+    # subtraction, and marches each question once, one scheme wide (a
+    # time-varying one stacks both questions into one march); each masked
+    # measurement less itself is +0.0 throughout
+    grid = build_grid(2, 9, 13, 1.0)
+    q = _sine(grid, 0.3, varying)
+    maps = shared_maps(grid, [q, q]) if shared else ()
+    oracle = DtnOracle(grid, q, obs_mask=direction_mask(grid, [1.0, 0.0], 0.3, sign=1),
+                       maps=maps)
+    rng = np.random.default_rng(3)
+    shape = (grid.nt, grid.n_boundary)
+    questions = [(rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape),
+                  None),
+                 (rng.standard_normal((1,) + shape), rng.standard_normal((1,) + grid.space_shape))]
+    marches = _stepped(monkeypatch)
+    diffs = list(oracle.differences(Potential(grid, q.values.copy()), questions))
+    assert marches == [[oracle.map.scheme]] * (1 if varying else 2)
+    for diff, (g, _) in zip(diffs, questions):
+        assert diff.tobytes() == np.zeros(g.shape, dtype=np.complex128).tobytes()
+
+
+def test_maps_that_lack_a_stored_answer_form_it_in_one_march(monkeypatch):
+    # a truth's and a reference's shared maps that both lack the question
+    # march it once, in lock-step, and asked again neither marches
+    grid = build_grid(2, 9, 13, 1.0)
+    truth, ref = _sine(grid, 0.3), _sine(grid, 0.1)
+    maps = shared_maps(grid, [truth, truth, ref, ref])
+    oracle = DtnOracle(grid, truth, maps=maps)
+    basis = DtnBasis(grid, 2, 2)
+    marches = _stepped(monkeypatch)
+    first, second = (next(oracle.differences(ref, [basis])) for _ in range(2))
+    assert marches == [[m.scheme for m in maps]]
+    assert first.tobytes() == second.tobytes()
 
 
 def test_single_reconstruct_keeps_no_answers(monkeypatch):
@@ -494,7 +547,7 @@ def test_stored_answers_are_never_written_by_noise_or_mask():
         answers.append(answer.copy())
         answer[...] = np.nan
     assert np.array_equal(answers[0], answers[1])
-    traces = ThetaScheme(grid, q).neumann_traces(g)
+    (traces,) = ThetaScheme.neumann_traces([ThetaScheme(grid, q)], g)
     assert np.array_equal(answers[2], traces * oracle.obs_mask.values)
     (stored,) = shared._answers.values()
     assert np.array_equal(stored, traces)
@@ -512,7 +565,7 @@ def test_shared_map_answers_like_a_private_one():
     for _ in range(2):
         for u in (u0, None, 2 * u0):
             assert np.array_equal(_answers(shared, [(g, u)])[0],
-                                  ThetaScheme(grid, q).neumann_traces(g, u))
+                                  ThetaScheme.neumann_traces([ThetaScheme(grid, q)], g, u)[0])
     assert len(shared._answers) == 3
     # a different theta or different values is a different map
     assert not shared.is_map_of(grid, q, 0.6)
@@ -532,7 +585,7 @@ def test_basis_question_marches_its_distinct_real_columns_only(monkeypatch):
     g, u0 = DtnBasis(grid, RECON2D_FULL.basis_j_max, RECON2D_FULL.basis_k_max).inputs()
     assert g.shape[0] == 40
     traffic = Traffic(monkeypatch)
-    ThetaScheme(grid, _sine(grid, 0.08)).neumann_traces(g, u0)
+    ThetaScheme.neumann_traces([ThetaScheme(grid, _sine(grid, 0.08))], g, u0)
     assert traffic.marches == traffic.factorizations == 1
     assert traffic.columns == 40 * (grid.nt - 1)
 
@@ -583,8 +636,8 @@ def _answers(m, questions, keys=None):
             out[:, level] = traces
         return consume
 
-    m.answer([(g, u, key) for (g, u), key in zip(questions, keys)],
-             [filling(out) for out in blocks])
+    DtnMap.answer([(g, u, key) for (g, u), key in zip(questions, keys)],
+                  [(m, [filling(out) for out in blocks])])
     return blocks
 
 
@@ -601,8 +654,9 @@ def test_stacked_questions_march_as_their_separate_blocks_bitwise(n, nx):
     for q in (_sine(grid, 0.3, varying=True), _sine(grid, 0.3)):
         m = DtnMap(grid, q)
         stacked = _answers(m, [(g1, u1), (g2, None)])
-        assert np.array_equal(stacked[0], ThetaScheme(grid, q).neumann_traces(g1, u1))
-        assert np.array_equal(stacked[1], ThetaScheme(grid, q).neumann_traces(g2))
+        scheme = ThetaScheme(grid, q)
+        assert np.array_equal(stacked[0], ThetaScheme.neumann_traces([scheme], g1, u1)[0])
+        assert np.array_equal(stacked[1], ThetaScheme.neumann_traces([scheme], g2)[0])
 
 
 def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
@@ -619,10 +673,11 @@ def test_shared_map_keeps_a_stacked_answer_apart_from_its_parts():
     questions = [(g1, u1), (g2, None)]
     keys = [_digest(g, u) for g, u in questions]
     for (g, u), answer in zip(questions, _answers(shared, questions, keys)):
-        assert np.array_equal(answer, private.neumann_traces(g, u))
+        assert np.array_equal(answer, ThetaScheme.neumann_traces([private], g, u)[0])
     assert len(shared._answers) == 1
     for g, u in questions:
-        assert np.array_equal(_answers(shared, [(g, u)])[0], private.neumann_traces(g, u))
+        assert np.array_equal(_answers(shared, [(g, u)])[0],
+                              ThetaScheme.neumann_traces([private], g, u)[0])
 
 
 def _marched_alone(scheme, g, u0):
@@ -636,7 +691,7 @@ def _marched_alone(scheme, g, u0):
         def trace(level, state, lateral):
             out[c, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128)[:, 0]
 
-        scheme._march(g[c:c + 1], x0, None, np.complex128, trace)
+        ThetaScheme._march([(scheme, trace)], g[c:c + 1], x0, None, np.complex128)
     return out
 
 
@@ -693,5 +748,5 @@ def test_block_traces_equal_each_column_marched_alone_bitwise(nx, nt, varying, i
     if real_block:
         g = g.real.copy()
         u0 = None if u0 is None else u0.real.copy()
-    got = scheme.neumann_traces(g, u0)
+    (got,) = ThetaScheme.neumann_traces([scheme], g, u0)
     assert got.tobytes() == _marched_alone(scheme, g, u0).tobytes()

@@ -659,35 +659,35 @@ def _lock_step_question(g, scheme, kinds, complex_data, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(1, 4, 4), (1, 7, 6), (2, 5, 4), (2, 6, 5)]),
-       st.sampled_from(["none", "still", "varying"]),
-       st.sampled_from(["none", "still", "varying"]),
+       st.lists(st.sampled_from(["none", "still", "varying"]), min_size=1, max_size=4),
        st.sampled_from([0.5, 0.75, 1.0]), st.booleans(),
        st.lists(st.tuples(st.sampled_from(["fresh", "deep", "zero", "same", "neg"]),
                           st.integers(0, 3)), min_size=1, max_size=4),
        st.booleans(), st.integers(0, 2**32 - 1))
 # at theta = 1 no c*x is taken off, so a -0.0 the right-hand side keeps on a
 # row no data reaches shows in the 2-d states
-@example(shape=(2, 5, 4), qa="still", qb="varying", theta=1.0, complex_data=False,
+@example(shape=(2, 5, 4), potentials=["still", "varying"], theta=1.0, complex_data=False,
          kinds=[("deep", 0), ("fresh", 0), ("neg", 1)], initial=True, seed=1)
-@example(shape=(1, 7, 6), qa="varying", qb="none", theta=0.5, complex_data=True,
+@example(shape=(1, 7, 6), potentials=["varying", "none"], theta=0.5, complex_data=True,
          kinds=[("fresh", 0), ("same", 0), ("deep", 0)], initial=True, seed=2)
-def test_lock_step_march_is_each_schemes_plain_march_bitwise(shape, qa, qb, theta,
+def test_lock_step_march_is_each_schemes_plain_march_bitwise(shape, potentials, theta,
                                                                complex_data, kinds, initial,
                                                                seed):
-    # two schemes step the same data in one loop, each with its own state,
-    # factor and dq: every level's state of each is its plain march's, and
-    # every level's traces are its own march's and the plain ones, bit for
-    # bit, handed over in turn, the first scheme's before the partner's
+    # one to four schemes step the same data in one loop, each with its own
+    # state, factor and dq: every level's state of each is its plain march's,
+    # and every level's traces are its own march's and the plain ones, bit
+    # for bit, handed over in turn, in list order
     g = build_grid(*shape, T=0.5)
     rng = np.random.default_rng(seed)
-    a = forward.ThetaScheme(g, _lock_step_potential(g, qa, rng), theta)
-    b = forward.ThetaScheme(g, _lock_step_potential(g, qb, rng), theta)
-    bvals, u0 = _lock_step_question(g, a, kinds, complex_data, rng)
+    schemes = [forward.ThetaScheme(g, _lock_step_potential(g, kind, rng), theta)
+               for kind in potentials]
+    order = range(len(schemes))
+    bvals, u0 = _lock_step_question(g, schemes[0], kinds, complex_data, rng)
     if not initial:
         u0 = None
-    x0 = a._initial_interior(bvals, u0)
+    x0 = schemes[0]._initial_interior(bvals, u0)
     dtype = forward._block_dtype(bvals, x0)
-    plain = [_plain_march(s, bvals, x0, dtype) for s in (a, b)]
+    plain = [_plain_march(s, bvals, x0, dtype) for s in schemes]
 
     seen = []
 
@@ -696,9 +696,10 @@ def test_lock_step_march_is_each_schemes_plain_march_bitwise(shape, qa, qb, thet
             seen.append((i, level, state.tobytes(), lateral.tobytes()))
         return emit
 
-    a._march(bvals, x0, None, dtype, emitter(0), partner=(b, emitter(1)))
+    forward.ThetaScheme._march([(s, emitter(i)) for i, s in enumerate(schemes)],
+                               bvals, x0, None, dtype)
     assert seen == [(i, level, *(v.tobytes() for v in plain[i][level]))
-                    for level in range(g.nt) for i in (0, 1)]
+                    for level in range(g.nt) for i in order]
 
     handed = []
 
@@ -707,16 +708,18 @@ def test_lock_step_march_is_each_schemes_plain_march_bitwise(shape, qa, qb, thet
             handed.append((i, level, traces.tobytes()))
         return keep
 
-    a.trace_levels(bvals, u0, keeper(0), (b, keeper(1)))
+    forward.ThetaScheme.trace_levels([(s, keeper(i)) for i, s in enumerate(schemes)],
+                                     bvals, u0)
     complex_block = dtype is np.complex128
-    for i, scheme in enumerate((a, b)):
+    for i, scheme in enumerate(schemes):
         alone = []
-        scheme.trace_levels(bvals, u0, lambda level, traces: alone.append(traces.tobytes()))
+        forward.ThetaScheme.trace_levels(
+            [(scheme, lambda level, traces: alone.append(traces.tobytes()))], bvals, u0)
         want = [t.tobytes() for t in _plain_traces(scheme, plain[i], complex_block)]
         assert alone == want
         assert [t for j, _, t in handed if j == i] == want
     assert [(i, level) for i, level, _ in handed] == [(i, level) for level in range(g.nt)
-                                                      for i in (0, 1)]
-    pair = a.neumann_traces(bvals, u0, b)
-    assert [p.tobytes() for p in pair] == [s.neumann_traces(bvals, u0).tobytes()
-                                           for s in (a, b)]
+                                                      for i in order]
+    blocks = forward.ThetaScheme.neumann_traces(schemes, bvals, u0)
+    assert [b.tobytes() for b in blocks] == [
+        forward.ThetaScheme.neumann_traces([s], bvals, u0)[0].tobytes() for s in schemes]

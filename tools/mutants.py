@@ -62,6 +62,8 @@ _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
 _LOCK_STEP = ("tests/test_stepping_kernel.py::"
               "test_lock_step_march_is_each_schemes_plain_march_bitwise")
+_SAME_REFERENCE = ("tests/test_shared_maps.py::"
+                   "test_a_reference_that_is_the_truth_marches_each_question_once")
 
 MUTANTS = [
     # the map difference, streamed level by level
@@ -74,10 +76,9 @@ MUTANTS = [
            "if True:\n            rows -= traces",
            (_STREAM,)),
     Mutant("same-reference-not-subtracted", "dtn.py",
-           "if self._same:\n            self.subtract(levels, traces)",
-           "if False:\n            self.subtract(levels, traces)",
-           ("tests/test_dtn.py::"
-            "test_same_reference_difference_is_the_noisy_copy_minus_the_traces_bitwise",)),
+           "merged.setdefault(id(m), (m, []))[1].append(consumers)",
+           "merged.setdefault(id(m), (m, [consumers]))",
+           (_SAME_REFERENCE,)),
     Mutant("no-per-level-finite-check", "forward.py",
            "if not np.isfinite(parts).all():",
            "if False:",
@@ -93,13 +94,24 @@ MUTANTS = [
            "if False:",
            ("tests/test_reconstruct.py::test_exact_slices_leave_only_the_parseval_tail",)),
     Mutant("whole-block-private-answer", "dtn.py",
-           "self.scheme.trace_levels(g, u0, consumers[i],\n"
-           "                                         None if other is None else "
-           "(other.scheme, others[i]))",
-           "consumers[i](slice(None), self.scheme.neumann_traces(g, u0))\n"
-           "                if other is not None:\n"
-           "                    others[i](slice(None), other.scheme.neumann_traces(g, u0))",
+           "ThetaScheme.trace_levels([(m.scheme, consumers[i])\n"
+           "                                              for m, consumers in zip(maps, handed)],"
+           " g, u0)",
+           "for m, consumers in zip(maps, handed):\n"
+           "                        consumers[i](slice(None),\n"
+           "                                     ThetaScheme.neumann_traces([m.scheme], g, u0)[0])",
            ("tests/test_difference_stream.py::test_a_difference_holds_one_answer_block",)),
+    # a map listed twice (a reference that is the truth) marches once, and
+    # maps that lack a stored answer form it in one march
+    Mutant("map-listed-twice-marches-twice", "dtn.py",
+           "merged.setdefault(id(m), (m, []))",
+           "merged.setdefault(len(merged), (m, []))",
+           (_SAME_REFERENCE,)),
+    Mutant("lacking-answers-marched-apart", "dtn.py",
+           "answers = ThetaScheme.neumann_traces([m.scheme for m in lacking], g, u0)",
+           "answers = [ThetaScheme.neumann_traces([m.scheme], g, u0)[0] for m in lacking]",
+           ("tests/test_shared_maps.py::"
+            "test_maps_that_lack_a_stored_answer_form_it_in_one_march",)),
     Mutant("measurement-kept-across-yield", "dtn.py",
            "del asked, measures",
            "del asked",
@@ -123,9 +135,9 @@ MUTANTS = [
            "key = support_mask.values.tobytes()",
            "key = b'checked'",
            ("tests/test_dtn.py::test_a_basis_block_is_checked_against_each_support_mask",)),
-    # two schemes in lock-step: each steps from its own state, the +0.0 pass
-    # stands in for the lift's rows the data never reaches, and the first
-    # scheme's level goes out before the partner's
+    # schemes in lock-step: each steps from its own state, the +0.0 pass
+    # stands in for the lift's rows the data never reaches, and the levels go
+    # out in list order
     Mutant("partner-steps-from-first-state", "forward.py",
            "x = states[i]",
            "x = states[0]",
