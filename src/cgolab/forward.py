@@ -297,15 +297,16 @@ class ThetaScheme:
         return dq
 
     @staticmethod
-    def _march(steppers, bvals, x0, source, dtype, columns=None):
+    def _march(steppers, bvals, start, source, dtype, columns=None):
         """March k data columns from t=0 to T as one block, in lock-step for
         every (scheme, emit) pair of steppers: schemes on one grid with one
         theta and convection, each with its own state, factor and dq.
 
-        bvals holds the lateral data (k, nt, nb), x0 the initial interior
-        values (k, ndof) and source the interior source values (k, nt, ndof)
-        or None.  dtype float64 marches the real parts; complex128 marches the
-        (re, im) pairs.  columns, where given, picks the real columns to
+        bvals holds the lateral data (k, nt, nb), start a list of one item,
+        the initial interior values (k, ndof), which the march takes out, so
+        they are freed once the first state is formed, and source the
+        interior source values (k, nt, ndof) or None.  dtype float64 marches
+        the real parts; complex128 marches the (re, im) pairs.  columns, where given, picks the real columns to
         march out of those k or 2k, level by level, and every other column is
         left out.  emit(level, state, lateral) sees the real blocks of every
         level, the state as (ndof, m) and the lateral data as (nb, m), with m
@@ -339,7 +340,7 @@ class ThetaScheme:
         # in 0.94 ms F-ordered against 1.76 ms C-ordered (2-core host, one
         # BLAS thread), so the state starts F-ordered too.  No state is
         # written in place, so every scheme starts from the one block.
-        x = np.asfortranarray(block(x0.T))
+        x = np.asfortranarray(block(start.pop().T))
         states = [x] * len(steppers)
         # one buffer for each step's right-hand side and, once the factor has
         # copied it, for c*x; the data of the step's two levels in two slots
@@ -385,16 +386,16 @@ class ThetaScheme:
         bvals = bdata.values[None]
         if u0 is not None:
             u0 = np.asarray(u0)[None]
-        x0 = self._initial_interior(bvals, u0)
+        start = [self._initial_interior(bvals, u0)]
         f = None if source is None else _interior(source.values, grid.n)[None]
-        dtype = _block_dtype(bvals, x0, f)
+        dtype = _block_dtype(bvals, start[0], f)
         x = np.empty((grid.nt, self._ndof), dtype=dtype)
         levels = x.view(np.float64).reshape(grid.nt, self._ndof, -1)
 
         def keep(level, state, _):
             levels[level] = state
 
-        ThetaScheme._march([(self, keep)], bvals, x0, f, dtype)
+        ThetaScheme._march([(self, keep)], bvals, start, f, dtype)
         _check_finite(x, "solution")
         return self._field(x, bdata.values)
 
@@ -461,15 +462,16 @@ class ThetaScheme:
         bvals = np.asarray(bvals)
         if bvals.ndim != 3 or bvals.shape[1:] != (grid.nt, grid.n_boundary):
             raise ValueError("lateral data block must have shape (k, nt, nb)")
-        x0 = lead._initial_interior(bvals, u0)
-        dtype = _block_dtype(bvals, x0)
+        # the march takes the initial values out of this list and frees them
+        start = [lead._initial_interior(bvals, u0)]
+        dtype = _block_dtype(bvals, start[0])
         width = 1 if dtype is np.float64 else 2
         trace_bnd = lead._trace[1]
         touched, trace_int = lead._trace_touched
         columns, repeats = None, []
         marched = np.arange(width * bvals.shape[0])
         if lead.columns_independent:
-            columns, repeats = lead._distinct_columns(bvals, x0, width)
+            columns, repeats = lead._distinct_columns(bvals, start[0], width)
             marched = columns
         data_column, part = np.divmod(marched, width)
         if repeats:
@@ -511,7 +513,7 @@ class ThetaScheme:
             last = len(steppers) - 1
             ThetaScheme._march([(scheme, tracer(consume, i == 0, i == last))
                                 for i, (scheme, consume) in enumerate(steppers)],
-                               bvals, x0, None, dtype, columns)
+                               bvals, start, None, dtype, columns)
         else:
             for level in range(grid.nt):
                 for _, consume in steppers:

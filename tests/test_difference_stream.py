@@ -62,7 +62,7 @@ def _full_width(scheme, g, u0):
     def trace(level, state, lateral):
         out[:, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128).T
 
-    ThetaScheme._march([(scheme, trace)], g, x0, None, np.complex128)
+    ThetaScheme._march([(scheme, trace)], g, [x0], None, np.complex128)
     return out
 
 
@@ -185,7 +185,7 @@ def test_a_non_finite_reference_level_fails_at_the_level_the_block_path_names(ma
         finite.append(bool(np.isfinite(trace_int @ state + trace_bnd @ lateral).all()))
 
     with np.errstate(all="ignore"):
-        ThetaScheme._march([(scheme, check)], g, scheme._initial_interior(g, None), None,
+        ThetaScheme._march([(scheme, check)], g, [scheme._initial_interior(g, None)], None,
                            np.complex128)
     level = finite.index(False)
     assert 0 < level < grid.nt - 1
@@ -274,6 +274,40 @@ def test_no_distance_block_is_alive_when_the_probes_are_formed(monkeypatch, rho)
             gc.enable()
     assert res.delta > 0 and not res.trivial
     assert alive == [[False]]
+
+
+@pytest.mark.parametrize("n,nx", [(1, 9), (2, 7)])
+def test_the_initial_values_are_freed_before_the_first_step(monkeypatch, n, nx):
+    # the march takes the (k, ndof) initial values out of the list it is
+    # handed and forms its first state from them, so by reference counting
+    # alone (the cycle collector is off) they are freed before any level,
+    # the first included, is handed over
+    grid = build_grid(n, nx, 5, 1.0)
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((3, grid.nt, grid.n_boundary)) + 1j
+    u0 = rng.standard_normal((3,) + grid.space_shape)
+    schemes = [ThetaScheme(grid, None), ThetaScheme(grid, _sine(grid, 0.2))]
+    initial = ThetaScheme._initial_interior
+    made, alive = [], []
+
+    def tracked(scheme, *args):
+        x0 = initial(scheme, *args)
+        made.append(weakref.ref(x0))
+        return x0
+
+    def consume(level, traces):
+        alive.append(made[0]() is not None)
+
+    monkeypatch.setattr(ThetaScheme, "_initial_interior", tracked)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ThetaScheme.trace_levels([(s, consume) for s in schemes], g, u0)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(made) == 1
+    assert alive == [False] * (2 * grid.nt)
 
 
 @pytest.mark.parametrize("masked", [False, True])

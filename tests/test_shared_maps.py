@@ -691,7 +691,7 @@ def _marched_alone(scheme, g, u0):
         def trace(level, state, lateral):
             out[c, level] = (trace_int @ state + trace_bnd @ lateral).view(np.complex128)[:, 0]
 
-        ThetaScheme._march([(scheme, trace)], g[c:c + 1], x0, None, np.complex128)
+        ThetaScheme._march([(scheme, trace)], g[c:c + 1], [x0], None, np.complex128)
     return out
 
 

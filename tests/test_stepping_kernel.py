@@ -697,7 +697,7 @@ def test_lock_step_march_is_each_schemes_plain_march_bitwise(shape, potentials, 
         return emit
 
     forward.ThetaScheme._march([(s, emitter(i)) for i, s in enumerate(schemes)],
-                               bvals, x0, None, dtype)
+                               bvals, [x0], None, dtype)
     assert seen == [(i, level, *(v.tobytes() for v in plain[i][level]))
                     for level in range(g.nt) for i in order]
 

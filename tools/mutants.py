@@ -135,6 +135,11 @@ MUTANTS = [
            "key = support_mask.values.tobytes()",
            "key = b'checked'",
            ("tests/test_dtn.py::test_a_basis_block_is_checked_against_each_support_mask",)),
+    Mutant("initial-values-kept-through-the-march", "forward.py",
+           "x = np.asfortranarray(block(start.pop().T))",
+           "x = np.asfortranarray(block(start[0].T))",
+           ("tests/test_difference_stream.py::"
+            "test_the_initial_values_are_freed_before_the_first_step",)),
     # schemes in lock-step: each steps from its own state, the +0.0 pass
     # stands in for the lift's rows the data never reaches, and the levels go
     # out in list order
