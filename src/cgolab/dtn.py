@@ -339,13 +339,14 @@ class DtnMatrix:
     @classmethod
     def load(cls, path) -> "DtnMatrix":
         header, payload = _read_container(path, "dtn-matrix-v1")
+        rows, cols = header["rows"], header["cols"]
         return cls(
-            _payload_array(path, payload, (header["rows"], header["cols"])),
-            np.asarray(header["xi_sq_in"]),
-            np.asarray(header["tau_in"]),
-            np.asarray(header["xi_sq_out"]),
-            np.asarray(header["tau_out"]),
-            tuple(header["weights"]),
+            _payload_array(path, payload, (rows, cols)),
+            _numbers(path, header, "xi_sq_in", cols, nonnegative=True),
+            _numbers(path, header, "tau_in", cols),
+            _numbers(path, header, "xi_sq_out", rows, nonnegative=True),
+            _numbers(path, header, "tau_out", rows),
+            tuple(_numbers(path, header, "weights", len(DEFAULT_WEIGHTS)).tolist()),
             header.get("meta", {}),
         )
 
@@ -814,12 +815,13 @@ def assemble_difference_matrix(oracle: DtnOracle, q_ref: Potential | None,
 # The file container of matrices and fields
 
 
-# format tag: (what the file holds, the header keys a reader needs and their types)
+# format tag: (what the file holds, the order its writer writes, the header
+# keys a reader needs and their types)
 _FORMATS = {
-    "dtn-matrix-v1": ("dtn matrix", {"rows": int, "cols": int, "weights": list,
-                                     "xi_sq_in": list, "tau_in": list,
-                                     "xi_sq_out": list, "tau_out": list}),
-    "dtn-field-v1": ("field dump", {"n": int, "nx": int, "nt": int, "T": (int, float)}),
+    "dtn-matrix-v1": ("dtn matrix", "row-major",
+                      {"rows": int, "cols": int, "weights": list, "xi_sq_in": list,
+                       "tau_in": list, "xi_sq_out": list, "tau_out": list}),
+    "dtn-field-v1": ("field dump", "C", {"n": int, "nx": int, "nt": int, "T": (int, float)}),
 }
 
 
@@ -834,9 +836,9 @@ def _write_container(path, header: dict, values: np.ndarray) -> None:
 
 def _read_container(path, fmt: str):
     """(header, payload bytes) of a container file of format fmt whose header
-    holds every key the format needs, each with a value of its type; anything
-    else raises ConfigError."""
-    what, keys = _FORMATS[fmt]
+    holds every key the format needs, each with a value of its type, and the
+    dtype and order its writer writes; anything else raises ConfigError."""
+    what, order, keys = _FORMATS[fmt]
     with open(path, "rb") as fh:
         line = fh.readline()
         payload = fh.read()
@@ -851,18 +853,42 @@ def _read_container(path, fmt: str):
             raise ConfigError(f"{path}: header has no {key!r}")
         if isinstance(header[key], bool) or not isinstance(header[key], kind):
             raise ConfigError(f"{path}: header {key!r} has the wrong type: {header[key]!r}")
+    for key, written in (("dtype", "complex64"), ("order", order)):
+        if header.get(key) != written:
+            raise ConfigError(f"{path}: header {key!r} is {header.get(key)!r}, "
+                              f"not the {written!r} its writer writes")
     return header, payload
 
 
+def _numbers(path, header, key: str, size: int, nonnegative: bool = False) -> np.ndarray:
+    """The header's list `key` as an array: `size` finite numbers, none of
+    them negative where `nonnegative`; anything else raises ConfigError."""
+    values = header[key]
+    if len(values) != size or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ConfigError(f"{path}: header {key!r} must hold {size} numbers, got {values!r}")
+    out = np.asarray(values)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{path}: header {key!r} holds a non-finite number")
+    if nonnegative and (out < 0).any():
+        raise ConfigError(f"{path}: header {key!r} holds a negative number")
+    return out
+
+
 def _payload_array(path, payload: bytes, shape) -> np.ndarray:
-    """The complex64 payload as a complex128 array of the header's shape."""
-    expected = int(np.prod(shape)) * np.dtype(np.complex64).itemsize
-    if len(payload) != expected:
+    """The complex64 payload as a complex128 array of the header's shape;
+    a payload of another length, or holding a non-finite sample, raises
+    ConfigError."""
+    expected = math.prod(shape) * np.dtype(np.complex64).itemsize
+    if len(payload) != expected or min(shape) < 0:
         raise ConfigError(
             f"{path}: payload has {len(payload)} bytes, a {shape} array of "
             f"complex64 samples needs {expected}"
         )
-    return np.frombuffer(payload, dtype=np.complex64).reshape(shape).astype(np.complex128)
+    values = np.frombuffer(payload, dtype=np.complex64).reshape(shape).astype(np.complex128)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path}: payload holds a non-finite sample")
+    return values
 
 
 def save_field(path, field: ScalarField) -> None:
@@ -880,5 +906,8 @@ def save_field(path, field: ScalarField) -> None:
 
 def load_field(path) -> ScalarField:
     header, payload = _read_container(path, "dtn-field-v1")
-    grid = build_grid(header["n"], header["nx"], header["nt"], header["T"])
+    try:
+        grid = build_grid(header["n"], header["nx"], header["nt"], header["T"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return ScalarField(grid, _payload_array(path, payload, grid.field_shape))

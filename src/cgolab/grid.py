@@ -19,6 +19,7 @@ its owning face (the ambiguity lives on a measure-zero set).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class Grid:
             raise ValueError(f"need nx >= 3 points per axis, got {nx}")
         if nt < 3:
             raise ValueError(f"need nt >= 3 time levels, got {nt}")
-        if not T > 0:
-            raise ValueError(f"final time must be positive, got {T}")
+        if not 0 < T < math.inf:
+            raise ValueError(f"final time must be positive and finite, got {T}")
         self.n = n
         self.nx = int(nx)
         self.nt = int(nt)

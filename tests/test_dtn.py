@@ -1,7 +1,10 @@
 """Boundary-map layer: bases, matrices, pairings, noise, file formats."""
 
 import json
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +362,106 @@ def test_container_reader_names_a_missing_or_ill_typed_key(tmp_path, save, key,
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
     with pytest.raises(ConfigError, match=message):
         load(path)
+
+
+_DELETE = object()
+
+
+def _not_written(key, value):
+    """Values of a header key, or its deletion, that no writer writes where
+    it wrote `value`."""
+    if key in ("dtype", "order", "format"):
+        return [_DELETE, "float64", "column-major", "row-major" if value == "C" else "C", 1]
+    if key in ("rows", "cols", "nx", "nt"):
+        return [_DELETE, value - 1, value + 1, -value, 2, 2.5, "3", True]
+    if key == "n":
+        return [_DELETE, 3 - value, 3, 0]
+    if key == "T":
+        return [_DELETE, math.nan, math.inf, -value, 0, "1", [value]]
+    if key == "weights":
+        return [_DELETE, value[:1], value[:3], value + [0.0], value[:3] + ["x"],
+                value[:3] + [math.nan], value[:3] + [math.inf], value[:3] + [True], "x"]
+    # xi_sq_* and tau_*: a tau may be negative, a xi_sq may not
+    rest = value[1:]
+    return ([_DELETE, value[:-1], value + [0.0], [math.nan] + rest, [math.inf] + rest,
+             ["1"] + rest, [True] + rest, [None] + rest, [value[:1]] + rest, 1.0]
+            + ([[-1.0] + rest] if key.startswith("xi_sq") else []))
+
+
+_NAN_SAMPLE = np.array([complex(math.nan, 0.0)], dtype=np.complex64).tobytes()
+_PAYLOAD_EDITS = [lambda b: b[:-1], lambda b: b[:-8], lambda b: b + b"\0",
+                  lambda b: b + b"\0" * 8, lambda b: b[:-8] + _NAN_SAMPLE]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["matrix", "field"]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["format", "dtype", "order", "rows", "cols", "weights", "xi_sq_in",
+                        "tau_in", "xi_sq_out", "tau_out", "n", "nx", "nt", "T", "payload"]),
+       st.integers(0, 12))
+# one edit per check the loaders make: the dtype, the order, a list's length,
+# the weights, a negative xi_sq, a non-finite tau, a grid the grid rejects, a
+# non-finite final time and a non-finite sample; and no edit at all
+@example(kind="matrix", seed=0, key="dtype", choice=2)
+@example(kind="field", seed=0, key="order", choice=3)
+@example(kind="matrix", seed=0, key="tau_in", choice=2)
+@example(kind="matrix", seed=0, key="weights", choice=2)
+@example(kind="matrix", seed=0, key="xi_sq_out", choice=11)
+@example(kind="matrix", seed=0, key="tau_out", choice=4)
+@example(kind="field", seed=0, key="n", choice=3)
+@example(kind="field", seed=0, key="T", choice=3)
+@example(kind="matrix", seed=0, key="payload", choice=5)
+@example(kind="field", seed=1, key="payload", choice=0)
+@example(kind="matrix", seed=2, key="rows", choice=0)
+def test_a_loaded_file_is_what_its_writer_wrote_or_a_config_error(kind, seed, key, choice):
+    # a small matrix or field is written, one header key is set to a value
+    # its writer never writes (or deleted), or the payload is cut, extended
+    # or given a non-finite sample; choice 0 edits nothing
+    rng = np.random.default_rng(seed)
+    if kind == "matrix":
+        rows, cols = (int(k) for k in rng.integers(1, 4, size=2))
+        written = DtnMatrix(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)),
+                            rng.uniform(0, 50, cols), rng.uniform(-9, 9, cols),
+                            rng.uniform(0, 50, rows), rng.uniform(-9, 9, rows),
+                            tuple(rng.uniform(-1, 1, 4).tolist()), {"seed": seed})
+        save, load = DtnMatrix.save, DtnMatrix.load
+    else:
+        g = build_grid(int(rng.integers(1, 3)), int(rng.integers(4, 6)), int(rng.integers(3, 5)),
+                       float(rng.choice([0.5, 1.0, 2.5])))
+        written = ScalarField(g, rng.standard_normal(g.field_shape)
+                              + 1j * rng.standard_normal(g.field_shape))
+        save, load = (lambda f, path: save_field(path, f)), load_field
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        save(written, path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        if key != "payload" and key not in header:
+            return
+        if choice and key == "payload":
+            payload = _PAYLOAD_EDITS[(choice - 1) % len(_PAYLOAD_EDITS)](payload)
+        elif choice:
+            pool = _not_written(key, header[key])
+            value = pool[(choice - 1) % len(pool)]
+            if value is _DELETE:
+                del header[key]
+            else:
+                header[key] = value
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        if choice:
+            with pytest.raises(ConfigError):
+                load(path)
+            return
+        back = load(path)
+    if kind == "matrix":
+        assert back.matrix.tobytes() == written.matrix.astype(np.complex64).astype(
+            np.complex128).tobytes()
+        for name in ("xi_sq_in", "tau_in", "xi_sq_out", "tau_out"):
+            assert getattr(back, name).tobytes() == getattr(written, name).tobytes()
+        assert back.weights == written.weights and back.meta == written.meta
+    else:
+        assert back.grid.same_layout(written.grid) and back.grid.T == written.grid.T
+        assert back.values.tobytes() == written.values.astype(np.complex64).astype(
+            np.complex128).tobytes()
 
 
 @pytest.mark.parametrize("header", [b"[1, 2]", b"{not json", b"\xff\xfe"])

@@ -62,6 +62,8 @@ _STREAM = ("tests/test_difference_stream.py::"
            "test_streamed_difference_is_the_masked_difference_of_whole_blocks_bitwise")
 _LOCK_STEP = ("tests/test_stepping_kernel.py::"
               "test_lock_step_march_is_each_schemes_plain_march_bitwise")
+_LOADED = ("tests/test_dtn.py::"
+           "test_a_loaded_file_is_what_its_writer_wrote_or_a_config_error")
 _SAME_REFERENCE = ("tests/test_shared_maps.py::"
                    "test_a_reference_that_is_the_truth_marches_each_question_once")
 
@@ -155,6 +157,28 @@ MUTANTS = [
            "zip(steppers, states):\n                    emit(level",
            "zip(steppers[::-1], states[::-1]):\n                    emit(level",
            (_LOCK_STEP,)),
+    # a loaded file is what its writer wrote, or a ConfigError
+    Mutant("container-dtype-unchecked", "dtn.py",
+           '(("dtype", "complex64"), ("order", order))', '(("order", order),)', (_LOADED,)),
+    Mutant("container-order-unchecked", "dtn.py",
+           '(("dtype", "complex64"), ("order", order))', '(("dtype", "complex64"),)', (_LOADED,)),
+    Mutant("header-list-length-unchecked", "dtn.py",
+           "if len(values) != size or not all(", "if not all(", (_LOADED,)),
+    Mutant("header-weights-unchecked", "dtn.py",
+           'tuple(_numbers(path, header, "weights", len(DEFAULT_WEIGHTS)).tolist())',
+           'tuple(header["weights"])', (_LOADED,)),
+    Mutant("negative-xi-sq-loaded", "dtn.py",
+           "if nonnegative and (out < 0).any():", "if False:", (_LOADED,)),
+    Mutant("non-finite-header-number-loaded", "dtn.py",
+           "if not np.isfinite(out).all():", "if False:", (_LOADED,)),
+    Mutant("grid-error-escapes-the-loader", "dtn.py",
+           "except ValueError as exc:\n        raise ConfigError(f\"{path}: {exc}\") from exc",
+           "except KeyError as exc:\n        raise ConfigError(f\"{path}: {exc}\") from exc",
+           (_LOADED,)),
+    Mutant("infinite-final-time", "grid.py",
+           "if not 0 < T < math.inf:", "if not T > 0:", (_LOADED,)),
+    Mutant("non-finite-sample-loaded", "dtn.py",
+           "if not np.isfinite(values).all():", "if False:", (_LOADED,)),
     # the stepping kernel and the sampled fields
     Mutant("newton-store-one-level-back", "forward.py",
            "interior[:, level] = v.reshape(rows_shape)\n        explicit = implicit",
