@@ -250,11 +250,16 @@ MUTANTS = [
            "w = np.where(near[grid.boundary_index], 0.5, 0.0)",
            "w = np.where(on[grid.boundary_index], 0.5, 0.0)",
            (_TAPER,)),
-    # the backward Carleman parts are the reflected forward ones
+    # the backward Carleman parts are the reflected forward ones, and the
+    # energy cross term holds with its sign
     Mutant("backward-drift-sign-flipped", "carleman.py",
            ") + 2.0 * rho * sum(",
            ") - 2.0 * rho * sum(",
            ("tests/test_carleman.py::test_backward_parts_match_reflected_forward_parts",)),
+    Mutant("cross-term-sign-flipped", "carleman.py",
+           "lhs = -2.0 * grid.integrate_volume(lap * vt)",
+           "lhs = 2.0 * grid.integrate_volume(lap * vt)",
+           ("tests/test_carleman.py::test_energy_cross_term_identity",)),
     Mutant("initial-modes-any-int", "dtn.py",
            "if count < 0:",
            "if False:",
